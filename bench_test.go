@@ -327,11 +327,11 @@ func BenchmarkFig9ArtifactWarm(b *testing.B) {
 
 // BenchmarkFig9SweepDispatch isolates the heavy-tail dispatch fix on a
 // small pool, in the grid shape where a static spec-order feed is
-// weakest: clairvoyant LFD at R=4 costs ~20× LRU (full-future scans
-// under maximum contention), and on a descending-RU grid — a perfectly
-// natural way to write the axis — that most expensive scenario has the
-// highest spec index, so spec order starts it when everything else is
-// already draining and the whole pool idles behind one straggler.
+// weakest: the R=4 scenarios cost the most (the most replacement
+// decisions, under maximum contention), and on a descending-RU grid — a
+// perfectly natural way to write the axis — they have the highest spec
+// indices, so spec order starts them when everything else is already
+// draining and the whole pool idles behind the stragglers.
 // Cost-order (longest-processing-time) dispatch starts it first and
 // backfills with the cheap scenarios, cutting the tail regardless of
 // how the user happened to order the axes. Collection order and results
@@ -368,8 +368,8 @@ func BenchmarkFig9SweepDispatch(b *testing.B) {
 
 // BenchmarkFig9SweepMeasuredDispatch contrasts the static cost heuristic
 // with measured-cost dispatch on the sweep's tail latency: the same
-// descending-RU grid as BenchmarkFig9SweepDispatch (the ~20× LFD-at-R=4
-// straggler last in spec order), re-simulated in full on a 4-worker pool.
+// descending-RU grid as BenchmarkFig9SweepDispatch (the costly R=4
+// scenarios last in spec order), re-simulated in full on a 4-worker pool.
 // A cold run populates the store with per-scenario wall times, the
 // entries are then invalidated exactly as a schema bump would (timings
 // survive at the same keys, outcomes do not), and each variant re-runs

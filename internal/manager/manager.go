@@ -28,7 +28,7 @@
 //
 // The steady-state event loop is allocation-free: a Runner owns every
 // piece of per-run state (engine queue, unit array, instance bookkeeping,
-// lookahead and candidate buffers) and reuses it across runs, so a sweep
+// next-use index and candidate buffer) and reuses it across runs, so a sweep
 // worker simulates its whole slice of the grid on warm memory. See
 // ARCHITECTURE.md §"The hot loop" for the design and its invariant —
 // reuse never changes simulation output.
@@ -58,8 +58,8 @@ type Config struct {
 	// non-negative. The paper assumes a uniform latency; this is the
 	// natural extension for heterogeneous configurations.
 	LatencyFor func(taskgraph.TaskID) simtime.Time
-	// Policy selects replacement victims. Its Window() governs how much
-	// lookahead the manager builds for it.
+	// Policy selects replacement victims. Its Window() governs how much of
+	// the future the manager lets it see.
 	Policy policy.Policy
 	// SkipEvents enables the run-time skip mechanism of Fig. 8. It needs
 	// Mobility to be useful; with all-zero mobilities it never fires.
@@ -194,7 +194,7 @@ func resize[T any](s []T, n int) []T {
 
 // Runner is a reusable simulation runner. One Runner executes any number
 // of runs sequentially, recycling every internal structure — event queue,
-// unit array, instance bookkeeping, lookahead and candidate buffers — so
+// unit array, instance bookkeeping, next-use index, candidate buffer — so
 // that after the first run the event loop allocates nothing. Reuse is
 // observationally invisible: a reused Runner produces byte-identical
 // results to a fresh one (property-tested). A Runner is not safe for
@@ -224,7 +224,7 @@ type Runner struct {
 	preloadDoneRUs  []int
 	preloadInFlight taskgraph.TaskID
 
-	lookbuf []taskgraph.TaskID
+	fut     future
 	candbuf []policy.Candidate
 
 	res Result
@@ -320,11 +320,14 @@ func (r *Runner) Reset(cfg Config) error {
 }
 
 // start drains the feed, pre-sizes every per-run structure from the
-// workload's shape and schedules the arrival events.
+// workload's shape, indexes the future (for a policy that sees one) and
+// schedules the arrival events.
 //
 // The feed is drained up front: arrival times are fixed, so each becomes
-// a scheduled new_task_graph event. (Clairvoyant LFD additionally peeks
-// at not-yet-arrived items through the drained slice.)
+// a scheduled new_task_graph event. The next-use index relies on the
+// arrival order being the instance order — the Dynamic List window is
+// then a contiguous run of instances — so a feed that numbers its items
+// out of order or goes back in time is rejected.
 func (r *Runner) start(feed dynlist.Feed) error {
 	for {
 		it, ok := feed.Next()
@@ -339,12 +342,22 @@ func (r *Runner) start(feed dynlist.Feed) error {
 		if it.Graph == nil {
 			return fmt.Errorf("manager: arrival %d has nil graph", i)
 		}
+		if it.Instance != i {
+			return fmt.Errorf("manager: arrival %d carries instance number %d", i, it.Instance)
+		}
+		if i > 0 && it.Arrival < r.arrivals[i-1].Arrival {
+			return fmt.Errorf("manager: arrival %d at %v precedes arrival %d at %v",
+				i, it.Arrival, i-1, r.arrivals[i-1].Arrival)
+		}
 		if id := it.Graph.MaxTaskID(); id > maxID {
 			maxID = id
 		}
 		tasks += it.Graph.NumTasks()
 	}
 	r.protected.reset(maxID)
+	if r.cfg.Policy.Window() != policy.WindowNone {
+		r.fut.build(r.arrivals, maxID)
+	}
 	if cap(r.res.Completions) < len(r.arrivals) {
 		r.res.Completions = make([]simtime.Time, 0, len(r.arrivals))
 	}
@@ -653,7 +666,7 @@ func (r *Runner) replacementModule() bool {
 	}
 
 	dec := r.cfg.Policy.SelectVictim(policy.Request{
-		Task: id, Now: r.engine.Now(), Lookahead: r.lookahead(),
+		Task: id, Now: r.engine.Now(), Future: r.oracle(),
 	}, cands)
 	r.checkDecision(dec, cands)
 
@@ -760,7 +773,7 @@ func (r *Runner) preloadStep() bool {
 				return false
 			}
 			dec := r.cfg.Policy.SelectVictim(policy.Request{
-				Task: id, Now: r.engine.Now(), Lookahead: r.lookahead(),
+				Task: id, Now: r.engine.Now(), Future: r.oracle(),
 			}, cands)
 			r.checkDecision(dec, cands)
 			// Conservative mode: a preload is opportunistic, so never pay
@@ -799,36 +812,4 @@ func (r *Runner) preloadStep() bool {
 		return true
 	}
 	return false
-}
-
-// lookahead builds the future request sequence visible to the policy: the
-// remainder of the running graph's reconfiguration sequence (beyond the
-// entry being decided), then the Dynamic List window, then — for the
-// clairvoyant window — every arrival still to come. It reuses one buffer
-// across calls and allocates nothing once that buffer has grown to the
-// workload's high-water mark.
-func (r *Runner) lookahead() []taskgraph.TaskID {
-	w := r.cfg.Policy.Window()
-	buf := r.lookbuf[:0]
-	if w == policy.WindowNone {
-		r.lookbuf = buf
-		return buf
-	}
-	c := r.cur
-	// During cross-graph preloading the running graph's sequence is
-	// already exhausted (recPos == len); otherwise skip the entry being
-	// decided right now.
-	if from := c.recPos + 1; from < len(c.rec) {
-		for _, li := range c.rec[from:] {
-			buf = append(buf, c.g.Task(li).ID)
-		}
-	}
-	buf = r.dl.AppendWindow(buf, w)
-	if w == policy.WindowAll {
-		for _, it := range r.arrivals[r.arrived:] {
-			buf = it.Graph.AppendRecIDs(buf)
-		}
-	}
-	r.lookbuf = buf
-	return buf
 }

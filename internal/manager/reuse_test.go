@@ -112,7 +112,7 @@ func TestRunnerRerunIdentical(t *testing.T) {
 
 // TestEventLoopSteadyStateAllocs pins the tentpole guarantee: once a
 // Runner is warm, preparing and executing a whole simulation — event
-// loop, replacement decisions, lookahead construction, instance
+// loop, replacement decisions, next-use index build and queries, instance
 // bookkeeping — allocates nothing. Only the final result snapshot (which
 // must escape) is excluded, by driving the unexported phases directly.
 func TestEventLoopSteadyStateAllocs(t *testing.T) {
@@ -128,10 +128,8 @@ func TestEventLoopSteadyStateAllocs(t *testing.T) {
 			mobTable[g] = vals
 		}
 	}
-	local, err := policy.NewLocalLFD(2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	local, local1, local4 := mustLocalLFD(t, 2), mustLocalLFD(t, 1), mustLocalLFD(t, 4)
+	mobility := func(g *taskgraph.Graph) []int { return mobTable[g] }
 	cases := []struct {
 		name string
 		cfg  Config
@@ -142,14 +140,27 @@ func TestEventLoopSteadyStateAllocs(t *testing.T) {
 		{"Random", Config{RUs: 4, Latency: workload.PaperLatency(), Policy: policy.NewRandom(11)}},
 		{"LFD", Config{RUs: 4, Latency: workload.PaperLatency(), Policy: policy.NewLFD()}},
 		{"LocalLFD2", Config{RUs: 4, Latency: workload.PaperLatency(), Policy: local}},
+		{"LocalLFD1", Config{RUs: 4, Latency: workload.PaperLatency(), Policy: local1}},
+		{"LocalLFD4", Config{RUs: 3, Latency: workload.PaperLatency(), Policy: local4}},
 		{"LocalLFD2+Skip", Config{
 			RUs: 4, Latency: workload.PaperLatency(), Policy: local,
-			SkipEvents: true,
-			Mobility:   func(g *taskgraph.Graph) []int { return mobTable[g] },
+			SkipEvents: true, Mobility: mobility,
+		}},
+		{"LFD+Skip", Config{
+			RUs: 4, Latency: workload.PaperLatency(), Policy: policy.NewLFD(),
+			SkipEvents: true, Mobility: mobility,
 		}},
 		{"LRU+Prefetch", Config{
 			RUs: 4, Latency: workload.PaperLatency(), Policy: policy.NewLRU(),
 			CrossGraphPrefetch: true,
+		}},
+		{"LFD+Prefetch", Config{
+			RUs: 4, Latency: workload.PaperLatency(), Policy: policy.NewLFD(),
+			CrossGraphPrefetch: true,
+		}},
+		{"LocalLFD1+ConservativePrefetch", Config{
+			RUs: 4, Latency: workload.PaperLatency(), Policy: local1,
+			CrossGraphPrefetch: true, ConservativePrefetch: true,
 		}},
 	}
 	for _, c := range cases {

@@ -15,14 +15,18 @@
 // A policy only chooses a victim among the candidates the execution
 // manager deems replaceable; the skip-events mechanism (Fig. 8) is applied
 // by the manager on top of the policy's decision, using the reusability
-// information the lookahead scan produces.
+// information the forward distances carry.
 //
-// The lookahead-based policies deliberately use the linear-scan
-// implementation the paper describes and times in Table I ("the
-// replacement module always has to search in the whole list"): for each
-// candidate, the forward distance is found by scanning the lookahead
-// sequence front to back. This keeps the measured run-time behaviour
-// faithful to the paper's.
+// A Request describes the visible future in one of two equivalent ways.
+// The simulation passes Request.Future, a next-use oracle that answers
+// each forward-distance query in amortized constant time, so a run's cost
+// does not grow with the length of the future. Request.Lookahead is the
+// representation the paper describes and times in Table I ("the
+// replacement module always has to search in the whole list"): the future
+// as a slice, where each candidate's distance is found by a linear scan,
+// front to back. Policies scan it when Future is nil, which is how the
+// Table I/II harness measures the paper's run-time cost. Both yield the
+// same distances, so they yield the same decisions.
 package policy
 
 import (
@@ -48,17 +52,40 @@ type Candidate struct {
 	LoadedAt simtime.Time     // when it was written (FIFO key)
 }
 
+// Future answers forward-distance queries over the request sequence
+// visible to a policy.
+type Future interface {
+	// Distance returns the index of task's next occurrence in the visible
+	// future, or -1 when it does not occur there.
+	Distance(task taskgraph.TaskID) int
+}
+
 // Request is one replacement decision to make.
 type Request struct {
 	// Task is the configuration about to be loaded.
 	Task taskgraph.TaskID
 	// Now is the current simulation time.
 	Now simtime.Time
-	// Lookahead is the future request sequence visible to the policy,
-	// nearest first. Its extent is governed by the policy's Window: the
-	// manager passes the remainder of the running graph plus the Dynamic
-	// List window (or the full future for WindowAll).
+	// Future, when non-nil, is the visible future as a next-use oracle;
+	// it takes precedence over Lookahead. Its extent is governed by the
+	// policy's Window: the manager exposes the remainder of the running
+	// graph plus the Dynamic List window (or the full future for
+	// WindowAll).
+	Future Future
+	// Lookahead is the same visible future as a slice, nearest first —
+	// the paper's linear-scan representation. Policies scan it only when
+	// Future is nil.
 	Lookahead []taskgraph.TaskID
+}
+
+// distance returns task's forward distance in the request's future: the
+// oracle's answer when there is one, else the result of scanning the
+// lookahead.
+func (req Request) distance(task taskgraph.TaskID) int {
+	if req.Future != nil {
+		return req.Future.Distance(task)
+	}
+	return scanDistance(task, req.Lookahead)
 }
 
 // Decision is the outcome of victim selection.
@@ -68,11 +95,11 @@ type Decision struct {
 	// Victim is the configuration being evicted.
 	Victim taskgraph.TaskID
 	// Distance is the victim's forward distance: the index of its next
-	// occurrence in the lookahead, or -1 when it does not occur (never
-	// reused as far as the policy can see). Policies that do not inspect
-	// the future report -1.
+	// occurrence in the visible future, or -1 when it does not occur
+	// (never reused as far as the policy can see). Policies with
+	// WindowNone see no future and report -1.
 	Distance int
-	// Reusable reports whether the victim occurs in the lookahead; the
+	// Reusable reports whether the victim occurs in the visible future; the
 	// manager's skip-events logic fires only for reusable victims.
 	Reusable bool
 }
@@ -143,7 +170,7 @@ func scanDistance(task taskgraph.TaskID, lookahead []taskgraph.TaskID) int {
 	return -1
 }
 
-// decide fills a Decision for candidate c given its scanned distance.
+// decide fills a Decision for candidate c given its forward distance.
 func decide(c Candidate, dist int) Decision {
 	return Decision{RU: c.RU, Victim: c.Task, Distance: dist, Reusable: dist >= 0}
 }
@@ -166,7 +193,7 @@ func (lru) SelectVictim(req Request, cands []Candidate) Decision {
 			best = c
 		}
 	}
-	return decide(best, scanDistance(best.Task, req.Lookahead))
+	return decide(best, req.distance(best.Task))
 }
 
 // --- MRU -----------------------------------------------------------------
@@ -187,7 +214,7 @@ func (mru) SelectVictim(req Request, cands []Candidate) Decision {
 			best = c
 		}
 	}
-	return decide(best, scanDistance(best.Task, req.Lookahead))
+	return decide(best, req.distance(best.Task))
 }
 
 // --- FIFO ----------------------------------------------------------------
@@ -208,7 +235,7 @@ func (fifo) SelectVictim(req Request, cands []Candidate) Decision {
 			best = c
 		}
 	}
-	return decide(best, scanDistance(best.Task, req.Lookahead))
+	return decide(best, req.distance(best.Task))
 }
 
 // --- Random --------------------------------------------------------------
@@ -239,13 +266,13 @@ func (r *random) Reset() { r.src.Seed(r.seed) }
 
 func (r *random) SelectVictim(req Request, cands []Candidate) Decision {
 	c := cands[r.rng.Intn(len(cands))]
-	return decide(c, scanDistance(c.Task, req.Lookahead))
+	return decide(c, req.distance(c.Task))
 }
 
 // --- LFD family ----------------------------------------------------------
 
-// lfd implements longest-forward-distance over whatever lookahead it is
-// given; the window distinguishes clairvoyant LFD from Local LFD.
+// lfd implements longest-forward-distance over whatever future it is
+// shown; the window distinguishes clairvoyant LFD from Local LFD.
 type lfd struct {
 	name   string
 	window int
@@ -271,19 +298,19 @@ func (p *lfd) Name() string { return p.name }
 func (p *lfd) Window() int  { return p.window }
 
 // SelectVictim picks the candidate requested farthest in the future.
-// Candidates absent from the lookahead count as infinitely far; among
+// Candidates absent from the visible future count as infinitely far; among
 // those, and among equal finite distances, the first (lowest unit index)
 // wins — the paper's Fig. 2c relies on exactly this tie-break ("Local LFD
 // selects the first candidate it finds").
 func (p *lfd) SelectVictim(req Request, cands []Candidate) Decision {
 	best := cands[0]
-	bestDist := scanDistance(best.Task, req.Lookahead)
+	bestDist := req.distance(best.Task)
 	if bestDist < 0 {
 		// First candidate is already never-reused; nothing can beat it.
 		return decide(best, bestDist)
 	}
 	for _, c := range cands[1:] {
-		d := scanDistance(c.Task, req.Lookahead)
+		d := req.distance(c.Task)
 		if d < 0 {
 			return decide(c, d)
 		}

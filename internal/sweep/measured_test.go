@@ -144,21 +144,21 @@ func TestMeasuredCostPartialHintsCalibrated(t *testing.T) {
 
 	order := dispatchOrder(t, Executor{Workers: 1, Store: store}, spec)
 	// Initial ranking: the never-measured LFD and skip families sort by
-	// the median-rescaled heuristic (the hour anchor makes them huge, LFD
-	// R=4 largest); the LRU family line predicts 1.5h for R=4; the Local
-	// LFD family sinks to nanoseconds. After the first live completion the
-	// model learns real (millisecond) scales for the unseen families, so
-	// the hour-calibrated LRU family overtakes them — mid-run
-	// recalibration is what puts 4 and 0 in positions 1 and 2. The
-	// relative order of the three remaining live scenarios (3, 6, 2)
+	// the median-rescaled heuristic (the hour anchor makes them huge, the
+	// skip family's R=4 largest); the LRU family line predicts 1.5h for
+	// R=4; the Local LFD family sinks to nanoseconds. After the first live
+	// completion the model learns real (millisecond) scales for the
+	// unseen families, so the hour-calibrated LRU family overtakes them —
+	// mid-run recalibration is what puts 4 and 0 in positions 1 and 2.
+	// The relative order of the three remaining live scenarios (7, 2, 3)
 	// depends on this machine's real wall-time ratios, so only their
 	// position block is pinned; the nanosecond-family pair closes the run.
-	if order[0] != 7 || order[1] != 4 || order[2] != 0 {
-		t.Fatalf("calibrated dispatch order %v, want it to open 7 (median-scaled LFD), 4 (hour-family LRU R=4), 0 (hour-measured)", order)
+	if order[0] != 6 || order[1] != 4 || order[2] != 0 {
+		t.Fatalf("calibrated dispatch order %v, want it to open 6 (median-scaled skip family), 4 (hour-family LRU R=4), 0 (hour-measured)", order)
 	}
 	mid := map[int]bool{order[3]: true, order[4]: true, order[5]: true}
-	if !mid[3] || !mid[6] || !mid[2] {
-		t.Fatalf("calibrated dispatch order %v, want the live block {3, 6, 2} in positions 3-5", order)
+	if !mid[7] || !mid[2] || !mid[3] {
+		t.Fatalf("calibrated dispatch order %v, want the live block {7, 2, 3} in positions 3-5", order)
 	}
 	if order[6] != 5 || order[7] != 1 {
 		t.Fatalf("calibrated dispatch order %v, want the nanosecond family last: 5 (predicted) then 1 (measured)", order)
@@ -191,9 +191,10 @@ func (c *orderCheckCollector) Collect(r *Result) error {
 // pin: a grid where only a strict subset of scenarios has stored timings
 // must dispatch the measured ones first (descending measured time) and
 // still deliver every result in spec order, on a concurrent pool. The
-// two LFD scenarios carry hour-scale fabricated measurements, so they
-// outrank every model prediction derived from them; everything else is
-// live-simulated and streamed back in order.
+// two Local LFD scenarios at R=4 — the heaviest by the static heuristic —
+// carry hour-scale fabricated measurements, so they outrank every model
+// prediction derived from them (at most 4/3h, for Local LFD at R=6);
+// everything else is live-simulated and streamed back in order.
 func TestPartialHintsSubsetDispatchAndDelivery(t *testing.T) {
 	spec := fig9Spec(t, 6, 4)
 	spec.NoBaseline = true
@@ -203,8 +204,9 @@ func TestPartialHintsSubsetDispatchAndDelivery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Spec indices 3 and 7 are the LFD scenarios (R=6 and R=4).
-	for i, d := range map[int]time.Duration{3: 2 * time.Hour, 7: time.Hour} {
+	// Spec indices 5 and 6 are Local LFD (1) without and with skip-events
+	// at R=4.
+	for i, d := range map[int]time.Duration{5: 2 * time.Hour, 6: 90 * time.Minute} {
 		ent := &resultstore.Entry{
 			ElapsedNS: int64(d),
 			Run:       &resultstore.Run{Executed: 1, Graphs: 1},
@@ -230,8 +232,8 @@ func TestPartialHintsSubsetDispatchAndDelivery(t *testing.T) {
 	if c.got != n {
 		t.Fatalf("collected %d of %d results", c.got, n)
 	}
-	if len(order) < 2 || order[0] != 3 || order[1] != 7 {
-		t.Fatalf("dispatch order %v, want the measured scenarios first: 3 (2h) then 7 (1h)", order)
+	if len(order) < 2 || order[0] != 5 || order[1] != 6 {
+		t.Fatalf("dispatch order %v, want the measured scenarios first: 5 (2h) then 6 (1.5h)", order)
 	}
 	// The measured pair was served from the store, the rest simulated and
 	// written back — a partial store must never re-simulate what it has

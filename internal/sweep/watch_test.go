@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
@@ -124,5 +125,46 @@ func TestStoreWaitRequiresRequireStored(t *testing.T) {
 	ex := Executor{Store: openStore(t), StoreWait: &StoreWait{Done: func() (bool, error) { return true, nil }}}
 	if err := ex.Collect(fig9Spec(t, 4), Discard); err == nil || !strings.Contains(err.Error(), "RequireStored") {
 		t.Errorf("StoreWait without RequireStored gave %v, want a pointed refusal", err)
+	}
+}
+
+// TestCancelSymptomNeverDisplacesCause pins root-cause error reporting:
+// when scenario 1 fails and cancels the sweep, scenario 0 — blocked in
+// the store wait until the cancellation has happened — returns "sweep
+// cancelled while waiting for the store". Its lower position must not
+// let that symptom replace the failure that caused it. The onCancel hook
+// sequences the two workers, so the outcome does not depend on timing.
+func TestCancelSymptomNeverDisplacesCause(t *testing.T) {
+	spec := fig9Spec(t, 4)
+	keys, err := spec.ScenarioKeys()
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := openStore(t)
+	// Scenario 1's entry lacks the baseline this sweep needs: serving it
+	// fails at once, without consulting the pool.
+	if err := store.Put(keys[1], &resultstore.Entry{Run: &resultstore.Run{}}); err != nil {
+		t.Fatal(err)
+	}
+	cancelled := make(chan struct{})
+	ex := Executor{
+		Workers: 2, Store: store, RequireStored: true, SpecOrderDispatch: true,
+		StoreWait: &StoreWait{Poll: time.Hour, Done: func() (bool, error) {
+			<-cancelled // scenario 0 waits until scenario 1 has failed the sweep
+			return false, nil
+		}},
+	}
+	ex.onCancel = func() { close(cancelled) }
+	err = ex.Collect(spec, Discard)
+	if err == nil {
+		t.Fatal("sweep over a damaged entry succeeded")
+	}
+	want := fmt.Sprintf("sweep: scenario 1 (%s): entry in result store %s lacks a part this sweep needs (damaged store?)",
+		mustScenarioName(t, spec, 1), store.Dir())
+	if err.Error() != want {
+		t.Errorf("error = %q, want the root cause %q", err, want)
+	}
+	if errors.Is(err, errCancelled) {
+		t.Error("reported error is a cancellation symptom")
 	}
 }
