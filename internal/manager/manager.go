@@ -321,13 +321,16 @@ func (r *Runner) Reset(cfg Config) error {
 
 // start drains the feed, pre-sizes every per-run structure from the
 // workload's shape, indexes the future (for a policy that sees one) and
-// schedules the arrival events.
+// schedules the first arrival.
 //
-// The feed is drained up front: arrival times are fixed, so each becomes
-// a scheduled new_task_graph event. The next-use index relies on the
-// arrival order being the instance order — the Dynamic List window is
-// then a contiguous run of instances — so a feed that numbers its items
-// out of order or goes back in time is rejected.
+// The feed is drained up front, but arrivals enter the event queue one at
+// a time: popping arrival i schedules arrival i+1. Arrival times never
+// decrease and new_task_graph sorts last at equal times, so the pop order
+// is that of queueing them all, while the queue holds only the events in
+// flight — one per unit, one load and the next arrival. The next-use
+// index relies on the arrival order being the instance order — the
+// Dynamic List window is then a contiguous run of instances — so a feed
+// that numbers its items out of order or goes back in time is rejected.
 func (r *Runner) start(feed dynlist.Feed) error {
 	for {
 		it, ok := feed.Next()
@@ -362,9 +365,9 @@ func (r *Runner) start(feed dynlist.Feed) error {
 		r.res.Completions = make([]simtime.Time, 0, len(r.arrivals))
 	}
 	r.res.Templates = resize(r.res.Templates, len(r.arrivals))
-	r.engine.Reset(len(r.arrivals) + r.cfg.RUs + 2)
-	for i, it := range r.arrivals {
-		r.engine.ScheduleArrival(it.Arrival, i)
+	r.engine.Reset(r.cfg.RUs + 2)
+	if len(r.arrivals) > 0 {
+		r.engine.ScheduleArrival(r.arrivals[0].Arrival, 0)
 	}
 	if r.tr != nil {
 		// Pre-size the trace from the workload shape: at most one load and
@@ -388,38 +391,46 @@ func (r *Runner) snapshot() *Result {
 	return out
 }
 
-// loop is the event loop: pop, handle, settle.
+// loop is the event loop: step until the queue drains.
 func (r *Runner) loop() error {
 	for {
-		ev, ok := r.engine.Pop()
-		if !ok {
-			break
-		}
-		if r.engine.Popped() > r.cfg.MaxEvents {
-			return fmt.Errorf("manager: exceeded %d events at %v — runaway simulation",
-				r.cfg.MaxEvents, r.engine.Now())
-		}
-		r.res.Events = r.engine.Popped()
-		// A new event is the moment a postponed load waits for.
-		r.skipArmed = false
-		switch ev.Kind {
-		case sim.NewTaskGraph:
-			r.dl.Push(r.arrivals[ev.Arg])
-			r.arrived++
-		case sim.EndOfReconfiguration:
-			r.handleEndOfReconfiguration()
-		case sim.EndOfExecution:
-			r.handleEndOfExecution(ev)
-		}
-		if err := r.settle(); err != nil {
+		if more, err := r.step(); !more || err != nil {
 			return err
 		}
 	}
-	if r.cur != nil || r.dl.Len() > 0 {
-		return fmt.Errorf("manager: simulation stalled at %v with work pending (running=%v, queued=%d)",
-			r.engine.Now(), r.cur != nil, r.dl.Len())
+}
+
+// step pops one event, handles it and settles. It reports false once the
+// queue is empty, with an error if work is still pending then.
+func (r *Runner) step() (bool, error) {
+	ev, ok := r.engine.Pop()
+	if !ok {
+		if r.cur != nil || r.dl.Len() > 0 {
+			return false, fmt.Errorf("manager: simulation stalled at %v with work pending (running=%v, queued=%d)",
+				r.engine.Now(), r.cur != nil, r.dl.Len())
+		}
+		return false, nil
 	}
-	return nil
+	if r.engine.Popped() > r.cfg.MaxEvents {
+		return false, fmt.Errorf("manager: exceeded %d events at %v — runaway simulation",
+			r.cfg.MaxEvents, r.engine.Now())
+	}
+	r.res.Events = r.engine.Popped()
+	// A new event is the moment a postponed load waits for.
+	r.skipArmed = false
+	switch ev.Kind {
+	case sim.NewTaskGraph:
+		r.dl.Push(r.arrivals[ev.Arg])
+		r.arrived++
+		if r.arrived < len(r.arrivals) {
+			r.engine.ScheduleArrival(r.arrivals[r.arrived].Arrival, r.arrived)
+		}
+	case sim.EndOfReconfiguration:
+		r.handleEndOfReconfiguration()
+	case sim.EndOfExecution:
+		r.handleEndOfExecution(ev)
+	}
+	return true, r.settle()
 }
 
 func (r *Runner) handleEndOfReconfiguration() {
@@ -630,19 +641,9 @@ func (r *Runner) replacementModule() bool {
 	// skips, forced or voluntary, are only meaningful when the load could
 	// have proceeded.
 	emptyUnit, hasEmpty := r.units.FirstEmpty()
-	cands := r.candbuf[:0]
+	var cands []policy.Candidate
 	if !hasEmpty {
-		for i := 0; i < r.units.Len(); i++ {
-			u := r.units.Unit(i)
-			if u.Busy || r.protected.has(u.Resident) {
-				continue
-			}
-			cands = append(cands, policy.Candidate{
-				RU: i, Task: u.Resident, LastUse: u.LastUse, LoadedAt: u.LoadedAt,
-			})
-		}
-		r.candbuf = cands
-		if len(cands) == 0 {
+		if cands = r.candidates(); len(cands) == 0 {
 			return false // wait for a unit to free up
 		}
 	}
@@ -689,6 +690,23 @@ func (r *Runner) replacementModule() bool {
 	return true
 }
 
+// candidates refills the candidate buffer with the replaceable units:
+// idle ones whose resident configuration is not protected.
+func (r *Runner) candidates() []policy.Candidate {
+	cands := r.candbuf[:0]
+	for i := 0; i < r.units.Len(); i++ {
+		u := r.units.Unit(i)
+		if u.Busy || r.protected.has(u.Resident) {
+			continue
+		}
+		cands = append(cands, policy.Candidate{
+			RU: i, Task: u.Resident, LastUse: u.LastUse, LoadedAt: u.LoadedAt,
+		})
+	}
+	r.candbuf = cands
+	return cands
+}
+
 // checkDecision guards against misbehaving Policy implementations:
 // evicting a unit outside the candidate set would corrupt the simulation
 // (e.g. destroy an executing or pending configuration), so it is caught
@@ -703,8 +721,18 @@ func (r *Runner) checkDecision(dec policy.Decision, cands []policy.Candidate) {
 		r.cfg.Policy.Name(), dec.Victim, dec.RU, len(cands)))
 }
 
-// beginLoad starts the reconfiguration of task id onto the given unit.
+// beginLoad starts the reconfiguration of the running graph's task id
+// onto the given unit.
 func (r *Runner) beginLoad(local int, id taskgraph.TaskID, unit int) {
+	r.cur.state[local] = stateLoading
+	r.cur.recPos++
+	r.load(id, unit, r.cur.item.Instance)
+}
+
+// load installs task id onto unit through the circuitry, pins it and
+// schedules the end of the reconfiguration; instance is the application
+// the load is for.
+func (r *Runner) load(id taskgraph.TaskID, unit, instance int) {
 	now := r.engine.Now()
 	evicted := r.units.Install(unit, id, now)
 	if evicted != taskgraph.NoTask {
@@ -716,15 +744,12 @@ func (r *Runner) beginLoad(local int, id taskgraph.TaskID, unit int) {
 	}
 	end := r.recon.BeginLatency(id, unit, now, latency)
 	r.res.Loads++
-	c := r.cur
-	c.state[local] = stateLoading
-	c.recPos++
 	r.protected.add(id)
 	r.engine.Schedule(end, sim.EndOfReconfiguration, id, unit)
 	if r.tr != nil {
 		r.tr.Loads = append(r.tr.Loads, trace.Load{
 			Task: id, RU: unit, Start: now, End: end,
-			Evicted: evicted, Instance: c.item.Instance,
+			Evicted: evicted, Instance: instance,
 		})
 	}
 }
@@ -758,17 +783,7 @@ func (r *Runner) preloadStep() bool {
 		// Place the missing configuration.
 		unit, hasEmpty := r.units.FirstEmpty()
 		if !hasEmpty {
-			cands := r.candbuf[:0]
-			for i := 0; i < r.units.Len(); i++ {
-				u := r.units.Unit(i)
-				if u.Busy || r.protected.has(u.Resident) {
-					continue
-				}
-				cands = append(cands, policy.Candidate{
-					RU: i, Task: u.Resident, LastUse: u.LastUse, LoadedAt: u.LoadedAt,
-				})
-			}
-			r.candbuf = cands
+			cands := r.candidates()
 			if len(cands) == 0 {
 				return false
 			}
@@ -787,28 +802,10 @@ func (r *Runner) preloadStep() bool {
 			}
 			unit = dec.RU
 		}
-		now := r.engine.Now()
-		evicted := r.units.Install(unit, id, now)
-		if evicted != taskgraph.NoTask {
-			r.res.Evictions++
-		}
-		latency := r.cfg.Latency
-		if r.cfg.LatencyFor != nil {
-			latency = r.cfg.LatencyFor(id)
-		}
-		end := r.recon.BeginLatency(id, unit, now, latency)
-		r.res.Loads++
+		r.load(id, unit, head.Instance)
 		r.res.Preloads++
-		r.protected.add(id)
 		r.preloadInFlight = id
 		r.preloadPos++
-		r.engine.Schedule(end, sim.EndOfReconfiguration, id, unit)
-		if r.tr != nil {
-			r.tr.Loads = append(r.tr.Loads, trace.Load{
-				Task: id, RU: unit, Start: now, End: end,
-				Evicted: evicted, Instance: head.Instance,
-			})
-		}
 		return true
 	}
 	return false

@@ -7,7 +7,8 @@ import (
 )
 
 // TestArrayReset: a reset array is indistinguishable from a new one —
-// empty units, no residency — including when shrinking or growing.
+// empty units, nothing resident, cleared counters — including when
+// shrinking or growing.
 func TestArrayReset(t *testing.T) {
 	a, err := NewArray(4)
 	if err != nil {
@@ -60,5 +61,28 @@ func TestReconfiguratorReset(t *testing.T) {
 	}
 	if err := r.Reset(-1); err == nil {
 		t.Error("Reset accepted negative latency")
+	}
+}
+
+// TestArrayResetShrinkHidesTail: after a shrinking Reset, the units past
+// the new length keep their old state in the backing array, but Find
+// never looks at them, and growing back empties them.
+func TestArrayResetShrinkHidesTail(t *testing.T) {
+	a, err := NewArray(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Install(3, 9, simtime.FromMs(1))
+	if err := a.Reset(2); err != nil {
+		t.Fatal(err)
+	}
+	if i, ok := a.Find(9); ok {
+		t.Fatalf("Find(9) after Reset(2) = %d, want not found", i)
+	}
+	if err := a.Reset(4); err != nil {
+		t.Fatal(err)
+	}
+	if i, ok := a.Find(9); ok {
+		t.Fatalf("Find(9) after growing back = %d, want not found", i)
 	}
 }

@@ -39,10 +39,11 @@ type Unit struct {
 	Reuses int
 }
 
-// Array is the bank of reconfigurable units.
+// Array is the bank of reconfigurable units. It keeps no index of what is
+// resident where: an array holds a handful of units, and every placement
+// decision scans them all anyway, so Find scans too.
 type Array struct {
-	units     []Unit
-	residency map[taskgraph.TaskID]int // resident task -> unit index
+	units []Unit
 }
 
 // NewArray creates n empty units. n must be positive.
@@ -50,16 +51,13 @@ func NewArray(n int) (*Array, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("ru: need at least 1 unit, got %d", n)
 	}
-	return &Array{
-		units:     make([]Unit, n),
-		residency: make(map[taskgraph.TaskID]int, n),
-	}, nil
+	return &Array{units: make([]Unit, n)}, nil
 }
 
 // Reset re-initialises the array to n empty units, reusing the unit
-// storage and the residency index of previous runs where possible. n must
-// be positive. A pooled simulation runner calls this once per run instead
-// of allocating a fresh Array.
+// storage of previous runs where possible. n must be positive. A pooled
+// simulation runner calls this once per run instead of allocating a fresh
+// Array.
 func (a *Array) Reset(n int) error {
 	if n < 1 {
 		return fmt.Errorf("ru: need at least 1 unit, got %d", n)
@@ -70,24 +68,27 @@ func (a *Array) Reset(n int) error {
 	} else {
 		a.units = make([]Unit, n)
 	}
-	if a.residency == nil {
-		a.residency = make(map[taskgraph.TaskID]int, n)
-	} else {
-		clear(a.residency)
-	}
 	return nil
 }
 
 // Len returns the number of units.
 func (a *Array) Len() int { return len(a.units) }
 
-// Unit returns a copy of unit i's state.
-func (a *Array) Unit(i int) Unit { return a.units[i] }
+// Unit returns unit i's state in place; callers only read it.
+func (a *Array) Unit(i int) *Unit { return &a.units[i] }
 
-// Find returns the unit currently holding task, if any.
+// Find returns the unit currently holding task, if any. An empty unit
+// holds no task, so Find(taskgraph.NoTask) is always false.
 func (a *Array) Find(task taskgraph.TaskID) (int, bool) {
-	i, ok := a.residency[task]
-	return i, ok
+	if task == taskgraph.NoTask {
+		return -1, false
+	}
+	for i := range a.units {
+		if a.units[i].Resident == task {
+			return i, true
+		}
+	}
+	return -1, false
 }
 
 // FirstEmpty returns the lowest-indexed unit that has never been loaded.
@@ -109,14 +110,10 @@ func (a *Array) Install(i int, task taskgraph.TaskID, at simtime.Time) taskgraph
 		panic(fmt.Sprintf("ru: installing task %d on busy unit %d", task, i))
 	}
 	evicted := u.Resident
-	if evicted != taskgraph.NoTask {
-		delete(a.residency, evicted)
-	}
 	u.Resident = task
 	u.LoadedAt = at
 	u.LastUse = at
 	u.Loads++
-	a.residency[task] = i
 	return evicted
 }
 

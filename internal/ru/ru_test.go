@@ -54,7 +54,7 @@ func TestInstallAndFind(t *testing.T) {
 	if _, ok := a.FirstEmpty(); ok {
 		t.Error("FirstEmpty on full array")
 	}
-	// Replacement evicts and rekeys residency.
+	// Replacement evicts: the old task is no longer found.
 	if ev := a.Install(0, 9, ms(3)); ev != 7 {
 		t.Errorf("evicted %d, want 7", ev)
 	}
@@ -66,6 +66,19 @@ func TestInstallAndFind(t *testing.T) {
 	}
 	if a.TotalLoads() != 3 {
 		t.Errorf("TotalLoads = %d, want 3", a.TotalLoads())
+	}
+}
+
+// TestFindNoTask: an empty unit holds no task, so Find(NoTask) is false
+// even when some — or every — unit is empty.
+func TestFindNoTask(t *testing.T) {
+	a := mustArray(t, 3)
+	if i, ok := a.Find(taskgraph.NoTask); ok {
+		t.Errorf("Find(NoTask) on an empty array = %d, want not found", i)
+	}
+	a.Install(1, 4, ms(0))
+	if i, ok := a.Find(taskgraph.NoTask); ok {
+		t.Errorf("Find(NoTask) with two empty units = %d, want not found", i)
 	}
 }
 

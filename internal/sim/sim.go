@@ -87,8 +87,8 @@ type Engine struct {
 // Reset rewinds the engine to its zero state — empty queue, clock at
 // zero, popped counter cleared — while keeping the heap's backing array,
 // so a reused engine schedules into warm memory instead of re-growing the
-// queue from nil. capacity is a pre-size hint (typically the task-graph
-// node count plus pending arrivals); the backing array only ever grows.
+// queue from nil. capacity is a pre-size hint (typically the most events
+// a run has in flight at once); the backing array only ever grows.
 func (e *Engine) Reset(capacity int) {
 	if capacity > cap(e.heap) {
 		e.heap = make([]Event, 0, capacity)
