@@ -36,6 +36,11 @@
 // re-run after a bump dispatches on real measurements, and reports never
 // see it.
 //
+// Schema history: v2 added elapsed_ns and took the schema out of the
+// keys; v3 stores each run's completions as a delta-varint blob (see
+// Completions) instead of an array of integers, which cut a 2000-app
+// entry from ~37 KB to ~9.5 KB and with it the cost of every decode.
+//
 // Three lookups with three accounting rules: Get serves a full entry and
 // counts a hit or a miss; Probe serves identically but counts only the
 // hit — it is what watch-mode merges poll while remote shards are still
@@ -70,12 +75,18 @@ import (
 // v2: entries gained the measured ElapsedNS timing and keys stopped
 // folding in the schema version.
 //
+// v3: Run.Completions is encoded as one base64 string of zigzag varint
+// deltas over their GCD (see Completions), not a JSON integer array. A
+// v2 entry no longer decodes as a result, so it reads as a miss, is
+// re-simulated and overwritten in place, and `-store-gc` removes any
+// leftover; its elapsed_ns still serves as an ElapsedHint.
+//
 // Strictly-additive optional fields do NOT bump the version: ElapsedNS
 // landed inside v2, and the retry metadata (Attempts, LastError,
 // RetriedAtNS) followed the same pattern — old entries decode with the
 // zero values and stay servable, because reports never read these
 // fields.
-const SchemaVersion = 2
+const SchemaVersion = 3
 
 // Store is a content-addressed result store over a Backend. The zero
 // value is not usable; call Open (fs), OpenMem, OpenSQLite, OpenURL,

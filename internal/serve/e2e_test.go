@@ -137,10 +137,14 @@ func TestServiceEndToEnd(t *testing.T) {
 				workerErrs <- err
 				return
 			}
+			// The heartbeat is also the idle claim loop's poll interval:
+			// left at its default (TTL/4 = 15 s), the worker that runs out
+			// of shards first waits that long to see the pool drain.
 			c, err := coord.Open(coord.Config{
 				Backend: cb, Shards: shards,
-				Owner:    fmt.Sprintf("worker-%d", w),
-				LeaseTTL: time.Minute,
+				Owner:     fmt.Sprintf("worker-%d", w),
+				LeaseTTL:  time.Minute,
+				Heartbeat: 50 * time.Millisecond,
 			})
 			if err != nil {
 				workerErrs <- err

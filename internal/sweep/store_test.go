@@ -1,7 +1,10 @@
 package sweep
 
 import (
+	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -24,7 +27,8 @@ func openStore(t *testing.T) *resultstore.Store {
 
 // TestStoreWarmRunIdentical is the reuse pin: a second identical sweep
 // against the same store simulates nothing (every scenario is a hit) and
-// returns results field-for-field identical to the cold run — the
+// returns results field-for-field identical to the cold run, ideal
+// baselines and their completions included — the
 // property the CI determinism gate enforces end to end on the CLI. It
 // runs against every registered store backend: serving from memory or
 // the campaign database must reproduce the fs behavior bit for bit.
@@ -78,11 +82,102 @@ func TestStoreWarmRunIdentical(t *testing.T) {
 				if !reflect.DeepEqual(cr, wr) {
 					t.Errorf("scenario %d run diverged:\ncold %+v\nwarm %+v", i, cr, wr)
 				}
-				if c.Ideal.Makespan != w.Ideal.Makespan || c.Ideal.Executed != w.Ideal.Executed {
-					t.Errorf("scenario %d ideal diverged", i)
+				ci, wi := *c.Ideal, *w.Ideal
+				ci.Templates, wi.Templates = nil, nil
+				if !reflect.DeepEqual(ci, wi) {
+					t.Errorf("scenario %d ideal diverged:\ncold %+v\nwarm %+v", i, ci, wi)
 				}
 			}
 		})
+	}
+}
+
+// TestSchemaV2EntryMigrates pins the v2 → v3 schema bump on a literal
+// v2 entry, completions still a JSON integer array: Get and Probe miss,
+// ElapsedHint still serves its timing, a sweep re-simulates the scenario
+// and overwrites the entry in place as v3, and GC removes a v2 entry
+// nobody re-simulated.
+func TestSchemaV2EntryMigrates(t *testing.T) {
+	dir := t.TempDir()
+	store, err := resultstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := fig9Spec(t, 4)
+	spec.Policies = spec.Policies[:1]
+	keys, err := spec.ScenarioKeys()
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := keys[0]
+	path := func(key string) string { return filepath.Join(dir, "objects", key[:2], key+".json") }
+	writeV2 := func(key string) {
+		t.Helper()
+		v2 := fmt.Sprintf(`{"schema":2,"key":%q,"elapsed_ns":4242,`+
+			`"run":{"makespan":70000,"executed":15,"reused":5,"loads":10,"evictions":6,"graphs":3,"completions":[30000,70000],"events":42},`+
+			`"ideal":{"makespan":50000,"executed":15,"loads":15,"evictions":0,"reused":0,"graphs":3,"completions":[20000,50000],"events":40}}`, key)
+		if err := os.MkdirAll(filepath.Dir(path(key)), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path(key), []byte(v2), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	writeV2(key)
+
+	if _, ok := store.Get(key); ok {
+		t.Error("Get served a v2 entry")
+	}
+	if _, ok := store.Probe(key); ok {
+		t.Error("Probe served a v2 entry")
+	}
+	if d, ok := store.ElapsedHint(key); !ok || d != 4242 {
+		t.Errorf("ElapsedHint of a v2 entry = %v, %v; want its 4242ns", d, ok)
+	}
+
+	res, err := (Executor{Workers: 1, Store: store}).Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, misses, puts := store.Stats(); misses != 2 || puts != 1 {
+		t.Errorf("sweep over a v2 entry: misses=%d puts=%d, want 2 (Get above + sweep) and 1", misses, puts)
+	}
+	data, err := os.ReadFile(path(key))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var head struct {
+		Schema int `json:"schema"`
+		Run    struct {
+			Completions json.RawMessage `json:"completions"`
+		} `json:"run"`
+	}
+	if err := json.Unmarshal(data, &head); err != nil {
+		t.Fatal(err)
+	}
+	if head.Schema != resultstore.SchemaVersion || !strings.HasPrefix(string(head.Run.Completions), `"`) {
+		t.Errorf("entry after the sweep: schema %d, completions %.20s…; want v%d with a blob",
+			head.Schema, head.Run.Completions, resultstore.SchemaVersion)
+	}
+	ent, ok := store.Get(key)
+	if !ok {
+		t.Fatal("re-simulated entry not served")
+	}
+	if got := ent.Run.Result(); !reflect.DeepEqual(got.Completions, res.Results[0].Run.Completions) {
+		t.Error("re-simulated entry serves different completions than the run that wrote it")
+	}
+
+	leftover := strings.Repeat("ab", 32)
+	writeV2(leftover)
+	st, err := store.GC()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Removed != 1 || st.Kept != 1 {
+		t.Errorf("gc removed %d kept %d, want the v2 leftover removed and the v3 entry kept", st.Removed, st.Kept)
+	}
+	if _, err := os.Stat(path(leftover)); !os.IsNotExist(err) {
+		t.Errorf("v2 leftover survived gc: %v", err)
 	}
 }
 
