@@ -248,7 +248,9 @@ func Evaluate(cfg Config, seq ...*taskgraph.Graph) (*Result, error) {
 // returns results keyed by policy name (plus "+skip" when skip events are
 // enabled, to keep keys unique). The configurations run concurrently —
 // each gets its own System — and errors are reported for the first
-// failing configuration in argument order.
+// failing configuration in argument order. Each result's Ideal runs a fork
+// of its own policy, where a sweep's runs LRU: at zero latency the two
+// agree on Makespan and Completions, and only the counters differ.
 func Compare(cfgs []Config, seq ...*taskgraph.Graph) (map[string]*Result, error) {
 	results := make([]*Result, len(cfgs))
 	errs := make([]error, len(cfgs))

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -24,11 +25,12 @@ import (
 // streams the results, in spec order, into a Collector.
 //
 // Results are collected in spec order regardless of completion order, and
-// every shared input is computed once per sweep: the zero-latency ideal
-// baseline once per (workload, RUs) — with the LRU policy, exactly as the
-// paper's figures do — and the design-time mobility tables once per
-// (template, RUs, latency) through the process-wide mobility cache. The
-// first scenario error cancels the remaining work.
+// every shared input is computed once: the zero-latency ideal baseline
+// once per (workload, RUs) — with the LRU policy, exactly as the paper's
+// figures do — per sweep, and with a Store attached once per store (see
+// idealCache); the design-time mobility tables once per (template, RUs,
+// latency) through the process-wide mobility cache. The first scenario
+// error cancels the remaining work.
 //
 // Scenarios are dispatched to the pool in descending estimated cost
 // (longest-processing-time order) rather than spec order: a scenario at
@@ -201,13 +203,12 @@ func (e Executor) Collect(spec Spec, c Collector) error {
 	// content hash dominates and is shared by every scenario of an axis
 	// value). An uncacheable spec bypasses the store; a duplicate-hash
 	// grid is a real error even though Expand's structural check passed.
-	var keys []string
+	var keys, wlKeys []string
 	if e.Store != nil && sp.Cacheable() == nil {
-		ks, err := sp.scenarioKeysFor(scenarios)
+		keys, wlKeys, err = sp.scenarioKeysFor(scenarios)
 		if err != nil {
 			return err
 		}
-		keys = ks
 	}
 	// The shard's slice of the grid, in spec order. owned[pos] is a spec
 	// index; collection order is ascending pos.
@@ -262,7 +263,7 @@ func (e Executor) Collect(spec Spec, c Collector) error {
 		}
 	}
 
-	ideals := newIdealCache(&sp)
+	ideals := newIdealCache(&sp, e.Store, wlKeys)
 	jobs := make(chan int)
 	completions := make(chan indexedResult)
 	stop := make(chan struct{})
@@ -817,7 +818,9 @@ func runScenario(sp *Spec, sc Scenario, ideals *idealCache, runner *manager.Runn
 	if sp.NoBaseline {
 		return res, nil
 	}
-	ideal, err := ideals.get(sc.WorkloadIdx, sc.RUs)
+	// The run's snapshot is taken, so the runner is free to simulate the
+	// ideal baseline should this scenario be the first to need it.
+	ideal, err := ideals.get(sc.WorkloadIdx, sc.RUs, runner)
 	if err != nil {
 		return nil, fmt.Errorf("ideal baseline: %w", err)
 	}
@@ -847,15 +850,46 @@ func (w *Workload) templates() []*taskgraph.Graph {
 	return out
 }
 
-// idealCache single-flights the zero-latency baselines shared by every
-// scenario of one (workload, RUs) pair.
-type idealCache struct {
-	sp *Spec
-	mu sync.Mutex
-	m  map[idealKey]*idealEntry
+// idealKind tags ideal-baseline artifacts in the result store. Their
+// KindVersion is resultstore.SchemaVersion: the payload is a
+// resultstore.Run, so a result-schema bump re-simulates the ideals along
+// with the outcomes they normalize.
+const idealKind = "ideal-run"
+
+// idealKey derives the store key of the ideal baseline of (workload
+// content key, RUs). The kind tag is folded in first for domain
+// separation from scenario keys and other artifacts; latency and policy
+// are not inputs, because every ideal runs at zero latency under LRU.
+func idealKey(wlKey string, rus int) string {
+	h := resultstore.NewHash()
+	h.String("artifact", idealKind)
+	h.String("workload", wlKey)
+	h.Int("rus", int64(rus))
+	return h.Sum()
 }
 
-type idealKey struct {
+// idealCache serves the zero-latency baselines shared by every scenario
+// of one (workload, RUs) pair, from two tiers. The first is this
+// executor's single-flight map, so concurrent scenarios wait for one
+// computation. The second, with a store and workload keys (a cacheable
+// spec), is the store's artifact space: every executor over one store —
+// each shard and each experiment of a campaign, in any process — then
+// simulates a given baseline once per store, not once per sweep.
+//
+// The baseline runs the LRU policy, exactly as the paper's figures do.
+// At zero latency the timing does not depend on the policy (pinned by
+// internal/manager's TestIdealTimingIndependentOfPolicy), so one LRU
+// baseline serves every policy's Summary. A baseline served from the
+// store carries no Templates; nothing reads them.
+type idealCache struct {
+	sp     *Spec
+	store  *resultstore.Store
+	wlKeys []string // nil: no store tier
+	mu     sync.Mutex
+	m      map[idealID]*idealEntry
+}
+
+type idealID struct {
 	workload int
 	rus      int
 }
@@ -866,25 +900,60 @@ type idealEntry struct {
 	err  error
 }
 
-func newIdealCache(sp *Spec) *idealCache {
-	return &idealCache{sp: sp, m: make(map[idealKey]*idealEntry)}
+func newIdealCache(sp *Spec, store *resultstore.Store, wlKeys []string) *idealCache {
+	return &idealCache{sp: sp, store: store, wlKeys: wlKeys, m: make(map[idealID]*idealEntry)}
 }
 
-func (c *idealCache) get(workload, rus int) (*manager.Result, error) {
-	key := idealKey{workload: workload, rus: rus}
+// get returns the baseline of (workload, rus). The caller that finds it
+// in neither tier simulates it on runner, which must be idle.
+func (c *idealCache) get(workload, rus int, runner *manager.Runner) (*manager.Result, error) {
+	id := idealID{workload: workload, rus: rus}
 	c.mu.Lock()
-	e, ok := c.m[key]
+	e, ok := c.m[id]
 	if !ok {
 		e = &idealEntry{done: make(chan struct{})}
-		c.m[key] = e
+		c.m[id] = e
 		c.mu.Unlock()
-		e.res, e.err = manager.Run(manager.Config{
-			RUs: rus, Latency: 0, Policy: policy.NewLRU(),
-		}, dynlist.NewSequence(c.sp.Workloads[workload].Seq...))
+		e.res, e.err = c.load(workload, rus, runner)
 		close(e.done)
 		return e.res, e.err
 	}
 	c.mu.Unlock()
 	<-e.done
 	return e.res, e.err
+}
+
+// load serves the baseline from the store, or simulates it and writes it
+// back. A stored payload that does not decode, or does not cover the
+// workload's every application, is a miss: it is re-simulated and
+// overwritten in place.
+func (c *idealCache) load(workload, rus int, runner *manager.Runner) (*manager.Result, error) {
+	seq := c.sp.Workloads[workload].Seq
+	var key string
+	if c.wlKeys != nil {
+		key = idealKey(c.wlKeys[workload], rus)
+		if a, ok := c.store.GetArtifact(key, idealKind, resultstore.SchemaVersion); ok {
+			var run resultstore.Run
+			if json.Unmarshal(a.Payload, &run) == nil && run.Graphs == len(seq) && len(run.Completions) == len(seq) {
+				return run.Result(), nil
+			}
+		}
+	}
+	res, err := runner.Run(manager.Config{
+		RUs: rus, Latency: 0, Policy: policy.NewLRU(),
+	}, dynlist.NewSequence(seq...))
+	if err != nil || key == "" {
+		return res, err
+	}
+	if payload, err := json.Marshal(resultstore.RecordRun(res)); err == nil {
+		// A failed write costs the next executor a re-simulation, never
+		// this result; the store counts it in SummaryLine.
+		_ = c.store.PutArtifact(key, &resultstore.Artifact{
+			Kind:        idealKind,
+			KindVersion: resultstore.SchemaVersion,
+			Label:       fmt.Sprintf("ideal %s rus=%d", c.sp.Workloads[workload].Label, rus),
+			Payload:     payload,
+		})
+	}
+	return res, nil
 }

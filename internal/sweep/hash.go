@@ -54,33 +54,36 @@ func (s *Spec) ScenarioKeys() ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.scenarioKeysFor(scenarios)
+	keys, _, err := s.scenarioKeysFor(scenarios)
+	return keys, err
 }
 
 // scenarioKeysFor computes the keys for already-expanded scenarios —
-// keys[i] identifies scenarios[i]. The executor uses this to avoid a
+// keys[i] identifies scenarios[i] — along with the content key of every
+// workload, wlKeys[w] for Workloads[w], which the executor reuses for
+// its ideal-baseline artifacts. The executor uses this to avoid a
 // second Expand; callers must have checked Cacheable.
-func (s *Spec) scenarioKeysFor(scenarios []Scenario) ([]string, error) {
-	wlKeys := make([]string, len(s.Workloads))
+func (s *Spec) scenarioKeysFor(scenarios []Scenario) (keys, wlKeys []string, err error) {
+	wlKeys = make([]string, len(s.Workloads))
 	for i := range s.Workloads {
 		k, err := workloadKey(&s.Workloads[i])
 		if err != nil {
-			return nil, fmt.Errorf("sweep: workload %d (%q): %w", i, s.Workloads[i].Label, err)
+			return nil, nil, fmt.Errorf("sweep: workload %d (%q): %w", i, s.Workloads[i].Label, err)
 		}
 		wlKeys[i] = k
 	}
-	keys := make([]string, len(scenarios))
+	keys = make([]string, len(scenarios))
 	seen := make(map[string]int, len(scenarios))
 	for i, sc := range scenarios {
 		key := scenarioKey(wlKeys[sc.WorkloadIdx], sc, s.NoBaseline)
 		if j, dup := seen[key]; dup {
-			return nil, fmt.Errorf("sweep: scenarios %d (%s) and %d (%s) share config hash %s — duplicate grid entry",
+			return nil, nil, fmt.Errorf("sweep: scenarios %d (%s) and %d (%s) share config hash %s — duplicate grid entry",
 				j, scenarios[j].Name(), i, sc.Name(), key[:12])
 		}
 		seen[key] = i
 		keys[i] = key
 	}
-	return keys, nil
+	return keys, wlKeys, nil
 }
 
 // workloadKey canonically hashes a workload: its label, the canonical

@@ -95,8 +95,9 @@ func TestStoreWarmRunIdentical(t *testing.T) {
 // TestSchemaV2EntryMigrates pins the v2 → v3 schema bump on a literal
 // v2 entry, completions still a JSON integer array: Get and Probe miss,
 // ElapsedHint still serves its timing, a sweep re-simulates the scenario
-// and overwrites the entry in place as v3, and GC removes a v2 entry
-// nobody re-simulated.
+// and overwrites the entry in place as v3 (storing its ideal baseline as
+// an artifact), and GC removes a v2 entry nobody re-simulated while it
+// keeps the v3 entry and the ideal artifact.
 func TestSchemaV2EntryMigrates(t *testing.T) {
 	dir := t.TempDir()
 	store, err := resultstore.Open(dir)
@@ -173,8 +174,11 @@ func TestSchemaV2EntryMigrates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Removed != 1 || st.Kept != 1 {
-		t.Errorf("gc removed %d kept %d, want the v2 leftover removed and the v3 entry kept", st.Removed, st.Kept)
+	if _, _, puts := store.ArtifactStats(); puts != 1 {
+		t.Errorf("sweep wrote %d artifacts, want 1: the scenario's ideal baseline", puts)
+	}
+	if st.Removed != 1 || st.Kept != 2 {
+		t.Errorf("gc removed %d kept %d, want the v2 leftover removed and the v3 entry plus the ideal artifact kept", st.Removed, st.Kept)
 	}
 	if _, err := os.Stat(path(leftover)); !os.IsNotExist(err) {
 		t.Errorf("v2 leftover survived gc: %v", err)
