@@ -21,7 +21,6 @@ import (
 	"repro/internal/policy"
 	"repro/internal/resultstore"
 	"repro/internal/simtime"
-	"repro/internal/storetest"
 	"repro/internal/sweep"
 	"repro/internal/taskgraph"
 	"repro/internal/workload"
@@ -332,7 +331,7 @@ func BenchmarkFig9ArtifactWarm(b *testing.B) {
 // perfectly natural way to write the axis — they have the highest spec
 // indices, so spec order starts them when everything else is already
 // draining and the whole pool idles behind the stragglers.
-// Cost-order (longest-processing-time) dispatch starts it first and
+// Load-order (longest-processing-time) dispatch starts it first and
 // backfills with the cheap scenarios, cutting the tail regardless of
 // how the user happened to order the axes. Collection order and results
 // are byte-identical either way (see TestSpecOrderDispatchIdentical);
@@ -359,58 +358,6 @@ func BenchmarkFig9SweepDispatch(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := ex.RunSummaries(spec); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkFig9SweepMeasuredDispatch contrasts the static cost heuristic
-// with measured-cost dispatch on the sweep's tail latency: the same
-// descending-RU grid as BenchmarkFig9SweepDispatch (the costly R=4
-// scenarios last in spec order), re-simulated in full on a 4-worker pool.
-// A cold run populates the store with per-scenario wall times, the
-// entries are then invalidated exactly as a schema bump would (timings
-// survive at the same keys, outcomes do not), and each variant re-runs
-// the whole grid: StaticHeuristic without the store, MeasuredCost with it
-// — dispatch ranked by last run's real measurements instead of the
-// policy-family guess. The measured total is the sweep's completion time,
-// i.e. the straggler tail the LPT feed exists to cut; the measured
-// variant's margin over the heuristic is what warm re-runs (and the
-// coordinator's crash-recovery re-runs) gain on grids where the heuristic
-// misjudges relative costs. Results are byte-identical either way.
-func BenchmarkFig9SweepMeasuredDispatch(b *testing.B) {
-	pool, seq := fig9Workload(b)
-	spec := fig9SweepSpec(b, pool, seq)
-	spec.RUs = []int{10, 9, 8, 7, 6, 5, 4}
-	store, err := resultstore.Open(b.TempDir())
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Cold run: warms the mobility cache and records every scenario's
-	// measured wall time in the store.
-	if _, err := (sweep.Executor{Store: store}).Run(spec); err != nil {
-		b.Fatal(err)
-	}
-	for _, bc := range []struct {
-		name string
-		ex   sweep.Executor
-	}{
-		{"StaticHeuristic", sweep.Executor{Workers: 4}},
-		{"MeasuredCost", sweep.Executor{Workers: 4, Store: store}},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				// Each re-simulation writes fresh current-schema entries;
-				// re-stale them outside the timed region so every
-				// iteration measures a full re-simulation with hints, not
-				// a warm store serve.
-				b.StopTimer()
-				storetest.StaleifySchema(b, store)
-				b.StartTimer()
-				if _, err := bc.ex.RunSummaries(spec); err != nil {
 					b.Fatal(err)
 				}
 			}

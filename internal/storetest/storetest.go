@@ -2,9 +2,8 @@
 // registry of every persistence backend (fs, mem, sqlite, http —
 // the last over a live in-process control plane) and one
 // shared suite of the behavioral properties the sweeps and CI gates
-// pin — serve/miss accounting, schema invalidation, ElapsedHint
-// survival across schema bumps, GC's keep-predicate, reopen
-// persistence. A new backend is correct when it passes Conformance,
+// pin — serve/miss accounting, schema invalidation, GC's
+// keep-predicate, reopen persistence. A new backend is correct when it passes Conformance,
 // not when it resembles the FS code; backend-parameterized tests
 // elsewhere (internal/sweep's warm-run byte-identity, the experiments
 // cross-backend merge) iterate Backends the same way.
@@ -194,10 +193,9 @@ func Backends(tb testing.TB) []Backend {
 // schema version, keeping everything else (keys, recorded timings)
 // intact — the state a store is in right after a
 // resultstore.SchemaVersion bump, where every scenario must
-// re-simulate but last run's measurements still feed dispatch-cost
-// estimation (Store.ElapsedHint). Tests and benchmarks of that path
-// share this one recipe so it cannot drift between them. It goes
-// through the store's raw Backend, so it works on any of them.
+// re-simulate in place. Tests of that path share this one recipe so it
+// cannot drift between them. It goes through the store's raw Backend,
+// so it works on any of them.
 func StaleifySchema(tb testing.TB, s *resultstore.Store) {
 	tb.Helper()
 	b := s.Backend()
@@ -306,7 +304,6 @@ func Conformance(t *testing.T, b Backend) {
 		s, _ := b.Open(t)
 		key := Key(3)
 		e := sampleEntry("stale")
-		e.ElapsedNS = 123456789
 		if err := s.Put(key, e); err != nil {
 			t.Fatal(err)
 		}
@@ -317,21 +314,13 @@ func Conformance(t *testing.T, b Backend) {
 		if _, ok := s.Probe(key); ok {
 			t.Error("stale-schema entry served by Probe")
 		}
-		// The timing survives the bump — dispatch-cost estimation keeps
-		// working through a full re-simulation.
-		if d, ok := s.ElapsedHint(key); !ok || d.Nanoseconds() != 123456789 {
-			t.Errorf("stale-schema hint = %v, %v; want the recorded timing", d, ok)
-		}
-		// GC reclaims it, and with it the hint.
+		// GC reclaims it.
 		st, err := s.GC()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if st.Kept != 0 || st.Removed != 1 {
 			t.Errorf("gc kept %d removed %d, want 0/1", st.Kept, st.Removed)
-		}
-		if _, ok := s.ElapsedHint(key); ok {
-			t.Error("hint served after GC removed the entry")
 		}
 	})
 
@@ -350,9 +339,6 @@ func Conformance(t *testing.T, b Backend) {
 		}
 		if _, ok := s.Get(key); ok {
 			t.Error("entry with mismatched key served")
-		}
-		if _, ok := s.ElapsedHint(key); ok {
-			t.Error("hint served despite a key mismatch")
 		}
 		if st, err := s.GC(); err != nil || st.Removed != 1 || st.Kept != 0 {
 			t.Errorf("gc = %+v, %v; want the mismatched entry removed", st, err)
@@ -424,11 +410,12 @@ func Conformance(t *testing.T, b Backend) {
 			t.Fatal(err)
 		}
 		s2 := reopen(t)
-		if _, ok := s2.Get(key); !ok {
+		got, ok := s2.Get(key)
+		if !ok {
 			t.Fatal("reopened handle missed the stored entry")
 		}
-		if d, ok := s2.ElapsedHint(key); !ok || d.Nanoseconds() != 55 {
-			t.Errorf("reopened hint = %v, %v", d, ok)
+		if got.ElapsedNS != 55 {
+			t.Errorf("reopened entry elapsed_ns = %d, want 55", got.ElapsedNS)
 		}
 		if hits, misses, puts := s2.Stats(); hits != 1 || misses != 0 || puts != 0 {
 			t.Errorf("reopened handle stats = %d/%d/%d, want fresh counters 1/0/0", hits, misses, puts)
@@ -496,9 +483,6 @@ func Conformance(t *testing.T, b Backend) {
 		}
 		if _, ok := s.GetArtifact(rKey, "k", 1); ok {
 			t.Error("result served as an artifact")
-		}
-		if _, ok := s.ElapsedHint(aKey); ok {
-			t.Error("artifact served an elapsed hint")
 		}
 	})
 

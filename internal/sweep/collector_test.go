@@ -278,46 +278,36 @@ func TestRowRendererBoundedRetention(t *testing.T) {
 	}
 }
 
-// TestEstimatedCostOrdering sanity-checks the dispatch heuristic:
-// clairvoyant LFD weighs what LRU does (its measured per-event cost),
-// Local LFD outweighs both and wider windows outweigh narrower ones, and
-// fewer units mean more work. (Only dispatch order — never results —
-// depends on these.)
+// TestEstimatedCostOrdering sanity-checks the dispatch rank: fewer
+// units mean more load, and the rank ignores the policy, so every policy
+// at one unit count weighs the same. (Only dispatch order — never
+// results — depends on it.)
 func TestEstimatedCostOrdering(t *testing.T) {
 	spec := fig9Spec(t, 4, 10)
 	scenarios, err := spec.Expand()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cost := func(policyName string, rus int) float64 {
-		for i := range scenarios {
-			if scenarios[i].Policy.Name == policyName && scenarios[i].RUs == rus {
-				return estimatedCost(&scenarios[i])
-			}
+	load := map[int]float64{}
+	for i := range scenarios {
+		sc := &scenarios[i]
+		l := scenarioLoad(sc)
+		if prev, ok := load[sc.RUs]; ok && prev != l {
+			t.Errorf("%s load %v differs from another policy's %v at R=%d", sc.Name(), l, prev, sc.RUs)
 		}
-		t.Fatalf("no scenario %q R=%d", policyName, rus)
-		return 0
+		load[sc.RUs] = l
 	}
-	lfd4, lru4 := cost("LFD", 4), cost("LRU", 4)
-	if lfd4 != lru4 {
-		t.Errorf("LFD cost %v differs from LRU %v at R=4", lfd4, lru4)
-	}
-	if local := cost("Local LFD (1)", 4); local <= lru4 {
-		t.Errorf("Local LFD (1) cost %v not above LRU %v", local, lru4)
-	}
-	if lfd10 := cost("LFD", 10); lfd10 >= lfd4 {
-		t.Errorf("LFD at R=10 cost %v not below R=4 %v", lfd10, lfd4)
-	}
-	if w4 := policyCostWeight(LocalLFD(4, false)); w4 <= policyCostWeight(LocalLFD(1, false)) {
-		t.Errorf("window 4 weight %v not above window 1", w4)
+	if load[10] >= load[4] {
+		t.Errorf("load at R=10 %v not below R=4 %v", load[10], load[4])
 	}
 }
 
 // TestCostOrderDispatchesStragglerFirst pins the heavy-tail fix where a
-// one-core host's wall clock cannot: on a descending-RU grid the most
-// expensive scenario by estimate sits in the last (R=4) block, and spec
-// order would start it nearly last. Cost-order dispatch must hand it to
-// the pool first — and with SpecOrderDispatch set, must not.
+// one-core host's wall clock cannot: on a descending-RU grid the
+// heaviest scenarios by load form the last (R=4) block, and spec order
+// would start them last. Load-order dispatch must hand the block's first
+// scenario (ties fall to spec order) to the pool first — and with
+// SpecOrderDispatch set, must not.
 func TestCostOrderDispatchesStragglerFirst(t *testing.T) {
 	spec := fig9Spec(t, 10, 8, 6, 4) // descending: the expensive R=4 block last
 	scenarios, err := spec.Expand()
@@ -326,11 +316,11 @@ func TestCostOrderDispatchesStragglerFirst(t *testing.T) {
 	}
 	straggler := 0
 	for i := range scenarios {
-		if estimatedCost(&scenarios[i]) > estimatedCost(&scenarios[straggler]) {
+		if scenarioLoad(&scenarios[i]) > scenarioLoad(&scenarios[straggler]) {
 			straggler = i
 		}
 	}
-	if scenarios[straggler].RUs != 4 || straggler < spec.Size()-len(spec.Policies) {
+	if scenarios[straggler].RUs != 4 || straggler != spec.Size()-len(spec.Policies) {
 		t.Fatalf("grid layout changed: costliest scenario %s at index %d of %d",
 			scenarios[straggler].Name(), straggler, spec.Size())
 	}

@@ -6,12 +6,9 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
-	"repro/internal/costmodel"
 	"repro/internal/dynlist"
 	"repro/internal/manager"
 	"repro/internal/metrics"
@@ -32,30 +29,22 @@ import (
 // latency) through the process-wide mobility cache. The first scenario
 // error cancels the remaining work.
 //
-// Scenarios are dispatched to the pool in descending estimated cost
-// (longest-processing-time order) rather than spec order: a scenario at
-// a low unit count costs several times one at a high unit count, and
-// feeding it last would leave the pool idle behind a single straggler.
-// With a Store attached, the estimate prefers the measured wall time a
-// previous run recorded with each entry (served by ElapsedHint across
-// schema versions, so even the full re-simulation after a schema bump
-// dispatches on real measurements); scenarios never
-// simulated before are predicted by a per-policy-family linear cost
-// model fitted over those measurements and updated live as completions
-// land (see internal/costmodel and costCalibrator), so even never-seen
-// grid points rank on calibrated estimates. Collection stays in spec order either way, held to a
-// bounded reorder window so a sweep never buffers more than O(workers)
-// completed results — the property that lets SummaryCollector sweeps run
-// grids far larger than memory would hold as ResultSets. The memory
-// bound and the cost-order look-ahead are the same knob: dispatch may
-// reorder only within the window (in-order collection could otherwise
-// buffer the whole grid), so on grids larger than the window the
-// expensive scenarios are front-run within each window's reach rather
-// than globally — a straggler at the grid's far end still starts up to
-// a window early, with the remaining cheap scenarios backfilling behind
-// it. Policies are the innermost axis, so any window wider than the
-// policy axis sees every policy family at once and the worst imbalance
-// (cheap and dear series interleaved) is fully reordered.
+// Scenarios are dispatched to the pool longest-processing-time first
+// (LPT) rather than in spec order, ranked by their load — workload
+// length over unit count (scenarioLoad), ties to spec order. The rank is
+// a pure function of the grid: nothing is read from the store and
+// nothing is learned while the sweep runs, so a fully warm sweep reads
+// each entry exactly once, to serve it. Collection stays in spec order
+// either way, held to a bounded reorder window so a sweep never buffers
+// more than O(workers) completed results — the property that lets
+// SummaryCollector sweeps run grids far larger than memory would hold as
+// ResultSets. The memory bound and the look-ahead are the same knob:
+// dispatch may reorder only within the window (in-order collection could
+// otherwise buffer the whole grid), so on grids larger than the window
+// the heavy scenarios are front-run within each window's reach rather
+// than globally. TestDispatchReplay replays recorded scenario times
+// through this window-and-pick step (nextDispatch) and pins how close it
+// comes to the best possible makespan.
 //
 // With a Store attached, every scenario's canonical config hash is looked
 // up before it runs: hits are served from disk (neither the simulation
@@ -97,10 +86,9 @@ type Executor struct {
 	// RequireStored (and therefore Store).
 	StoreWait *StoreWait
 	// SpecOrderDispatch feeds scenarios to the pool in spec order instead
-	// of descending estimated cost. Results are identical either way;
-	// this exists for benchmarks comparing the dispatch strategies and
-	// as an escape hatch should the cost heuristic ever misjudge a
-	// workload badly.
+	// of descending load. Results are identical either way; this exists
+	// for benchmarks comparing the dispatch strategies and as an escape
+	// hatch should load ranking ever misjudge a workload badly.
 	SpecOrderDispatch bool
 	// MaxScenarioRetries is the per-scenario retry budget for live
 	// simulation errors: a failing scenario reruns up to this many extra
@@ -243,23 +231,12 @@ func (e Executor) Collect(spec Spec, c Collector) error {
 	}
 	window := reorderWindow(workers)
 
-	// Dispatch cost estimates (spec order is free: cost identical ⇒ the
-	// earlier position wins the scan below). With a store attached, a
-	// scenario whose previous simulation left a measured wall time behind
-	// is ranked by that measurement; the rest are predicted by a linear
-	// cost model fitted per policy family over the measurements (see
-	// internal/costmodel), falling back to the static heuristic only when
-	// nothing has ever been measured. The calibrator keeps learning from
-	// live completions below, so long sweeps self-calibrate mid-run.
+	// Dispatch ranks, longest first. All-zero ranks (SpecOrderDispatch)
+	// make nextDispatch pick in exact spec order.
 	costs := make([]float64, len(owned))
-	var calib *costCalibrator
 	if !e.SpecOrderDispatch {
 		for p := skip; p < len(owned); p++ {
-			costs[p] = estimatedCost(&scenarios[owned[p]])
-		}
-		if keys != nil {
-			calib = newCostCalibrator(e.Store, scenarios, owned, keys, skip)
-			calib.apply(costs, nil)
+			costs[p] = scenarioLoad(&scenarios[owned[p]])
 		}
 	}
 
@@ -317,33 +294,13 @@ func (e Executor) Collect(spec Spec, c Collector) error {
 			e.onCancel()
 		}
 	}
-	// bestEligible picks the most expensive undispatched position within
-	// the reorder window (ties to the lower position — with uniform
-	// costs, or SpecOrderDispatch, this degrades to exact spec order).
-	bestEligible := func() int {
-		lim := collected + window
-		if lim > len(owned) {
-			lim = len(owned)
-		}
-		best := -1
-		for p := collected; p < lim; p++ {
-			if dispatched[p] {
-				continue
-			}
-			if best < 0 || costs[p] > costs[best] {
-				best = p
-			}
-		}
-		return best
-	}
-
 	for collected < len(owned) {
 		if cancelled && inFlight == 0 {
 			break
 		}
 		pick := -1
 		if !cancelled && nDispatched < len(owned) {
-			pick = bestEligible()
+			pick = nextDispatch(costs, dispatched, collected, window)
 		}
 		jobsCh := jobs
 		if pick < 0 {
@@ -379,13 +336,6 @@ func (e Executor) Collect(spec Spec, c Collector) error {
 				continue // the sweep already failed; drop the result
 			}
 			pending[done.pos] = done.res
-			if calib != nil && done.res.Elapsed > 0 {
-				// A live simulation just measured itself (store serves have
-				// Elapsed == 0 and teach nothing): fold it into the model
-				// and re-rank what has not been dispatched yet.
-				calib.observe(done.pos, done.res.Elapsed)
-				calib.apply(costs, dispatched)
-			}
 			if e.observePending != nil {
 				e.observePending(len(pending) + inFlight)
 			}
@@ -420,6 +370,28 @@ func (e Executor) Collect(spec Spec, c Collector) error {
 	return collectErr
 }
 
+// nextDispatch is the coordinator's window-and-pick step: the costliest
+// undispatched owned position within the reorder window [collected,
+// collected+window), ties to the lower position — with uniform costs, or
+// SpecOrderDispatch, this degrades to exact spec order. It returns -1
+// when every position in the window is already dispatched.
+func nextDispatch(costs []float64, dispatched []bool, collected, window int) int {
+	lim := collected + window
+	if lim > len(costs) {
+		lim = len(costs)
+	}
+	best := -1
+	for p := collected; p < lim; p++ {
+		if dispatched[p] {
+			continue
+		}
+		if best < 0 || costs[p] > costs[best] {
+			best = p
+		}
+	}
+	return best
+}
+
 // errCancelled marks a scenario error that is a symptom of the sweep's
 // cancellation rather than a cause of it.
 var errCancelled = errors.New("sweep cancelled")
@@ -435,147 +407,16 @@ func displaces(err error, pos int, cur error, curPos int) bool {
 	return pos < curPos
 }
 
-// costCalibrator ranks dispatch on measured reality instead of the
-// static heuristic. At construction it probes the store for every owned
-// scenario's measured wall time (ElapsedHint serves timings across
-// schema versions — after a bump, the warm re-run that re-simulates
-// everything is exactly the run that profits most from last time's
-// measurements) and seeds a per-policy-family linear cost model with
-// them. apply then writes each position's best estimate: the exact
-// measurement where one exists, the family's fitted prediction
-// otherwise (internal/costmodel's fallback chain ends at the rescaled
-// heuristic, so a never-measured grid still sorts sensibly). As live
-// completions land, observe feeds them back in and apply re-ranks the
-// undispatched remainder — a cold sweep calibrates itself mid-run. Like
-// the heuristic, all of this affects wall clock only, never results.
-//
-// On a fully warm run each entry file is read twice — the hint probe
-// here, the serve in runStored. Deliberate: memoizing decoded entries
-// between the two would hold O(grid) raw results and break the
-// executor's O(workers) memory bound, while the second read hits the
-// page cache and a warm serve is ~instant regardless of its dispatch
-// position. The hint still scans the whole entry as JSON, so its cost
-// follows the entry size: at most ~9.5 KB for 2000 applications since
-// schema v3 stored completions as a compact blob (37.5 KB before).
-type costCalibrator struct {
-	model     *costmodel.Model
-	family    []string  // per owned position: policy family key
-	load      []float64 // per owned position: workload length / RUs
-	heuristic []float64 // per owned position: static estimatedCost
-	measured  []float64 // per owned position: stored wall time (ns), 0 if none
-}
-
-// newCostCalibrator probes the store for every owned scenario past the
-// resume skip and seeds the model. keys index the full grid; owned
-// positions map into it. Skipped positions stay unprobed — they were
-// collected by a previous attempt and will never be dispatched, so a
-// hint read per skipped scenario would be pure backend traffic.
-func newCostCalibrator(store *resultstore.Store, scenarios []Scenario, owned []int, keys []string, skip int) *costCalibrator {
-	cal := &costCalibrator{
-		model:     costmodel.New(),
-		family:    make([]string, len(owned)),
-		load:      make([]float64, len(owned)),
-		heuristic: make([]float64, len(owned)),
-		measured:  make([]float64, len(owned)),
-	}
-	for p := skip; p < len(owned); p++ {
-		i := owned[p]
-		sc := &scenarios[i]
-		cal.family[p] = costFamily(sc)
-		cal.load[p] = scenarioLoad(sc)
-		cal.heuristic[p] = estimatedCost(sc)
-		if hint, ok := store.ElapsedHint(keys[i]); ok {
-			cal.measured[p] = float64(hint)
-			cal.model.Observe(cal.family[p], cal.load[p], cal.heuristic[p], hint)
-		}
-	}
-	return cal
-}
-
-// apply writes the current best cost estimate for every position not yet
-// dispatched (dispatched == nil means all): the measurement where one
-// exists, the model's prediction otherwise, the untouched heuristic only
-// while the model knows nothing at all.
-func (cal *costCalibrator) apply(costs []float64, dispatched []bool) {
-	for p := range costs {
-		if dispatched != nil && dispatched[p] {
-			continue
-		}
-		if cal.measured[p] > 0 {
-			costs[p] = cal.measured[p]
-			continue
-		}
-		if pred, ok := cal.model.Predict(cal.family[p], cal.load[p], cal.heuristic[p]); ok {
-			costs[p] = pred
-		}
-	}
-}
-
-// observe folds one live completion's measured wall time into the model.
-func (cal *costCalibrator) observe(p int, elapsed time.Duration) {
-	cal.model.Observe(cal.family[p], cal.load[p], cal.heuristic[p], elapsed)
-}
-
-// costFamily buckets a scenario for cost modeling: the policy's
-// canonical key plus the event-skip and prefetch flags, i.e. exactly the
-// policy-side inputs that change how much work one decision costs.
-// Scenarios of one family differ only in workload and unit count, which
-// is what the model's load regressor captures.
-func costFamily(sc *Scenario) string {
-	key := sc.Policy.Key
-	if key == "" {
-		key = "name:" + sc.Policy.Name
-	}
-	if sc.Policy.Skip {
-		key += "+skip"
-	}
-	if sc.Policy.CrossGraphPrefetch {
-		key += "+prefetch"
-	}
-	if sc.Policy.ConservativePrefetch {
-		key += "+conserve"
-	}
-	return key
-}
-
-// scenarioLoad is the cost model's regressor: workload length over unit
-// count — decisions grow with queue length and contention shrinks with
-// units, the same shape the static heuristic scales by policy weight.
+// scenarioLoad is a scenario's dispatch rank: workload length over unit
+// count. Replacement decisions grow with the sequence and contention
+// shrinks with the units. Per-policy weights do not earn a place: since
+// the next-use index made LFD linear, every scenario of a 2000-app grid
+// costs within a small factor of every other whatever its policy, and
+// replays of recorded times (TestDispatchReplay, ARCHITECTURE.md §"Cost
+// model") found load alone within noise of every richer ranking. A bad
+// rank costs wall clock, never results.
 func scenarioLoad(sc *Scenario) float64 {
 	return float64(len(sc.Workload.Seq)) / float64(sc.RUs)
-}
-
-// estimatedCost ranks a scenario for dispatch order: a heuristic for
-// relative simulation time, never correctness — a bad estimate costs
-// wall clock, nothing else. Cost grows with the workload length, scaled
-// by the policy's weight, and shrinks with the unit count (fewer units ⇒
-// more replacement decisions and more contention).
-func estimatedCost(sc *Scenario) float64 {
-	return policyCostWeight(sc.Policy) * float64(len(sc.Workload.Seq)) / float64(sc.RUs)
-}
-
-// policyCostWeight estimates the policy axis value's per-decision cost
-// relative to LRU from its canonical key (falling back to the display
-// name). Clairvoyant LFD shares LRU's weight of 1: the manager's next-use
-// index answers its forward-distance queries in amortized constant time,
-// and BenchmarkEventLoop (500 applications, 4 units; Intel Xeon, 2 vCPUs,
-// Go 1.24) measures LFD at 232 ns/event against LRU's 232, a ratio of
-// 1.0. Local LFD keeps the window-proportional weight of the lookahead
-// scan the index replaced.
-func policyCostWeight(p PolicySpec) float64 {
-	key := strings.ToLower(p.Key)
-	if key == "" {
-		key = strings.ToLower(p.Name)
-	}
-	if strings.Contains(key, "locallfd") || strings.Contains(key, "local lfd") {
-		if _, after, ok := strings.Cut(key, ":"); ok {
-			if w, err := strconv.Atoi(strings.TrimSpace(after)); err == nil && w > 0 {
-				return 1 + float64(w)
-			}
-		}
-		return 2
-	}
-	return 1
 }
 
 // runStored serves one scenario from the result store when possible and
@@ -808,7 +649,7 @@ func runScenario(sp *Spec, sc Scenario, ideals *idealCache, runner *manager.Runn
 	// Only the scenario's own simulation is timed: the ideal baseline and
 	// the design-time mobility tables are shared across the sweep, so
 	// folding their one-off cost into whichever scenario happened to pay
-	// it would skew the measured dispatch costs of warm re-runs.
+	// it would skew the recorded per-scenario times.
 	start := time.Now()
 	run, err := runner.Run(cfg, dynlist.NewSequence(sc.Workload.Seq...))
 	if err != nil {

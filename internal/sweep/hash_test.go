@@ -149,3 +149,24 @@ func TestCacheable(t *testing.T) {
 		t.Error("keyless policy spec reported cacheable")
 	}
 }
+
+// TestWorkloadKeyAllocationsFlat: hashing a workload allocates per
+// distinct template, never per application — the key of a 2000-app
+// sequence costs no more allocations than that of a 200-app one.
+func TestWorkloadKeyAllocationsFlat(t *testing.T) {
+	pool := workload.Multimedia()
+	allocs := func(apps int) float64 {
+		w := &Workload{Label: "seed 1", Pool: pool, Seq: make([]*taskgraph.Graph, apps)}
+		for i := range w.Seq {
+			w.Seq[i] = pool[(i*7+i/3)%len(pool)]
+		}
+		return testing.AllocsPerRun(5, func() {
+			if _, err := workloadKey(w); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(200), allocs(2000); large > small {
+		t.Errorf("workloadKey allocations grow with the sequence: %v at 200 apps, %v at 2000", small, large)
+	}
+}

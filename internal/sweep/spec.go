@@ -331,9 +331,9 @@ type Result struct {
 	Scenario Scenario
 	// Elapsed is the measured wall time of simulating this scenario's own
 	// run (excluding the shared ideal baseline and design-time phase, and
-	// zero when the result was served from a store). The executor persists
-	// it with store entries so warm re-runs can dispatch on measured cost
-	// instead of the static heuristic; it never reaches a report.
+	// zero when the result was served from a store). The executor records
+	// it in store entries as trace and operator metadata; it never reaches
+	// a report.
 	Elapsed time.Duration
 	// Run is the raw simulation outcome.
 	Run *manager.Result

@@ -94,7 +94,7 @@ func TestStoreWarmRunIdentical(t *testing.T) {
 
 // TestSchemaV2EntryMigrates pins the v2 → v3 schema bump on a literal
 // v2 entry, completions still a JSON integer array: Get and Probe miss,
-// ElapsedHint still serves its timing, a sweep re-simulates the scenario
+// a sweep re-simulates the scenario
 // and overwrites the entry in place as v3 (storing its ideal baseline as
 // an artifact), and GC removes a v2 entry nobody re-simulated while it
 // keeps the v3 entry and the ideal artifact.
@@ -131,9 +131,6 @@ func TestSchemaV2EntryMigrates(t *testing.T) {
 	}
 	if _, ok := store.Probe(key); ok {
 		t.Error("Probe served a v2 entry")
-	}
-	if d, ok := store.ElapsedHint(key); !ok || d != 4242 {
-		t.Errorf("ElapsedHint of a v2 entry = %v, %v; want its 4242ns", d, ok)
 	}
 
 	res, err := (Executor{Workers: 1, Store: store}).Run(spec)
@@ -360,5 +357,49 @@ func TestDuplicateAxisValuesRejected(t *testing.T) {
 		// Renaming changes the hash (the name is reported output), so
 		// this is a valid, distinct grid for the store too.
 		t.Fatalf("renamed series should hash distinctly: %v", err)
+	}
+}
+
+// TestElapsedRecordedAndServed: a cold store-backed sweep records every
+// scenario's measured wall time on its entry (elapsed_ns, read back
+// through Get), and a warm re-run — which simulates nothing — reports
+// zero Elapsed on its results instead of replaying the stored
+// measurement as its own.
+func TestElapsedRecordedAndServed(t *testing.T) {
+	spec := fig9Spec(t, 4)
+	store := openStore(t)
+	ex := Executor{Workers: 2, Store: store}
+
+	cold, err := ex.Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range cold.Results {
+		if r.Elapsed <= 0 {
+			t.Errorf("cold scenario %s has no measured elapsed time", r.Scenario.Name())
+		}
+	}
+	keys, err := spec.ScenarioKeys()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, key := range keys {
+		ent, ok := store.Get(key)
+		if !ok {
+			t.Fatalf("no entry stored for %s", key[:12])
+		}
+		if ent.ElapsedNS != cold.Results[i].Elapsed.Nanoseconds() {
+			t.Errorf("entry for %s records elapsed_ns %d, the run measured %v", key[:12], ent.ElapsedNS, cold.Results[i].Elapsed)
+		}
+	}
+
+	warm, err := ex.Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range warm.Results {
+		if r.Elapsed != 0 {
+			t.Errorf("store-served scenario %s claims a measured elapsed time of %v", r.Scenario.Name(), r.Elapsed)
+		}
 	}
 }
