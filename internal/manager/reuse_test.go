@@ -110,12 +110,17 @@ func TestRunnerRerunIdentical(t *testing.T) {
 	}
 }
 
-// TestEventLoopSteadyStateAllocs pins the tentpole guarantee: once a
-// Runner is warm, preparing and executing a whole simulation — event
-// loop, replacement decisions, next-use index build and queries, instance
-// bookkeeping — allocates nothing. Only the final result snapshot (which
-// must escape) is excluded, by driving the unexported phases directly.
-func TestEventLoopSteadyStateAllocs(t *testing.T) {
+// loopCase is one configuration of the hot-loop coverage set.
+type loopCase struct {
+	name string
+	cfg  Config
+}
+
+// loopCases returns a random 40-application workload and the thirteen
+// configurations that together reach every path of the event loop: each
+// policy family, skip events, both prefetch modes.
+func loopCases(t *testing.T) ([]*taskgraph.Graph, []loopCase) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(7))
 	seq := randomWorkload(t, rng, 3, 40)
 	mobTable := make(map[*taskgraph.Graph][]int)
@@ -130,10 +135,7 @@ func TestEventLoopSteadyStateAllocs(t *testing.T) {
 	}
 	local, local1, local4 := mustLocalLFD(t, 2), mustLocalLFD(t, 1), mustLocalLFD(t, 4)
 	mobility := func(g *taskgraph.Graph) []int { return mobTable[g] }
-	cases := []struct {
-		name string
-		cfg  Config
-	}{
+	return seq, []loopCase{
 		{"LRU", Config{RUs: 4, Latency: workload.PaperLatency(), Policy: policy.NewLRU()}},
 		{"FIFO", Config{RUs: 3, Latency: workload.PaperLatency(), Policy: policy.NewFIFO()}},
 		{"MRU", Config{RUs: 4, Latency: workload.PaperLatency(), Policy: policy.NewMRU()}},
@@ -163,6 +165,15 @@ func TestEventLoopSteadyStateAllocs(t *testing.T) {
 			CrossGraphPrefetch: true, ConservativePrefetch: true,
 		}},
 	}
+}
+
+// TestEventLoopSteadyStateAllocs pins the tentpole guarantee: once a
+// Runner is warm, preparing and executing a whole simulation — event
+// loop, replacement decisions, next-use index build and queries, instance
+// bookkeeping — allocates nothing. Only the final result snapshot (which
+// must escape) is excluded, by driving the unexported phases directly.
+func TestEventLoopSteadyStateAllocs(t *testing.T) {
+	seq, cases := loopCases(t)
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			feed := dynlist.NewSequence(seq...)
