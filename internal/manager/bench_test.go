@@ -60,7 +60,7 @@ func BenchmarkEventLoop(b *testing.B) {
 				if err := r.loop(); err != nil {
 					b.Fatal(err)
 				}
-				return r.engine.Popped()
+				return r.res.Events
 			}
 			runOnce() // warm the runner to its high-water mark
 			var before, after runtime.MemStats

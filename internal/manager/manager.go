@@ -26,12 +26,18 @@
 // executing nor holding a configuration still awaiting execution in the
 // running graph; and a postponed load waits for the next simulator event.
 //
+// There is no event queue: the pending events are read off the state. Each
+// executing task ends once, the single circuitry has at most one load in
+// flight, and arrivals are handled in order, so the next event is the
+// earliest of the first execution to end, the in-flight load's end and the
+// next arrival.
+//
 // The steady-state event loop is allocation-free: a Runner owns every
-// piece of per-run state (engine queue, unit array, instance bookkeeping,
-// next-use index and candidate buffer) and reuses it across runs, so a sweep
-// worker simulates its whole slice of the grid on warm memory. See
-// ARCHITECTURE.md §"The hot loop" for the design and its invariant —
-// reuse never changes simulation output.
+// piece of per-run state (running executions, unit array, instance
+// bookkeeping, next-use index and candidate buffer) and reuses it across
+// runs, so a sweep worker simulates its whole slice of the grid on warm
+// memory. See ARCHITECTURE.md §"The hot loop" for the design and its
+// invariant — reuse never changes simulation output.
 package manager
 
 import (
@@ -40,7 +46,6 @@ import (
 	"repro/internal/dynlist"
 	"repro/internal/policy"
 	"repro/internal/ru"
-	"repro/internal/sim"
 	"repro/internal/simtime"
 	"repro/internal/taskgraph"
 	"repro/internal/trace"
@@ -54,8 +59,9 @@ type Config struct {
 	// ideal schedule used as the overhead baseline).
 	Latency simtime.Time
 	// LatencyFor, when non-nil, supplies a per-task latency (e.g. derived
-	// from per-task bitstream sizes), overriding Latency. Values must be
-	// non-negative. The paper assumes a uniform latency; this is the
+	// from per-task bitstream sizes), overriding Latency. It is called
+	// once per distinct task of a run, and a negative value makes Run
+	// fail. The paper assumes a uniform latency; this is the
 	// natural extension for heterogeneous configurations.
 	LatencyFor func(taskgraph.TaskID) simtime.Time
 	// Policy selects replacement victims. Its Window() governs how much of
@@ -138,22 +144,55 @@ const (
 	stateDone
 )
 
+// eventKind names the paper's three events (Fig. 4). At one instant they
+// are handled in this order: a task finishing at t frees its unit before
+// a load decision at t, and a load ending at t lands before an
+// application arriving at t is queued.
+type eventKind int8
+
+const (
+	endOfExecution eventKind = iota
+	endOfReconfiguration
+	newTaskGraph
+)
+
+func (k eventKind) String() string {
+	return [...]string{"end_of_execution", "end_of_reconfiguration", "new_task_graph"}[k]
+}
+
+// execution is a running task: when it ends, the unit it occupies and its
+// local index in the running graph.
+type execution struct {
+	end   simtime.Time
+	unit  int
+	local int
+}
+
+// taskRun is the bookkeeping of one task of the running instance, in one
+// record so that a handler touches one place per task.
+type taskRun struct {
+	execStart simtime.Time
+	predsLeft int
+	ru        int // unit holding the task while Ready/Executing
+	delayLeft int // remaining forced postponements
+	mobility  int
+	state     taskState
+	reused    bool
+}
+
 // instance is the running application.
 type instance struct {
 	item      dynlist.Item
 	g         *taskgraph.Graph
 	rec       []int // local-index reconfiguration sequence
 	recPos    int   // next entry to handle
-	state     []taskState
-	predsLeft []int
-	ruOf      []int // unit holding each task while Ready/Executing
-	execStart []simtime.Time
-	reused    []bool
+	tasks     []taskRun
 	doneCount int
+	// startable counts the Ready tasks with no predecessor left: the
+	// ones startReadyExecutions would start.
+	startable int
 	started   simtime.Time
-	skipped   int   // skipped_events counter (Fig. 8), reset per graph
-	delayLeft []int // remaining forced postponements per local index
-	mobility  []int
+	skipped   int // skipped_events counter (Fig. 8), reset per graph
 }
 
 // taskSet is an array-backed set of TaskIDs with O(1) epoch-based reset:
@@ -193,20 +232,30 @@ func resize[T any](s []T, n int) []T {
 }
 
 // Runner is a reusable simulation runner. One Runner executes any number
-// of runs sequentially, recycling every internal structure — event queue,
-// unit array, instance bookkeeping, next-use index, candidate buffer — so
+// of runs sequentially, recycling every internal structure — running
+// executions, unit array, instance bookkeeping, next-use index, candidate buffer — so
 // that after the first run the event loop allocates nothing. Reuse is
 // observationally invisible: a reused Runner produces byte-identical
 // results to a fresh one (property-tested). A Runner is not safe for
 // concurrent use; give each goroutine its own.
 type Runner struct {
-	cfg    Config
-	engine sim.Engine
-	units  *ru.Array
-	recon  *ru.Reconfigurator
+	cfg   Config
+	now   simtime.Time
+	units *ru.Array
+	recon *ru.Reconfigurator
+	// running holds the executing tasks ordered by end time, ties in start
+	// order; its head is the next end_of_execution.
+	running []execution
+	// loadLocal is the local index of the in-flight load's task in the
+	// graph it is for.
+	loadLocal int
+	// latencies holds LatencyFor's answer per task ID; latencySeen marks
+	// the IDs already asked.
+	latencies   []simtime.Time
+	latencySeen taskSet
 
 	arrivals []dynlist.Item
-	arrived  int // arrivals already pushed into the DL
+	arrived  int // arrivals already pushed into the DL; the next one is pending
 	dl       dynlist.List
 	inst     instance // pooled storage for the running application
 	cur      *instance
@@ -215,14 +264,14 @@ type Runner struct {
 	skipArmed bool
 
 	// Cross-graph prefetch state: the instance being preloaded, the
-	// position reached in its reconfiguration sequence, the units its
-	// completed preloads landed on (parallel id/unit slices, in completion
-	// order), and the task of an in-flight preload.
-	preloadFor      int
-	preloadPos      int
-	preloadDoneIDs  []taskgraph.TaskID
-	preloadDoneRUs  []int
-	preloadInFlight taskgraph.TaskID
+	// position reached in its reconfiguration sequence, its completed
+	// preloads (parallel local-index/unit slices, in completion order),
+	// and whether the in-flight load is a preload.
+	preloadFor       int
+	preloadPos       int
+	preloadDoneLocal []int
+	preloadDoneRUs   []int
+	preloadInFlight  bool
 
 	fut     future
 	candbuf []policy.Candidate
@@ -294,6 +343,11 @@ func (r *Runner) Reset(cfg Config) error {
 	}
 	policy.Reset(cfg.Policy)
 	r.cfg = cfg
+	r.now = 0
+	if cap(r.running) < cfg.RUs {
+		r.running = make([]execution, 0, cfg.RUs)
+	}
+	r.running = r.running[:0]
 	r.arrivals = r.arrivals[:0]
 	r.arrived = 0
 	r.dl.Reset()
@@ -301,9 +355,9 @@ func (r *Runner) Reset(cfg Config) error {
 	r.skipArmed = false
 	r.preloadFor = -1
 	r.preloadPos = 0
-	r.preloadDoneIDs = r.preloadDoneIDs[:0]
+	r.preloadDoneLocal = r.preloadDoneLocal[:0]
 	r.preloadDoneRUs = r.preloadDoneRUs[:0]
-	r.preloadInFlight = taskgraph.NoTask
+	r.preloadInFlight = false
 	// Counters restart at zero; the result's slice buffers are kept.
 	comps, tmpls := r.res.Completions[:0], r.res.Templates[:0]
 	r.res = Result{Completions: comps, Templates: tmpls}
@@ -320,17 +374,14 @@ func (r *Runner) Reset(cfg Config) error {
 }
 
 // start drains the feed, pre-sizes every per-run structure from the
-// workload's shape, indexes the future (for a policy that sees one) and
-// schedules the first arrival.
+// workload's shape, asks LatencyFor for each distinct task's latency and
+// indexes the future (for a policy that sees one).
 //
-// The feed is drained up front, but arrivals enter the event queue one at
-// a time: popping arrival i schedules arrival i+1. Arrival times never
-// decrease and new_task_graph sorts last at equal times, so the pop order
-// is that of queueing them all, while the queue holds only the events in
-// flight — one per unit, one load and the next arrival. The next-use
-// index relies on the arrival order being the instance order — the
-// Dynamic List window is then a contiguous run of instances — so a feed
-// that numbers its items out of order or goes back in time is rejected.
+// Arrivals are handled in feed order, so the next arrival is the only one
+// pending. The next-use index relies on the arrival order being the
+// instance order — the Dynamic List window is then a contiguous run of
+// instances — so a feed that numbers its items out of order or goes back
+// in time is rejected.
 func (r *Runner) start(feed dynlist.Feed) error {
 	for {
 		it, ok := feed.Next()
@@ -358,6 +409,11 @@ func (r *Runner) start(feed dynlist.Feed) error {
 		tasks += it.Graph.NumTasks()
 	}
 	r.protected.reset(maxID)
+	if r.cfg.LatencyFor != nil {
+		if err := r.tabulateLatencies(maxID); err != nil {
+			return err
+		}
+	}
 	if r.cfg.Policy.Window() != policy.WindowNone {
 		r.fut.build(r.arrivals, maxID)
 	}
@@ -365,16 +421,36 @@ func (r *Runner) start(feed dynlist.Feed) error {
 		r.res.Completions = make([]simtime.Time, 0, len(r.arrivals))
 	}
 	r.res.Templates = resize(r.res.Templates, len(r.arrivals))
-	r.engine.Reset(r.cfg.RUs + 2)
-	if len(r.arrivals) > 0 {
-		r.engine.ScheduleArrival(r.arrivals[0].Arrival, 0)
-	}
 	if r.tr != nil {
 		// Pre-size the trace from the workload shape: at most one load and
 		// exactly one exec per task occurrence, one record per instance.
 		r.tr.Loads = make([]trace.Load, 0, tasks)
 		r.tr.Execs = make([]trace.Exec, 0, tasks)
 		r.tr.Graphs = make([]trace.Graph, 0, len(r.arrivals))
+	}
+	return nil
+}
+
+// tabulateLatencies evaluates LatencyFor once per distinct task ID of the
+// run, rejecting a negative latency.
+func (r *Runner) tabulateLatencies(maxID taskgraph.TaskID) error {
+	if n := int(maxID) + 1; n > len(r.latencies) {
+		r.latencies = make([]simtime.Time, n)
+	}
+	r.latencySeen.reset(maxID)
+	for _, it := range r.arrivals {
+		for i := 0; i < it.Graph.NumTasks(); i++ {
+			id := it.Graph.Task(i).ID
+			if r.latencySeen.has(id) {
+				continue
+			}
+			r.latencySeen.add(id)
+			lat := r.cfg.LatencyFor(id)
+			if lat < 0 {
+				return fmt.Errorf("manager: negative latency %v for task %d", lat, id)
+			}
+			r.latencies[id] = lat
+		}
 	}
 	return nil
 }
@@ -391,7 +467,7 @@ func (r *Runner) snapshot() *Result {
 	return out
 }
 
-// loop is the event loop: step until the queue drains.
+// loop is the event loop: step until no event is pending.
 func (r *Runner) loop() error {
 	for {
 		if more, err := r.step(); !more || err != nil {
@@ -400,82 +476,123 @@ func (r *Runner) loop() error {
 	}
 }
 
-// step pops one event, handles it and settles. It reports false once the
-// queue is empty, with an error if work is still pending then.
+// next returns the next event: the earliest of the first execution to
+// end, the in-flight load's end and the next arrival, ties going to
+// execution, then reconfiguration, then arrival. ok is false when none is
+// pending.
+func (r *Runner) next() (kind eventKind, at simtime.Time, ok bool) {
+	if len(r.running) > 0 {
+		kind, at, ok = endOfExecution, r.running[0].end, true
+	}
+	if end, active := r.recon.End(); active && (!ok || end < at) {
+		kind, at, ok = endOfReconfiguration, end, true
+	}
+	if r.arrived < len(r.arrivals) {
+		if t := r.arrivals[r.arrived].Arrival; !ok || t < at {
+			kind, at, ok = newTaskGraph, t, true
+		}
+	}
+	return kind, at, ok
+}
+
+// pending returns the number of pending events: one per executing task,
+// the in-flight load and the next arrival — at most RUs + 2.
+func (r *Runner) pending() int {
+	n := len(r.running)
+	if !r.recon.Idle() {
+		n++
+	}
+	if r.arrived < len(r.arrivals) {
+		n++
+	}
+	return n
+}
+
+// step handles the next event and settles. It reports false once no event
+// is pending, with an error if work is still pending then.
 func (r *Runner) step() (bool, error) {
-	ev, ok := r.engine.Pop()
+	kind, at, ok := r.next()
 	if !ok {
 		if r.cur != nil || r.dl.Len() > 0 {
 			return false, fmt.Errorf("manager: simulation stalled at %v with work pending (running=%v, queued=%d)",
-				r.engine.Now(), r.cur != nil, r.dl.Len())
+				r.now, r.cur != nil, r.dl.Len())
 		}
 		return false, nil
 	}
-	if r.engine.Popped() > r.cfg.MaxEvents {
+	r.now = at
+	r.res.Events++
+	if r.res.Events > r.cfg.MaxEvents {
 		return false, fmt.Errorf("manager: exceeded %d events at %v — runaway simulation",
-			r.cfg.MaxEvents, r.engine.Now())
+			r.cfg.MaxEvents, r.now)
 	}
-	r.res.Events = r.engine.Popped()
 	// A new event is the moment a postponed load waits for.
 	r.skipArmed = false
-	switch ev.Kind {
-	case sim.NewTaskGraph:
-		r.dl.Push(r.arrivals[ev.Arg])
+	switch kind {
+	case newTaskGraph:
+		r.dl.Push(r.arrivals[r.arrived])
 		r.arrived++
-		if r.arrived < len(r.arrivals) {
-			r.engine.ScheduleArrival(r.arrivals[r.arrived].Arrival, r.arrived)
-		}
-	case sim.EndOfReconfiguration:
+	case endOfReconfiguration:
 		r.handleEndOfReconfiguration()
-	case sim.EndOfExecution:
-		r.handleEndOfExecution(ev)
+	case endOfExecution:
+		r.handleEndOfExecution()
 	}
 	return true, r.settle()
 }
 
 func (r *Runner) handleEndOfReconfiguration() {
 	task, unit := r.recon.Finish()
-	if task == r.preloadInFlight && task != taskgraph.NoTask {
+	if r.preloadInFlight {
 		// A cross-graph preload completed before its instance started.
-		r.preloadDoneIDs = append(r.preloadDoneIDs, task)
+		r.preloadDoneLocal = append(r.preloadDoneLocal, r.loadLocal)
 		r.preloadDoneRUs = append(r.preloadDoneRUs, unit)
-		r.preloadInFlight = taskgraph.NoTask
+		r.preloadInFlight = false
 		return
 	}
-	local := r.cur.g.IndexOf(task)
-	if local < 0 || r.cur.state[local] != stateLoading {
+	c := r.cur
+	t := &c.tasks[r.loadLocal]
+	if c.g.Task(r.loadLocal).ID != task || t.state != stateLoading {
 		panic(fmt.Sprintf("manager: end_of_reconfiguration for unexpected task %d", task))
 	}
-	r.cur.state[local] = stateReady
-	r.cur.ruOf[local] = unit
+	t.state = stateReady
+	t.ru = unit
+	if t.predsLeft == 0 {
+		c.startable++
+	}
 }
 
-func (r *Runner) handleEndOfExecution(ev sim.Event) {
-	now := r.engine.Now()
-	r.units.FinishExecution(ev.RU, now)
-	local := r.cur.g.IndexOf(ev.Task)
-	if local < 0 || r.cur.state[local] != stateExecuting {
-		panic(fmt.Sprintf("manager: end_of_execution for unexpected task %d", ev.Task))
+func (r *Runner) handleEndOfExecution() {
+	ex := r.running[0]
+	r.running = r.running[:copy(r.running, r.running[1:])]
+	r.units.FinishExecution(ex.unit, r.now)
+	c := r.cur
+	t := &c.tasks[ex.local]
+	id := c.g.Task(ex.local).ID
+	if id != r.units.Unit(ex.unit).Resident || t.state != stateExecuting {
+		panic(fmt.Sprintf("manager: end_of_execution for unexpected task %d", id))
 	}
-	r.cur.state[local] = stateDone
-	r.cur.doneCount++
-	r.protected.remove(ev.Task)
+	t.state = stateDone
+	c.doneCount++
+	r.protected.remove(id)
 	r.res.Executed++
-	if r.cur.reused[local] {
+	if t.reused {
 		r.res.Reused++
 	}
 	if r.tr != nil {
 		r.tr.Execs = append(r.tr.Execs, trace.Exec{
-			Task: ev.Task, RU: ev.RU,
-			Start: r.cur.execStart[local], End: now,
-			Reused: r.cur.reused[local], Instance: r.cur.item.Instance,
+			Task: id, RU: ex.unit,
+			Start: t.execStart, End: r.now,
+			Reused: t.reused, Instance: c.item.Instance,
 		})
 	}
-	for _, s := range r.cur.g.Succs(local) {
-		r.cur.predsLeft[s]--
+	for _, s := range c.g.Succs(ex.local) {
+		succ := &c.tasks[s]
+		succ.predsLeft--
+		if succ.predsLeft == 0 && succ.state == stateReady {
+			c.startable++
+		}
 	}
-	if r.cur.doneCount == r.cur.g.NumTasks() {
-		r.finishInstance(now)
+	if c.doneCount == len(c.tasks) {
+		r.finishInstance(r.now)
 	}
 }
 
@@ -532,34 +649,34 @@ func (r *Runner) settle() error {
 func (r *Runner) startInstance(it dynlist.Item) {
 	g := it.Graph
 	n := g.NumTasks()
-	// The pooled instance storage is recycled: each slice is resliced and
-	// zeroed in place, so after the first few graphs no run allocates here.
+	// The pooled instance storage is recycled: the task records are
+	// resliced and zeroed in place, so after the first few graphs no run
+	// allocates here.
 	c := &r.inst
 	*c = instance{
-		item:      it,
-		g:         g,
-		rec:       g.RecSequence(),
-		state:     resize(c.state, n),
-		predsLeft: resize(c.predsLeft, n),
-		ruOf:      resize(c.ruOf, n),
-		execStart: resize(c.execStart, n),
-		reused:    resize(c.reused, n),
-		delayLeft: resize(c.delayLeft, n),
-		mobility:  resize(c.mobility, n),
-		started:   r.engine.Now(),
+		item:    it,
+		g:       g,
+		rec:     g.RecSequence(),
+		tasks:   resize(c.tasks, n),
+		started: r.now,
 	}
-	for i := 0; i < n; i++ {
-		c.predsLeft[i] = len(g.Preds(i))
-		c.ruOf[i] = -1
-	}
+	var mob []int
 	if r.cfg.Mobility != nil {
-		if mob := r.cfg.Mobility(g); mob != nil {
-			copy(c.mobility, mob)
+		mob = r.cfg.Mobility(g)
+	}
+	for i := range c.tasks {
+		t := &c.tasks[i]
+		t.predsLeft = len(g.Preds(i))
+		t.ru = -1
+		if i < len(mob) {
+			t.mobility = mob[i]
 		}
 	}
-	for local, d := range r.cfg.DelayPlan {
-		if local >= 0 && local < n {
-			c.delayLeft[local] = d
+	if r.cfg.DelayPlan != nil {
+		for local, d := range r.cfg.DelayPlan {
+			if local >= 0 && local < n {
+				c.tasks[local].delayLeft = d
+			}
 		}
 	}
 	// Hand over cross-graph preloads: configurations already loaded for
@@ -567,18 +684,20 @@ func (r *Runner) startInstance(it dynlist.Item) {
 	// still be in flight, in which case its end_of_reconfiguration event
 	// will complete it through the normal path.
 	if it.Instance == r.preloadFor {
-		for k, id := range r.preloadDoneIDs {
-			local := g.IndexOf(id)
-			c.state[local] = stateReady
-			c.ruOf[local] = r.preloadDoneRUs[k]
+		for k, local := range r.preloadDoneLocal {
+			t := &c.tasks[local]
+			t.state = stateReady
+			t.ru = r.preloadDoneRUs[k]
+			if t.predsLeft == 0 {
+				c.startable++
+			}
 		}
-		if r.preloadInFlight != taskgraph.NoTask {
-			local := g.IndexOf(r.preloadInFlight)
-			c.state[local] = stateLoading
-			r.preloadInFlight = taskgraph.NoTask
+		if r.preloadInFlight {
+			c.tasks[r.loadLocal].state = stateLoading
+			r.preloadInFlight = false
 		}
 		r.preloadFor = -1
-		r.preloadDoneIDs = r.preloadDoneIDs[:0]
+		r.preloadDoneLocal = r.preloadDoneLocal[:0]
 		r.preloadDoneRUs = r.preloadDoneRUs[:0]
 	}
 	r.cur = c
@@ -587,24 +706,40 @@ func (r *Runner) startInstance(it dynlist.Item) {
 }
 
 // startReadyExecutions launches every task whose configuration is resident
-// and whose predecessors are all done. It reports whether any started.
+// and whose predecessors are all done, in local-index order. It reports
+// whether any started.
 func (r *Runner) startReadyExecutions() bool {
-	started := false
-	now := r.engine.Now()
 	c := r.cur
-	for i := 0; i < c.g.NumTasks(); i++ {
-		if c.state[i] != stateReady || c.predsLeft[i] != 0 {
+	if c.startable == 0 {
+		return false
+	}
+	for i := range c.tasks {
+		t := &c.tasks[i]
+		if t.state != stateReady || t.predsLeft != 0 {
 			continue
 		}
-		unit := c.ruOf[i]
-		end := now.Add(c.g.Task(i).Exec)
-		r.units.StartExecution(unit, end)
-		c.state[i] = stateExecuting
-		c.execStart[i] = now
-		r.engine.Schedule(end, sim.EndOfExecution, c.g.Task(i).ID, unit)
-		started = true
+		end := r.now.Add(c.g.Task(i).Exec)
+		r.units.StartExecution(t.ru, end)
+		t.state = stateExecuting
+		t.execStart = r.now
+		r.run(execution{end: end, unit: t.ru, local: i})
+		if c.startable--; c.startable == 0 {
+			break
+		}
 	}
-	return started
+	return true
+}
+
+// run adds e to the running executions behind every one that ends no
+// later, so executions ending at one instant end in start order.
+func (r *Runner) run(e execution) {
+	i := len(r.running)
+	for i > 0 && r.running[i-1].end > e.end {
+		i--
+	}
+	r.running = append(r.running, execution{})
+	copy(r.running[i+1:], r.running[i:])
+	r.running[i] = e
 }
 
 // replacementModule is Fig. 8: handle the next reconfiguration-sequence
@@ -614,21 +749,25 @@ func (r *Runner) replacementModule() bool {
 	c := r.cur
 	// Entries satisfied by a cross-graph preload are already resident;
 	// consume them silently.
-	for c.recPos < len(c.rec) && c.state[c.rec[c.recPos]] != stateNotLoaded {
+	for c.recPos < len(c.rec) && c.tasks[c.rec[c.recPos]].state != stateNotLoaded {
 		c.recPos++
 	}
 	if c.recPos == len(c.rec) {
 		return false
 	}
 	local := c.rec[c.recPos]
+	t := &c.tasks[local]
 	id := c.g.Task(local).ID
 
 	// Reuse: the configuration is already resident somewhere.
 	if unit, ok := r.units.Find(id); ok {
 		r.units.CountReuse(unit)
-		c.state[local] = stateReady
-		c.ruOf[local] = unit
-		c.reused[local] = true
+		t.state = stateReady
+		t.ru = unit
+		t.reused = true
+		if t.predsLeft == 0 {
+			c.startable++
+		}
 		c.recPos++
 		r.protected.add(id)
 		return true
@@ -651,8 +790,8 @@ func (r *Runner) replacementModule() bool {
 	// Forced postponement (design-time mobility calculation, Fig. 6):
 	// consume one delay per event at which the load could have happened,
 	// provided a future event exists to wait for.
-	if c.delayLeft[local] > 0 && r.engine.Len() > 0 {
-		c.delayLeft[local]--
+	if t.delayLeft > 0 && r.pending() > 0 {
+		t.delayLeft--
 		r.res.ForcedSkips++
 		r.skipArmed = true
 		return false
@@ -667,20 +806,20 @@ func (r *Runner) replacementModule() bool {
 	}
 
 	dec := r.cfg.Policy.SelectVictim(policy.Request{
-		Task: id, Now: r.engine.Now(), Future: r.oracle(),
+		Task: id, Now: r.now, Future: r.oracle(),
 	}, cands)
 	r.checkDecision(dec, cands)
 
 	// Skip events (Fig. 8, steps 4–5): protect a reusable victim by
 	// postponing this load, if the task's mobility allows one more skip
 	// and there is a future event to wait for.
-	if r.cfg.SkipEvents && dec.Reusable && c.mobility[local] > c.skipped && r.engine.Len() > 0 {
+	if r.cfg.SkipEvents && dec.Reusable && t.mobility > c.skipped && r.pending() > 0 {
 		c.skipped++
 		r.res.Skips++
 		r.skipArmed = true
 		if r.tr != nil {
 			r.tr.Skips = append(r.tr.Skips, trace.Skip{
-				Task: id, Victim: dec.Victim, At: r.engine.Now(), Instance: c.item.Instance,
+				Task: id, Victim: dec.Victim, At: r.now, Instance: c.item.Instance,
 			})
 		}
 		return false
@@ -724,28 +863,28 @@ func (r *Runner) checkDecision(dec policy.Decision, cands []policy.Candidate) {
 // beginLoad starts the reconfiguration of the running graph's task id
 // onto the given unit.
 func (r *Runner) beginLoad(local int, id taskgraph.TaskID, unit int) {
-	r.cur.state[local] = stateLoading
+	r.cur.tasks[local].state = stateLoading
 	r.cur.recPos++
-	r.load(id, unit, r.cur.item.Instance)
+	r.load(local, id, unit, r.cur.item.Instance)
 }
 
-// load installs task id onto unit through the circuitry, pins it and
-// schedules the end of the reconfiguration; instance is the application
-// the load is for.
-func (r *Runner) load(id taskgraph.TaskID, unit, instance int) {
-	now := r.engine.Now()
+// load installs task id, at local index local of its graph, onto unit
+// through the circuitry and pins it; instance is the application the load
+// is for.
+func (r *Runner) load(local int, id taskgraph.TaskID, unit, instance int) {
+	now := r.now
 	evicted := r.units.Install(unit, id, now)
 	if evicted != taskgraph.NoTask {
 		r.res.Evictions++
 	}
 	latency := r.cfg.Latency
 	if r.cfg.LatencyFor != nil {
-		latency = r.cfg.LatencyFor(id)
+		latency = r.latencies[id]
 	}
 	end := r.recon.BeginLatency(id, unit, now, latency)
+	r.loadLocal = local
 	r.res.Loads++
 	r.protected.add(id)
-	r.engine.Schedule(end, sim.EndOfReconfiguration, id, unit)
 	if r.tr != nil {
 		r.tr.Loads = append(r.tr.Loads, trace.Load{
 			Task: id, RU: unit, Start: now, End: end,
@@ -764,14 +903,15 @@ func (r *Runner) preloadStep() bool {
 	if r.preloadFor != head.Instance {
 		r.preloadFor = head.Instance
 		r.preloadPos = 0
-		r.preloadDoneIDs = r.preloadDoneIDs[:0]
+		r.preloadDoneLocal = r.preloadDoneLocal[:0]
 		r.preloadDoneRUs = r.preloadDoneRUs[:0]
-		r.preloadInFlight = taskgraph.NoTask
+		r.preloadInFlight = false
 	}
 	g := head.Graph
 	rec := g.RecSequence()
 	for r.preloadPos < len(rec) {
-		id := g.Task(rec[r.preloadPos]).ID
+		local := rec[r.preloadPos]
+		id := g.Task(local).ID
 		if _, ok := r.units.Find(id); ok {
 			// Already resident (a completed preload or a leftover from an
 			// earlier instance): pin it so it survives until the instance
@@ -788,7 +928,7 @@ func (r *Runner) preloadStep() bool {
 				return false
 			}
 			dec := r.cfg.Policy.SelectVictim(policy.Request{
-				Task: id, Now: r.engine.Now(), Future: r.oracle(),
+				Task: id, Now: r.now, Future: r.oracle(),
 			}, cands)
 			r.checkDecision(dec, cands)
 			// Conservative mode: a preload is opportunistic, so never pay
@@ -802,9 +942,9 @@ func (r *Runner) preloadStep() bool {
 			}
 			unit = dec.RU
 		}
-		r.load(id, unit, head.Instance)
+		r.load(local, id, unit, head.Instance)
 		r.res.Preloads++
-		r.preloadInFlight = id
+		r.preloadInFlight = true
 		r.preloadPos++
 		return true
 	}

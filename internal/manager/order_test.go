@@ -2,10 +2,12 @@ package manager
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/dynlist"
+	"repro/internal/policy"
 	"repro/internal/taskgraph"
 	"repro/internal/workload"
 )
@@ -55,7 +57,7 @@ func TestEventOrderAtTies(t *testing.T) {
 	}
 	var b strings.Builder
 	for {
-		ev, _ := r.engine.Peek()
+		ev := peekEvent(r)
 		more, err := r.step()
 		if err != nil {
 			t.Fatal(err)
@@ -63,9 +65,9 @@ func TestEventOrderAtTies(t *testing.T) {
 		if !more {
 			break
 		}
-		fmt.Fprintf(&b, "pop %v arg=%d\n", ev, ev.Arg)
-		if n := r.engine.Len(); n > cfg.RUs+2 {
-			t.Errorf("after %v: %d pending events, want at most %d", ev, n, cfg.RUs+2)
+		fmt.Fprintf(&b, "pop %s\n", ev)
+		if n := r.pending(); n > cfg.RUs+2 {
+			t.Errorf("after %s: %d pending events, want at most %d", ev, n, cfg.RUs+2)
 		}
 	}
 	res := r.snapshot()
@@ -90,6 +92,27 @@ func TestEventOrderAtTies(t *testing.T) {
 	if got := b.String(); got != tieGolden {
 		t.Errorf("run changed:\n%s\nwant:\n%s", got, tieGolden)
 	}
+}
+
+// peekEvent renders the event step handles next: its time and kind, the
+// task and unit involved (0 and -1 for an arrival) and the arrival index
+// (0 for the other kinds). It is empty when no event is pending.
+func peekEvent(r *Runner) string {
+	kind, at, ok := r.next()
+	if !ok {
+		return ""
+	}
+	task, unit, arg := taskgraph.NoTask, -1, 0
+	switch kind {
+	case endOfExecution:
+		e := r.running[0]
+		task, unit = r.cur.g.Task(e.local).ID, e.unit
+	case endOfReconfiguration:
+		task, unit, _ = r.recon.InFlight()
+	case newTaskGraph:
+		arg = r.arrived
+	}
+	return fmt.Sprintf("%v %s task=%d ru=%d arg=%d", at, kind, task, unit, arg)
 }
 
 // tieGolden is the expected pop order, result and trace of the run.
@@ -166,3 +189,94 @@ graph {Name:fig2-tg2 Instance:3 Arrived:4 ms Started:46.5 ms Finished:62.5 ms}
 graph {Name:fig2-tg1 Instance:4 Arrived:6.5 ms Started:62.5 ms Finished:77 ms}
 graph {Name:fig2-tg2 Instance:5 Arrived:6.5 ms Started:77 ms Finished:89 ms}
 `
+
+// pops steps a run of cfg over feed to the end and returns every event it
+// handled, rendered by peekEvent.
+func pops(t *testing.T, cfg Config, feed dynlist.Feed) []string {
+	t.Helper()
+	r := NewRunner()
+	if err := r.Reset(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.start(feed); err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for {
+		ev := peekEvent(r)
+		more, err := r.step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !more {
+			return out
+		}
+		out = append(out, ev)
+	}
+}
+
+// timedFeed builds a feed of graphs arriving at the given instants.
+func timedFeed(t *testing.T, items ...dynlist.Item) dynlist.Feed {
+	t.Helper()
+	feed, err := dynlist.NewTimed(items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return feed
+}
+
+// wantPops fails unless got holds want as a contiguous run.
+func wantPops(t *testing.T, got []string, want ...string) {
+	t.Helper()
+	for i := 0; i+len(want) <= len(got); i++ {
+		if slices.Equal(got[i:i+len(want)], want) {
+			return
+		}
+	}
+	t.Errorf("pops do not contain\n  %s\ngot\n  %s", strings.Join(want, "\n  "), strings.Join(got, "\n  "))
+}
+
+// TestEqualEndsPopInStartOrder: two executions that end at one instant
+// pop in the order they started, not in local-index order. Task 2 loads
+// first and runs 4–10 ms; task 1 loads next and runs 8–10 ms.
+func TestEqualEndsPopInStartOrder(t *testing.T) {
+	g := taskgraph.NewBuilder("pair").
+		AddTask(1, "short", ms(2)).
+		AddTask(2, "long", ms(6)).
+		SetRecSequence(2, 1).
+		MustBuild()
+	got := pops(t, Config{RUs: 2, Latency: ms(4), Policy: policy.NewLRU()}, dynlist.NewSequence(g))
+	wantPops(t, got,
+		"10 ms end_of_execution task=2 ru=0 arg=0",
+		"10 ms end_of_execution task=1 ru=1 arg=0")
+}
+
+// TestKindOrderAtOneInstant: an execution end, a load end and an arrival
+// at one instant are handled in that order. Task 1 runs 4–8 ms while
+// task 2 loads 4–8 ms, and the second graph arrives at 8 ms.
+func TestKindOrderAtOneInstant(t *testing.T) {
+	g := taskgraph.NewBuilder("pair").
+		AddTask(1, "a", ms(4)).
+		AddTask(2, "b", ms(4)).
+		MustBuild()
+	feed := timedFeed(t, dynlist.Item{Graph: g}, dynlist.Item{Graph: workload.Fig2TG2(), Arrival: ms(8)})
+	got := pops(t, Config{RUs: 2, Latency: ms(4), Policy: policy.NewLRU()}, feed)
+	wantPops(t, got,
+		"8 ms end_of_execution task=1 ru=0 arg=0",
+		"8 ms end_of_reconfiguration task=2 ru=1 arg=0",
+		"8 ms new_task_graph task=0 ru=-1 arg=1")
+}
+
+// TestZeroLatencyLoadBeforeArrival: a zero-latency load begun at an
+// instant ends at that instant, never before it, and is handled before an
+// arrival at the same instant even though the arrival was pending first.
+// On one unit, task 2 can only load once task 1 ends at 2 ms.
+func TestZeroLatencyLoadBeforeArrival(t *testing.T) {
+	tg := taskgraph.Chain("chain", 1, ms(2), ms(2))
+	feed := timedFeed(t, dynlist.Item{Graph: tg}, dynlist.Item{Graph: workload.Fig2TG2(), Arrival: ms(2)})
+	got := pops(t, Config{RUs: 1, Policy: policy.NewLRU()}, feed)
+	wantPops(t, got,
+		"2 ms end_of_execution task=1 ru=0 arg=0",
+		"2 ms end_of_reconfiguration task=2 ru=0 arg=0",
+		"2 ms new_task_graph task=0 ru=-1 arg=1")
+}

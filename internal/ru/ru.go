@@ -235,6 +235,12 @@ func (r *Reconfigurator) Finish() (taskgraph.TaskID, int) {
 	return r.task, r.target
 }
 
+// End returns the in-flight load's completion time; active is false when
+// the circuitry is idle.
+func (r *Reconfigurator) End() (end simtime.Time, active bool) {
+	return r.busyUntil, r.active
+}
+
 // InFlight returns the task being loaded and its target while active.
 func (r *Reconfigurator) InFlight() (taskgraph.TaskID, int, bool) {
 	return r.task, r.target, r.active
