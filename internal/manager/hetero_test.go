@@ -94,3 +94,39 @@ func TestHeterogeneousZero(t *testing.T) {
 		t.Errorf("makespan = %v, want critical path %v", res.Makespan, want)
 	}
 }
+
+// TestNegativeLatencyForIsAnError: a negative per-task latency fails Run
+// with an error naming the task, even for a task that would never be
+// loaded, and leaves the Runner usable. LatencyFor is asked once per
+// distinct task.
+func TestNegativeLatencyForIsAnError(t *testing.T) {
+	asked := make(map[taskgraph.TaskID]int)
+	cfg := Config{
+		RUs: 2, Policy: policy.NewLRU(),
+		LatencyFor: func(id taskgraph.TaskID) simtime.Time {
+			asked[id]++
+			if id == 5 {
+				return -ms(1)
+			}
+			return ms(2)
+		},
+	}
+	tg1, tg2 := workload.Fig2TG1(), workload.Fig2TG2()
+	r := NewRunner()
+	_, err := r.Run(cfg, dynlist.NewSequence(tg1, tg1, tg2))
+	if want := "manager: negative latency -1 ms for task 5"; err == nil || err.Error() != want {
+		t.Fatalf("Run error = %v, want %q", err, want)
+	}
+	for id, n := range asked {
+		if n != 1 {
+			t.Errorf("LatencyFor asked %d times for task %d, want once", n, id)
+		}
+	}
+	res, err := r.Run(cfg, dynlist.NewSequence(tg1, tg1))
+	if err != nil {
+		t.Fatalf("runner unusable after the error: %v", err)
+	}
+	if res.Graphs != 2 {
+		t.Errorf("graphs = %d, want 2", res.Graphs)
+	}
+}

@@ -170,13 +170,13 @@ func loopCases(t *testing.T) ([]*taskgraph.Graph, []loopCase) {
 // TestEventLoopSteadyStateAllocs pins the tentpole guarantee: once a
 // Runner is warm, preparing and executing a whole simulation — event
 // loop, replacement decisions, next-use index build and queries, instance
-// bookkeeping — allocates nothing. Only the final result snapshot (which
-// must escape) is excluded, by driving the unexported phases directly.
+// bookkeeping, per-task latencies — allocates nothing, in every golden
+// configuration. Only the final result snapshot (which must escape) is
+// excluded, by driving the unexported phases directly.
 func TestEventLoopSteadyStateAllocs(t *testing.T) {
-	seq, cases := loopCases(t)
-	for _, c := range cases {
+	for _, c := range goldenCases(t) {
 		t.Run(c.name, func(t *testing.T) {
-			feed := dynlist.NewSequence(seq...)
+			feed := c.feed()
 			r := NewRunner()
 			runOnce := func() {
 				if err := r.Reset(c.cfg); err != nil {

@@ -172,6 +172,27 @@ func TestFirstErrorCancels(t *testing.T) {
 	}
 }
 
+// TestNegativeLatencyNamesScenario: a per-task latency function that
+// returns a negative value fails the sweep with an error naming the
+// scenario and the task, instead of panicking inside a worker.
+func TestNegativeLatencyNamesScenario(t *testing.T) {
+	spec := fig9Spec(t, 4)
+	spec.Policies = spec.Policies[:1]
+	odd := taskgraph.Chain("odd", 900, simtime.FromMs(2))
+	spec.Workloads = append(spec.Workloads, Workload{Label: "odd", Seq: []*taskgraph.Graph{odd}})
+	spec.LatencyFor = func(id taskgraph.TaskID) simtime.Time {
+		if id == 900 {
+			return -simtime.FromMs(1)
+		}
+		return workload.PaperLatency()
+	}
+	_, err := Executor{Workers: 2}.Run(spec)
+	want := `sweep: scenario 1 (odd LRU R=4 latency=4 ms): manager: negative latency -1 ms for task 900`
+	if err == nil || err.Error() != want {
+		t.Errorf("error = %v, want %q", err, want)
+	}
+}
+
 func TestNoBaseline(t *testing.T) {
 	spec := fig9Spec(t, 4)
 	spec.NoBaseline = true
