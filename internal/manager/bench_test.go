@@ -13,7 +13,9 @@ import (
 
 // BenchmarkEventLoop measures the steady-state hot loop on the paper's
 // 500-application workload shape: a warm Runner re-simulating the whole
-// sequence, reported per simulated event. Two custom metrics feed the CI
+// sequence, reported per simulated event. The legs are the Fig. 9
+// policies at 4 units, plus the costliest of them per event, LocalLFD1
+// with skip events, at the grid's top of 10 units. Two custom metrics feed the CI
 // budget gate (see .github/workflows/ci.yml):
 //
 //	ns/event     — wall time per processed simulator event
@@ -37,17 +39,28 @@ func BenchmarkEventLoop(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	// Every task gets mobility 1, a stand-in for the design-time tables:
+	// internal/mobility imports this package, so a test here cannot
+	// compute them.
+	ones := make([]int, 64)
+	for i := range ones {
+		ones[i] = 1
+	}
+	mobility := func(g *taskgraph.Graph) []int { return ones[:g.NumTasks()] }
+	lat := workload.PaperLatency()
 	cases := []struct {
 		name string
-		pol  policy.Policy
+		cfg  Config
 	}{
-		{"LRU", policy.NewLRU()},
-		{"LocalLFD1", local},
-		{"LFD", policy.NewLFD()},
+		{"LRU", Config{RUs: 4, Latency: lat, Policy: policy.NewLRU()}},
+		{"LocalLFD1", Config{RUs: 4, Latency: lat, Policy: local}},
+		{"LocalLFD1+Skip", Config{RUs: 4, Latency: lat, Policy: local, SkipEvents: true, Mobility: mobility}},
+		{"LFD", Config{RUs: 4, Latency: lat, Policy: policy.NewLFD()}},
+		{"LocalLFD1+Skip/RUs10", Config{RUs: 10, Latency: lat, Policy: local, SkipEvents: true, Mobility: mobility}},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
-			cfg := Config{RUs: 4, Latency: workload.PaperLatency(), Policy: c.pol}
+			cfg := c.cfg
 			run := dynlist.NewSequence(seq...)
 			r := NewRunner()
 			runOnce := func() uint64 {
@@ -64,8 +77,8 @@ func BenchmarkEventLoop(b *testing.B) {
 			}
 			runOnce() // warm the runner to its high-water mark
 			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
 			b.ResetTimer()
+			runtime.ReadMemStats(&before)
 			var events uint64
 			for i := 0; i < b.N; i++ {
 				events += runOnce()
