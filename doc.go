@@ -15,10 +15,11 @@
 //
 //   - internal/core — the public facade: configure a System, run
 //     workloads, get the paper's metrics.
-//   - internal/taskgraph, internal/sim, internal/ru — the substrates:
-//     task-graph model, discrete-event engine, reconfigurable-unit array.
+//   - internal/taskgraph, internal/ru — the substrates: task-graph model
+//     and reconfigurable-unit array.
 //   - internal/manager — the event-triggered execution manager (paper
-//     Fig. 4) with the replacement module (Fig. 8).
+//     Fig. 4) with the replacement module (Fig. 8); it is also the
+//     discrete-event simulator, reading the pending events off its state.
 //   - internal/policy — LRU, FIFO, MRU, Random, LFD and Local LFD.
 //   - internal/mobility — the design-time phase (Fig. 6), with a
 //     process-wide memoized table cache keyed by (template, RUs, latency).

@@ -30,7 +30,8 @@
 // executing task ends once, the single circuitry has at most one load in
 // flight, and arrivals are handled in order, so the next event is the
 // earliest of the first execution to end, the in-flight load's end and the
-// next arrival.
+// next arrival. At one instant, executions end first (in start order),
+// then the load, then the arrival.
 //
 // The steady-state event loop is allocation-free: a Runner owns every
 // piece of per-run state (running executions, unit array, instance
