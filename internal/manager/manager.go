@@ -234,11 +234,11 @@ func resize[T any](s []T, n int) []T {
 
 // Runner is a reusable simulation runner. One Runner executes any number
 // of runs sequentially, recycling every internal structure — running
-// executions, unit array, instance bookkeeping, next-use index, candidate buffer — so
-// that after the first run the event loop allocates nothing. Reuse is
-// observationally invisible: a reused Runner produces byte-identical
-// results to a fresh one (property-tested). A Runner is not safe for
-// concurrent use; give each goroutine its own.
+// executions, unit array, instance bookkeeping, next-use index, candidate
+// buffer — so that after the first run the event loop allocates nothing.
+// Reuse is observationally invisible: a reused Runner produces
+// byte-identical results to a fresh one (property-tested). A Runner is not
+// safe for concurrent use; give each goroutine its own.
 type Runner struct {
 	cfg   Config
 	now   simtime.Time

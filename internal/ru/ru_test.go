@@ -188,9 +188,15 @@ func TestReconfigurator(t *testing.T) {
 	if !active || task != 7 || tgt != 2 {
 		t.Errorf("InFlight = %d,%d,%v", task, tgt, active)
 	}
+	if at, active := r.End(); !active || at != ms(14) {
+		t.Errorf("End = %v,%v, want 14 ms,true", at, active)
+	}
 	task, tgt = r.Finish()
 	if task != 7 || tgt != 2 || !r.Idle() {
 		t.Errorf("Finish = %d,%d idle=%v", task, tgt, r.Idle())
+	}
+	if _, active := r.End(); active {
+		t.Error("End reports a load after Finish")
 	}
 	if r.Loads() != 1 || r.BusyTotal() != ms(4) {
 		t.Errorf("stats: loads=%d busy=%v", r.Loads(), r.BusyTotal())
