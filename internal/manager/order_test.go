@@ -34,8 +34,8 @@ func tieArrivals(t *testing.T) *dynlist.SliceFeed {
 
 // TestEventOrderAtTies pins the pop order, the result and the trace of a
 // run whose arrivals coincide with each other and with both other event
-// kinds, and checks that the queue never holds more than the in-flight
-// events: one per unit, one load and the next arrival.
+// kinds, and checks that no more than the in-flight events are ever
+// pending: one per unit, one load and the next arrival.
 func TestEventOrderAtTies(t *testing.T) {
 	cfg := Config{
 		RUs: 2, Latency: ms(4), Policy: mustLocalLFD(t, 1), RecordTrace: true,
