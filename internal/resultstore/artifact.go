@@ -13,6 +13,10 @@ import (
 // results use).
 const ArtifactSchemaVersion = 1
 
+// IdealKind tags the zero-latency ideal baselines internal/sweep stores.
+// The payload is a Run, so the kind version is SchemaVersion (see GC).
+const IdealKind = "ideal-run"
+
 // Artifact is the envelope for a persisted design-time artifact: the
 // output of a phase that is a pure function of its inputs (mobility
 // tables first — see internal/artifact), stored next to results in the

@@ -12,11 +12,11 @@ import (
 	"repro/internal/simtime"
 )
 
-// Entry is one stored scenario outcome: the raw run, its zero-latency
-// ideal baseline and the derived summary (the latter two absent for
-// sweeps run without baselines). Schema and Key are stamped by Put. It
-// is stored as one JSON object, every field a plain JSON value except
-// the runs' completions blobs; a 2000-app Fig. 9 entry is ~9.5 KB.
+// Entry is one stored scenario outcome: the raw run and the derived
+// summary (absent without baselines); since v4 the ideal baseline lives
+// only in its IdealKind artifact. Schema and Key are stamped by Put. It
+// is one JSON object, all plain values but the run's completions blob; a
+// 2000-app Fig. 9 entry is ~4.9 KB (its ideal artifact another ~4.7 KB).
 type Entry struct {
 	Schema int    `json:"schema"`
 	Key    string `json:"key"`
@@ -44,7 +44,6 @@ type Entry struct {
 	RetriedAtNS int64  `json:"retried_at_ns,omitempty"`
 
 	Run     *Run             `json:"run"`
-	Ideal   *Run             `json:"ideal,omitempty"`
 	Summary *metrics.Summary `json:"summary,omitempty"`
 }
 
@@ -94,12 +93,13 @@ func RecordRun(r *manager.Result) *Run {
 
 // Result reconstructs a manager.Result from the record. Trace and
 // Templates are nil — by construction no stored scenario was recorded
-// with tracing enabled.
+// with tracing enabled. The Result shares r's Completions: callers decode
+// a Run only to convert it, so the decoded slice is handed over.
 func (r *Run) Result() *manager.Result {
 	if r == nil {
 		return nil
 	}
-	res := &manager.Result{
+	return &manager.Result{
 		Makespan:    r.Makespan,
 		Executed:    r.Executed,
 		Reused:      r.Reused,
@@ -109,12 +109,9 @@ func (r *Run) Result() *manager.Result {
 		ForcedSkips: r.ForcedSkips,
 		Preloads:    r.Preloads,
 		Graphs:      r.Graphs,
+		Completions: r.Completions,
 		Events:      r.Events,
 	}
-	if len(r.Completions) > 0 {
-		res.Completions = append([]simtime.Time(nil), r.Completions...)
-	}
-	return res
 }
 
 // Completions is a run's per-instance completion times, in instance

@@ -37,7 +37,8 @@
 // Schema history: v2 added elapsed_ns and took the schema out of the
 // keys; v3 stores each run's completions as a delta-varint blob (see
 // Completions) instead of an array of integers, which cut a 2000-app
-// entry from ~37 KB to ~9.5 KB and with it the cost of every decode.
+// entry from ~37 KB to ~9.5 KB and with it the cost of every decode; v4
+// drops the embedded ideal baseline (see SchemaVersion).
 //
 // Two lookups with two accounting rules: Get serves a full entry and
 // counts a hit or a miss; Probe serves identically but counts only the
@@ -75,12 +76,17 @@ import (
 // re-simulated and overwritten in place, and `-store-gc` removes any
 // leftover.
 //
+// v4: Entry.Ideal is gone; a baseline's only copy is its IdealKind
+// artifact, written before the first entry it normalizes and read by
+// every hit. v3 entries miss and are overwritten in place; GC removes
+// them and IdealKind artifacts of other versions.
+//
 // Strictly-additive optional fields do NOT bump the version: ElapsedNS
 // landed inside v2, and the retry metadata (Attempts, LastError,
 // RetriedAtNS) followed the same pattern — old entries decode with the
 // zero values and stay servable, because reports never read these
 // fields.
-const SchemaVersion = 3
+const SchemaVersion = 4
 
 // Store is a content-addressed result store over a Backend. The zero
 // value is not usable; call Open (fs), OpenMem, OpenSQLite, OpenURL,
@@ -237,11 +243,7 @@ func (s *Store) get(key string) (*Entry, bool) {
 	if !ok {
 		return nil, false
 	}
-	e, ok := decodeServable(key, data)
-	if !ok {
-		return nil, false
-	}
-	return e, true
+	return decodeServable(key, data)
 }
 
 // decodeServable is the single definition of "this entry may be
@@ -343,8 +345,9 @@ type GCStats struct {
 // survives when it is servable either as a result (decodeServable) or
 // as a design-time artifact (decodeArtifactServable) — the two
 // envelopes share the key space, and a result-schema bump must not
-// throw away design-time work. Backend junk (leftover temp files and
-// the like) is swept too and counted in Removed.
+// throw away design-time work — except an IdealKind artifact of another
+// SchemaVersion, a stale Run. Backend junk (leftover temp files and the
+// like) is swept too and counted in Removed.
 func (s *Store) GC() (GCStats, error) {
 	var st GCStats
 	var stale []string
@@ -353,7 +356,7 @@ func (s *Store) GC() (GCStats, error) {
 			st.Kept++
 			return nil
 		}
-		if _, ok := decodeArtifactServable(key, data); ok {
+		if a, ok := decodeArtifactServable(key, data); ok && (a.Kind != IdealKind || a.KindVersion == SchemaVersion) {
 			st.Kept++
 			return nil
 		}

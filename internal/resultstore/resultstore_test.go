@@ -30,7 +30,6 @@ func sampleEntry() *Entry {
 			Completions: []simtime.Time{simtime.FromMs(30), simtime.FromMs(70)},
 			Events:      42,
 		},
-		Ideal: &Run{Makespan: simtime.FromMs(50), Executed: 15, Graphs: 3, Events: 40},
 		Summary: &metrics.Summary{
 			PolicyName: "LRU", RUs: 4, Latency: simtime.FromMs(4),
 			Executed: 15, Reused: 5, Loads: 10, Skips: 1,
@@ -60,7 +59,6 @@ func TestPutGetRoundTrip(t *testing.T) {
 		t.Errorf("entry stamped schema=%d key=%q", got.Schema, got.Key)
 	}
 	if !reflect.DeepEqual(got.Run, want.Run) ||
-		!reflect.DeepEqual(got.Ideal, want.Ideal) ||
 		!reflect.DeepEqual(got.Summary, want.Summary) {
 		t.Errorf("round trip mutated the entry:\ngot  %+v\nwant %+v", got, want)
 	}
@@ -70,6 +68,34 @@ func TestPutGetRoundTrip(t *testing.T) {
 	}
 	if !strings.Contains(s.SummaryLine(), "1 hits, 1 misses, 1 entries written") {
 		t.Errorf("summary line %q", s.SummaryLine())
+	}
+}
+
+// TestGetsNeverShareCompletions: Run.Result hands the completions a Get
+// decoded over to the Result instead of copying them, so the pin is that
+// every Get decodes into its own array — a caller changing one result's
+// completions can never reach another's.
+func TestGetsNeverShareCompletions(t *testing.T) {
+	s := OpenMem()
+	key := testKey(1)
+	if err := s.Put(key, sampleEntry()); err != nil {
+		t.Fatal(err)
+	}
+	a, okA := s.Get(key)
+	b, okB := s.Get(key)
+	if !okA || !okB {
+		t.Fatal("miss after Put")
+	}
+	ra, rb := a.Run.Result(), b.Run.Result()
+	if &ra.Completions[0] != &a.Run.Completions[0] {
+		t.Error("Result copied the decoded completions instead of taking them over")
+	}
+	if &ra.Completions[0] == &rb.Completions[0] {
+		t.Fatal("two Gets of one key share a completions backing array")
+	}
+	ra.Completions[0]++
+	if want := sampleEntry().Run.Completions; !reflect.DeepEqual(rb.Completions, []simtime.Time(want)) {
+		t.Errorf("changing one Get's completions changed another's: %v, want %v", rb.Completions, want)
 	}
 }
 

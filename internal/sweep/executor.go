@@ -47,8 +47,8 @@ import (
 // comes to the best possible makespan.
 //
 // With a Store attached, every scenario's canonical config hash is looked
-// up before it runs: hits are served from disk (neither the simulation
-// nor its ideal baseline reruns) and misses are written back on
+// up before it runs: hits are served from disk (entry and ideal-baseline
+// artifact: nothing reruns) and misses are written back on
 // completion — unless the sweep has already failed, in which case no
 // further entries are persisted (a cancelled sweep must never silently
 // populate the store with the scenarios that happened to finish). Stored
@@ -426,12 +426,11 @@ func scenarioLoad(sc *Scenario) float64 {
 func (e Executor) runStored(sp *Spec, sc Scenario, ideals *idealCache, runner *manager.Runner, key string, stop <-chan struct{}) (*Result, error) {
 	if key != "" {
 		if e.RequireStored && e.StoreWait != nil {
-			return e.awaitStored(sp, sc, key, stop)
+			return e.awaitStored(sp, sc, ideals, runner, key, stop)
 		}
 		if ent, ok := e.Store.Get(key); ok {
-			if res := resultFromEntry(sp, sc, ent); res != nil {
-				res.stored = true
-				return res, nil
+			if res, err := resultFromEntry(sp, sc, ent, ideals, runner); res != nil || err != nil {
+				return res, err
 			}
 		}
 		if e.RequireStored {
@@ -456,7 +455,6 @@ func (e Executor) runStored(sp *Spec, sc Scenario, ideals *idealCache, runner *m
 		ElapsedNS: int64(res.Elapsed),
 		Attempts:  retry.attempts,
 		Run:       resultstore.RecordRun(res.Run),
-		Ideal:     resultstore.RecordRun(res.Ideal),
 		Summary:   res.Summary,
 	}
 	if retry.attempts > 1 {
@@ -568,15 +566,14 @@ type StoreWait struct {
 // awaitStored serves one scenario from the store the moment a producer
 // lands it, per the StoreWait contract above. stop aborts the wait when
 // the sweep fails elsewhere.
-func (e Executor) awaitStored(sp *Spec, sc Scenario, key string, stop <-chan struct{}) (*Result, error) {
+func (e Executor) awaitStored(sp *Spec, sc Scenario, ideals *idealCache, runner *manager.Runner, key string, stop <-chan struct{}) (*Result, error) {
 	poll := e.StoreWait.Poll
 	if poll <= 0 {
 		poll = 200 * time.Millisecond
 	}
 	serve := func(ent *resultstore.Entry) (*Result, error) {
-		if res := resultFromEntry(sp, sc, ent); res != nil {
-			res.stored = true
-			return res, nil
+		if res, err := resultFromEntry(sp, sc, ent, ideals, runner); res != nil || err != nil {
+			return res, err
 		}
 		return nil, fmt.Errorf("entry in result store %s lacks a part this sweep needs (damaged store?)", e.Store.Dir())
 	}
@@ -604,21 +601,24 @@ func (e Executor) awaitStored(sp *Spec, sc Scenario, key string, stop <-chan str
 	}
 }
 
-// resultFromEntry rebuilds a scenario result from a store entry, or
-// returns nil when the entry lacks a part this sweep needs (only possible
-// for a hand-damaged store — the baseline flag is part of the key).
-func resultFromEntry(sp *Spec, sc Scenario, ent *resultstore.Entry) *Result {
-	res := &Result{Scenario: sc, Run: ent.Run.Result()}
+// resultFromEntry rebuilds a scenario result from a store entry and the
+// ideal cache (which re-simulates a missing baseline on runner), or
+// returns nil when the entry lacks its summary (only possible for a
+// hand-damaged store — the baseline flag is part of the key).
+func resultFromEntry(sp *Spec, sc Scenario, ent *resultstore.Entry, ideals *idealCache, runner *manager.Runner) (*Result, error) {
+	res := &Result{Scenario: sc, Run: ent.Run.Result(), stored: true}
 	if sp.NoBaseline {
-		return res
+		return res, nil
 	}
-	if ent.Ideal == nil || ent.Summary == nil {
-		return nil
+	if ent.Summary == nil {
+		return nil, nil
 	}
-	res.Ideal = ent.Ideal.Result()
-	sum := *ent.Summary
-	res.Summary = &sum
-	return res
+	ideal, err := ideals.get(sc.WorkloadIdx, sc.RUs, runner)
+	if err != nil {
+		return nil, fmt.Errorf("ideal baseline: %w", err)
+	}
+	res.Ideal, res.Summary = ideal, ent.Summary
+	return res, nil
 }
 
 // runScenario simulates one scenario on the worker's reusable runner:
@@ -691,19 +691,13 @@ func (w *Workload) templates() []*taskgraph.Graph {
 	return out
 }
 
-// idealKind tags ideal-baseline artifacts in the result store. Their
-// KindVersion is resultstore.SchemaVersion: the payload is a
-// resultstore.Run, so a result-schema bump re-simulates the ideals along
-// with the outcomes they normalize.
-const idealKind = "ideal-run"
-
 // idealKey derives the store key of the ideal baseline of (workload
 // content key, RUs). The kind tag is folded in first for domain
 // separation from scenario keys and other artifacts; latency and policy
 // are not inputs, because every ideal runs at zero latency under LRU.
 func idealKey(wlKey string, rus int) string {
 	h := resultstore.NewHash()
-	h.String("artifact", idealKind)
+	h.String("artifact", resultstore.IdealKind)
 	h.String("workload", wlKey)
 	h.Int("rus", int64(rus))
 	return h.Sum()
@@ -715,7 +709,8 @@ func idealKey(wlKey string, rus int) string {
 // computation. The second, with a store and workload keys (a cacheable
 // spec), is the store's artifact space: every executor over one store —
 // each shard and each experiment of a campaign, in any process — then
-// simulates a given baseline once per store, not once per sweep.
+// simulates a given baseline once per store, not once per sweep. Store
+// hits read it here too: the artifact is the baseline's only copy.
 //
 // The baseline runs the LRU policy, exactly as the paper's figures do.
 // At zero latency the timing does not depend on the policy (pinned by
@@ -773,7 +768,7 @@ func (c *idealCache) load(workload, rus int, runner *manager.Runner) (*manager.R
 	var key string
 	if c.wlKeys != nil {
 		key = idealKey(c.wlKeys[workload], rus)
-		if a, ok := c.store.GetArtifact(key, idealKind, resultstore.SchemaVersion); ok {
+		if a, ok := c.store.GetArtifact(key, resultstore.IdealKind, resultstore.SchemaVersion); ok {
 			var run resultstore.Run
 			if json.Unmarshal(a.Payload, &run) == nil && run.Graphs == len(seq) && len(run.Completions) == len(seq) {
 				return run.Result(), nil
@@ -790,7 +785,7 @@ func (c *idealCache) load(workload, rus int, runner *manager.Runner) (*manager.R
 		// A failed write costs the next executor a re-simulation, never
 		// this result; the store counts it in SummaryLine.
 		_ = c.store.PutArtifact(key, &resultstore.Artifact{
-			Kind:        idealKind,
+			Kind:        resultstore.IdealKind,
 			KindVersion: resultstore.SchemaVersion,
 			Label:       fmt.Sprintf("ideal %s rus=%d", c.sp.Workloads[workload].Label, rus),
 			Payload:     payload,

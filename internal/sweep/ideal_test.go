@@ -2,10 +2,12 @@ package sweep
 
 import (
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/dynlist"
 	"repro/internal/faultstore"
@@ -135,7 +137,7 @@ func TestIdealBaselineSharedAcrossExecutors(t *testing.T) {
 // a fresh handle, failing the test when it is absent or not current.
 func idealArtifact(t *testing.T, store *resultstore.Store, key string) *resultstore.Run {
 	t.Helper()
-	a, ok := resultstore.FromBackend(store.Backend()).GetArtifact(key, idealKind, resultstore.SchemaVersion)
+	a, ok := resultstore.FromBackend(store.Backend()).GetArtifact(key, resultstore.IdealKind, resultstore.SchemaVersion)
 	if !ok {
 		t.Fatalf("no current ideal artifact under %s", key[:12])
 	}
@@ -174,9 +176,9 @@ func TestIdealArtifactInvalidation(t *testing.T) {
 	}
 
 	cases := map[string]resultstore.Artifact{
-		"stale kind version": {Kind: idealKind, KindVersion: resultstore.SchemaVersion - 1, Payload: tamperedPayload},
-		"undecodable":        {Kind: idealKind, KindVersion: resultstore.SchemaVersion, Payload: json.RawMessage(`{"completions":"!"}`)},
-		"wrong shape":        {Kind: idealKind, KindVersion: resultstore.SchemaVersion, Payload: json.RawMessage(`{"makespan":1,"graphs":1}`)},
+		"stale kind version": {Kind: resultstore.IdealKind, KindVersion: resultstore.SchemaVersion - 1, Payload: tamperedPayload},
+		"undecodable":        {Kind: resultstore.IdealKind, KindVersion: resultstore.SchemaVersion, Payload: json.RawMessage(`{"completions":"!"}`)},
+		"wrong shape":        {Kind: resultstore.IdealKind, KindVersion: resultstore.SchemaVersion, Payload: json.RawMessage(`{"makespan":1,"graphs":1}`)},
 	}
 	for name, bad := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -247,5 +249,93 @@ func TestIdealBaselineBypassesStoreWithoutKeys(t *testing.T) {
 	}
 	if hits, misses, puts := store.ArtifactStats(); hits+misses+puts != 0 {
 		t.Errorf("uncacheable spec touched the artifact space: %d/%d/%d", hits, misses, puts)
+	}
+}
+
+// renderRows renders each result as one line: scenario, summary and the
+// stored form of its ideal baseline, completions included.
+func renderRows(results []*Result) []string {
+	rows := make([]string, len(results))
+	for i, r := range results {
+		rows[i] = fmt.Sprintf("%s %+v %+v", r.Scenario.Name(), *r.Summary, *resultstore.RecordRun(r.Ideal))
+	}
+	return rows
+}
+
+// TestMergeSurvivesDamagedIdealArtifacts: since schema v4 the ideal-run
+// artifact is the only stored copy of a baseline, so a merge must
+// survive losing one. With one artifact deleted and another truncated,
+// a RequireStored merge and a StoreWait watch merge each serve every
+// entry (0 misses), render rows byte-identical to a live run, and
+// re-simulate exactly the two affected baselines, writing them back.
+func TestMergeSurvivesDamagedIdealArtifacts(t *testing.T) {
+	spec := twoWorkloadSpec(t, 4, 5)
+	ref, err := Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := renderRows(ref.Results)
+	scenarios, err := spec.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, wlKeys, err := spec.scenarioKeysFor(scenarios)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantIdeal := make(map[string]*resultstore.Run)
+	for _, r := range ref.Results {
+		wantIdeal[idealKey(wlKeys[r.Scenario.WorkloadIdx], r.Scenario.RUs)] = resultstore.RecordRun(r.Ideal)
+	}
+	deleted, torn := idealKey(wlKeys[0], 4), idealKey(wlKeys[1], 5)
+	merges := []struct {
+		name string
+		wait *StoreWait
+	}{
+		{"require stored", nil},
+		{"store wait", &StoreWait{Poll: time.Millisecond, Done: func() (bool, error) { return true, nil }}},
+	}
+
+	for _, bk := range storetest.Backends(t) {
+		t.Run(bk.Name, func(t *testing.T) {
+			store, reopen := bk.Open(t)
+			if err := (Executor{Workers: 2, Store: store}).Collect(spec, Discard); err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range merges {
+				b := store.Backend()
+				if err := b.Delete(deleted); err != nil {
+					t.Fatal(err)
+				}
+				data, ok := b.Load(torn)
+				if !ok {
+					t.Fatal("populate stored no ideal artifact to truncate")
+				}
+				if err := b.Store(torn, data[:len(data)/2]); err != nil {
+					t.Fatal(err)
+				}
+
+				merge := reopen(t)
+				rs, err := (Executor{Workers: 2, Store: merge, RequireStored: true, StoreWait: m.wait}).Run(spec)
+				if err != nil {
+					t.Fatalf("%s merge: %v", m.name, err)
+				}
+				if got := renderRows(rs.Results); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s merge rows differ from the live run:\n got %q\nwant %q", m.name, got, want)
+				}
+				if hits, misses, puts := merge.Stats(); hits != int64(spec.Size()) || misses != 0 || puts != 0 {
+					t.Errorf("%s merge: %d hits, %d misses, %d puts; want %d hits and nothing else", m.name, hits, misses, puts, spec.Size())
+				}
+				if hits, misses, puts := merge.ArtifactStats(); hits != int64(len(wantIdeal)-2) || misses != 2 || puts != 2 {
+					t.Errorf("%s merge artifacts: %d hits, %d misses, %d puts; want %d hits and the 2 damaged baselines re-simulated and written",
+						m.name, hits, misses, puts, len(wantIdeal)-2)
+				}
+				for _, k := range []string{deleted, torn} {
+					if got := idealArtifact(t, store, k); !reflect.DeepEqual(got, wantIdeal[k]) {
+						t.Errorf("%s merge wrote back %+v under %s, want %+v", m.name, got, k[:12], wantIdeal[k])
+					}
+				}
+			}
+		})
 	}
 }

@@ -31,17 +31,6 @@ func (b *loadCounter) take() map[string]int {
 	return got
 }
 
-// total is the number of loads counted since the last take.
-func (b *loadCounter) total() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	n := 0
-	for _, c := range b.loads {
-		n += c
-	}
-	return n
-}
-
 // wantLoads checks that got holds exactly one load of every key in want
 // and nothing else.
 func wantLoads(t *testing.T, what string, got map[string]int, want []string) {
@@ -58,11 +47,13 @@ func wantLoads(t *testing.T, what string, got map[string]int, want []string) {
 }
 
 // TestWarmCollectLoadsEachEntryOnce is the single-read pin, on every
-// backend: a cold populate loads each scenario key once (its miss) plus
-// each distinct (workload, RUs) ideal artifact once; a fully warm Collect
-// loads each owned scenario's entry exactly once — to serve it — and
-// nothing before its first dispatch, so no pass over the store precedes
-// the work.
+// backend. A cold populate loads each scenario key once (its miss) plus
+// each distinct (workload, RUs) ideal artifact once. A fully warm Collect
+// loads exactly the same: each owned scenario's entry once, to serve it,
+// and each distinct ideal artifact once, the only stored copy of the
+// baseline its entries share. Before its first dispatch it loads at most
+// the dispatched scenario's entry and that scenario's ideal, so no pass
+// over the store precedes the work.
 func TestWarmCollectLoadsEachEntryOnce(t *testing.T) {
 	spec := twoWorkloadSpec(t, 4, 5)
 	spec.Shard = Shard{Index: 1, Count: 2} // owned ⊂ grid: unowned keys must stay unread
@@ -86,6 +77,7 @@ func TestWarmCollectLoadsEachEntryOnce(t *testing.T) {
 			ideals = append(ideals, k)
 		}
 	}
+	all := append(append([]string(nil), owned...), ideals...)
 
 	for _, bk := range storetest.Backends(t) {
 		t.Run(bk.Name, func(t *testing.T) {
@@ -96,24 +88,32 @@ func TestWarmCollectLoadsEachEntryOnce(t *testing.T) {
 			if err := (Executor{Workers: 2, Store: store}).Collect(spec, Discard); err != nil {
 				t.Fatal(err)
 			}
-			wantLoads(t, "cold populate", counter.take(), append(append([]string(nil), owned...), ideals...))
+			wantLoads(t, "cold populate", counter.take(), all)
 
-			atFirst := -1
+			var early map[string]int
+			first := -1
 			ex := Executor{Workers: 2, Store: store}
-			ex.observeDispatch = func(int) {
-				if atFirst < 0 {
-					atFirst = counter.total()
+			ex.observeDispatch = func(i int) {
+				if early == nil {
+					early, first = counter.take(), i
 				}
 			}
 			if err := ex.Collect(spec, Discard); err != nil {
 				t.Fatal(err)
 			}
 			// The first dispatched worker may already have loaded its own
-			// entry when the hook runs; any earlier pass would show more.
-			if atFirst > 1 {
-				t.Errorf("warm Collect made %d loads before its first dispatch, want at most the dispatched scenario's own", atFirst)
+			// entry and ideal when the hook runs; any earlier pass would
+			// show more.
+			sc := scenarios[first]
+			own := map[string]bool{keys[first]: true, idealKey(wlKeys[sc.WorkloadIdx], sc.RUs): true}
+			rest := counter.take()
+			for k, n := range early {
+				if !own[k] || n != 1 {
+					t.Errorf("warm Collect loaded %s %d times before its first dispatch, want at most the dispatched scenario's entry and ideal, once each", k[:12], n)
+				}
+				rest[k] += n
 			}
-			wantLoads(t, "warm Collect", counter.take(), owned)
+			wantLoads(t, "warm Collect", rest, all)
 			if hits, misses, _ := store.Stats(); hits != int64(len(owned)) || misses != int64(len(owned)) {
 				t.Errorf("stats hits=%d misses=%d, want %d cold misses then %d warm hits", hits, misses, len(owned), len(owned))
 			}

@@ -95,9 +95,9 @@ func TestStoreWarmRunIdentical(t *testing.T) {
 // TestSchemaV2EntryMigrates pins the v2 → v3 schema bump on a literal
 // v2 entry, completions still a JSON integer array: Get and Probe miss,
 // a sweep re-simulates the scenario
-// and overwrites the entry in place as v3 (storing its ideal baseline as
-// an artifact), and GC removes a v2 entry nobody re-simulated while it
-// keeps the v3 entry and the ideal artifact.
+// and overwrites the entry in place at the current schema (storing its
+// ideal baseline as an artifact), and GC removes a v2 entry nobody
+// re-simulated while it keeps the current entry and the ideal artifact.
 func TestSchemaV2EntryMigrates(t *testing.T) {
 	dir := t.TempDir()
 	store, err := resultstore.Open(dir)
@@ -179,6 +179,104 @@ func TestSchemaV2EntryMigrates(t *testing.T) {
 	}
 	if _, err := os.Stat(path(leftover)); !os.IsNotExist(err) {
 		t.Errorf("v2 leftover survived gc: %v", err)
+	}
+}
+
+// TestSchemaV3EntryMigrates pins the v3 → v4 schema bump on every
+// backend, on a literal v3 entry that embeds its ideal baseline next to
+// a v3 ideal-run artifact under the baseline's key: Get and Probe miss,
+// a sweep re-simulates the scenario and overwrites both in place as v4 —
+// the entry without an embedded ideal — and GC removes a v3 entry and a
+// v3 ideal-run artifact nobody re-simulated while it keeps the v4 entry
+// and its artifact.
+func TestSchemaV3EntryMigrates(t *testing.T) {
+	spec := fig9Spec(t, 4)
+	spec.Policies = spec.Policies[:1]
+	scenarios, err := spec.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys, wlKeys, err := spec.scenarioKeysFor(scenarios)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, ideal := keys[0], idealKey(wlKeys[0], 4)
+	const run = `{"makespan":70000,"executed":15,"reused":5,"loads":10,"evictions":6,"graphs":3,"completions":"kE4GCAE=","events":42}`
+	const v3Ideal = `{"makespan":50000,"executed":15,"loads":15,"graphs":3,"completions":"kE4GCAE=","events":40}`
+	v3Entry := func(key string) []byte {
+		return fmt.Appendf(nil, `{"schema":3,"key":%q,"elapsed_ns":4242,"run":%s,"ideal":%s,`+
+			`"summary":{"PolicyName":"LRU","RUs":4,"Latency":4000,"Executed":15,"Reused":5,"Loads":10,"Makespan":70000,"IdealMakespan":50000}}`,
+			key, run, v3Ideal)
+	}
+	v3Artifact := func(key string) []byte {
+		return fmt.Appendf(nil, `{"artifact_schema":1,"key":%q,"kind":%q,"kind_version":3,"payload":%s}`,
+			key, resultstore.IdealKind, v3Ideal)
+	}
+
+	for _, bk := range storetest.Backends(t) {
+		t.Run(bk.Name, func(t *testing.T) {
+			store, _ := bk.Open(t)
+			b := store.Backend()
+			write := func(key string, data []byte) {
+				t.Helper()
+				if err := b.Store(key, data); err != nil {
+					t.Fatal(err)
+				}
+			}
+			write(key, v3Entry(key))
+			write(ideal, v3Artifact(ideal))
+			if _, ok := store.Get(key); ok {
+				t.Error("Get served a v3 entry")
+			}
+			if _, ok := store.Probe(key); ok {
+				t.Error("Probe served a v3 entry")
+			}
+
+			res, err := (Executor{Workers: 1, Store: store}).Run(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, misses, puts := store.Stats(); misses != 2 || puts != 1 {
+				t.Errorf("sweep over a v3 entry: misses=%d puts=%d, want 2 (Get above + sweep) and 1", misses, puts)
+			}
+			if hits, misses, puts := store.ArtifactStats(); hits != 0 || misses != 1 || puts != 1 {
+				t.Errorf("sweep over a v3 ideal artifact: %d/%d/%d artifact hits/misses/puts, want 0/1/1", hits, misses, puts)
+			}
+			data, ok := b.Load(key)
+			if !ok {
+				t.Fatal("entry gone after the sweep")
+			}
+			var head map[string]json.RawMessage
+			if err := json.Unmarshal(data, &head); err != nil {
+				t.Fatal(err)
+			}
+			if string(head["schema"]) != fmt.Sprint(resultstore.SchemaVersion) || head["ideal"] != nil {
+				t.Errorf("entry after the sweep: schema %s, ideal %.20s; want v%d without an embedded ideal",
+					head["schema"], head["ideal"], resultstore.SchemaVersion)
+			}
+			if got := idealArtifact(t, store, ideal); !reflect.DeepEqual(got, resultstore.RecordRun(res.Results[0].Ideal)) {
+				t.Errorf("ideal artifact after the sweep: %+v, want the re-simulated baseline", got)
+			}
+
+			leftEntry, leftIdeal := strings.Repeat("ab", 32), strings.Repeat("cd", 32)
+			write(leftEntry, v3Entry(leftEntry))
+			write(leftIdeal, v3Artifact(leftIdeal))
+			st, err := store.GC()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Removed != 2 || st.Kept != 2 {
+				t.Errorf("gc removed %d kept %d, want the two v3 leftovers removed and the v4 entry plus its ideal artifact kept", st.Removed, st.Kept)
+			}
+			for _, k := range []string{leftEntry, leftIdeal} {
+				if _, ok := b.Load(k); ok {
+					t.Errorf("v3 leftover %s survived gc", k[:12])
+				}
+			}
+			if _, ok := store.Get(key); !ok {
+				t.Error("gc lost the v4 entry")
+			}
+		})
 	}
 }
 
