@@ -38,7 +38,7 @@ func main() {
 		latency  = flag.Float64("latency", 4, "reconfiguration latency in ms")
 		dot      = flag.Bool("dot", false, "also print the graph in Graphviz dot syntax")
 		asJSON   = flag.Bool("o-json", false, "emit the mobility table as JSON (the deployable design-time artefact)")
-		storeDir = flag.String("store", os.Getenv("RTR_STORE"), "result store locator (a directory, fs:DIR, mem:, or sqlite:FILE.db; default: $RTR_STORE): persist the computed tables as design-time artifacts for rtrsim/rtrrepro runs sharing the store")
+		storeDir = flag.String("store", os.Getenv("RTR_STORE"), "result store locator (a directory, fs:DIR, mem:, or an rtrserved campaign http(s)://HOST:PORT/c/ID; default: $RTR_STORE): persist the computed tables as design-time artifacts for rtrsim/rtrrepro runs sharing the store")
 		noStore  = flag.Bool("no-store", false, "disable the artifact store even when -store/$RTR_STORE is set")
 	)
 	flag.Parse()

@@ -210,14 +210,12 @@ func main() {
 			// prefix, so partial-output + resumed-output reassemble the
 			// plain report byte for byte. A completed merge resets the
 			// offset so a deliberate re-render prints in full.
-			if resume := campaign.LoadMergeOffset(cks, fingerprint); resume > 0 {
+			resume := campaign.LoadMergeOffset(cks, fingerprint)
+			if resume > 0 {
 				fmt.Fprintf(os.Stderr, "merge checkpoint: resuming at byte offset %d\n", resume)
-				out = &campaign.CheckpointedWriter{W: os.Stdout, Resume: resume,
-					Save: func(total int64) { campaign.SaveMergeOffset(cks, fingerprint, total) }}
-			} else {
-				out = &campaign.CheckpointedWriter{W: os.Stdout,
-					Save: func(total int64) { campaign.SaveMergeOffset(cks, fingerprint, total) }}
 			}
+			out = &campaign.CheckpointedWriter{W: os.Stdout, Resume: resume,
+				Save: func(total int64) { campaign.SaveMergeOffset(cks, fingerprint, total) }}
 			defer campaign.SaveMergeOffset(cks, fingerprint, 0)
 		}
 	}

@@ -2,7 +2,7 @@
 // result-store + coordinator pairs ("campaigns") that CLI workers and
 // merges reach through http(s) locators, with no shared filesystem.
 //
-//	rtrserved -listen :8080 -state sqlite:/var/lib/rtr -token s3cret
+//	rtrserved -listen :8080 -state fs:/var/lib/rtr -token s3cret
 //
 // Submit a campaign (the JSON spec mirrors the CLI flags; zero values
 // mean the CLI defaults):
@@ -53,7 +53,7 @@ import (
 func main() {
 	var (
 		listen = flag.String("listen", ":8080", "address to serve on (host:port)")
-		state  = flag.String("state", "", "campaign state root locator: a directory (or fs:DIR) for per-campaign subdirectories, sqlite:DIR for per-campaign database files, or mem: (required)")
+		state  = flag.String("state", "", "campaign state root locator: a directory (or fs:DIR) for per-campaign subdirectories, or mem: (required)")
 		token  = flag.String("token", os.Getenv("RTR_SERVE_TOKEN"),
 			"bearer token required on every request except /healthz (default: $RTR_SERVE_TOKEN); empty disables auth")
 		quiet = flag.Bool("quiet", false, "suppress per-request logging")
@@ -61,7 +61,7 @@ func main() {
 	flag.Parse()
 
 	if *state == "" {
-		fatal(errors.New("-state is required (fs:DIR, sqlite:DIR, or mem:)"))
+		fatal(errors.New("-state is required (fs:DIR or mem:)"))
 	}
 	logger := log.New(os.Stderr, "rtrserved: ", log.LstdFlags)
 	reqLog := logger

@@ -140,7 +140,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	seq, err := buildWorkload(*wl, *apps, *seed)
+	seq, err := campaign.BuildWorkload(*wl, *apps, *seed)
 	if err != nil {
 		fatal(err)
 	}
@@ -346,14 +346,12 @@ func runSweep(wl string, seq []*taskgraph.Graph, o sweepOptions, setup campaign.
 			// offset it had printed; the resumed render re-renders from the
 			// store and suppresses exactly that prefix, so partial output +
 			// resumed output reassemble the plain table byte for byte.
-			if resume := campaign.LoadMergeOffset(cks, fingerprint); resume > 0 {
+			resume := campaign.LoadMergeOffset(cks, fingerprint)
+			if resume > 0 {
 				fmt.Fprintf(os.Stderr, "merge checkpoint: resuming at byte offset %d\n", resume)
-				out = &campaign.CheckpointedWriter{W: os.Stdout, Resume: resume,
-					Save: func(total int64) { campaign.SaveMergeOffset(cks, fingerprint, total) }}
-			} else {
-				out = &campaign.CheckpointedWriter{W: os.Stdout,
-					Save: func(total int64) { campaign.SaveMergeOffset(cks, fingerprint, total) }}
 			}
+			out = &campaign.CheckpointedWriter{W: os.Stdout, Resume: resume,
+				Save: func(total int64) { campaign.SaveMergeOffset(cks, fingerprint, total) }}
 			defer campaign.SaveMergeOffset(cks, fingerprint, 0)
 		}
 	}
@@ -398,12 +396,6 @@ func sweepFingerprint(wl string, spec *sweep.Spec) string {
 		h.String("scenario", k)
 	}
 	return h.Sum()
-}
-
-// buildWorkload constructs the -workload sequence (shared with the
-// rtrserved renderer through internal/campaign).
-func buildWorkload(name string, apps int, seed int64) ([]*taskgraph.Graph, error) {
-	return campaign.BuildWorkload(name, apps, seed)
 }
 
 func fatal(err error) {

@@ -3,6 +3,7 @@ package main
 import (
 	"testing"
 
+	"repro/internal/campaign"
 	"repro/internal/resultstore"
 )
 
@@ -33,20 +34,20 @@ func TestStoreFlagResolution(t *testing.T) {
 }
 
 func TestBuildWorkload(t *testing.T) {
-	fig2, err := buildWorkload("fig2", 0, 0)
+	fig2, err := campaign.BuildWorkload("fig2", 0, 0)
 	if err != nil || len(fig2) != 5 {
 		t.Errorf("fig2: %d graphs, err %v", len(fig2), err)
 	}
-	fig3, err := buildWorkload("fig3", 0, 0)
+	fig3, err := campaign.BuildWorkload("fig3", 0, 0)
 	if err != nil || len(fig3) != 3 {
 		t.Errorf("fig3: %d graphs, err %v", len(fig3), err)
 	}
-	mm, err := buildWorkload("multimedia", 25, 1)
+	mm, err := campaign.BuildWorkload("multimedia", 25, 1)
 	if err != nil || len(mm) != 25 {
 		t.Errorf("multimedia: %d graphs, err %v", len(mm), err)
 	}
 	// Determinism by seed.
-	mm2, err := buildWorkload("multimedia", 25, 1)
+	mm2, err := campaign.BuildWorkload("multimedia", 25, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +56,7 @@ func TestBuildWorkload(t *testing.T) {
 			t.Errorf("seeded workload diverged at %d", i)
 		}
 	}
-	if _, err := buildWorkload("nope", 1, 1); err == nil {
+	if _, err := campaign.BuildWorkload("nope", 1, 1); err == nil {
 		t.Error("unknown workload accepted")
 	}
 }

@@ -7,7 +7,6 @@
 //	.rtr-store                   → fs backend rooted at .rtr-store
 //	fs:/mnt/campaign             → fs backend, explicit scheme
 //	mem:                         → in-process memory backend (ephemeral)
-//	sqlite:campaign.db           → single-file campaign database
 //	http://host:8080/c/ID        → campaign hosted by rtrserved
 //	https://host/c/ID            → same, over TLS
 //
@@ -24,18 +23,17 @@ import (
 
 // Recognized schemes.
 const (
-	SchemeFS     = "fs"
-	SchemeMem    = "mem"
-	SchemeSQLite = "sqlite"
-	SchemeHTTP   = "http"
-	SchemeHTTPS  = "https"
+	SchemeFS    = "fs"
+	SchemeMem   = "mem"
+	SchemeHTTP  = "http"
+	SchemeHTTPS = "https"
 )
 
 // Schemes lists every registered scheme, in the order error messages
 // enumerate them. New backends register here so "unknown scheme"
 // diagnostics can never go stale.
 func Schemes() []string {
-	return []string{SchemeFS, SchemeMem, SchemeSQLite, SchemeHTTP, SchemeHTTPS}
+	return []string{SchemeFS, SchemeMem, SchemeHTTP, SchemeHTTPS}
 }
 
 // schemeList renders Schemes for an error message: "fs:, mem:, ...".
@@ -56,10 +54,11 @@ func (l Locator) String() string {
 	return l.Scheme + ":" + l.Path
 }
 
-// looksLikeScheme reports whether raw starts with "<ident>:" where
-// <ident> is alphabetic. This keeps Windows-style "C:\x" and
-// relative paths with colons elsewhere out of the scheme namespace:
-// only all-letter prefixes of length ≥ 2 are treated as schemes.
+// splitScheme splits raw at its first colon when the prefix before it
+// is a scheme: two or more ASCII letters. It returns the lower-cased
+// scheme, the remainder after the colon, and ok=true; otherwise ok is
+// false and raw is a bare path. This keeps Windows-style "C:\x" and
+// relative paths with colons elsewhere out of the scheme namespace.
 func splitScheme(raw string) (scheme, rest string, ok bool) {
 	i := strings.IndexByte(raw, ':')
 	if i < 2 {
@@ -99,11 +98,6 @@ func Parse(flag, raw string) (Locator, error) {
 			return Locator{}, fmt.Errorf("%s: mem: takes no path (got %q, want mem:)", flag, rest)
 		}
 		return Locator{Scheme: SchemeMem}, nil
-	case SchemeSQLite:
-		if rest == "" {
-			return Locator{}, fmt.Errorf("%s: sqlite: missing path (want %s:FILE.db)", flag, SchemeSQLite)
-		}
-		return Locator{Scheme: SchemeSQLite, Path: filepath.Clean(rest)}, nil
 	case SchemeHTTP, SchemeHTTPS:
 		if !strings.HasPrefix(rest, "//") || rest == "//" {
 			return Locator{}, fmt.Errorf("%s: %s: missing host (want %s://HOST:PORT/c/ID)", flag, scheme, scheme)

@@ -52,8 +52,6 @@ func TestParseExplicitSchemes(t *testing.T) {
 		{"FS:/mnt/x/", Locator{SchemeFS, "/mnt/x"}},
 		{"mem:", Locator{SchemeMem, ""}},
 		{"MEM:", Locator{SchemeMem, ""}},
-		{"sqlite:campaign.db", Locator{SchemeSQLite, "campaign.db"}},
-		{"sqlite:./a//b.db", Locator{SchemeSQLite, "a/b.db"}},
 	}
 	for _, c := range cases {
 		got, err := Parse("-coord", c.raw)
@@ -68,15 +66,15 @@ func TestParseExplicitSchemes(t *testing.T) {
 
 // TestParseErrorsNameTheFlag pins the full message for each failure
 // mode: unknown scheme, missing path, and the empty locator. A user
-// running `rtrrepro -store sqlite:db -coord sqlit:db` must be told
-// which flag is wrong.
+// running `rtrrepro -store fs:db -coord sqlite:db` must be told which
+// flag is wrong, and a retired scheme is refused, never read as a path.
 func TestParseErrorsNameTheFlag(t *testing.T) {
 	cases := []struct {
 		flag, raw, want string
 	}{
-		{"-store", "redis:host", `-store: unknown backend scheme "redis" (registered schemes: fs:, mem:, sqlite:, http:, https:)`},
-		{"-coord", "sqlit:db", `-coord: unknown backend scheme "sqlit" (registered schemes: fs:, mem:, sqlite:, http:, https:)`},
-		{"-store", "sqlite:", `-store: sqlite: missing path (want sqlite:FILE.db)`},
+		{"-store", "redis:host", `-store: unknown backend scheme "redis" (registered schemes: fs:, mem:, http:, https:)`},
+		{"-coord", "sqlit:db", `-coord: unknown backend scheme "sqlit" (registered schemes: fs:, mem:, http:, https:)`},
+		{"-store", "sqlite:campaign.db", `-store: unknown backend scheme "sqlite" (registered schemes: fs:, mem:, http:, https:)`},
 		{"-coord", "fs:", `-coord: fs: missing path (want fs:DIR)`},
 		{"-store", "mem:stuff", `-store: mem: takes no path (got "stuff", want mem:)`},
 		{"-coord", "", `-coord: empty backend locator`},
@@ -113,7 +111,7 @@ func TestParseHTTP(t *testing.T) {
 }
 
 func TestLocatorStringRoundTrip(t *testing.T) {
-	for _, raw := range []string{"fs:store", "mem:", "sqlite:c.db", "http://h:1/c/x"} {
+	for _, raw := range []string{"fs:store", "mem:", "http://h:1/c/x", "https://h/c/x"} {
 		l, err := Parse("-store", raw)
 		if err != nil {
 			t.Fatal(err)

@@ -50,7 +50,7 @@ type CampaignFlags struct {
 func Register(fs *flag.FlagSet) *CampaignFlags {
 	f := &CampaignFlags{}
 	fs.StringVar(&f.Store, "store", os.Getenv("RTR_STORE"),
-		"persisted result store locator: a directory (or fs:DIR), mem:, sqlite:FILE.db, or an rtrserved campaign http(s)://HOST:PORT/c/ID (default: $RTR_STORE); re-runs serve unchanged scenarios from the store")
+		"persisted result store locator: a directory (or fs:DIR), mem:, or an rtrserved campaign http(s)://HOST:PORT/c/ID (default: $RTR_STORE); re-runs serve unchanged scenarios from the store")
 	fs.BoolVar(&f.NoStore, "no-store", false, "disable the result store even when -store/$RTR_STORE is set")
 	fs.BoolVar(&f.StoreGC, "store-gc", false, "garbage-collect the result store (stale-schema and corrupt entries) and exit")
 	fs.StringVar(&f.Shard, "shard", "", "run only shard i/N of the sweep grid into -store (e.g. \"0/2\"); renders no report")
@@ -59,7 +59,7 @@ func Register(fs *flag.FlagSet) *CampaignFlags {
 	fs.IntVar(&f.Parallel, "parallel", 0, "concurrently simulated scenarios (0 = one per CPU; reports are identical at any setting)")
 	fs.IntVar(&f.Retries, "max-scenario-retries", 0, "per-scenario retry budget: rerun a failing scenario up to this many extra times with jittered exponential backoff before failing the sweep; attempt metadata is recorded in the store entry")
 	fs.StringVar(&f.Coord, "coord", "",
-		"shard coordinator state locator (a directory, fs:DIR, mem:, sqlite:FILE.db, or an rtrserved campaign http(s)://HOST:PORT/c/ID): claim, heartbeat and re-lease shards from a self-healing pool into -store; every host runs this same command")
+		"shard coordinator state locator (a directory, fs:DIR, mem:, or an rtrserved campaign http(s)://HOST:PORT/c/ID): claim, heartbeat and re-lease shards from a self-healing pool into -store; every host runs this same command")
 	fs.IntVar(&f.CoordShards, "coord-shards", 0, "total shard count for the -coord pool; the first worker persists it, later workers may omit it (0) or must agree")
 	fs.IntVar(&f.CoordWorkers, "coord-workers", 1, "concurrent shard-claim loops inside this process")
 	fs.DurationVar(&f.LeaseTTL, "lease-ttl", 0, "coordinator lease expiry: a shard whose worker misses heartbeats this long is re-leased and re-run (0: adopt the pool's TTL, "+coord.DefaultLeaseTTL.String()+" when initialising; a non-zero mismatch with the pool is refused)")

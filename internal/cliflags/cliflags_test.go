@@ -71,10 +71,10 @@ func TestResolveModeExclusionErrors(t *testing.T) {
 			"-merge-report needs a result store (-store DIR or $RTR_STORE)"},
 		{"unknown store scheme",
 			[]string{"-store", "ftp:thing"},
-			`-store: unknown backend scheme "ftp" (registered schemes: fs:, mem:, sqlite:, http:, https:)`},
+			`-store: unknown backend scheme "ftp" (registered schemes: fs:, mem:, http:, https:)`},
 		{"unknown coord scheme",
 			[]string{"-coord", "ftp:thing", "-store", dir + "/s"},
-			`-coord: unknown backend scheme "ftp" (registered schemes: fs:, mem:, sqlite:, http:, https:)`},
+			`-coord: unknown backend scheme "ftp" (registered schemes: fs:, mem:, http:, https:)`},
 		{"http store missing host",
 			[]string{"-store", "http:"},
 			"-store: http: missing host (want http://HOST:PORT/c/ID)"},
@@ -104,7 +104,6 @@ func TestResolveOpensEveryScheme(t *testing.T) {
 		"bare path": dir + "/bare",
 		"fs":        "fs:" + dir + "/fs",
 		"mem":       "mem:",
-		"sqlite":    "sqlite:" + dir + "/c.db",
 		"http":      "http://127.0.0.1:1/c/x",
 		"https":     "https://127.0.0.1:1/c/x",
 	}

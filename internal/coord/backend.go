@@ -46,7 +46,7 @@ type Backend interface {
 	// Now is the pool-wide clock for every lease-expiry decision.
 	Now() time.Time
 	// Location names where the state lives, for operator-facing
-	// messages: the state directory for fs, "mem:", "sqlite:FILE".
+	// messages: the state directory for fs, "mem:", the campaign URL for http.
 	Location() string
 }
 
@@ -62,8 +62,6 @@ func OpenBackend(flag, locator string, opts ...backendurl.HTTPOptions) (Backend,
 	switch loc.Scheme {
 	case backendurl.SchemeMem:
 		return NewMem(), nil
-	case backendurl.SchemeSQLite:
-		return NewSQLite(loc.Path)
 	case backendurl.SchemeHTTP, backendurl.SchemeHTTPS:
 		var o backendurl.HTTPOptions
 		if len(opts) > 0 {

@@ -39,9 +39,8 @@
 // Persistence is pluggable: the protocol runs over a Backend (Get/Put/
 // exclusive-Create/List plus the pool clock). The default FSBackend is
 // the historical on-disk format above, byte for byte; MemBackend backs
-// fake-clock -race tests and ephemeral single-process pools; and
-// SQLiteBackend puts the pool state in the same single-file campaign
-// database the result store can use (`-coord sqlite:FILE.db`).
+// fake-clock -race tests and ephemeral single-process pools; and the
+// http client (internal/backendurl) reaches a pool hosted by rtrserved.
 // internal/coordtest runs the shared conformance suite against all of
 // them.
 //
@@ -279,7 +278,7 @@ func (c *Coordinator) LeaseTTL() time.Duration { return c.ttl }
 func (c *Coordinator) HeartbeatInterval() time.Duration { return c.heartbeat }
 
 // Dir returns the pool state's location: the state directory for the
-// fs backend, the locator ("mem:", "sqlite:FILE") otherwise. The name
+// fs backend, the locator ("mem:", "http://…") otherwise. The name
 // is historical; treat it as a display string, not necessarily a path.
 func (c *Coordinator) Dir() string { return c.b.Location() }
 

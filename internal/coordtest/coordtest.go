@@ -1,5 +1,5 @@
 // Package coordtest is the shard-coordinator conformance harness: a
-// registry of every pool-state backend (fs, mem, sqlite, http — the
+// registry of every pool-state backend (fs, mem, fault, http — the
 // last over a live in-process control plane) and one
 // shared suite of the lease-protocol properties the multi-host sweeps
 // depend on — adopt-or-initialise pool constants, exactly-one-owner
@@ -12,7 +12,6 @@ package coordtest
 
 import (
 	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -26,13 +25,13 @@ import (
 
 // EnvFilter is the environment variable the CI backend matrix sets to
 // restrict the registry: a comma list of backend names ("fs", "mem",
-// "sqlite", "fault", "http"). Empty or unset runs all of them.
+// "fault", "http"). Empty or unset runs all of them.
 const EnvFilter = "RTR_BACKEND"
 
 // Backend is one registered coordinator backend under test.
 type Backend struct {
 	// Name is the registry (and CI matrix) name: "fs", "mem",
-	// "sqlite", "fault", "http".
+	// "fault", "http".
 	Name string
 	// New creates one fresh, empty pool state and returns a handle
 	// factory: every call yields a coord.Backend over that same state
@@ -71,20 +70,6 @@ func registry() []Backend {
 				shared := coord.NewMem()
 				return func(clk func() time.Time) coord.Backend {
 					return reclocked{Backend: shared, clk: clk}
-				}
-			},
-		},
-		{
-			Name: "sqlite",
-			New: func(tb testing.TB) func(clk func() time.Time) coord.Backend {
-				path := filepath.Join(tb.TempDir(), "campaign.db")
-				return func(clk func() time.Time) coord.Backend {
-					b, err := coord.NewSQLite(path)
-					if err != nil {
-						tb.Fatal(err)
-					}
-					b.Clock = clk
-					return b
 				}
 			},
 		},
@@ -149,7 +134,7 @@ func Backends(tb testing.TB) []Backend {
 		}
 		b, ok := byName[name]
 		if !ok {
-			tb.Fatalf("%s=%q: unknown backend %q (have fs, mem, sqlite, fault, http)", EnvFilter, filter, name)
+			tb.Fatalf("%s=%q: unknown backend %q (have fs, mem, fault, http)", EnvFilter, filter, name)
 		}
 		out = append(out, b)
 	}

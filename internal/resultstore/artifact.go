@@ -20,7 +20,7 @@ const IdealKind = "ideal-run"
 // Artifact is the envelope for a persisted design-time artifact: the
 // output of a phase that is a pure function of its inputs (mobility
 // tables first — see internal/artifact), stored next to results in the
-// same content-addressed key space so every backend (fs, mem, sqlite)
+// same content-addressed key space so every backend (fs, mem, http)
 // and every merge/GC tool carries artifacts for free.
 //
 // Artifacts and results share the key space but never the keys: an

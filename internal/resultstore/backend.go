@@ -34,7 +34,7 @@ type Backend interface {
 	// Delete removes key; deleting an absent key is not an error.
 	Delete(key string) error
 	// Location names where the data lives, for digests and error
-	// messages: the root directory for fs, "mem:", "sqlite:FILE".
+	// messages: the root directory for fs, "mem:", the campaign URL for http.
 	Location() string
 }
 

@@ -16,10 +16,9 @@
 // predicate) over a byte-level Backend. Three backends ship — the
 // default filesystem layout (DIR/objects/<k0k1>/<key>.json, atomic
 // temp+rename writes, the merge substrate for sharded multi-host
-// sweeps), an in-memory map (tests, ephemeral CI), and the single-file
-// campaign database (internal/campdb) behind the `sqlite:FILE.db`
-// locator scheme. internal/storetest runs the shared conformance suite
-// against all of them; internal/backendurl parses the CLI locator
+// sweeps), an in-memory map (tests, ephemeral CI), and the http client
+// of a campaign hosted by rtrserved. internal/storetest runs the shared
+// conformance suite against all of them; internal/backendurl parses the CLI locator
 // syntax shared with -coord.
 //
 // Invalidation: every entry records the SchemaVersion it was written
@@ -89,8 +88,8 @@ import (
 const SchemaVersion = 4
 
 // Store is a content-addressed result store over a Backend. The zero
-// value is not usable; call Open (fs), OpenMem, OpenSQLite, OpenURL,
-// or FromBackend. A Store is safe for concurrent use.
+// value is not usable; call Open (fs), OpenMem, OpenURL or
+// FromBackend. A Store is safe for concurrent use.
 type Store struct {
 	b Backend
 
@@ -111,7 +110,7 @@ var errInvalidDir = errors.New("resultstore: empty store directory")
 // OpenIfSet resolves the CLI store flags: a nil Store (run without one)
 // when the locator is empty or the store is disabled, an opened store
 // otherwise. The locator takes the -store flag's backend syntax: a
-// bare directory (the fs default), fs:DIR, mem:, sqlite:FILE.db, or an
+// bare directory (the fs default), fs:DIR, mem:, or an
 // http(s)://HOST/c/ID campaign hosted by rtrserved (opts tunes the
 // wire client — token, timeout; at most one may be passed).
 func OpenIfSet(locator string, disabled bool, opts ...backendurl.HTTPOptions) (*Store, error) {
@@ -131,8 +130,6 @@ func OpenURL(flag, locator string, opts ...backendurl.HTTPOptions) (*Store, erro
 	switch loc.Scheme {
 	case backendurl.SchemeMem:
 		return OpenMem(), nil
-	case backendurl.SchemeSQLite:
-		return OpenSQLite(loc.Path)
 	case backendurl.SchemeHTTP, backendurl.SchemeHTTPS:
 		var o backendurl.HTTPOptions
 		if len(opts) > 0 {
@@ -164,19 +161,6 @@ func Open(dir string) (*Store, error) {
 // OpenMem opens a fresh in-memory store (dies with the process).
 func OpenMem() *Store { return FromBackend(NewMem()) }
 
-// OpenSQLite opens the store bucket of the single-file campaign
-// database at path, creating the file if needed.
-func OpenSQLite(path string) (*Store, error) {
-	if path == "" {
-		return nil, errInvalidDir
-	}
-	b, err := NewSQLite(path)
-	if err != nil {
-		return nil, err
-	}
-	return FromBackend(b), nil
-}
-
 // FromBackend wraps an existing backend in a Store with fresh
 // counters. Two Stores over one backend share data but not stats —
 // exactly what reopening a store directory always meant.
@@ -188,7 +172,7 @@ func FromBackend(b Backend) *Store { return &Store{b: b} }
 func (s *Store) Backend() Backend { return s.b }
 
 // Dir returns the store's location: the root directory for the fs
-// backend, the locator ("mem:", "sqlite:FILE") otherwise. The name is
+// backend, the locator ("mem:", "http://…") otherwise. The name is
 // historical; treat it as a display string, not necessarily a path.
 func (s *Store) Dir() string { return s.b.Location() }
 

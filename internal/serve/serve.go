@@ -1,7 +1,7 @@
 // Package serve is the sweep control plane behind cmd/rtrserved: a
 // stdlib net/http server hosting any number of campaigns, each a
 // resultstore.Backend + coord.Backend pair living under one state
-// root (fs directory, sqlite campaign files, or memory — the same
+// root (an fs directory or memory — the same
 // locator syntax the CLIs use). The versioned JSON/SSE protocol it
 // speaks is defined in internal/serve/wire; the client half is the
 // http:/https: scheme in internal/backendurl.
@@ -9,7 +9,7 @@
 // The server deliberately implements no sweep semantics of its own.
 // Store invariants (key validation, schema stamping, GC predicate)
 // and the whole coordinator lease protocol stay client-side, exactly
-// as they do over the fs and sqlite backends: a campaign endpoint
+// as they do over the fs and mem backends: a campaign endpoint
 // only moves bytes, offers exclusive-create, and tells the time. That
 // symmetry is what lets the storetest/coordtest conformance suites
 // pass unmodified against a live server, and it is why this package
@@ -65,7 +65,6 @@ type RowsFunc func(ctx context.Context, c *Campaign, w io.Writer) error
 type Config struct {
 	// State locates the campaign state root using the CLI locator
 	// syntax: a directory (or fs:DIR) keeps one subdirectory per
-	// campaign, sqlite:DIR one set of campaign-database files per
 	// campaign, mem: everything in process memory.
 	State string
 	// Token, when non-empty, is required as "Authorization: Bearer
@@ -137,15 +136,10 @@ func New(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("serve: %w", err)
 		}
 		r = fsRoot{dir: loc.Path}
-	case backendurl.SchemeSQLite:
-		if err := os.MkdirAll(loc.Path, 0o755); err != nil {
-			return nil, fmt.Errorf("serve: %w", err)
-		}
-		r = sqliteRoot{dir: loc.Path}
 	case backendurl.SchemeMem:
 		r = &memRoot{camps: map[string]memCampaign{}}
 	default:
-		return nil, fmt.Errorf("serve: -state %s: a server cannot chain to another server (want fs:DIR, sqlite:DIR, or mem:)", loc.Scheme)
+		return nil, fmt.Errorf("serve: -state %s: a server cannot chain to another server (want fs:DIR or mem:)", loc.Scheme)
 	}
 	lg := cfg.Log
 	if lg == nil {
@@ -188,7 +182,7 @@ func (s *Server) Create(spec wire.Spec) (*Campaign, error) {
 }
 
 // validID keeps campaign ids shaped like the ones Create mints, which
-// is also what keeps fs/sqlite roots free of path traversal.
+// is also what keeps fs roots free of path traversal.
 func validID(id string) bool {
 	if len(id) == 0 || len(id) > 64 {
 		return false
@@ -253,41 +247,6 @@ func (r fsRoot) open(id string) ([]byte, resultstore.Backend, coord.Backend, err
 		return nil, nil, nil, err
 	}
 	return spec, sb, coord.NewFS(filepath.Join(dir, "coord")), nil
-}
-
-// sqliteRoot keeps campaign-database files per campaign: DIR/<id>.
-// {spec.json,store.db,coord.db}. Store and coordinator use separate
-// files so their locking never interleaves.
-type sqliteRoot struct{ dir string }
-
-func (r sqliteRoot) location() string { return "sqlite:" + r.dir }
-
-func (r sqliteRoot) create(id string, spec []byte) error {
-	f, err := os.OpenFile(filepath.Join(r.dir, id+".spec.json"), os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(spec); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func (r sqliteRoot) open(id string) ([]byte, resultstore.Backend, coord.Backend, error) {
-	spec, err := os.ReadFile(filepath.Join(r.dir, id+".spec.json"))
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	sb, err := resultstore.NewSQLite(filepath.Join(r.dir, id+".store.db"))
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	cb, err := coord.NewSQLite(filepath.Join(r.dir, id+".coord.db"))
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return spec, sb, cb, nil
 }
 
 // memRoot holds everything in process memory (tests, demos).

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -275,13 +276,14 @@ func TestRowsWithoutRenderer(t *testing.T) {
 }
 
 // TestRestartReservesCampaigns pins that campaign state outlives the
-// server process on the persistent roots: a second serve.New over the
-// same root re-serves the campaign, spec and stored objects included.
+// server process on the persistent fs root, under both spellings (bare
+// path and fs:DIR): a second serve.New over the same root re-serves the
+// campaign, spec and stored objects included.
 func TestRestartReservesCampaigns(t *testing.T) {
-	for _, state := range []string{"", "sqlite:"} {
+	for _, state := range []string{"", "fs:"} {
 		name := "fs"
 		if state != "" {
-			name = "sqlite"
+			name = "fs-scheme"
 		}
 		t.Run(name, func(t *testing.T) {
 			root := state + filepath.Join(t.TempDir(), "campaigns")
@@ -320,5 +322,18 @@ func TestServerStateCannotChain(t *testing.T) {
 	_, err := serve.New(serve.Config{State: "http://other:8080/c/abc"})
 	if err == nil || !strings.Contains(err.Error(), "cannot chain to another server") {
 		t.Fatalf("chained server state accepted: %v", err)
+	}
+}
+
+// TestServerStateRefusesRetiredScheme: a sqlite: state root is an
+// unknown scheme, refused at parse time and never created as a path.
+func TestServerStateRefusesRetiredScheme(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "campaigns")
+	_, err := serve.New(serve.Config{State: "sqlite:" + dir})
+	if err == nil || !strings.Contains(err.Error(), `-state: unknown backend scheme "sqlite"`) {
+		t.Fatalf("sqlite: state root accepted: %v", err)
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Fatalf("refused state root was created on disk: %v", err)
 	}
 }

@@ -1,5 +1,5 @@
 // Package storetest is the result-store conformance harness: a
-// registry of every persistence backend (fs, mem, sqlite, http —
+// registry of every persistence backend (fs, mem, fault, http —
 // the last over a live in-process control plane) and one
 // shared suite of the behavioral properties the sweeps and CI gates
 // pin — serve/miss accounting, schema invalidation, GC's
@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -36,13 +35,13 @@ import (
 
 // EnvFilter is the environment variable the CI backend matrix sets to
 // restrict the registry: a comma list of backend names ("fs", "mem",
-// "sqlite", "fault", "http"). Empty or unset runs all of them.
+// "fault", "http"). Empty or unset runs all of them.
 const EnvFilter = "RTR_BACKEND"
 
 // Backend is one registered store backend under test.
 type Backend struct {
 	// Name is the registry (and CI matrix) name: "fs", "mem",
-	// "sqlite", "fault", "http".
+	// "fault", "http".
 	Name string
 	// Open returns a fresh, empty store plus a reopen function that
 	// opens a second handle over the same data with fresh counters —
@@ -79,20 +78,6 @@ func registry() []Backend {
 				return s, func(testing.TB) *resultstore.Store {
 					return resultstore.FromBackend(s.Backend())
 				}
-			},
-		},
-		{
-			Name: "sqlite",
-			Open: func(tb testing.TB) (*resultstore.Store, func(tb testing.TB) *resultstore.Store) {
-				path := filepath.Join(tb.TempDir(), "campaign.db")
-				open := func(tb testing.TB) *resultstore.Store {
-					s, err := resultstore.OpenSQLite(path)
-					if err != nil {
-						tb.Fatal(err)
-					}
-					return s
-				}
-				return open(tb), open
 			},
 		},
 		{
@@ -179,7 +164,7 @@ func Backends(tb testing.TB) []Backend {
 		}
 		b, ok := byName[name]
 		if !ok {
-			tb.Fatalf("%s=%q: unknown backend %q (have fs, mem, sqlite, fault, http)", EnvFilter, filter, name)
+			tb.Fatalf("%s=%q: unknown backend %q (have fs, mem, fault, http)", EnvFilter, filter, name)
 		}
 		out = append(out, b)
 	}
@@ -250,7 +235,7 @@ func sampleEntry(scenario string) *resultstore.Entry {
 // Conformance runs every pinned store property against one backend.
 // These are the semantics internal/resultstore.Store promises
 // identically over any Backend; the suite is what licenses the CLIs to
-// treat -store fs:/mem:/sqlite: as interchangeable.
+// treat -store fs:/mem:/http: as interchangeable.
 func Conformance(t *testing.T, b Backend) {
 	t.Run("RoundTripAndStats", func(t *testing.T) {
 		s, _ := b.Open(t)

@@ -65,7 +65,7 @@ func DecodeCheckpoint(data []byte, fingerprint string) (*Checkpoint, bool) {
 
 // CheckpointStore persists named checkpoint records. Implemented by
 // coord.CheckpointStore over every coordination backend (fs, mem,
-// sqlite, http), so checkpoints travel with the pool state — over the
+// http), so checkpoints travel with the pool state — over the
 // wire too.
 type CheckpointStore interface {
 	// LoadCheckpoint returns the raw record under name, or false when
