@@ -13,15 +13,19 @@
 // pre-seeds every table a sweep will need:
 //
 //	rtrmob -graph multimedia -rus 4-10 -store /shared/store
+//
+// An rtrserved campaign started with -token needs -auth-token too.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/artifact"
+	"repro/internal/cliflags"
 	"repro/internal/mobility"
 	"repro/internal/resultstore"
 	"repro/internal/simtime"
@@ -31,85 +35,99 @@ import (
 )
 
 func main() {
-	var (
-		name     = flag.String("graph", "", "built-in graph: jpeg, mpeg1, hough, fig2tg1, fig2tg2, fig3tg1, fig3tg2, or multimedia (the whole pool; needs -store)")
-		jsonIn   = flag.String("json", "", "path of a JSON graph definition (see taskgraph schema)")
-		rus      = flag.String("rus", "4", "number of reconfigurable units; a range (\"4-10\") or list (\"4,6\") pre-seeds each (needs -store)")
-		latency  = flag.Float64("latency", 4, "reconfiguration latency in ms")
-		dot      = flag.Bool("dot", false, "also print the graph in Graphviz dot syntax")
-		asJSON   = flag.Bool("o-json", false, "emit the mobility table as JSON (the deployable design-time artefact)")
-		storeDir = flag.String("store", os.Getenv("RTR_STORE"), "result store locator (a directory, fs:DIR, mem:, or an rtrserved campaign http(s)://HOST:PORT/c/ID; default: $RTR_STORE): persist the computed tables as design-time artifacts for rtrsim/rtrrepro runs sharing the store")
-		noStore  = flag.Bool("no-store", false, "disable the artifact store even when -store/$RTR_STORE is set")
-	)
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintln(os.Stderr, "rtrmob:", err)
+		os.Exit(1)
+	}
+}
 
-	store, err := resultstore.OpenIfSet(*storeDir, *noStore)
+// run is the command: it parses args and writes the table to stdout and
+// the store digest to stderr.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("rtrmob", flag.ExitOnError)
+	var (
+		name     = fs.String("graph", "", "built-in graph: jpeg, mpeg1, hough, fig2tg1, fig2tg2, fig3tg1, fig3tg2, or multimedia (the whole pool; needs -store)")
+		jsonIn   = fs.String("json", "", "path of a JSON graph definition (see taskgraph schema)")
+		rus      = fs.String("rus", "4", "number of reconfigurable units; a range (\"4-10\") or list (\"4,6\") pre-seeds each (needs -store)")
+		latency  = fs.Float64("latency", 4, "reconfiguration latency in ms")
+		dot      = fs.Bool("dot", false, "also print the graph in Graphviz dot syntax")
+		asJSON   = fs.Bool("o-json", false, "emit the mobility table as JSON (the deployable design-time artefact)")
+		storeDir = fs.String("store", os.Getenv("RTR_STORE"), "result store locator (a directory, fs:DIR, mem:, or an rtrserved campaign http(s)://HOST:PORT/c/ID; default: $RTR_STORE): persist the computed tables as design-time artifacts for rtrsim/rtrrepro runs sharing the store")
+		noStore  = fs.Bool("no-store", false, "disable the artifact store even when -store/$RTR_STORE is set")
+		httpOpts = cliflags.RegisterHTTP(fs)
+	)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+
+	store, err := resultstore.OpenIfSet(*storeDir, *noStore, *httpOpts)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	mobility.ResetStats()
 	if store != nil {
-		artifact.Install(store)
+		defer artifact.Install(store)()
 	}
 
 	graphs, err := loadGraphs(*name, *jsonIn)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	units, err := sweep.ParseRUs(*rus)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if len(graphs) > 1 || len(units) > 1 {
 		if store == nil {
-			fatal(fmt.Errorf("multiple graphs or unit counts pre-seed a store; pass -store DIR (or run one graph at one -rus)"))
+			return fmt.Errorf("multiple graphs or unit counts pre-seed a store; pass -store DIR (or run one graph at one -rus)")
 		}
 		if *dot || *asJSON {
-			fatal(fmt.Errorf("-dot/-o-json need a single graph at a single -rus"))
+			return fmt.Errorf("-dot/-o-json need a single graph at a single -rus")
 		}
 		for _, u := range units {
 			for _, g := range graphs {
 				if _, err := mobility.Cached(g, u, simtime.FromMs(*latency)); err != nil {
-					fatal(fmt.Errorf("%s rus=%d: %w", g.Name(), u, err))
+					return fmt.Errorf("%s rus=%d: %w", g.Name(), u, err)
 				}
 			}
 		}
-		reportAndFlush(store)
-		return
+		report(stderr, store)
+		return nil
 	}
 
 	g := graphs[0]
 	tab, err := mobility.Cached(g, units[0], simtime.FromMs(*latency))
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if *asJSON {
 		data, err := json.MarshalIndent(tab, "", "  ")
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Println(string(data))
-		reportAndFlush(store)
-		return
+		fmt.Fprintln(stdout, string(data))
+		report(stderr, store)
+		return nil
 	}
-	fmt.Println(tab)
-	fmt.Printf("critical path %v, width %d, %d schedules simulated\n",
+	fmt.Fprintln(stdout, tab)
+	fmt.Fprintf(stdout, "critical path %v, width %d, %d schedules simulated\n",
 		g.CriticalPath(), g.Width(), tab.Schedules)
 	if *dot {
-		fmt.Print(g.DOT())
+		fmt.Fprint(stdout, g.DOT())
 	}
-	reportAndFlush(store)
+	report(stderr, store)
+	return nil
 }
 
-// reportAndFlush prints the design-time cache digest when a store is
-// attached, so operators see what a pre-seed run computed vs served.
-func reportAndFlush(store *resultstore.Store) {
+// report prints the design-time cache digest when a store is attached,
+// so operators see what a pre-seed run computed vs served.
+func report(w io.Writer, store *resultstore.Store) {
 	if store == nil {
 		return
 	}
-	fmt.Fprintln(os.Stderr, store.SummaryLine())
+	fmt.Fprintln(w, store.SummaryLine())
 	if line := mobility.DigestLine(); line != "" {
-		fmt.Fprintln(os.Stderr, line)
+		fmt.Fprintln(w, line)
 	}
 }
 
@@ -147,9 +165,4 @@ func loadGraphs(name, jsonPath string) ([]*taskgraph.Graph, error) {
 	default:
 		return nil, fmt.Errorf("unknown graph %q", name)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "rtrmob:", err)
-	os.Exit(1)
 }

@@ -1,10 +1,10 @@
 // Package cliflags registers the campaign flag set shared by
 // cmd/rtrrepro and cmd/rtrsim — the -store/-coord/-shard/-merge
-// surface plus the wire-client flags for http(s) locators — and
-// resolves it into one campaign.Setup. The ~15 registrations and the
-// mode-exclusion checks used to be duplicated per CLI; keeping them
-// here means a new flag (or a new backend scheme) lands once and both
-// CLIs agree on every error message.
+// surface plus the wire-client flags for http(s) locators, which
+// cmd/rtrmob shares — and resolves it into one campaign.Setup. The ~15
+// registrations and the mode-exclusion checks used to be duplicated per
+// CLI; keeping them here means a new flag (or a new backend scheme)
+// lands once and both CLIs agree on every error message.
 package cliflags
 
 import (
@@ -41,8 +41,7 @@ type CampaignFlags struct {
 	Heartbeat    time.Duration
 	CoordStatus  bool
 
-	AuthToken   string
-	HTTPTimeout time.Duration
+	HTTP *backendurl.HTTPOptions
 }
 
 // Register installs the shared campaign flags on fs and returns the
@@ -65,10 +64,19 @@ func Register(fs *flag.FlagSet) *CampaignFlags {
 	fs.DurationVar(&f.LeaseTTL, "lease-ttl", 0, "coordinator lease expiry: a shard whose worker misses heartbeats this long is re-leased and re-run (0: adopt the pool's TTL, "+coord.DefaultLeaseTTL.String()+" when initialising; a non-zero mismatch with the pool is refused)")
 	fs.DurationVar(&f.Heartbeat, "heartbeat", 0, "coordinator heartbeat interval (0: a quarter of -lease-ttl)")
 	fs.BoolVar(&f.CoordStatus, "coord-status", false, "print the -coord pool's per-shard state (done/leased/pending, owner, attempts) and exit")
-	fs.StringVar(&f.AuthToken, "auth-token", os.Getenv("RTR_TOKEN"),
-		"bearer token sent with http(s) -store/-coord locators (default: $RTR_TOKEN)")
-	fs.DurationVar(&f.HTTPTimeout, "http-timeout", time.Minute, "per-request timeout for http(s) -store/-coord locators")
+	f.HTTP = RegisterHTTP(fs)
 	return f
+}
+
+// RegisterHTTP installs -auth-token (default $RTR_TOKEN) and
+// -http-timeout, the wire-client flags for http(s) locators, on fs and
+// returns the options they fill after fs.Parse.
+func RegisterHTTP(fs *flag.FlagSet) *backendurl.HTTPOptions {
+	o := &backendurl.HTTPOptions{}
+	fs.StringVar(&o.Token, "auth-token", os.Getenv("RTR_TOKEN"),
+		"bearer token sent with http(s) locators (default: $RTR_TOKEN)")
+	fs.DurationVar(&o.Timeout, "http-timeout", time.Minute, "per-request timeout for http(s) locators")
+	return o
 }
 
 // Resolve opens the backends and enforces the mode exclusions. The
@@ -82,7 +90,7 @@ func (f *CampaignFlags) Resolve() (campaign.Setup, error) {
 		Watch:       f.Watch,
 		Parallel:    f.Parallel,
 		Retries:     f.Retries,
-		HTTP:        backendurl.HTTPOptions{Token: f.AuthToken, Timeout: f.HTTPTimeout},
+		HTTP:        *f.HTTP,
 	}
 	store, err := resultstore.OpenIfSet(f.Store, f.NoStore, s.HTTP)
 	if err != nil {

@@ -20,7 +20,7 @@ func parse(t *testing.T, args ...string) (*CampaignFlags, error) {
 		f.Store = ""
 	}
 	if !given(args, "-auth-token") {
-		f.AuthToken = ""
+		f.HTTP.Token = ""
 	}
 	_, err := f.Resolve()
 	return f, err
@@ -124,7 +124,7 @@ func TestResolveOpensEveryScheme(t *testing.T) {
 			if err := fs.Parse([]string{"-coord", loc, "-store", "mem:", "-coord-shards", "2"}); err != nil {
 				t.Fatal(err)
 			}
-			f.AuthToken = ""
+			f.HTTP.Token = ""
 			s, err := f.Resolve()
 			if err != nil {
 				t.Fatalf("Resolve(-coord %s): %v", loc, err)

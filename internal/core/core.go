@@ -163,8 +163,7 @@ func (s *System) Run(seq ...*taskgraph.Graph) (*Result, error) {
 
 // RunFeed executes an arbitrary arrival feed. Because a Feed can only be
 // consumed once, the caller supplies a constructor so the ideal baseline
-// can replay the same arrivals. The real run and the baseline execute
-// concurrently, so mkFeed must be safe to call from two goroutines.
+// can replay the same arrivals.
 func (s *System) RunFeed(mkFeed func() dynlist.Feed) (*Result, error) {
 	return s.runItems(mkFeed, nil)
 }
@@ -176,9 +175,12 @@ func (s *System) runItems(mkFeed func() dynlist.Feed, known []*taskgraph.Graph) 
 		}
 	}
 	cfg := manager.Config{
-		RUs:                s.cfg.RUs,
-		Latency:            s.cfg.Latency,
-		Policy:             s.pol,
+		RUs:     s.cfg.RUs,
+		Latency: s.cfg.Latency,
+		// A stateful policy (Random) cannot be shared by overlapping Run
+		// calls on one System, so every run gets a fork replaying the same
+		// decision stream from the initial state.
+		Policy:             policy.Fork(s.pol),
 		SkipEvents:         s.cfg.SkipEvents,
 		CrossGraphPrefetch: s.cfg.CrossGraphPrefetch,
 		RecordTrace:        s.cfg.RecordTrace,
@@ -186,37 +188,16 @@ func (s *System) runItems(mkFeed func() dynlist.Feed, known []*taskgraph.Graph) 
 	if s.cfg.SkipEvents {
 		cfg.Mobility = s.mobilityFor
 	}
-	// A stateful policy (Random) cannot be shared by concurrent
-	// simulations — neither by the real/ideal pair below nor by
-	// overlapping Run calls on one System — so every simulation gets a
-	// fork replaying the same decision stream from the initial state.
-	cfg.Policy = policy.Fork(s.pol)
-	idealCfg := cfg
-	idealCfg.Latency = 0
-	idealCfg.SkipEvents = false
-	idealCfg.Mobility = nil
-	idealCfg.RecordTrace = false
-	idealCfg.Policy = policy.Fork(s.pol)
-
-	// The real run and its zero-latency baseline are independent
-	// simulations over independent feeds — run them concurrently.
-	var (
-		run, ideal       *manager.Result
-		runErr, idealErr error
-		wg               sync.WaitGroup
-	)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		ideal, idealErr = manager.Run(idealCfg, mkFeed())
-	}()
-	run, runErr = manager.Run(cfg, mkFeed())
-	wg.Wait()
-	if runErr != nil {
-		return nil, runErr
+	r := manager.NewRunner()
+	run, err := r.Run(cfg, mkFeed())
+	if err != nil {
+		return nil, err
 	}
-	if idealErr != nil {
-		return nil, fmt.Errorf("core: ideal baseline: %w", idealErr)
+	// The baseline ignores the latency, skip events and prefetch: it is
+	// the same arrivals at zero latency (see manager.Runner.Ideal).
+	ideal, err := r.Ideal(s.cfg.RUs, mkFeed())
+	if err != nil {
+		return nil, fmt.Errorf("core: ideal baseline: %w", err)
 	}
 	sum, err := metrics.Summarize(s.pol.Name(), s.cfg.RUs, s.cfg.Latency, run, ideal)
 	if err != nil {
@@ -248,9 +229,8 @@ func Evaluate(cfg Config, seq ...*taskgraph.Graph) (*Result, error) {
 // returns results keyed by policy name (plus "+skip" when skip events are
 // enabled, to keep keys unique). The configurations run concurrently —
 // each gets its own System — and errors are reported for the first
-// failing configuration in argument order. Each result's Ideal runs a fork
-// of its own policy, where a sweep's runs LRU: at zero latency the two
-// agree on Makespan and Completions, and only the counters differ.
+// failing configuration in argument order. Each result's Ideal is the
+// zero-latency baseline a sweep computes too (manager.Runner.Ideal).
 func Compare(cfgs []Config, seq ...*taskgraph.Graph) (map[string]*Result, error) {
 	results := make([]*Result, len(cfgs))
 	errs := make([]error, len(cfgs))

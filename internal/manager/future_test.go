@@ -198,7 +198,8 @@ func (f *sliceFeed) Next() (dynlist.Item, bool) {
 // TestStartRejectsOutOfOrderArrivals pins the invariant the next-use
 // index relies on: arrivals come in instance order with non-decreasing
 // times, and a feed that breaks it is refused with an error naming the
-// offending arrival — before anything is simulated.
+// offending arrival — before anything is simulated. Runner.Ideal refuses
+// it with the same error.
 func TestStartRejectsOutOfOrderArrivals(t *testing.T) {
 	a := taskgraph.Chain("a", 1, ms(5))
 	b := taskgraph.Chain("b", 11, ms(5))
@@ -218,6 +219,10 @@ func TestStartRejectsOutOfOrderArrivals(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), "arrival 1") {
 				t.Errorf("error %q does not name arrival 1", err)
+			}
+			feed = sliceFeed(items)
+			if _, idealErr := NewRunner().Ideal(2, &feed); idealErr == nil || idealErr.Error() != err.Error() {
+				t.Errorf("Ideal error %v, want Run's %q", idealErr, err)
 			}
 		})
 	}

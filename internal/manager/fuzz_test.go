@@ -21,21 +21,27 @@ const (
 	fuzzDelayPlan
 	fuzzZeroLatency
 	fuzzTimed
+	fuzzSharedIDs
 )
 
 // fuzzScenario builds a small run from seed and flags: up to three random
 // templates whose tasks share one execution time, latencies and arrivals
 // on a 1 ms grid so that events tie often, and every Config flag flags
-// selects.
+// selects. The templates' task IDs are disjoint unless fuzzSharedIDs
+// makes them all start at 1.
 func fuzzScenario(t *testing.T, seed int64, flags uint8) (Config, []dynlist.Item) {
 	rng := rand.New(rand.NewSource(seed))
 	pool := make([]*taskgraph.Graph, 1+rng.Intn(3))
 	for i := range pool {
 		exec := ms(float64(1 + rng.Intn(3)))
+		first := taskgraph.TaskID(1 + 10*i)
+		if flags&fuzzSharedIDs != 0 {
+			first = 1
+		}
 		g, err := taskgraph.RandomLayered(fmt.Sprintf("fz%d", i), taskgraph.RandomConfig{
 			Tasks: 1 + rng.Intn(5), MaxWidth: 1 + rng.Intn(3), EdgeProb: 0.5,
 			MinExec: exec, MaxExec: exec, LongEdges: rng.Intn(2) == 0,
-			FirstTaskID: taskgraph.TaskID(1 + 10*i),
+			FirstTaskID: first,
 		}, rng)
 		if err != nil {
 			t.Fatal(err)
@@ -176,6 +182,36 @@ func FuzzRunnerInvariants(f *testing.F) {
 		if !reflect.DeepEqual(first, again) || runDigest(first) != runDigest(again) {
 			t.Fatalf("re-run on the used Runner diverged")
 		}
+	})
+}
+
+// FuzzIdealMatchesRun checks Runner.Ideal against a simulation of the
+// whole sequence at zero latency, with no skip events and no prefetch, on
+// fuzzScenario's small runs: any policy and unit count, arrivals at 0 or
+// timed with ties, templates with disjoint or shared task IDs.
+func FuzzIdealMatchesRun(f *testing.F) {
+	for flags := 0; flags < 1<<8; flags += 37 {
+		f.Add(int64(flags), uint8(flags))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, flags uint8) {
+		cfg, items := fuzzScenario(t, seed, flags)
+		feed := func() dynlist.Feed {
+			f, err := dynlist.NewTimed(items)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return f
+		}
+		r := NewRunner()
+		ideal, err := r.Ideal(cfg.RUs, feed())
+		if err != nil {
+			t.Fatal(err)
+		}
+		run, err := r.Run(Config{RUs: cfg.RUs, Policy: cfg.Policy}, feed())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameIdeal(t, fmt.Sprintf("seed %d flags %#x", seed, flags), ideal, run)
 	})
 }
 

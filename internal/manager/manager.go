@@ -57,7 +57,7 @@ type Config struct {
 	// RUs is the number of reconfigurable units (≥1).
 	RUs int
 	// Latency is the reconfiguration latency (0 is allowed and yields the
-	// ideal schedule used as the overhead baseline).
+	// ideal schedule used as the overhead baseline; see Runner.Ideal).
 	Latency simtime.Time
 	// LatencyFor, when non-nil, supplies a per-task latency (e.g. derived
 	// from per-task bitstream sizes), overriding Latency. It is called

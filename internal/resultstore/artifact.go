@@ -13,9 +13,9 @@ import (
 // results use).
 const ArtifactSchemaVersion = 1
 
-// IdealKind tags the zero-latency ideal baselines internal/sweep stores.
-// The payload is a Run, so the kind version is SchemaVersion (see GC).
-const IdealKind = "ideal-run"
+// retiredIdealKind tagged the ideal baselines older sweeps stored.
+// Nothing reads or writes the kind any more; GC removes it.
+const retiredIdealKind = "ideal-run"
 
 // Artifact is the envelope for a persisted design-time artifact: the
 // output of a phase that is a pure function of its inputs (mobility

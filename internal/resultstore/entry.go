@@ -13,10 +13,10 @@ import (
 )
 
 // Entry is one stored scenario outcome: the raw run and the derived
-// summary (absent without baselines); since v4 the ideal baseline lives
-// only in its IdealKind artifact. Schema and Key are stamped by Put. It
-// is one JSON object, all plain values but the run's completions blob; a
-// 2000-app Fig. 9 entry is ~4.9 KB (its ideal artifact another ~4.7 KB).
+// summary (absent without baselines); since v4 no ideal baseline is
+// stored (see manager.Runner.Ideal). Schema and Key are stamped by Put.
+// It is one JSON object, all plain values but the run's completions
+// blob; a 2000-app Fig. 9 entry is ~4.9 KB.
 type Entry struct {
 	Schema int    `json:"schema"`
 	Key    string `json:"key"`

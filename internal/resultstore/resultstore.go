@@ -37,7 +37,7 @@
 // keys; v3 stores each run's completions as a delta-varint blob (see
 // Completions) instead of an array of integers, which cut a 2000-app
 // entry from ~37 KB to ~9.5 KB and with it the cost of every decode; v4
-// drops the embedded ideal baseline (see SchemaVersion).
+// stores no ideal baseline (see SchemaVersion).
 //
 // Two lookups with two accounting rules: Get serves a full entry and
 // counts a hit or a miss; Probe serves identically but counts only the
@@ -75,10 +75,12 @@ import (
 // re-simulated and overwritten in place, and `-store-gc` removes any
 // leftover.
 //
-// v4: Entry.Ideal is gone; a baseline's only copy is its IdealKind
-// artifact, written before the first entry it normalizes and read by
-// every hit. v3 entries miss and are overwritten in place; GC removes
-// them and IdealKind artifacts of other versions.
+// v4: Entry.Ideal is gone and no baseline is stored. Applications run in
+// sequence, and at zero latency with no prefetch each one's run time
+// depends only on its template, so manager.Runner.Ideal recomputes a
+// baseline by a per-template recurrence. v3 entries miss and are
+// overwritten in place; GC removes them and every "ideal-run" artifact
+// (the kind that once held v4 baselines; their entries stay servable).
 //
 // Strictly-additive optional fields do NOT bump the version: ElapsedNS
 // landed inside v2, and the retry metadata (Attempts, LastError,
@@ -319,7 +321,7 @@ type GCStats struct {
 	Kept int
 	// Removed is the number of files deleted: stale-schema entries,
 	// undecodable files, entries whose key does not match their filename,
-	// and leftover temp files from interrupted writes.
+	// "ideal-run" artifacts and leftover temp files from interrupted writes.
 	Removed int
 }
 
@@ -329,9 +331,9 @@ type GCStats struct {
 // survives when it is servable either as a result (decodeServable) or
 // as a design-time artifact (decodeArtifactServable) — the two
 // envelopes share the key space, and a result-schema bump must not
-// throw away design-time work — except an IdealKind artifact of another
-// SchemaVersion, a stale Run. Backend junk (leftover temp files and the
-// like) is swept too and counted in Removed.
+// throw away design-time work — except an artifact of the retired
+// "ideal-run" kind, which nothing reads. Backend junk (leftover temp
+// files and the like) is swept too and counted in Removed.
 func (s *Store) GC() (GCStats, error) {
 	var st GCStats
 	var stale []string
@@ -340,7 +342,7 @@ func (s *Store) GC() (GCStats, error) {
 			st.Kept++
 			return nil
 		}
-		if a, ok := decodeArtifactServable(key, data); ok && (a.Kind != IdealKind || a.KindVersion == SchemaVersion) {
+		if a, ok := decodeArtifactServable(key, data); ok && a.Kind != retiredIdealKind {
 			st.Kept++
 			return nil
 		}

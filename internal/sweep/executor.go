@@ -1,7 +1,6 @@
 package sweep
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -13,7 +12,6 @@ import (
 	"repro/internal/manager"
 	"repro/internal/metrics"
 	"repro/internal/mobility"
-	"repro/internal/policy"
 	"repro/internal/resultstore"
 	"repro/internal/taskgraph"
 )
@@ -22,12 +20,14 @@ import (
 // streams the results, in spec order, into a Collector.
 //
 // Results are collected in spec order regardless of completion order, and
-// every shared input is computed once: the zero-latency ideal baseline
-// once per (workload, RUs) — with the LRU policy, exactly as the paper's
-// figures do — per sweep, and with a Store attached once per store (see
-// idealCache); the design-time mobility tables once per (template, RUs,
-// latency) through the process-wide mobility cache. The first scenario
-// error cancels the remaining work.
+// every shared input is computed once: the design-time mobility tables
+// per (template, RUs, latency) through the process-wide mobility cache,
+// and the zero-latency ideal baseline per (workload, RUs) per sweep,
+// never stored. Applications run in sequence, and at zero latency with
+// no prefetch each one's run time depends only on its template, so
+// manager.Runner.Ideal times each distinct template alone and chains the
+// applications by a recurrence. The first scenario error cancels the
+// remaining work.
 //
 // Scenarios are dispatched to the pool longest-processing-time first
 // (LPT) rather than in spec order, ranked by their load — workload
@@ -47,11 +47,12 @@ import (
 // comes to the best possible makespan.
 //
 // With a Store attached, every scenario's canonical config hash is looked
-// up before it runs: hits are served from disk (entry and ideal-baseline
-// artifact: nothing reruns) and misses are written back on
-// completion — unless the sweep has already failed, in which case no
-// further entries are persisted (a cancelled sweep must never silently
-// populate the store with the scenarios that happened to finish). Stored
+// up before it runs: hits are served from disk (the scenario is not
+// simulated again; its baseline comes from the ideal cache) and misses
+// are written back on completion — unless the sweep has already failed,
+// in which case no further entries are persisted (a cancelled sweep must
+// never silently populate the store with the scenarios that happened to
+// finish). Stored
 // results carry the exact counters, completions and summary of a live
 // run, so a warm sweep is byte-identical in every report to a cold one.
 // Specs the store cannot identify canonically (see Spec.Cacheable)
@@ -191,9 +192,9 @@ func (e Executor) Collect(spec Spec, c Collector) error {
 	// content hash dominates and is shared by every scenario of an axis
 	// value). An uncacheable spec bypasses the store; a duplicate-hash
 	// grid is a real error even though Expand's structural check passed.
-	var keys, wlKeys []string
+	var keys []string
 	if e.Store != nil && sp.Cacheable() == nil {
-		keys, wlKeys, err = sp.scenarioKeysFor(scenarios)
+		keys, err = sp.scenarioKeysFor(scenarios)
 		if err != nil {
 			return err
 		}
@@ -240,7 +241,7 @@ func (e Executor) Collect(spec Spec, c Collector) error {
 		}
 	}
 
-	ideals := newIdealCache(&sp, e.Store, wlKeys)
+	ideals := &idealCache{sp: &sp, m: make(map[idealID]*idealEntry)}
 	jobs := make(chan int)
 	completions := make(chan indexedResult)
 	stop := make(chan struct{})
@@ -602,7 +603,7 @@ func (e Executor) awaitStored(sp *Spec, sc Scenario, ideals *idealCache, runner 
 }
 
 // resultFromEntry rebuilds a scenario result from a store entry and the
-// ideal cache (which re-simulates a missing baseline on runner), or
+// ideal cache (which computes a missing baseline on runner), or
 // returns nil when the entry lacks its summary (only possible for a
 // hand-damaged store — the baseline flag is part of the key).
 func resultFromEntry(sp *Spec, sc Scenario, ent *resultstore.Entry, ideals *idealCache, runner *manager.Runner) (*Result, error) {
@@ -659,7 +660,7 @@ func runScenario(sp *Spec, sc Scenario, ideals *idealCache, runner *manager.Runn
 	if sp.NoBaseline {
 		return res, nil
 	}
-	// The run's snapshot is taken, so the runner is free to simulate the
+	// The run's snapshot is taken, so the runner is free to compute the
 	// ideal baseline should this scenario be the first to need it.
 	ideal, err := ideals.get(sc.WorkloadIdx, sc.RUs, runner)
 	if err != nil {
@@ -691,38 +692,16 @@ func (w *Workload) templates() []*taskgraph.Graph {
 	return out
 }
 
-// idealKey derives the store key of the ideal baseline of (workload
-// content key, RUs). The kind tag is folded in first for domain
-// separation from scenario keys and other artifacts; latency and policy
-// are not inputs, because every ideal runs at zero latency under LRU.
-func idealKey(wlKey string, rus int) string {
-	h := resultstore.NewHash()
-	h.String("artifact", resultstore.IdealKind)
-	h.String("workload", wlKey)
-	h.Int("rus", int64(rus))
-	return h.Sum()
-}
-
 // idealCache serves the zero-latency baselines shared by every scenario
-// of one (workload, RUs) pair, from two tiers. The first is this
-// executor's single-flight map, so concurrent scenarios wait for one
-// computation. The second, with a store and workload keys (a cacheable
-// spec), is the store's artifact space: every executor over one store —
-// each shard and each experiment of a campaign, in any process — then
-// simulates a given baseline once per store, not once per sweep. Store
-// hits read it here too: the artifact is the baseline's only copy.
-//
-// The baseline runs the LRU policy, exactly as the paper's figures do.
-// At zero latency the timing does not depend on the policy (pinned by
-// internal/manager's TestIdealTimingIndependentOfPolicy), so one LRU
-// baseline serves every policy's Summary. A baseline served from the
-// store carries no Templates; nothing reads them.
+// of one (workload, RUs) pair: a single-flight map, so concurrent
+// scenarios wait for one manager.Runner.Ideal computation and share its
+// result. At zero latency the timing does not depend on the policy
+// (internal/manager's TestIdealTimingIndependentOfPolicy), so one
+// baseline serves every policy's Summary.
 type idealCache struct {
-	sp     *Spec
-	store  *resultstore.Store
-	wlKeys []string // nil: no store tier
-	mu     sync.Mutex
-	m      map[idealID]*idealEntry
+	sp *Spec
+	mu sync.Mutex
+	m  map[idealID]*idealEntry
 }
 
 type idealID struct {
@@ -731,65 +710,24 @@ type idealID struct {
 }
 
 type idealEntry struct {
-	done chan struct{}
+	once sync.Once
 	res  *manager.Result
 	err  error
 }
 
-func newIdealCache(sp *Spec, store *resultstore.Store, wlKeys []string) *idealCache {
-	return &idealCache{sp: sp, store: store, wlKeys: wlKeys, m: make(map[idealID]*idealEntry)}
-}
-
-// get returns the baseline of (workload, rus). The caller that finds it
-// in neither tier simulates it on runner, which must be idle.
+// get returns the baseline of (workload, rus). The first caller computes
+// it on runner, which must be idle; the others wait for it.
 func (c *idealCache) get(workload, rus int, runner *manager.Runner) (*manager.Result, error) {
 	id := idealID{workload: workload, rus: rus}
 	c.mu.Lock()
 	e, ok := c.m[id]
 	if !ok {
-		e = &idealEntry{done: make(chan struct{})}
+		e = new(idealEntry)
 		c.m[id] = e
-		c.mu.Unlock()
-		e.res, e.err = c.load(workload, rus, runner)
-		close(e.done)
-		return e.res, e.err
 	}
 	c.mu.Unlock()
-	<-e.done
+	e.once.Do(func() {
+		e.res, e.err = runner.Ideal(rus, dynlist.NewSequence(c.sp.Workloads[workload].Seq...))
+	})
 	return e.res, e.err
-}
-
-// load serves the baseline from the store, or simulates it and writes it
-// back. A stored payload that does not decode, or does not cover the
-// workload's every application, is a miss: it is re-simulated and
-// overwritten in place.
-func (c *idealCache) load(workload, rus int, runner *manager.Runner) (*manager.Result, error) {
-	seq := c.sp.Workloads[workload].Seq
-	var key string
-	if c.wlKeys != nil {
-		key = idealKey(c.wlKeys[workload], rus)
-		if a, ok := c.store.GetArtifact(key, resultstore.IdealKind, resultstore.SchemaVersion); ok {
-			var run resultstore.Run
-			if json.Unmarshal(a.Payload, &run) == nil && run.Graphs == len(seq) && len(run.Completions) == len(seq) {
-				return run.Result(), nil
-			}
-		}
-	}
-	res, err := runner.Run(manager.Config{
-		RUs: rus, Latency: 0, Policy: policy.NewLRU(),
-	}, dynlist.NewSequence(seq...))
-	if err != nil || key == "" {
-		return res, err
-	}
-	if payload, err := json.Marshal(resultstore.RecordRun(res)); err == nil {
-		// A failed write costs the next executor a re-simulation, never
-		// this result; the store counts it in SummaryLine.
-		_ = c.store.PutArtifact(key, &resultstore.Artifact{
-			Kind:        resultstore.IdealKind,
-			KindVersion: resultstore.SchemaVersion,
-			Label:       fmt.Sprintf("ideal %s rus=%d", c.sp.Workloads[workload].Label, rus),
-			Payload:     payload,
-		})
-	}
-	return res, nil
 }

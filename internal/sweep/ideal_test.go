@@ -11,9 +11,9 @@ import (
 
 	"repro/internal/dynlist"
 	"repro/internal/faultstore"
+	"repro/internal/manager"
 	"repro/internal/policy"
 	"repro/internal/resultstore"
-	"repro/internal/simtime"
 	"repro/internal/storetest"
 	"repro/internal/taskgraph"
 )
@@ -36,23 +36,6 @@ func twoWorkloadSpec(t testing.TB, rus ...int) Spec {
 	return spec
 }
 
-// idealLookups counts the distinct (workload, RUs) pairs among the
-// scenarios a shard of spec owns: the artifact lookups one executor makes.
-func idealLookups(t *testing.T, spec Spec) (n int, pairs map[idealID]bool) {
-	t.Helper()
-	scenarios, err := spec.Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pairs = make(map[idealID]bool)
-	for _, sc := range scenarios {
-		if spec.Shard.Owns(sc.Index) {
-			pairs[idealID{workload: sc.WorkloadIdx, rus: sc.RUs}] = true
-		}
-	}
-	return len(pairs), pairs
-}
-
 // sameAsReference checks results against a no-store run of the same
 // grid, matched by spec index: Summary and the stored form of the ideal
 // baseline must agree field for field.
@@ -72,87 +55,59 @@ func sameAsReference(t *testing.T, what string, got []*Result, ref *ResultSet) {
 	}
 }
 
-// TestIdealBaselineSharedAcrossExecutors is the work-removal pin: one
-// grid populated as four shards, then a second grid over the same
-// workloads, all into one store, simulate each distinct (workload, RUs)
-// ideal baseline exactly once — one artifact put per pair, a hit for
-// every other lookup — and every shard's results equal a no-store run's.
-func TestIdealBaselineSharedAcrossExecutors(t *testing.T) {
-	first := twoWorkloadSpec(t, 4, 5)
-	second := twoWorkloadSpec(t, 5, 6)
-	second.Latencies = []simtime.Time{simtime.FromMs(8)}
-	second.Policies = []PolicySpec{second.Policies[0], Fixed("MRU", policy.NewMRU())}
+// idealRunKind is the artifact kind under which older sweeps stored each
+// (workload, RUs) ideal baseline, and legacyIdealKey the key they filed
+// it under. Nothing reads or writes either any more; the tests below
+// plant such artifacts to pin that.
+const idealRunKind = "ideal-run"
 
-	refFirst, err := Run(first)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refSecond, err := Run(second)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, bk := range storetest.Backends(t) {
-		t.Run(bk.Name, func(t *testing.T) {
-			store, _ := bk.Open(t)
-			lookups := 0
-			distinct := make(map[idealID]bool)
-			const shards = 4
-			for i := 0; i < shards; i++ {
-				sp := first
-				sp.Shard = Shard{Index: i, Count: shards}
-				n, pairs := idealLookups(t, sp)
-				lookups += n
-				for p := range pairs {
-					distinct[p] = true
-				}
-				rs, err := (Executor{Workers: 2, Store: store}).Run(sp)
-				if err != nil {
-					t.Fatal(err)
-				}
-				sameAsReference(t, "shard "+sp.Shard.String(), rs.Results, refFirst)
-			}
-			n, pairs := idealLookups(t, second)
-			lookups += n
-			for p := range pairs {
-				distinct[p] = true
-			}
-			rs, err := (Executor{Workers: 2, Store: store}).Run(second)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameAsReference(t, "second grid", rs.Results, refSecond)
-
-			hits, misses, puts := store.ArtifactStats()
-			want := int64(len(distinct)) // 2 workloads × RUs {4, 5, 6}
-			if want != 6 || puts != want || misses != want || hits != int64(lookups)-want {
-				t.Errorf("artifacts: %d hits, %d misses, %d puts; want %d hits, %d misses, %d puts (%d lookups, %d distinct pairs)",
-					hits, misses, puts, int64(lookups)-want, want, want, lookups, want)
-			}
-		})
-	}
-}
-
-// idealArtifact reads the ideal baseline artifact filed under key through
-// a fresh handle, failing the test when it is absent or not current.
-func idealArtifact(t *testing.T, store *resultstore.Store, key string) *resultstore.Run {
+func legacyIdealKey(t testing.TB, w *Workload, rus int) string {
 	t.Helper()
-	a, ok := resultstore.FromBackend(store.Backend()).GetArtifact(key, resultstore.IdealKind, resultstore.SchemaVersion)
-	if !ok {
-		t.Fatalf("no current ideal artifact under %s", key[:12])
+	wlKey, err := workloadKey(w)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var run resultstore.Run
-	if err := json.Unmarshal(a.Payload, &run); err != nil {
-		t.Fatalf("ideal artifact payload: %v", err)
-	}
-	return &run
+	h := resultstore.NewHash()
+	h.String("artifact", idealRunKind)
+	h.String("workload", wlKey)
+	h.Int("rus", int64(rus))
+	return h.Sum()
 }
 
-// TestIdealArtifactInvalidation: an ideal artifact of a stale kind
-// version, or whose payload does not decode into the workload's run, is
-// a miss — re-simulated and overwritten in place under the same key —
-// GC keeps a current one, and a failed artifact write is counted without
-// losing any result.
+// plantIdealArtifacts writes into store the ideal-run artifact an older
+// sweep of spec left for each (workload, RUs) pair, ref's baseline as a
+// stored Run, and returns their keys.
+func plantIdealArtifacts(t *testing.T, store *resultstore.Store, spec Spec, ref *ResultSet) []string {
+	t.Helper()
+	seen := make(map[string]bool)
+	var keys []string
+	for _, r := range ref.Results {
+		key := legacyIdealKey(t, &spec.Workloads[r.Scenario.WorkloadIdx], r.Scenario.RUs)
+		if seen[key] {
+			continue
+		}
+		seen[key] = true
+		payload, err := json.Marshal(resultstore.RecordRun(r.Ideal))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := store.PutArtifact(key, &resultstore.Artifact{
+			Kind: idealRunKind, KindVersion: resultstore.SchemaVersion,
+			Label: fmt.Sprintf("ideal %s rus=%d", r.Scenario.Workload.Label, r.Scenario.RUs), Payload: payload,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, key)
+	}
+	return keys
+}
+
+// TestIdealArtifactInvalidation: an ideal-run artifact is never served,
+// whatever its shape — the current kind version, a stale one, an
+// undecodable or a mis-shaped payload. A sweep over it matches a no-store
+// run and makes no artifact operation, and GC removes the artifact while
+// it keeps the entry. No sweep writes one either: a fault armed on the
+// artifact's key never fires.
 func TestIdealArtifactInvalidation(t *testing.T) {
 	spec := fig9Spec(t, 4)
 	spec.Policies = spec.Policies[:1]
@@ -160,15 +115,10 @@ func TestIdealArtifactInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantIdeal := resultstore.RecordRun(ref.Results[0].Ideal)
-	wlKey, err := workloadKey(&spec.Workloads[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := idealKey(wlKey, 4)
+	key := legacyIdealKey(t, &spec.Workloads[0], 4)
 	// A tampered payload is decodable but wrong, so serving it would show
 	// in the summary.
-	tampered := *wantIdeal
+	tampered := *resultstore.RecordRun(ref.Results[0].Ideal)
 	tampered.Makespan++
 	tamperedPayload, err := json.Marshal(&tampered)
 	if err != nil {
@@ -176,9 +126,10 @@ func TestIdealArtifactInvalidation(t *testing.T) {
 	}
 
 	cases := map[string]resultstore.Artifact{
-		"stale kind version": {Kind: resultstore.IdealKind, KindVersion: resultstore.SchemaVersion - 1, Payload: tamperedPayload},
-		"undecodable":        {Kind: resultstore.IdealKind, KindVersion: resultstore.SchemaVersion, Payload: json.RawMessage(`{"completions":"!"}`)},
-		"wrong shape":        {Kind: resultstore.IdealKind, KindVersion: resultstore.SchemaVersion, Payload: json.RawMessage(`{"makespan":1,"graphs":1}`)},
+		"current kind version": {Kind: idealRunKind, KindVersion: resultstore.SchemaVersion, Payload: tamperedPayload},
+		"stale kind version":   {Kind: idealRunKind, KindVersion: resultstore.SchemaVersion - 1, Payload: tamperedPayload},
+		"undecodable":          {Kind: idealRunKind, KindVersion: resultstore.SchemaVersion, Payload: json.RawMessage(`{"completions":"!"}`)},
+		"wrong shape":          {Kind: idealRunKind, KindVersion: resultstore.SchemaVersion, Payload: json.RawMessage(`{"makespan":1,"graphs":1}`)},
 	}
 	for name, bad := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -192,21 +143,18 @@ func TestIdealArtifactInvalidation(t *testing.T) {
 				t.Fatal(err)
 			}
 			sameAsReference(t, name, rs.Results, ref)
-			if _, _, puts := fresh.ArtifactStats(); puts != 1 {
-				t.Errorf("%d artifact puts, want the ideal re-simulated and written once", puts)
-			}
-			if run := idealArtifact(t, fresh, key); !reflect.DeepEqual(run, wantIdeal) {
-				t.Errorf("artifact after the sweep: %+v, want the simulated ideal %+v", run, wantIdeal)
+			if hits, misses, puts := fresh.ArtifactStats(); hits+misses+puts != 0 {
+				t.Errorf("%d/%d/%d artifact hits/misses/puts, want none", hits, misses, puts)
 			}
 			st, err := fresh.GC()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if st.Removed != 0 || st.Kept != 2 {
-				t.Errorf("gc removed %d kept %d, want the entry and the ideal artifact kept", st.Removed, st.Kept)
+			if st.Removed != 1 || st.Kept != 1 {
+				t.Errorf("gc removed %d kept %d, want the ideal-run artifact removed and the entry kept", st.Removed, st.Kept)
 			}
-			if run := idealArtifact(t, fresh, key); !reflect.DeepEqual(run, wantIdeal) {
-				t.Error("gc changed the ideal artifact")
+			if _, ok := fresh.Backend().Load(key); ok {
+				t.Error("the ideal-run artifact survived gc")
 			}
 		})
 	}
@@ -220,22 +168,16 @@ func TestIdealArtifactInvalidation(t *testing.T) {
 		}
 		sameAsReference(t, "failed write", rs.Results, ref)
 		if _, _, puts := store.Stats(); puts != 1 {
-			t.Errorf("%d result puts, want the scenario stored despite the failed artifact write", puts)
+			t.Errorf("%d result puts, want the scenario stored", puts)
 		}
-		if _, _, puts := store.ArtifactStats(); puts != 0 {
-			t.Errorf("%d artifact puts counted, want 0 (the write failed)", puts)
-		}
-		if line := store.SummaryLine(); !strings.Contains(line, "; 1 writes FAILED") {
-			t.Errorf("summary line %q does not count the failed artifact write", line)
-		}
-		if plan.InjectedTotal() != 1 {
-			t.Errorf("%d faults injected, want 1", plan.InjectedTotal())
+		if plan.InjectedTotal() != 0 || strings.Contains(store.SummaryLine(), "FAILED") {
+			t.Errorf("%d faults fired (summary %q): the sweep wrote under the ideal-run key", plan.InjectedTotal(), store.SummaryLine())
 		}
 	})
 }
 
 // TestIdealBaselineBypassesStoreWithoutKeys: an uncacheable spec never
-// touches the artifact space, so it behaves as a storeless sweep.
+// touches the store, and its baseline is the one Runner.Ideal computes.
 func TestIdealBaselineBypassesStoreWithoutKeys(t *testing.T) {
 	store := resultstore.OpenMem()
 	spec := fig9Spec(t, 4)
@@ -244,11 +186,18 @@ func TestIdealBaselineBypassesStoreWithoutKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rs.Results[0].Ideal.Templates == nil {
-		t.Error("ideal of an uncacheable spec lost its templates: it was not simulated")
+	want, err := manager.NewRunner().Ideal(4, dynlist.NewSequence(spec.Workloads[0].Seq...))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if hits, misses, puts := store.ArtifactStats(); hits+misses+puts != 0 {
-		t.Errorf("uncacheable spec touched the artifact space: %d/%d/%d", hits, misses, puts)
+	if got := rs.Results[0].Ideal; !reflect.DeepEqual(got, want) {
+		t.Errorf("ideal %+v, want Runner.Ideal's %+v", got, want)
+	}
+	hits, misses, puts := store.Stats()
+	ahits, amisses, aputs := store.ArtifactStats()
+	if hits+misses+puts+ahits+amisses+aputs != 0 {
+		t.Errorf("uncacheable spec touched the store: %d/%d/%d results, %d/%d/%d artifacts",
+			hits, misses, puts, ahits, amisses, aputs)
 	}
 }
 
@@ -262,12 +211,11 @@ func renderRows(results []*Result) []string {
 	return rows
 }
 
-// TestMergeSurvivesDamagedIdealArtifacts: since schema v4 the ideal-run
-// artifact is the only stored copy of a baseline, so a merge must
-// survive losing one. With one artifact deleted and another truncated,
-// a RequireStored merge and a StoreWait watch merge each serve every
-// entry (0 misses), render rows byte-identical to a live run, and
-// re-simulate exactly the two affected baselines, writing them back.
+// TestMergeSurvivesDamagedIdealArtifacts: a merge over a store an older
+// sweep populated, holding its ideal-run artifacts with one deleted and
+// one truncated, needs none of them. A RequireStored merge and a
+// StoreWait watch merge each serve every entry (0 misses), render rows
+// byte-identical to a live run and make no artifact operation.
 func TestMergeSurvivesDamagedIdealArtifacts(t *testing.T) {
 	spec := twoWorkloadSpec(t, 4, 5)
 	ref, err := Run(spec)
@@ -275,19 +223,6 @@ func TestMergeSurvivesDamagedIdealArtifacts(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := renderRows(ref.Results)
-	scenarios, err := spec.Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, wlKeys, err := spec.scenarioKeysFor(scenarios)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantIdeal := make(map[string]*resultstore.Run)
-	for _, r := range ref.Results {
-		wantIdeal[idealKey(wlKeys[r.Scenario.WorkloadIdx], r.Scenario.RUs)] = resultstore.RecordRun(r.Ideal)
-	}
-	deleted, torn := idealKey(wlKeys[0], 4), idealKey(wlKeys[1], 5)
 	merges := []struct {
 		name string
 		wait *StoreWait
@@ -302,19 +237,19 @@ func TestMergeSurvivesDamagedIdealArtifacts(t *testing.T) {
 			if err := (Executor{Workers: 2, Store: store}).Collect(spec, Discard); err != nil {
 				t.Fatal(err)
 			}
+			ideals := plantIdealArtifacts(t, store, spec, ref)
+			b := store.Backend()
+			if err := b.Delete(ideals[0]); err != nil {
+				t.Fatal(err)
+			}
+			data, ok := b.Load(ideals[1])
+			if !ok {
+				t.Fatal("planted ideal artifact missing")
+			}
+			if err := b.Store(ideals[1], data[:len(data)/2]); err != nil {
+				t.Fatal(err)
+			}
 			for _, m := range merges {
-				b := store.Backend()
-				if err := b.Delete(deleted); err != nil {
-					t.Fatal(err)
-				}
-				data, ok := b.Load(torn)
-				if !ok {
-					t.Fatal("populate stored no ideal artifact to truncate")
-				}
-				if err := b.Store(torn, data[:len(data)/2]); err != nil {
-					t.Fatal(err)
-				}
-
 				merge := reopen(t)
 				rs, err := (Executor{Workers: 2, Store: merge, RequireStored: true, StoreWait: m.wait}).Run(spec)
 				if err != nil {
@@ -326,14 +261,8 @@ func TestMergeSurvivesDamagedIdealArtifacts(t *testing.T) {
 				if hits, misses, puts := merge.Stats(); hits != int64(spec.Size()) || misses != 0 || puts != 0 {
 					t.Errorf("%s merge: %d hits, %d misses, %d puts; want %d hits and nothing else", m.name, hits, misses, puts, spec.Size())
 				}
-				if hits, misses, puts := merge.ArtifactStats(); hits != int64(len(wantIdeal)-2) || misses != 2 || puts != 2 {
-					t.Errorf("%s merge artifacts: %d hits, %d misses, %d puts; want %d hits and the 2 damaged baselines re-simulated and written",
-						m.name, hits, misses, puts, len(wantIdeal)-2)
-				}
-				for _, k := range []string{deleted, torn} {
-					if got := idealArtifact(t, store, k); !reflect.DeepEqual(got, wantIdeal[k]) {
-						t.Errorf("%s merge wrote back %+v under %s, want %+v", m.name, got, k[:12], wantIdeal[k])
-					}
+				if hits, misses, puts := merge.ArtifactStats(); hits+misses+puts != 0 {
+					t.Errorf("%s merge artifacts: %d hits, %d misses, %d puts; want none", m.name, hits, misses, puts)
 				}
 			}
 		})

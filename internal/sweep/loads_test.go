@@ -47,13 +47,12 @@ func wantLoads(t *testing.T, what string, got map[string]int, want []string) {
 }
 
 // TestWarmCollectLoadsEachEntryOnce is the single-read pin, on every
-// backend. A cold populate loads each scenario key once (its miss) plus
-// each distinct (workload, RUs) ideal artifact once. A fully warm Collect
-// loads exactly the same: each owned scenario's entry once, to serve it,
-// and each distinct ideal artifact once, the only stored copy of the
-// baseline its entries share. Before its first dispatch it loads at most
-// the dispatched scenario's entry and that scenario's ideal, so no pass
-// over the store precedes the work.
+// backend. A cold populate loads each owned scenario key once (its miss)
+// and nothing else. A fully warm Collect loads exactly the same: each
+// owned scenario's entry once, to serve it; the baselines its entries
+// share are computed, not loaded. Neither makes an artifact operation.
+// Before its first dispatch the warm Collect loads at most the dispatched
+// scenario's entry, so no pass over the store precedes the work.
 func TestWarmCollectLoadsEachEntryOnce(t *testing.T) {
 	spec := twoWorkloadSpec(t, 4, 5)
 	spec.Shard = Shard{Index: 1, Count: 2} // owned ⊂ grid: unowned keys must stay unread
@@ -61,23 +60,16 @@ func TestWarmCollectLoadsEachEntryOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys, wlKeys, err := spec.scenarioKeysFor(scenarios)
+	keys, err := spec.scenarioKeysFor(scenarios)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var owned, ideals []string
-	seen := make(map[string]bool)
+	var owned []string
 	for _, sc := range scenarios {
-		if !spec.Shard.Owns(sc.Index) {
-			continue
-		}
-		owned = append(owned, keys[sc.Index])
-		if k := idealKey(wlKeys[sc.WorkloadIdx], sc.RUs); !seen[k] {
-			seen[k] = true
-			ideals = append(ideals, k)
+		if spec.Shard.Owns(sc.Index) {
+			owned = append(owned, keys[sc.Index])
 		}
 	}
-	all := append(append([]string(nil), owned...), ideals...)
 
 	for _, bk := range storetest.Backends(t) {
 		t.Run(bk.Name, func(t *testing.T) {
@@ -88,7 +80,7 @@ func TestWarmCollectLoadsEachEntryOnce(t *testing.T) {
 			if err := (Executor{Workers: 2, Store: store}).Collect(spec, Discard); err != nil {
 				t.Fatal(err)
 			}
-			wantLoads(t, "cold populate", counter.take(), all)
+			wantLoads(t, "cold populate", counter.take(), owned)
 
 			var early map[string]int
 			first := -1
@@ -102,20 +94,20 @@ func TestWarmCollectLoadsEachEntryOnce(t *testing.T) {
 				t.Fatal(err)
 			}
 			// The first dispatched worker may already have loaded its own
-			// entry and ideal when the hook runs; any earlier pass would
-			// show more.
-			sc := scenarios[first]
-			own := map[string]bool{keys[first]: true, idealKey(wlKeys[sc.WorkloadIdx], sc.RUs): true}
+			// entry when the hook runs; any earlier pass would show more.
 			rest := counter.take()
 			for k, n := range early {
-				if !own[k] || n != 1 {
-					t.Errorf("warm Collect loaded %s %d times before its first dispatch, want at most the dispatched scenario's entry and ideal, once each", k[:12], n)
+				if k != keys[first] || n != 1 {
+					t.Errorf("warm Collect loaded %s %d times before its first dispatch, want at most the dispatched scenario's entry, once", k[:12], n)
 				}
 				rest[k] += n
 			}
-			wantLoads(t, "warm Collect", rest, all)
+			wantLoads(t, "warm Collect", rest, owned)
 			if hits, misses, _ := store.Stats(); hits != int64(len(owned)) || misses != int64(len(owned)) {
 				t.Errorf("stats hits=%d misses=%d, want %d cold misses then %d warm hits", hits, misses, len(owned), len(owned))
+			}
+			if hits, misses, puts := store.ArtifactStats(); hits+misses+puts != 0 {
+				t.Errorf("artifacts: %d hits, %d misses, %d puts; want none", hits, misses, puts)
 			}
 		})
 	}

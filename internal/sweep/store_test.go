@@ -9,6 +9,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/artifact"
+	"repro/internal/mobility"
 	"repro/internal/policy"
 	"repro/internal/resultstore"
 	"repro/internal/simtime"
@@ -94,10 +96,9 @@ func TestStoreWarmRunIdentical(t *testing.T) {
 
 // TestSchemaV2EntryMigrates pins the v2 → v3 schema bump on a literal
 // v2 entry, completions still a JSON integer array: Get and Probe miss,
-// a sweep re-simulates the scenario
-// and overwrites the entry in place at the current schema (storing its
-// ideal baseline as an artifact), and GC removes a v2 entry nobody
-// re-simulated while it keeps the current entry and the ideal artifact.
+// a sweep re-simulates the scenario and overwrites the entry in place at
+// the current schema (and stores nothing else), and GC removes a v2
+// entry nobody re-simulated while it keeps the current entry.
 func TestSchemaV2EntryMigrates(t *testing.T) {
 	dir := t.TempDir()
 	store, err := resultstore.Open(dir)
@@ -171,11 +172,11 @@ func TestSchemaV2EntryMigrates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, puts := store.ArtifactStats(); puts != 1 {
-		t.Errorf("sweep wrote %d artifacts, want 1: the scenario's ideal baseline", puts)
+	if hits, misses, puts := store.ArtifactStats(); hits+misses+puts != 0 {
+		t.Errorf("sweep made %d/%d/%d artifact hits/misses/puts, want none", hits, misses, puts)
 	}
-	if st.Removed != 1 || st.Kept != 2 {
-		t.Errorf("gc removed %d kept %d, want the v2 leftover removed and the v3 entry plus the ideal artifact kept", st.Removed, st.Kept)
+	if st.Removed != 1 || st.Kept != 1 {
+		t.Errorf("gc removed %d kept %d, want the v2 leftover removed and the current entry kept", st.Removed, st.Kept)
 	}
 	if _, err := os.Stat(path(leftover)); !os.IsNotExist(err) {
 		t.Errorf("v2 leftover survived gc: %v", err)
@@ -185,10 +186,10 @@ func TestSchemaV2EntryMigrates(t *testing.T) {
 // TestSchemaV3EntryMigrates pins the v3 → v4 schema bump on every
 // backend, on a literal v3 entry that embeds its ideal baseline next to
 // a v3 ideal-run artifact under the baseline's key: Get and Probe miss,
-// a sweep re-simulates the scenario and overwrites both in place as v4 —
-// the entry without an embedded ideal — and GC removes a v3 entry and a
-// v3 ideal-run artifact nobody re-simulated while it keeps the v4 entry
-// and its artifact.
+// a sweep re-simulates the scenario and overwrites the entry in place as
+// v4, without an embedded ideal, and touches no artifact; GC then
+// removes the ideal-run artifact and a v3 entry and artifact nobody
+// re-simulated, while it keeps the v4 entry.
 func TestSchemaV3EntryMigrates(t *testing.T) {
 	spec := fig9Spec(t, 4)
 	spec.Policies = spec.Policies[:1]
@@ -196,11 +197,11 @@ func TestSchemaV3EntryMigrates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys, wlKeys, err := spec.scenarioKeysFor(scenarios)
+	keys, err := spec.scenarioKeysFor(scenarios)
 	if err != nil {
 		t.Fatal(err)
 	}
-	key, ideal := keys[0], idealKey(wlKeys[0], 4)
+	key, ideal := keys[0], legacyIdealKey(t, &spec.Workloads[0], 4)
 	const run = `{"makespan":70000,"executed":15,"reused":5,"loads":10,"evictions":6,"graphs":3,"completions":"kE4GCAE=","events":42}`
 	const v3Ideal = `{"makespan":50000,"executed":15,"loads":15,"graphs":3,"completions":"kE4GCAE=","events":40}`
 	v3Entry := func(key string) []byte {
@@ -210,7 +211,7 @@ func TestSchemaV3EntryMigrates(t *testing.T) {
 	}
 	v3Artifact := func(key string) []byte {
 		return fmt.Appendf(nil, `{"artifact_schema":1,"key":%q,"kind":%q,"kind_version":3,"payload":%s}`,
-			key, resultstore.IdealKind, v3Ideal)
+			key, idealRunKind, v3Ideal)
 	}
 
 	for _, bk := range storetest.Backends(t) {
@@ -232,15 +233,14 @@ func TestSchemaV3EntryMigrates(t *testing.T) {
 				t.Error("Probe served a v3 entry")
 			}
 
-			res, err := (Executor{Workers: 1, Store: store}).Run(spec)
-			if err != nil {
+			if _, err := (Executor{Workers: 1, Store: store}).Run(spec); err != nil {
 				t.Fatal(err)
 			}
 			if _, misses, puts := store.Stats(); misses != 2 || puts != 1 {
 				t.Errorf("sweep over a v3 entry: misses=%d puts=%d, want 2 (Get above + sweep) and 1", misses, puts)
 			}
-			if hits, misses, puts := store.ArtifactStats(); hits != 0 || misses != 1 || puts != 1 {
-				t.Errorf("sweep over a v3 ideal artifact: %d/%d/%d artifact hits/misses/puts, want 0/1/1", hits, misses, puts)
+			if hits, misses, puts := store.ArtifactStats(); hits+misses+puts != 0 {
+				t.Errorf("sweep over a v3 ideal artifact: %d/%d/%d artifact hits/misses/puts, want none", hits, misses, puts)
 			}
 			data, ok := b.Load(key)
 			if !ok {
@@ -254,9 +254,6 @@ func TestSchemaV3EntryMigrates(t *testing.T) {
 				t.Errorf("entry after the sweep: schema %s, ideal %.20s; want v%d without an embedded ideal",
 					head["schema"], head["ideal"], resultstore.SchemaVersion)
 			}
-			if got := idealArtifact(t, store, ideal); !reflect.DeepEqual(got, resultstore.RecordRun(res.Results[0].Ideal)) {
-				t.Errorf("ideal artifact after the sweep: %+v, want the re-simulated baseline", got)
-			}
 
 			leftEntry, leftIdeal := strings.Repeat("ab", 32), strings.Repeat("cd", 32)
 			write(leftEntry, v3Entry(leftEntry))
@@ -265,16 +262,100 @@ func TestSchemaV3EntryMigrates(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if st.Removed != 2 || st.Kept != 2 {
-				t.Errorf("gc removed %d kept %d, want the two v3 leftovers removed and the v4 entry plus its ideal artifact kept", st.Removed, st.Kept)
+			if st.Removed != 3 || st.Kept != 1 {
+				t.Errorf("gc removed %d kept %d, want the ideal-run artifact and the two v3 leftovers removed and the v4 entry kept", st.Removed, st.Kept)
 			}
-			for _, k := range []string{leftEntry, leftIdeal} {
+			for _, k := range []string{ideal, leftEntry, leftIdeal} {
 				if _, ok := b.Load(k); ok {
 					t.Errorf("v3 leftover %s survived gc", k[:12])
 				}
 			}
 			if _, ok := store.Get(key); !ok {
 				t.Error("gc lost the v4 entry")
+			}
+		})
+	}
+}
+
+// TestSchemaV4IdealArtifactsCollected pins the upgrade of a v4 store
+// written while baselines were stored, on every backend: entries, one
+// ideal-run artifact per (workload, RUs) and the mobility tables. Its
+// first warm run renders rows byte-identical to a live run, loading each
+// entry once and no artifact; GC then removes the ideal-run artifacts
+// while it keeps every entry and mobility table.
+func TestSchemaV4IdealArtifactsCollected(t *testing.T) {
+	spec := twoWorkloadSpec(t, 4, 5)
+	ref, err := Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := renderRows(ref.Results)
+	scenarios, err := spec.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys, err := spec.scenarioKeysFor(scenarios)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tables []*mobility.Table
+	for _, rus := range spec.RUs {
+		_, ts, err := mobility.CachedAll(spec.Workloads[0].Pool, rus, spec.Latencies[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		tables = append(tables, ts...)
+	}
+
+	for _, bk := range storetest.Backends(t) {
+		t.Run(bk.Name, func(t *testing.T) {
+			store, reopen := bk.Open(t)
+			if err := (Executor{Workers: 2, Store: store}).Collect(spec, Discard); err != nil {
+				t.Fatal(err)
+			}
+			ideals := plantIdealArtifacts(t, store, spec, ref)
+			for _, tab := range tables {
+				if err := artifact.NewTableStore(store).StoreTable(tab); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			counter := &loadCounter{Backend: reopen(t).Backend(), loads: make(map[string]int)}
+			warm := resultstore.FromBackend(counter)
+			rs, err := (Executor{Workers: 2, Store: warm}).Run(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := renderRows(rs.Results); !reflect.DeepEqual(got, want) {
+				t.Errorf("first run rows differ from the live run:\n got %q\nwant %q", got, want)
+			}
+			wantLoads(t, "first run", counter.take(), keys)
+			if hits, misses, puts := warm.ArtifactStats(); hits+misses+puts != 0 {
+				t.Errorf("first run artifacts: %d hits, %d misses, %d puts; want none", hits, misses, puts)
+			}
+
+			st, err := warm.GC()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Removed != len(ideals) || st.Kept != len(keys)+len(tables) {
+				t.Errorf("gc removed %d kept %d, want the %d ideal-run artifacts removed and %d entries plus %d mobility tables kept",
+					st.Removed, st.Kept, len(ideals), len(keys), len(tables))
+			}
+			for _, k := range ideals {
+				if _, ok := warm.Backend().Load(k); ok {
+					t.Errorf("ideal-run artifact %s survived gc", k[:12])
+				}
+			}
+			for _, k := range keys {
+				if _, ok := warm.Get(k); !ok {
+					t.Errorf("gc lost entry %s", k[:12])
+				}
+			}
+			for _, tab := range tables {
+				if _, ok := artifact.NewTableStore(warm).LoadTable(tab.Graph, tab.RUs, tab.Latency); !ok {
+					t.Errorf("gc lost the mobility table of %s at R=%d", tab.Graph.Name(), tab.RUs)
+				}
 			}
 		})
 	}
