@@ -9,8 +9,10 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
+	"os"
 
 	"repro/internal/core"
 	"repro/internal/dynlist"
@@ -20,6 +22,13 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run prints the example's report to w.
+func run(w io.Writer) error {
 	jpeg, mpeg := workload.JPEG(), workload.MPEG1()
 	ms := simtime.FromMs
 
@@ -43,47 +52,44 @@ func main() {
 		RecordTrace: true,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := sys.Prepare(jpeg, mpeg); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	res, err := sys.RunFeed(func() dynlist.Feed {
-		f, err := dynlist.NewTimed(arrivals)
-		if err != nil {
-			log.Fatal(err)
-		}
-		return f
-	})
+	timed, err := dynlist.NewTimed(arrivals)
 	if err != nil {
-		log.Fatal(err)
+		return err
+	}
+	res, err := sys.RunFeed(func() dynlist.Feed { return timed.Rewind() })
+	if err != nil {
+		return err
 	}
 
-	fmt.Println("per-application timeline (arrival → start → completion):")
+	fmt.Fprintln(w, "per-application timeline (arrival → start → completion):")
 	for _, g := range res.Run.Trace.Graphs {
-		fmt.Printf("  #%d %-6s  arrived %8v  started %8v  finished %8v\n",
+		fmt.Fprintf(w, "  #%d %-6s  arrived %8v  started %8v  finished %8v\n",
 			g.Instance, g.Name, g.Arrived, g.Started, g.Finished)
 	}
 	s := res.Summary
-	fmt.Printf("\nreuse %.1f%% (%d/%d), overhead %v\n",
+	fmt.Fprintf(w, "\nreuse %.1f%% (%d/%d), overhead %v\n",
 		s.ReuseRate(), s.Reused, s.Executed, s.Overhead())
-	fmt.Println("\nThe final JPEG (arrival 700 ms) reuses the whole pipeline left resident")
-	fmt.Println("by the earlier instances: zero reconfigurations, zero overhead.")
+	fmt.Fprintln(w, "\nThe final JPEG (arrival 700 ms) reuses the whole pipeline left resident")
+	fmt.Fprintln(w, "by the earlier instances: zero reconfigurations, zero overhead.")
 
 	// The same system under a sustained stochastic load: a Poisson stream
 	// of 80 applications with a 30 ms mean inter-arrival gap.
-	res, err = sys.RunFeed(func() dynlist.Feed {
-		f, err := dynlist.RandomArrivals([]*taskgraph.Graph{jpeg, mpeg}, 80,
-			ms(30), rand.New(rand.NewSource(7)))
-		if err != nil {
-			log.Fatal(err)
-		}
-		return f
-	})
+	poisson, err := dynlist.RandomArrivals([]*taskgraph.Graph{jpeg, mpeg}, 80,
+		ms(30), rand.New(rand.NewSource(7)))
 	if err != nil {
-		log.Fatal(err)
+		return err
+	}
+	res, err = sys.RunFeed(func() dynlist.Feed { return poisson.Rewind() })
+	if err != nil {
+		return err
 	}
 	s = res.Summary
-	fmt.Printf("\nPoisson stream (80 apps, mean gap 30 ms): reuse %.1f%%, overhead %v (%.2f%% of original)\n",
+	fmt.Fprintf(w, "\nPoisson stream (80 apps, mean gap 30 ms): reuse %.1f%%, overhead %v (%.2f%% of original)\n",
 		s.ReuseRate(), s.Overhead(), s.RemainingOverheadPct())
+	return nil
 }

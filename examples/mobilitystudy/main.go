@@ -9,7 +9,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro/internal/core"
 	"repro/internal/mobility"
@@ -19,7 +21,14 @@ import (
 )
 
 func main() {
-	fmt.Println("design-time mobility tables (events a load may be postponed):")
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run prints the example's report to w.
+func run(w io.Writer) error {
+	fmt.Fprintln(w, "design-time mobility tables (events a load may be postponed):")
 	graphs := []*taskgraph.Graph{
 		workload.Fig3TG2(), workload.JPEG(), workload.MPEG1(), workload.Hough(),
 	}
@@ -32,30 +41,31 @@ func main() {
 			}
 			tab, err := mobility.Compute(g, rus, workload.PaperLatency())
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
-			fmt.Printf("  %v\n", tab)
+			fmt.Fprintf(w, "  %v\n", tab)
 		}
 	}
 
-	fmt.Println("\nrun-time payoff (the paper's Fig. 3, R=4):")
+	fmt.Fprintln(w, "\nrun-time payoff (the paper's Fig. 3, R=4):")
 	for _, skip := range []bool{false, true} {
 		res, err := core.Evaluate(core.Config{
 			RUs: 4, Latency: workload.PaperLatency(), Policy: "locallfd:1",
 			SkipEvents: skip, RecordTrace: true,
 		}, workload.Fig3Sequence()...)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		s := res.Summary
 		label := "ASAP (no skips)"
 		if skip {
 			label = "with skip events"
 		}
-		fmt.Printf("\n%s: makespan %v, overhead %v, reuse %.0f%%, skips %d\n",
+		fmt.Fprintf(w, "\n%s: makespan %v, overhead %v, reuse %.0f%%, skips %d\n",
 			label, s.Makespan, s.Overhead(), s.ReuseRate(), res.Run.Skips)
-		fmt.Print(res.Run.Trace.Gantt(trace.GanttOptions{TickMs: 1}))
+		fmt.Fprint(w, res.Run.Trace.Gantt(trace.GanttOptions{TickMs: 1}))
 	}
-	fmt.Println("\nDelaying task 7 by one event (its mobility) keeps task 1 resident for")
-	fmt.Println("the second Task Graph 1, eliminating one exposed reconfiguration.")
+	fmt.Fprintln(w, "\nDelaying task 7 by one event (its mobility) keeps task 1 resident for")
+	fmt.Fprintln(w, "the second Task Graph 1, eliminating one exposed reconfiguration.")
+	return nil
 }

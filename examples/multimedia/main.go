@@ -9,8 +9,10 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
+	"os"
 
 	"repro/internal/core"
 	"repro/internal/dynlist"
@@ -20,6 +22,13 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run prints the example's report to w.
+func run(w io.Writer) error {
 	const (
 		apps = 150
 		rus  = 4
@@ -28,14 +37,14 @@ func main() {
 	pool := workload.Multimedia()
 	feed, err := dynlist.RandomSequence(pool, apps, rand.New(rand.NewSource(seed)))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	items := feed.Remaining()
 	seq := make([]*taskgraph.Graph, len(items))
 	for i, it := range items {
 		seq[i] = it.Graph
 	}
-	fmt.Printf("%d applications drawn from {JPEG, MPEG-1, Hough} — %d distinct tasks on %d units\n\n",
+	fmt.Fprintf(w, "%d applications drawn from {JPEG, MPEG-1, Hough} — %d distinct tasks on %d units\n\n",
 		apps, workload.UniverseSize(pool), rus)
 
 	configs := []struct {
@@ -55,18 +64,19 @@ func main() {
 		c.cfg.Latency = workload.PaperLatency()
 		res, err := core.Evaluate(c.cfg, seq...)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		s := res.Summary
 		if err := tab.AddRow(c.label,
 			fmt.Sprintf("%.2f", s.ReuseRate()),
 			s.Overhead().String(),
 			fmt.Sprintf("%.2f", s.RemainingOverheadPct())); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
-	fmt.Print(tab.String())
-	fmt.Println("\nNote how Local LFD with skip events exceeds even clairvoyant LFD on")
-	fmt.Println("reuse: LFD must load as soon as possible, while the hybrid technique")
-	fmt.Println("may delay a load to protect a configuration it knows will be needed.")
+	fmt.Fprint(w, tab.String())
+	fmt.Fprintln(w, "\nNote how Local LFD with skip events exceeds even clairvoyant LFD on")
+	fmt.Fprintln(w, "reuse: LFD must load as soon as possible, while the hybrid technique")
+	fmt.Fprintln(w, "may delay a load to protect a configuration it knows will be needed.")
+	return nil
 }

@@ -7,7 +7,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro/internal/core"
 	"repro/internal/simtime"
@@ -15,6 +17,13 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run prints the example's report to w.
+func run(w io.Writer) error {
 	// An application is a task graph: nodes are hardware tasks (one FPGA
 	// configuration each), edges are dependencies. Task IDs are global —
 	// repeated executions of the same template share them, which is what
@@ -27,7 +36,7 @@ func main() {
 		AddDep(2, 3).
 		Build()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	detect := taskgraph.ForkJoin("detect", 10,
 		simtime.FromMs(4), // root
@@ -45,25 +54,26 @@ func main() {
 		SkipEvents: true,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Design-time phase: compute mobility tables once per template.
 	if err := sys.Prepare(filter, detect); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Run-time phase: execute a bursty sequence that revisits templates —
 	// the situation configuration reuse pays off in.
 	res, err := sys.Run(filter, detect, filter, filter, detect)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	s := res.Summary
-	fmt.Printf("executed %d tasks, reused %d (%.1f%%)\n", s.Executed, s.Reused, s.ReuseRate())
-	fmt.Printf("makespan %v vs ideal %v — reconfiguration overhead %v\n",
+	fmt.Fprintf(w, "executed %d tasks, reused %d (%.1f%%)\n", s.Executed, s.Reused, s.ReuseRate())
+	fmt.Fprintf(w, "makespan %v vs ideal %v — reconfiguration overhead %v\n",
 		s.Makespan, s.IdealMakespan, s.Overhead())
-	fmt.Printf("only %.1f%% of the raw reconfiguration cost (%v) remains visible\n",
+	fmt.Fprintf(w, "only %.1f%% of the raw reconfiguration cost (%v) remains visible\n",
 		s.RemainingOverheadPct(), s.OriginalOverhead())
+	return nil
 }
