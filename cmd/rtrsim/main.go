@@ -60,52 +60,62 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/cliflags"
 	"repro/internal/coord"
-	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/mobility"
 	"repro/internal/profiling"
 	"repro/internal/resultstore"
 	"repro/internal/simtime"
 	"repro/internal/sweep"
-	"repro/internal/taskgraph"
 	"repro/internal/trace"
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintln(os.Stderr, "rtrsim:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the command: it parses args and writes the report to stdout and
+// the progress and digest lines to stderr.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("rtrsim", flag.ExitOnError)
 	var (
-		wl       = flag.String("workload", "multimedia", "workload: fig2, fig3, or multimedia")
-		apps     = flag.Int("apps", 500, "sequence length for the multimedia workload")
-		seed     = flag.Int64("seed", 2011, "sequence seed for the multimedia workload")
-		pol      = flag.String("policy", "locallfd:1", "replacement policy (lru, mru, fifo, random[:seed], lfd, locallfd:<w>); a comma list sweeps them")
-		rus      = flag.String("rus", "4", "number of reconfigurable units; a range (\"4-10\") or list (\"4,6\") sweeps them")
-		latency  = flag.Float64("latency", 4, "reconfiguration latency in ms")
-		skip     = flag.Bool("skip", false, "enable skip events (hybrid design-time/run-time technique)")
-		prefetch = flag.Bool("prefetch", false, "enable the cross-graph prefetch extension")
-		gantt    = flag.Bool("gantt", false, "print the schedule as an ASCII Gantt chart (single run only)")
-		tick     = flag.Float64("tick", 0, "Gantt: ms per column (0 = auto)")
-		svgOut   = flag.String("svg", "", "write the schedule as SVG to this file (single run only)")
-		traceOut = flag.String("trace", "", "write the execution trace as JSON to this file (single run only)")
+		wl       = fs.String("workload", "multimedia", "workload: fig2, fig3, or multimedia")
+		apps     = fs.Int("apps", 500, "sequence length for the multimedia workload")
+		seed     = fs.Int64("seed", 2011, "sequence seed for the multimedia workload")
+		pol      = fs.String("policy", "locallfd:1", "replacement policy (lru, mru, fifo, random[:seed], lfd, locallfd:<w>); a comma list sweeps them")
+		rus      = fs.String("rus", "4", "number of reconfigurable units; a range (\"4-10\") or list (\"4,6\") sweeps them")
+		latency  = fs.Float64("latency", 4, "reconfiguration latency in ms")
+		skip     = fs.Bool("skip", false, "enable skip events (hybrid design-time/run-time technique)")
+		prefetch = fs.Bool("prefetch", false, "enable the cross-graph prefetch extension")
+		gantt    = fs.Bool("gantt", false, "print the schedule as an ASCII Gantt chart (single run only)")
+		tick     = fs.Float64("tick", 0, "Gantt: ms per column (0 = auto)")
+		svgOut   = fs.String("svg", "", "write the schedule as SVG to this file (single run only)")
+		traceOut = fs.String("trace", "", "write the execution trace as JSON to this file (single run only)")
 
-		cf = cliflags.Register(flag.CommandLine)
+		cf = cliflags.Register(fs)
 
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of this run to the file (inspect with go tool pprof; see EXPERIMENTS.md)")
-		memProfile = flag.String("memprofile", "", "write a heap profile (live memory after GC) to the file at exit")
+		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of this run to the file (inspect with go tool pprof; see EXPERIMENTS.md)")
+		memProfile = fs.String("memprofile", "", "write a heap profile (live memory after GC) to the file at exit")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	stopProfiles, err := profiling.Start(*cpuProfile, *memProfile)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer func() {
 		if err := stopProfiles(); err != nil {
-			fmt.Fprintln(os.Stderr, "rtrsim:", err)
+			fmt.Fprintln(stderr, "rtrsim:", err)
 		}
 	}()
 
 	setup, err := cf.Resolve()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	store := setup.Store
 	// Design-time artifact tier: with a store attached, mobility tables
@@ -113,162 +123,121 @@ func main() {
 	// recomputing. Counters start from zero for this run's digest.
 	mobility.ResetStats()
 	if store != nil {
-		artifact.Install(store)
+		defer artifact.Install(store)()
 	}
 	if setup.StoreGC {
 		line, err := resultstore.RunGC(store)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Println(line)
-		return
+		fmt.Fprintln(stdout, line)
+		return nil
 	}
 	if setup.CoordStatus {
 		report, err := setup.StatusReport()
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Print(report)
-		return
+		fmt.Fprint(stdout, report)
+		return nil
 	}
 
 	units, err := sweep.ParseRUs(*rus)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	policies, err := sweep.ParsePolicies(*pol, *skip)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	seq, err := campaign.BuildWorkload(*wl, *apps, *seed)
 	if err != nil {
-		fatal(err)
+		return err
 	}
+	for i := range policies {
+		policies[i].CrossGraphPrefetch = *prefetch
+	}
+	spec := sweep.Spec{
+		Workloads: []sweep.Workload{{Seq: seq}},
+		RUs:       units,
+		Latencies: []simtime.Time{simtime.FromMs(*latency)},
+		Policies:  policies,
+	}
+	needTrace := *gantt || *svgOut != "" || *traceOut != ""
 	sharded := setup.HasShard || setup.Merge || setup.Coord != nil
-
-	if len(units) == 1 && len(policies) == 1 && !sharded {
-		runSingle(*wl, seq, singleOptions{
-			spec: policies[0], rus: units[0], latency: simtime.FromMs(*latency),
-			skip: *skip, prefetch: *prefetch, retries: setup.Retries,
-			gantt: *gantt, tick: *tick, svgOut: *svgOut, traceOut: *traceOut,
-		}, store)
+	if spec.Size() == 1 && !sharded {
+		// A schedule view needs the trace, which is not serialized, so
+		// Spec.Cacheable sends such a run past the store.
+		spec.RecordTrace = needTrace
+		err = runSingle(stdout, *wl, spec, sweep.Executor{Store: store, MaxScenarioRetries: setup.Retries},
+			*gantt, *tick, *svgOut, *traceOut)
 	} else {
-		if *gantt || *svgOut != "" || *traceOut != "" {
+		if needTrace {
 			if sharded {
-				fatal(fmt.Errorf("-gantt/-svg/-trace need a single live scenario, not a sharded sweep"))
+				return fmt.Errorf("-gantt/-svg/-trace need a single live scenario, not a sharded sweep")
 			}
-			fatal(fmt.Errorf("-gantt/-svg/-trace need a single scenario; got %d policies × %d unit counts",
-				len(policies), len(units)))
+			return fmt.Errorf("-gantt/-svg/-trace need a single scenario; got %d policies × %d unit counts",
+				len(policies), len(units))
 		}
-		runSweep(*wl, seq, sweepOptions{
-			units: units, policies: policies, latency: simtime.FromMs(*latency),
-			prefetch: *prefetch,
-		}, setup)
+		err = runSweep(stdout, stderr, *wl, spec, setup)
+	}
+	if err != nil {
+		return err
 	}
 	if store != nil {
-		fmt.Fprintln(os.Stderr, store.SummaryLine())
+		fmt.Fprintln(stderr, store.SummaryLine())
 	}
 	if line := mobility.DigestLine(); line != "" {
-		fmt.Fprintln(os.Stderr, line)
+		fmt.Fprintln(stderr, line)
 	}
+	return nil
 }
 
-type singleOptions struct {
-	spec           sweep.PolicySpec
-	rus            int
-	latency        simtime.Time
-	skip, prefetch bool
-	retries        int
-	gantt          bool
-	tick           float64
-	svgOut         string
-	traceOut       string
-}
-
-// runSingle is the classic one-scenario path with the full metric report
-// and the optional schedule views. With a store attached (and no schedule
-// view requested, since traces are not serialized) the scenario runs
-// through the store-backed sweep executor instead, so repeated single
-// runs are served from disk too.
-func runSingle(wl string, seq []*taskgraph.Graph, o singleOptions, store *resultstore.Store) {
-	needTrace := o.gantt || o.svgOut != "" || o.traceOut != ""
-	var res *core.Result
-	if store != nil && !needTrace {
-		ps := o.spec
-		ps.CrossGraphPrefetch = o.prefetch
-		rs, err := sweep.Executor{Store: store, MaxScenarioRetries: o.retries}.Run(sweep.Spec{
-			Workloads: []sweep.Workload{{Seq: seq}},
-			RUs:       []int{o.rus},
-			Latencies: []simtime.Time{o.latency},
-			Policies:  []sweep.PolicySpec{ps},
-		})
-		if err != nil {
-			fatal(err)
-		}
-		r := rs.Results[0]
-		res = &core.Result{Run: r.Run, Ideal: r.Ideal, Summary: r.Summary}
-	} else {
-		pol, err := o.spec.New()
-		if err != nil {
-			fatal(err)
-		}
-		r, err := core.Evaluate(core.Config{
-			RUs:                o.rus,
-			Latency:            o.latency,
-			Policy:             pol,
-			SkipEvents:         o.skip,
-			CrossGraphPrefetch: o.prefetch,
-			RecordTrace:        needTrace,
-		}, seq...)
-		if err != nil {
-			fatal(err)
-		}
-		res = r
+// runSingle runs the one scenario of spec on ex and prints the full
+// metric report and the schedule views; with a store attached, repeated
+// runs are served from it.
+func runSingle(w io.Writer, wl string, spec sweep.Spec, ex sweep.Executor, gantt bool, tick float64, svgOut, traceOut string) error {
+	rs, err := ex.Run(spec)
+	if err != nil {
+		return err
 	}
+	res := rs.Results[0]
 
 	s := res.Summary
-	fmt.Printf("workload        %s (%d applications, %d task executions)\n", wl, len(seq), s.Executed)
-	fmt.Printf("system          %d RUs, latency %v\n", s.RUs, s.Latency)
-	// The spec's display name already carries the skip suffix, and both
-	// execution paths (core and store-backed sweep) report the same run,
-	// so the label is path-independent.
-	fmt.Printf("policy          %s\n", o.spec.Name)
-	fmt.Printf("reuse           %d/%d = %.2f%%\n", s.Reused, s.Executed, s.ReuseRate())
-	fmt.Printf("makespan        %v (ideal %v)\n", s.Makespan, s.IdealMakespan)
-	fmt.Printf("overhead        %v (%.2f%% of the original %v)\n",
+	fmt.Fprintf(w, "workload        %s (%d applications, %d task executions)\n", wl, len(spec.Workloads[0].Seq), s.Executed)
+	fmt.Fprintf(w, "system          %d RUs, latency %v\n", s.RUs, s.Latency)
+	// The spec's display name already carries the skip suffix.
+	fmt.Fprintf(w, "policy          %s\n", spec.Policies[0].Name)
+	fmt.Fprintf(w, "reuse           %d/%d = %.2f%%\n", s.Reused, s.Executed, s.ReuseRate())
+	fmt.Fprintf(w, "makespan        %v (ideal %v)\n", s.Makespan, s.IdealMakespan)
+	fmt.Fprintf(w, "overhead        %v (%.2f%% of the original %v)\n",
 		s.Overhead(), s.RemainingOverheadPct(), s.OriginalOverhead())
-	fmt.Printf("loads           %d (skips taken: %d, preloads: %d)\n",
+	fmt.Fprintf(w, "loads           %d (skips taken: %d, preloads: %d)\n",
 		s.Loads, res.Run.Skips, res.Run.Preloads)
 	if d, err := metrics.Delays(res.Run, res.Ideal); err == nil && d.Count > 0 {
-		fmt.Printf("per-app delay   mean %v, p50 %v, p95 %v, max %v\n", d.Mean, d.P50, d.P95, d.Max)
+		fmt.Fprintf(w, "per-app delay   mean %v, p50 %v, p95 %v, max %v\n", d.Mean, d.P50, d.P95, d.Max)
 	}
-	if o.gantt {
-		fmt.Println()
-		fmt.Print(res.Run.Trace.Gantt(trace.GanttOptions{TickMs: o.tick}))
+	if gantt {
+		fmt.Fprintln(w)
+		fmt.Fprint(w, res.Run.Trace.Gantt(trace.GanttOptions{TickMs: tick}))
 	}
-	if o.svgOut != "" {
-		if err := os.WriteFile(o.svgOut, []byte(res.Run.Trace.SVG()), 0o644); err != nil {
-			fatal(err)
+	if svgOut != "" {
+		if err := os.WriteFile(svgOut, []byte(res.Run.Trace.SVG()), 0o644); err != nil {
+			return err
 		}
-		fmt.Printf("schedule SVG    %s\n", o.svgOut)
+		fmt.Fprintf(w, "schedule SVG    %s\n", svgOut)
 	}
-	if o.traceOut != "" {
+	if traceOut != "" {
 		data, err := json.MarshalIndent(res.Run.Trace, "", " ")
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		if err := os.WriteFile(o.traceOut, data, 0o644); err != nil {
-			fatal(err)
+		if err := os.WriteFile(traceOut, data, 0o644); err != nil {
+			return err
 		}
-		fmt.Printf("trace JSON      %s\n", o.traceOut)
+		fmt.Fprintf(w, "trace JSON      %s\n", traceOut)
 	}
-}
-
-type sweepOptions struct {
-	units    []int
-	policies []sweep.PolicySpec
-	latency  simtime.Time
-	prefetch bool
+	return nil
 }
 
 // runSweep executes the policies × unit-counts grid on the streaming
@@ -277,39 +246,34 @@ type sweepOptions struct {
 // and the renderer O(1) rows however many scenarios the flags expand to.
 // In a watch-mode merge the rows appear as the coordinator pool stores
 // their scenarios.
-func runSweep(wl string, seq []*taskgraph.Graph, o sweepOptions, setup campaign.Setup) {
+func runSweep(stdout, stderr io.Writer, wl string, spec sweep.Spec, setup campaign.Setup) error {
 	store := setup.Store
-	if o.prefetch {
-		for i := range o.policies {
-			o.policies[i].CrossGraphPrefetch = true
-		}
-	}
-	spec := sweep.Spec{
-		Workloads: []sweep.Workload{{Seq: seq}},
-		RUs:       o.units,
-		Latencies: []simtime.Time{o.latency},
-		Policies:  o.policies,
-	}
 	var storeWait *sweep.StoreWait
 	var poolWatch *coord.PoolWatch
-	out := io.Writer(os.Stdout)
+	out := stdout
+	// resetCheckpoint, set by a watch merge, clears its render checkpoint
+	// once the merge has succeeded; a failed merge keeps it to resume.
+	resetCheckpoint := func() {}
 	if setup.Coord != nil {
 		// A pool populate (or a merge against one) is only useful if the
 		// grid can be persisted — an uncacheable spec would simulate
 		// every slice and store nothing, failing only at merge time.
 		if err := spec.Cacheable(); err != nil {
-			fatal(fmt.Errorf("-coord: %w", err))
+			return fmt.Errorf("-coord: %w", err)
 		}
-		fingerprint := sweepFingerprint(wl, &spec)
+		fingerprint, err := sweepFingerprint(wl, &spec)
+		if err != nil {
+			return err
+		}
 		cfg := setup.Coord.Config(fingerprint)
 		cks := coord.NewCheckpointStore(setup.Coord.Backend)
 		if !setup.Merge {
 			c, err := coord.Open(cfg)
 			if errors.Is(err, coord.ErrUninitialised) {
-				fatal(fmt.Errorf("%w (pass -coord-shards N to initialise the pool)", err))
+				return fmt.Errorf("%w (pass -coord-shards N to initialise the pool)", err)
 			}
 			if err != nil {
-				fatal(err)
+				return err
 			}
 			stats, err := c.RunWorkers(setup.Coord.Workers, func(r coord.ShardRun) error {
 				sp := spec
@@ -322,21 +286,21 @@ func runSweep(wl string, seq []*taskgraph.Graph, o sweepOptions, setup campaign.
 					return err
 				}
 				n := sp.Size()
-				fmt.Fprintf(os.Stderr, "coord worker %s: shard %s: ran %d of %d scenarios (%d skipped by other shards) (attempt %d)\n",
+				fmt.Fprintf(stderr, "coord worker %s: shard %s: ran %d of %d scenarios (%d skipped by other shards) (attempt %d)\n",
 					c.Owner(), sp.Shard, sp.Shard.SizeOf(n), n, n-sp.Shard.SizeOf(n), r.Attempt)
 				return nil
 			})
 			if err != nil {
-				fatal(err)
+				return err
 			}
-			fmt.Fprintln(os.Stderr, stats.Summary(c.Shards()))
-			return
+			fmt.Fprintln(stderr, stats.Summary(c.Shards()))
+			return nil
 		}
 		// Coordinator-aware merge: refuse a pool that has not drained, or
 		// — with -watch — render while it drains and error if it dies.
-		_, pw, poll, err := coord.MergeGate(cfg, setup.Watch, os.Stderr)
+		_, pw, poll, err := coord.MergeGate(cfg, setup.Watch, stderr)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if pw != nil {
 			poolWatch = pw
@@ -348,46 +312,48 @@ func runSweep(wl string, seq []*taskgraph.Graph, o sweepOptions, setup campaign.
 			// resumed output reassemble the plain table byte for byte.
 			resume := campaign.LoadMergeOffset(cks, fingerprint)
 			if resume > 0 {
-				fmt.Fprintf(os.Stderr, "merge checkpoint: resuming at byte offset %d\n", resume)
+				fmt.Fprintf(stderr, "merge checkpoint: resuming at byte offset %d\n", resume)
 			}
-			out = &campaign.CheckpointedWriter{W: os.Stdout, Resume: resume,
+			out = &campaign.CheckpointedWriter{W: stdout, Resume: resume,
 				Save: func(total int64) { campaign.SaveMergeOffset(cks, fingerprint, total) }}
-			defer campaign.SaveMergeOffset(cks, fingerprint, 0)
+			resetCheckpoint = func() { campaign.SaveMergeOffset(cks, fingerprint, 0) }
 		}
 	}
 	if setup.HasShard {
 		spec.Shard = setup.Shard
 		ex := sweep.Executor{Workers: setup.Parallel, Store: store, MaxScenarioRetries: setup.Retries}
 		if err := ex.Collect(spec, sweep.Discard); err != nil {
-			fatal(err)
+			return err
 		}
 		n := spec.Size()
-		fmt.Fprintf(os.Stderr, "shard %s: ran %d of %d scenarios (%d skipped by other shards)\n",
+		fmt.Fprintf(stderr, "shard %s: ran %d of %d scenarios (%d skipped by other shards)\n",
 			setup.Shard, setup.Shard.SizeOf(n), n, n-setup.Shard.SizeOf(n))
-		return
+		return nil
 	}
 	ex := sweep.Executor{Workers: setup.Parallel, Store: store, RequireStored: setup.Merge,
 		StoreWait: storeWait, MaxScenarioRetries: setup.Retries}
-	if err := campaign.RenderSweepTable(wl, len(seq), spec, ex, out); err != nil {
-		fatal(err)
+	if err := campaign.RenderSweepTable(wl, len(spec.Workloads[0].Seq), spec, ex, out); err != nil {
+		return err
 	}
 	if poolWatch != nil {
 		// -watch blocks until the pool drains, not merely until the table
 		// is complete (the last done records can trail the store writes).
 		if _, err := poolWatch.Wait(); err != nil {
-			fatal(err)
+			return err
 		}
 	}
+	resetCheckpoint()
+	return nil
 }
 
 // sweepFingerprint identifies the exact grid a coordinator pool tiles:
 // the canonical config hashes of every scenario the spec expands to.
 // Hosts whose flags expand to a different grid are refused at Open
 // instead of corrupting the pool's store coverage.
-func sweepFingerprint(wl string, spec *sweep.Spec) string {
+func sweepFingerprint(wl string, spec *sweep.Spec) (string, error) {
 	keys, err := spec.ScenarioKeys()
 	if err != nil {
-		fatal(err)
+		return "", err
 	}
 	h := resultstore.NewHash()
 	h.String("cli", "rtrsim")
@@ -395,10 +361,5 @@ func sweepFingerprint(wl string, spec *sweep.Spec) string {
 	for _, k := range keys {
 		h.String("scenario", k)
 	}
-	return h.Sum()
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "rtrsim:", err)
-	os.Exit(1)
+	return h.Sum(), nil
 }

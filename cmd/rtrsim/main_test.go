@@ -1,6 +1,9 @@
 package main
 
 import (
+	"bytes"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/campaign"
@@ -58,5 +61,69 @@ func TestBuildWorkload(t *testing.T) {
 	}
 	if _, err := campaign.BuildWorkload("nope", 1, 1); err == nil {
 		t.Error("unknown workload accepted")
+	}
+}
+
+// rtrsimOutput runs the command in-process and returns its stdout and
+// stderr.
+func rtrsimOutput(t *testing.T, args ...string) (stdout, stderr string) {
+	t.Helper()
+	var out, errOut bytes.Buffer
+	if err := run(args, &out, &errOut); err != nil {
+		t.Fatalf("rtrsim %s: %v\n%s", strings.Join(args, " "), err, errOut.String())
+	}
+	return out.String(), errOut.String()
+}
+
+// TestSingleRunStoreIndependent: a single run prints the same report
+// with no store, into a cold store and from a warm one.
+func TestSingleRunStoreIndependent(t *testing.T) {
+	t.Setenv("RTR_STORE", "")
+	for _, args := range [][]string{
+		{"-policy", "lru"},
+		{"-policy", "locallfd:1", "-skip"},
+		{"-policy", "lfd", "-prefetch"},
+		{"-policy", "random:7", "-rus", "5"},
+		{"-workload", "fig3", "-policy", "locallfd:1", "-skip"},
+		{"-workload", "fig2", "-policy", "mru", "-latency", "0"},
+	} {
+		t.Run(strings.Join(args, " "), func(t *testing.T) {
+			want, _ := rtrsimOutput(t, args...)
+			withStore := append(args, "-store", filepath.Join(t.TempDir(), "store"))
+			for _, pass := range []struct{ name, digest string }{
+				{"cold", "0 hits, 1 misses, 1 entries written"},
+				{"warm", "1 hits, 0 misses, 0 entries written"},
+			} {
+				got, stderr := rtrsimOutput(t, withStore...)
+				if got != want {
+					t.Errorf("%s store: stdout\n%s\nwant (no store)\n%s", pass.name, got, want)
+				}
+				if !strings.Contains(stderr, "result store: "+pass.digest) {
+					t.Errorf("%s store: stderr %q lacks %q", pass.name, stderr, pass.digest)
+				}
+			}
+		})
+	}
+}
+
+// TestGanttBypassesStore: a schedule view needs the trace, which the
+// store does not keep, so -gantt with -store prints what -gantt alone
+// prints and writes no result entry.
+func TestGanttBypassesStore(t *testing.T) {
+	t.Setenv("RTR_STORE", "")
+	scenario := []string{"-workload", "fig3", "-policy", "locallfd:1", "-skip"}
+	gantt := append([]string{"-gantt"}, scenario...)
+	want, _ := rtrsimOutput(t, gantt...)
+	dir := filepath.Join(t.TempDir(), "store")
+	got, stderr := rtrsimOutput(t, append(gantt, "-store", dir)...)
+	if got != want {
+		t.Errorf("-gantt -store: stdout\n%s\nwant (no store)\n%s", got, want)
+	}
+	if !strings.Contains(stderr, "result store: 0 hits, 0 misses, 0 entries written") {
+		t.Errorf("-gantt -store touched the result store: %q", stderr)
+	}
+	// Without the view the same scenario is a miss: nothing was stored.
+	if _, stderr := rtrsimOutput(t, append(scenario, "-store", dir)...); !strings.Contains(stderr, "0 hits, 1 misses") {
+		t.Errorf("a -gantt run left a result entry behind: %q", stderr)
 	}
 }

@@ -14,7 +14,8 @@
 // The library lives under internal/:
 //
 //   - internal/core — the public facade: configure a System, run
-//     workloads, get the paper's metrics.
+//     workloads (timed arrivals included), get the paper's metrics; each
+//     run is a one-scenario sweep.
 //   - internal/taskgraph, internal/ru — the substrates: task-graph model
 //     and reconfigurable-unit array.
 //   - internal/manager — the event-triggered execution manager (paper
@@ -28,8 +29,8 @@
 //     pool with deterministic, spec-order results streamed through
 //     collectors and row renderers.
 //   - internal/resultstore — the persisted, content-addressed store of
-//     scenario results (canonical config-hash keys, atomic writes,
-//     measured timings for dispatch).
+//     scenario results and design-time mobility tables (canonical
+//     config-hash keys, atomic writes, schema-version GC).
 //   - internal/coord — the file-based shard coordinator: self-healing
 //     multi-host pools with leases, TTL expiry and watch/drain verdicts.
 //   - internal/experiments — regenerates every table and figure, each
@@ -38,6 +39,5 @@
 // The benchmarks in bench_test.go regenerate the paper's measured tables;
 // cmd/rtrrepro prints the full evaluation. ARCHITECTURE.md walks the
 // whole pipeline (Spec → Executor/Collector → resultstore → coord →
-// merge/watch render) end to end; see also README.md, DESIGN.md and
-// EXPERIMENTS.md.
+// merge/watch render) end to end; EXPERIMENTS.md shows how to run it.
 package taskreuse

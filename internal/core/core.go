@@ -18,10 +18,12 @@
 //	res, _ := sys.Run(sequence...)        // run-time phase
 //	fmt.Println(res.Summary)
 //
-// Run executes the workload twice — once for real and once with zero
-// reconfiguration latency, the two simulations running concurrently — so
-// every result carries the paper's overhead metrics alongside the raw
-// counters.
+// Run executes the workload as a one-scenario sweep on the sweep
+// executor, the same code that runs every figure's grid, so a result is
+// exactly what a sweep reports for that configuration. Every result
+// carries the paper's overhead metrics alongside the raw counters: the
+// executor computes the zero-latency ideal baseline by the per-template
+// recurrence of manager.Runner.Ideal.
 //
 // Design-time mobility tables are served from the process-wide memoized
 // cache in internal/mobility, keyed by (template, RUs, latency): Systems
@@ -31,7 +33,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/dynlist"
 	"repro/internal/manager"
@@ -39,6 +40,7 @@ import (
 	"repro/internal/mobility"
 	"repro/internal/policy"
 	"repro/internal/simtime"
+	"repro/internal/sweep"
 	"repro/internal/taskgraph"
 )
 
@@ -66,13 +68,6 @@ type Config struct {
 type System struct {
 	cfg Config
 	pol policy.Policy
-
-	// tables is the System's view of the prepared templates. The tables
-	// themselves live in the process-wide mobility cache and are shared
-	// with every other System (and sweep scenario) using the same
-	// (template, RUs, latency) triple.
-	mu     sync.Mutex
-	tables map[*taskgraph.Graph]*mobility.Table
 }
 
 // NewSystem validates cfg and builds a System.
@@ -98,50 +93,37 @@ func NewSystem(cfg Config) (*System, error) {
 	default:
 		return nil, fmt.Errorf("core: policy must be a policy.Policy or a specifier string, got %T", p)
 	}
-	return &System{
-		cfg:    cfg,
-		pol:    pol,
-		tables: make(map[*taskgraph.Graph]*mobility.Table),
-	}, nil
+	return &System{cfg: cfg, pol: pol}, nil
 }
 
 // Policy returns the system's replacement policy.
 func (s *System) Policy() policy.Policy { return s.pol }
 
 // Prepare runs the design-time phase (mobility calculation, Fig. 6) for
-// each distinct template. It is idempotent per template, and memoized
-// process-wide: a template another System (or a sweep) already prepared
-// under the same platform configuration is served from the shared cache.
+// each distinct template. It is memoized process-wide: a template another
+// System (or a sweep) already prepared under the same platform
+// configuration is served from the shared cache. Run prepares the
+// templates it is given on demand, so Prepare only moves that work ahead.
 func (s *System) Prepare(graphs ...*taskgraph.Graph) error {
 	for _, g := range graphs {
 		if g == nil {
 			return fmt.Errorf("core: nil graph in Prepare")
 		}
-		s.mu.Lock()
-		_, done := s.tables[g]
-		s.mu.Unlock()
-		if done {
-			continue
-		}
 		// mobility.Cached single-flights concurrent callers, so parallel
 		// Prepares of one template compute it once.
-		t, err := mobility.Cached(g, s.cfg.RUs, s.cfg.Latency)
-		if err != nil {
+		if _, err := mobility.Cached(g, s.cfg.RUs, s.cfg.Latency); err != nil {
 			return fmt.Errorf("core: design-time phase for %s: %w", g.Name(), err)
 		}
-		s.mu.Lock()
-		s.tables[g] = t
-		s.mu.Unlock()
 	}
 	return nil
 }
 
-// MobilityTable returns the design-time table for a prepared template.
+// MobilityTable returns the design-time table of a template under the
+// system's platform configuration, computing it if no System or sweep
+// has yet; ok is false only when g has no table (a nil graph).
 func (s *System) MobilityTable(g *taskgraph.Graph) (*mobility.Table, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t, ok := s.tables[g]
-	return t, ok
+	t, err := mobility.Cached(g, s.cfg.RUs, s.cfg.Latency)
+	return t, err == nil
 }
 
 // Result couples the raw run with its ideal baseline and derived metrics.
@@ -158,61 +140,44 @@ type Result struct {
 // Run executes the graph sequence (all applications available from time
 // zero, as in the paper's experiments).
 func (s *System) Run(seq ...*taskgraph.Graph) (*Result, error) {
-	return s.runItems(func() dynlist.Feed { return dynlist.NewSequence(seq...) }, seq)
+	return s.run(sweep.Workload{Seq: seq})
 }
 
-// RunFeed executes an arbitrary arrival feed. Because a Feed can only be
-// consumed once, the caller supplies a constructor so the ideal baseline
-// can replay the same arrivals.
+// RunFeed executes an arbitrary arrival feed, such as dynlist.NewTimed or
+// dynlist.RandomArrivals. mkFeed is called once and its feed drained; the
+// ideal baseline replays the same arrival times.
 func (s *System) RunFeed(mkFeed func() dynlist.Feed) (*Result, error) {
-	return s.runItems(mkFeed, nil)
+	var w sweep.Workload
+	feed := mkFeed()
+	for it, ok := feed.Next(); ok; it, ok = feed.Next() {
+		w.Seq = append(w.Seq, it.Graph)
+		w.Arrivals = append(w.Arrivals, it.Arrival)
+	}
+	return s.run(w)
 }
 
-func (s *System) runItems(mkFeed func() dynlist.Feed, known []*taskgraph.Graph) (*Result, error) {
-	if s.cfg.SkipEvents {
-		if err := s.Prepare(known...); err != nil {
-			return nil, err
-		}
-	}
-	cfg := manager.Config{
-		RUs:     s.cfg.RUs,
-		Latency: s.cfg.Latency,
-		// A stateful policy (Random) cannot be shared by overlapping Run
-		// calls on one System, so every run gets a fork replaying the same
-		// decision stream from the initial state.
-		Policy:             policy.Fork(s.pol),
-		SkipEvents:         s.cfg.SkipEvents,
-		CrossGraphPrefetch: s.cfg.CrossGraphPrefetch,
-		RecordTrace:        s.cfg.RecordTrace,
-	}
-	if s.cfg.SkipEvents {
-		cfg.Mobility = s.mobilityFor
-	}
-	r := manager.NewRunner()
-	run, err := r.Run(cfg, mkFeed())
+// run executes w as a one-scenario sweep on one worker.
+func (s *System) run(w sweep.Workload) (*Result, error) {
+	rs, err := sweep.Executor{Workers: 1}.Run(sweep.Spec{
+		Workloads: []sweep.Workload{w},
+		RUs:       []int{s.cfg.RUs},
+		Latencies: []simtime.Time{s.cfg.Latency},
+		Policies: []sweep.PolicySpec{{
+			Name: s.pol.Name(),
+			// A stateful policy (Random) cannot be shared by overlapping
+			// Run calls on one System, so every run gets a fork replaying
+			// the same decision stream from the initial state.
+			New:                func() (policy.Policy, error) { return policy.Fork(s.pol), nil },
+			Skip:               s.cfg.SkipEvents,
+			CrossGraphPrefetch: s.cfg.CrossGraphPrefetch,
+		}},
+		RecordTrace: s.cfg.RecordTrace,
+	})
 	if err != nil {
 		return nil, err
 	}
-	// The baseline ignores the latency, skip events and prefetch: it is
-	// the same arrivals at zero latency (see manager.Runner.Ideal).
-	ideal, err := r.Ideal(s.cfg.RUs, mkFeed())
-	if err != nil {
-		return nil, fmt.Errorf("core: ideal baseline: %w", err)
-	}
-	sum, err := metrics.Summarize(s.pol.Name(), s.cfg.RUs, s.cfg.Latency, run, ideal)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Run: run, Ideal: ideal, Summary: sum}, nil
-}
-
-// mobilityFor serves prepared tables to the manager; unprepared templates
-// (possible with RunFeed) fall back to zero mobility, which is safe.
-func (s *System) mobilityFor(g *taskgraph.Graph) []int {
-	if t, ok := s.MobilityTable(g); ok {
-		return t.Values
-	}
-	return nil
+	r := rs.Results[0]
+	return &Result{Run: r.Run, Ideal: r.Ideal, Summary: r.Summary}, nil
 }
 
 // Evaluate is the one-call convenience: build a system, prepare if
@@ -223,39 +188,4 @@ func Evaluate(cfg Config, seq ...*taskgraph.Graph) (*Result, error) {
 		return nil, err
 	}
 	return sys.Run(seq...)
-}
-
-// Compare evaluates several configurations over the same sequence and
-// returns results keyed by policy name (plus "+skip" when skip events are
-// enabled, to keep keys unique). The configurations run concurrently —
-// each gets its own System — and errors are reported for the first
-// failing configuration in argument order. Each result's Ideal is the
-// zero-latency baseline a sweep computes too (manager.Runner.Ideal).
-func Compare(cfgs []Config, seq ...*taskgraph.Graph) (map[string]*Result, error) {
-	results := make([]*Result, len(cfgs))
-	errs := make([]error, len(cfgs))
-	var wg sync.WaitGroup
-	for i, cfg := range cfgs {
-		wg.Add(1)
-		go func(i int, cfg Config) {
-			defer wg.Done()
-			results[i], errs[i] = Evaluate(cfg, seq...)
-		}(i, cfg)
-	}
-	wg.Wait()
-	out := make(map[string]*Result, len(cfgs))
-	for i, res := range results {
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
-		key := res.Summary.PolicyName
-		if cfgs[i].SkipEvents {
-			key += " +skip"
-		}
-		if _, dup := out[key]; dup {
-			return nil, fmt.Errorf("core: duplicate configuration %q in Compare", key)
-		}
-		out[key] = res
-	}
-	return out, nil
 }

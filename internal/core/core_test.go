@@ -160,30 +160,6 @@ func TestRecordTrace(t *testing.T) {
 	}
 }
 
-func TestCompare(t *testing.T) {
-	base := Config{RUs: 4, Latency: ms(4)}
-	lru, lfd, local := base, base, base
-	lru.Policy, lfd.Policy, local.Policy = "lru", "lfd", "locallfd:1"
-	localSkip := local
-	localSkip.SkipEvents = true
-	out, err := Compare([]Config{lru, lfd, local, localSkip}, workload.Fig2Sequence()...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 4 {
-		t.Fatalf("results = %d, want 4", len(out))
-	}
-	if out["LRU"].Summary.Reused != 2 || out["LFD"].Summary.Reused != 5 {
-		t.Error("Fig. 2 counts wrong through Compare")
-	}
-	if _, ok := out["Local LFD (1) +skip"]; !ok {
-		t.Error("skip variant key missing")
-	}
-	if _, err := Compare([]Config{lru, lru}, workload.Fig2TG1()); err == nil {
-		t.Error("duplicate configs accepted")
-	}
-}
-
 func TestSummaryReadable(t *testing.T) {
 	res, err := Evaluate(Config{RUs: 4, Latency: ms(4), Policy: "lru"},
 		workload.Fig2Sequence()...)

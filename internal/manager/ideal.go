@@ -1,6 +1,8 @@
 package manager
 
 import (
+	"fmt"
+
 	"repro/internal/dynlist"
 	"repro/internal/policy"
 	"repro/internal/simtime"
@@ -18,24 +20,29 @@ import (
 // c_k = max(arrival_k, c_{k-1}) + D(template_k) (TestIdealMatchesRun).
 // It fills Makespan, Completions, Graphs and Executed; Reused, Loads,
 // Evictions, Events and Templates stay zero or nil, since no baseline
-// reads them. The feed is checked as Run checks it.
+// reads them. The feed is checked as Run checks it, arrival by arrival,
+// without sizing any of Run's whole-sequence buffers.
 func (r *Runner) Ideal(rus int, feed dynlist.Feed) (*Result, error) {
+	if rus < 1 { // as Reset checks it
+		return nil, fmt.Errorf("manager: need at least 1 reconfigurable unit, got %d", rus)
+	}
 	cfg := Config{RUs: rus, Policy: policy.NewLRU()}
-	if err := r.Reset(cfg); err != nil {
-		return nil, err
-	}
-	if err := r.start(feed); err != nil {
-		return nil, err
-	}
-	// The template runs below refill arrivals: keep the checked feed out
-	// of their way and hand its buffer back afterwards.
-	items := r.arrivals
-	r.arrivals = nil
-	defer func() { r.arrivals = items[:0] }()
 	alone := make(map[*taskgraph.Graph]simtime.Time)
-	out := &Result{Graphs: len(items), Completions: make([]simtime.Time, len(items))}
-	var done simtime.Time
-	for i, it := range items {
+	out := new(Result)
+	if o, ok := feed.(dynlist.Oracle); ok { // size Completions up front
+		out.Completions = make([]simtime.Time, 0, len(o.Remaining()))
+	}
+	var prev, done simtime.Time
+	for i := 0; ; i++ {
+		it, ok := feed.Next()
+		if !ok {
+			out.Graphs = i
+			return out, nil
+		}
+		if err := checkArrival(i, it, prev); err != nil {
+			return nil, err
+		}
+		prev = it.Arrival
 		d, ok := alone[it.Graph]
 		if !ok {
 			res, err := r.Run(cfg, dynlist.NewSequence(it.Graph))
@@ -49,9 +56,8 @@ func (r *Runner) Ideal(rus int, feed dynlist.Feed) (*Result, error) {
 			done = it.Arrival
 		}
 		done = done.Add(d)
-		out.Completions[i] = done
+		out.Completions = append(out.Completions, done)
 		out.Makespan = max(out.Makespan, done)
 		out.Executed += it.Graph.NumTasks()
 	}
-	return out, nil
 }

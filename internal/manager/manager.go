@@ -384,26 +384,21 @@ func (r *Runner) Reset(cfg Config) error {
 // instances — so a feed that numbers its items out of order or goes back
 // in time is rejected.
 func (r *Runner) start(feed dynlist.Feed) error {
-	for {
+	var (
+		maxID taskgraph.TaskID
+		tasks int
+		prev  simtime.Time
+	)
+	for i := 0; ; i++ {
 		it, ok := feed.Next()
 		if !ok {
 			break
 		}
+		if err := checkArrival(i, it, prev); err != nil {
+			return err
+		}
+		prev = it.Arrival
 		r.arrivals = append(r.arrivals, it)
-	}
-	var maxID taskgraph.TaskID
-	tasks := 0
-	for i, it := range r.arrivals {
-		if it.Graph == nil {
-			return fmt.Errorf("manager: arrival %d has nil graph", i)
-		}
-		if it.Instance != i {
-			return fmt.Errorf("manager: arrival %d carries instance number %d", i, it.Instance)
-		}
-		if i > 0 && it.Arrival < r.arrivals[i-1].Arrival {
-			return fmt.Errorf("manager: arrival %d at %v precedes arrival %d at %v",
-				i, it.Arrival, i-1, r.arrivals[i-1].Arrival)
-		}
 		if id := it.Graph.MaxTaskID(); id > maxID {
 			maxID = id
 		}
@@ -428,6 +423,22 @@ func (r *Runner) start(feed dynlist.Feed) error {
 		r.tr.Loads = make([]trace.Load, 0, tasks)
 		r.tr.Execs = make([]trace.Exec, 0, tasks)
 		r.tr.Graphs = make([]trace.Graph, 0, len(r.arrivals))
+	}
+	return nil
+}
+
+// checkArrival checks that it can be arrival i of a feed whose arrival
+// i-1 came at prev: a graph, instance number i, and no earlier than prev.
+func checkArrival(i int, it dynlist.Item, prev simtime.Time) error {
+	if it.Graph == nil {
+		return fmt.Errorf("manager: arrival %d has nil graph", i)
+	}
+	if it.Instance != i {
+		return fmt.Errorf("manager: arrival %d carries instance number %d", i, it.Instance)
+	}
+	if i > 0 && it.Arrival < prev {
+		return fmt.Errorf("manager: arrival %d at %v precedes arrival %d at %v",
+			i, it.Arrival, i-1, prev)
 	}
 	return nil
 }

@@ -652,7 +652,7 @@ func runScenario(sp *Spec, sc Scenario, ideals *idealCache, runner *manager.Runn
 	// folding their one-off cost into whichever scenario happened to pay
 	// it would skew the recorded per-scenario times.
 	start := time.Now()
-	run, err := runner.Run(cfg, dynlist.NewSequence(sc.Workload.Seq...))
+	run, err := runner.Run(cfg, sc.Workload.feed())
 	if err != nil {
 		return nil, err
 	}
@@ -673,6 +673,21 @@ func runScenario(sp *Spec, sc Scenario, ideals *idealCache, runner *manager.Runn
 	res.Ideal = ideal
 	res.Summary = sum
 	return res, nil
+}
+
+// feed returns the workload's arrivals: Seq in order, at the Arrivals
+// times or all at time zero.
+func (w *Workload) feed() *dynlist.SliceFeed {
+	if w.Arrivals == nil {
+		return dynlist.NewSequence(w.Seq...)
+	}
+	items := make([]dynlist.Item, len(w.Seq))
+	for i, g := range w.Seq {
+		items[i] = dynlist.Item{Graph: g, Arrival: w.Arrivals[i]}
+	}
+	// Spec.validate has checked what NewTimed checks: graphs and order.
+	f, _ := dynlist.NewTimed(items)
+	return f
 }
 
 // templates returns the workload's template pool, deriving the distinct
@@ -727,7 +742,7 @@ func (c *idealCache) get(workload, rus int, runner *manager.Runner) (*manager.Re
 	}
 	c.mu.Unlock()
 	e.once.Do(func() {
-		e.res, e.err = runner.Ideal(rus, dynlist.NewSequence(c.sp.Workloads[workload].Seq...))
+		e.res, e.err = runner.Ideal(rus, c.sp.Workloads[workload].feed())
 	})
 	return e.res, e.err
 }

@@ -1,9 +1,9 @@
 package sweep
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
+	"strconv"
 
 	"repro/internal/resultstore"
 	"repro/internal/taskgraph"
@@ -13,7 +13,8 @@ import (
 // canonical config hash, and which therefore bypasses the persisted
 // result store: trace-recording sweeps (traces are not serialized),
 // sweeps with a per-task latency function (a func has no canonical
-// encoding), and policy axis values without a Key.
+// encoding), workloads with timed arrivals (scenario keys hash the
+// sequence, not its timing), and policy axis values without a Key.
 var ErrUncacheable = errors.New("spec not cacheable")
 
 // Cacheable reports whether the Spec's scenarios can be served from and
@@ -25,6 +26,11 @@ func (s *Spec) Cacheable() error {
 	}
 	if s.LatencyFor != nil {
 		return fmt.Errorf("%w: per-task latency function set (no canonical encoding)", ErrUncacheable)
+	}
+	for i, w := range s.Workloads {
+		if w.Arrivals != nil {
+			return fmt.Errorf("%w: workload %d (%q) has timed arrivals", ErrUncacheable, i, w.Label)
+		}
 	}
 	for i, p := range s.Policies {
 		if p.Key == "" {
@@ -97,11 +103,13 @@ func workloadKey(w *Workload) (string, error) {
 		if _, ok := index[g]; ok {
 			return nil
 		}
-		data, err := json.Marshal(g)
+		// The graph's memoized canonical encoding: json.Marshal would
+		// return the same bytes, re-encoded on every call.
+		data, err := g.MarshalJSON()
 		if err != nil {
 			return fmt.Errorf("encode template %s: %w", g.Name(), err)
 		}
-		h.Bytes(fmt.Sprintf("template:%d", len(index)), data)
+		h.Bytes("template:"+strconv.Itoa(len(index)), data)
 		index[g] = len(index)
 		return nil
 	}

@@ -143,6 +143,11 @@ func TestCacheable(t *testing.T) {
 	if err := het.Cacheable(); err == nil {
 		t.Error("per-task-latency spec reported cacheable")
 	}
+	timed := goldenSpec()
+	timed.Workloads[0].Arrivals = make([]simtime.Time, len(timed.Workloads[0].Seq))
+	if err := timed.Cacheable(); err == nil {
+		t.Error("timed-arrivals spec reported cacheable")
+	}
 	nokey := goldenSpec()
 	nokey.Policies[0].Key = ""
 	if err := nokey.Cacheable(); err == nil {

@@ -53,6 +53,7 @@ package sweep
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -72,9 +73,14 @@ type Workload struct {
 	Label string
 	// Pool is the set of templates the design-time phase runs over.
 	Pool []*taskgraph.Graph
-	// Seq is the arrival sequence (all applications available at time
-	// zero, as in the paper's experiments).
+	// Seq is the arrival sequence.
 	Seq []*taskgraph.Graph
+	// Arrivals, when non-nil, holds each application's arrival time, one
+	// per Seq entry and non-decreasing: the dynamic setting of the
+	// paper's Fig. 1. Nil makes every application available at time zero,
+	// as in the paper's experiments. A Spec with timed arrivals bypasses
+	// the result store (see Spec.Cacheable).
+	Arrivals []simtime.Time
 }
 
 // PolicySpec is one value of the policy axis: how to build the policy and
@@ -194,6 +200,13 @@ func (s Spec) validate() error {
 		if len(w.Seq) == 0 {
 			return fmt.Errorf("sweep: workload %d (%q) has an empty sequence", i, w.Label)
 		}
+		if slices.Contains(w.Pool, nil) || slices.Contains(w.Seq, nil) {
+			return fmt.Errorf("sweep: workload %d (%q) has a nil template", i, w.Label)
+		}
+		if w.Arrivals != nil && (len(w.Arrivals) != len(w.Seq) || !slices.IsSorted(w.Arrivals)) {
+			return fmt.Errorf("sweep: workload %d (%q) needs one non-decreasing arrival time per application (%d applications, %d times)",
+				i, w.Label, len(w.Seq), len(w.Arrivals))
+		}
 		for j := range s.Workloads[:i] {
 			if sameWorkload(&s.Workloads[j], &s.Workloads[i]) {
 				return fmt.Errorf("sweep: workloads %d and %d are duplicates (label %q) — every scenario of one would rerun the other's", j, i, w.Label)
@@ -261,9 +274,11 @@ func (p PolicySpec) identity() policyIdentity {
 
 // sameWorkload reports whether two workloads would simulate identically:
 // same label, same pool templates and same arrival sequence (by template
-// identity, which is what mobility tables and the manager key on).
+// identity, which is what mobility tables and the manager key on, and by
+// arrival time).
 func sameWorkload(a, b *Workload) bool {
-	if a.Label != b.Label || len(a.Pool) != len(b.Pool) || len(a.Seq) != len(b.Seq) {
+	if a.Label != b.Label || len(a.Pool) != len(b.Pool) || len(a.Seq) != len(b.Seq) ||
+		!slices.Equal(a.Arrivals, b.Arrivals) {
 		return false
 	}
 	for i := range a.Pool {

@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	"repro/internal/dynlist"
+	"repro/internal/manager"
 	"repro/internal/policy"
+	"repro/internal/resultstore"
 	"repro/internal/simtime"
 	"repro/internal/taskgraph"
 	"repro/internal/workload"
@@ -81,11 +83,77 @@ func TestSpecValidation(t *testing.T) {
 		"no latencies": func(s *Spec) { s.Latencies = nil },
 		"no policies":  func(s *Spec) { s.Policies = nil },
 		"nil ctor":     func(s *Spec) { s.Policies = []PolicySpec{{Name: "broken"}} },
+		"nil template": func(s *Spec) {
+			w := s.Workloads[0]
+			w.Seq = append([]*taskgraph.Graph{nil}, w.Seq...)
+			s.Workloads = []Workload{w}
+		},
+		"arrival count": func(s *Spec) {
+			w := s.Workloads[0]
+			w.Arrivals = []simtime.Time{0}
+			s.Workloads = []Workload{w}
+		},
+		"arrival order": func(s *Spec) {
+			w := s.Workloads[0]
+			w.Arrivals = make([]simtime.Time, len(w.Seq))
+			w.Arrivals[0] = 1
+			s.Workloads = []Workload{w}
+		},
 	} {
 		s := base
 		breakIt(&s)
-		if _, err := (Executor{}).Run(s); err == nil {
+		// The store makes the executor hash the workload before it runs.
+		if _, err := (Executor{Store: resultstore.OpenMem()}).Run(s); err == nil {
 			t.Errorf("%s: invalid spec accepted", name)
+		}
+	}
+}
+
+// TestTimedArrivals: a workload with arrival times runs, and gets its
+// baseline, on the timed feed, so its results are manager.Run's and
+// Runner.Ideal's on that feed. The same sequence at time zero is a
+// different workload, not a duplicate.
+func TestTimedArrivals(t *testing.T) {
+	spec := fig9Spec(t, 4)
+	spec.Policies = spec.Policies[:2]
+	untimed := spec.Workloads[0]
+	timed := untimed
+	timed.Arrivals = make([]simtime.Time, len(timed.Seq))
+	for i := range timed.Arrivals {
+		timed.Arrivals[i] = simtime.FromMs(float64(200 * i))
+	}
+	spec.Workloads = []Workload{untimed, timed}
+	rs, err := Executor{Workers: 2}.Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := make([]dynlist.Item, len(timed.Seq))
+	for i, g := range timed.Seq {
+		items[i] = dynlist.Item{Graph: g, Arrival: timed.Arrivals[i]}
+	}
+	feed, err := dynlist.NewTimed(items)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pi, ps := range spec.Policies {
+		pol, err := ps.New()
+		if err != nil {
+			t.Fatal(err)
+		}
+		run, err := manager.Run(manager.Config{RUs: 4, Latency: spec.Latencies[0], Policy: pol}, feed.Rewind())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ideal, err := manager.NewRunner().Ideal(4, feed.Rewind())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := rs.At(1, 0, 0, pi)
+		if !reflect.DeepEqual(got.Run, run) || !reflect.DeepEqual(got.Ideal, ideal) {
+			t.Errorf("%s: timed workload's run or baseline differs from the timed feed's", ps.Name)
+		}
+		if atZero := rs.At(0, 0, 0, pi); atZero.Run.Makespan == run.Makespan {
+			t.Errorf("%s: the timed workload ran as if every application arrived at zero", ps.Name)
 		}
 	}
 }

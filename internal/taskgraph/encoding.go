@@ -1,6 +1,7 @@
 package taskgraph
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"sort"
@@ -29,8 +30,16 @@ type depJSON struct {
 }
 
 // MarshalJSON encodes the graph with millisecond execution times, matching
-// the units used throughout the paper.
+// the units used throughout the paper. The encoding is canonical (sorted
+// dependencies, explicit reconfiguration sequence) and compact with HTML
+// escaping, so it equals json.Marshal's output for the graph. It is
+// computed once per graph; each call returns a fresh copy.
 func (g *Graph) MarshalJSON() ([]byte, error) {
+	return bytes.Clone(g.canonical()), nil
+}
+
+// encode builds the canonical encoding behind MarshalJSON.
+func (g *Graph) encode() ([]byte, error) {
 	out := graphJSON{Name: g.name, Rec: g.RecSequenceIDs()}
 	for _, t := range g.tasks {
 		out.Tasks = append(out.Tasks, taskJSON{ID: t.ID, Name: t.Name, ExecMs: t.Exec.Ms()})

@@ -96,3 +96,35 @@ func TestDOT(t *testing.T) {
 		}
 	}
 }
+
+// TestMarshalJSONMatchesEncodingJSON: MarshalJSON returns its memoized
+// canonical bytes directly, while json.Marshal compacts and HTML-escapes
+// a Marshaler's output. Result-store keys frame MarshalJSON's bytes, so
+// the two must agree even on names json.Marshal escapes.
+func TestMarshalJSONMatchesEncodingJSON(t *testing.T) {
+	for _, name := range []string{"jpeg", "a<b>&c", "line\u2028sep\u2029", "quote\"tab\t"} {
+		b := NewBuilder(name).
+			AddTask(1, name, ms(2)).
+			AddTask(2, "<sink>", ms(1.25)).
+			AddDep(1, 2)
+		g, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		direct, err := g.MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		viaJSON, err := json.Marshal(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(direct) != string(viaJSON) {
+			t.Errorf("%q: MarshalJSON %s, json.Marshal %s", name, direct, viaJSON)
+		}
+		direct[0] = 'X' // a caller's copy: the memoized bytes must not change
+		if again, _ := g.MarshalJSON(); string(again) != string(viaJSON) {
+			t.Errorf("%q: modifying a returned encoding changed the next one: %s", name, again)
+		}
+	}
+}

@@ -50,8 +50,9 @@ type Graph struct {
 	rec   []int  // reconfiguration sequence (local indices, topological)
 	maxID TaskID // largest TaskID in the graph
 
-	fpOnce sync.Once // guards fp (content fingerprint, computed lazily)
-	fp     string
+	encOnce sync.Once // guards enc and fp, computed lazily
+	enc     []byte    // canonical JSON encoding (see MarshalJSON)
+	fp      string    // content fingerprint: hex SHA-256 of enc
 }
 
 // Fingerprint returns the template's content fingerprint: lowercase hex
@@ -63,17 +64,24 @@ type Graph struct {
 // once be reused across processes and hosts. Memoized on first use; safe
 // for concurrent use.
 func (g *Graph) Fingerprint() string {
-	g.fpOnce.Do(func() {
-		data, err := g.MarshalJSON()
+	g.canonical()
+	return g.fp
+}
+
+// canonical returns the graph's canonical JSON encoding, computed once
+// together with the fingerprint. Callers must not modify the bytes.
+func (g *Graph) canonical() []byte {
+	g.encOnce.Do(func() {
+		data, err := g.encode()
 		if err != nil {
 			// A Builder-validated graph always encodes; colliding silently
 			// on an empty fingerprint would be far worse than failing loud.
-			panic(fmt.Sprintf("taskgraph: fingerprint %q: %v", g.name, err))
+			panic(fmt.Sprintf("taskgraph: encode %q: %v", g.name, err))
 		}
 		sum := sha256.Sum256(data)
-		g.fp = hex.EncodeToString(sum[:])
+		g.enc, g.fp = data, hex.EncodeToString(sum[:])
 	})
-	return g.fp
+	return g.enc
 }
 
 // MaxTaskID returns the largest TaskID used by the graph. Array-backed
