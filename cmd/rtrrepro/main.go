@@ -80,34 +80,48 @@ import (
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
+		fmt.Fprintln(os.Stderr, "rtrrepro:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the command: it parses args and writes the reports to stdout
+// and the progress and digest lines to stderr. Every error returns
+// through it, so the profiles are flushed on a failed run too.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("rtrrepro", flag.ExitOnError)
 	var (
-		only    = flag.String("only", "", "comma-separated experiment ids (default: all); known: "+strings.Join(experiments.IDs(), ", "))
-		seed    = flag.Int64("seed", 2011, "workload generation seed")
-		apps    = flag.Int("apps", 500, "number of applications in the Fig. 9 workload")
-		rus     = flag.String("rus", "4-10", "reconfigurable-unit sweep, e.g. \"4-10\" or \"3,4,6\"")
-		latency = flag.Float64("latency", 4, "reconfiguration latency in ms")
-		csv     = flag.Bool("csv", false, "also emit CSV after each figure table")
+		only    = fs.String("only", "", "comma-separated experiment ids (default: all); known: "+strings.Join(experiments.IDs(), ", "))
+		seed    = fs.Int64("seed", 2011, "workload generation seed")
+		apps    = fs.Int("apps", 500, "number of applications in the Fig. 9 workload")
+		rus     = fs.String("rus", "4-10", "reconfigurable-unit sweep, e.g. \"4-10\" or \"3,4,6\"")
+		latency = fs.Float64("latency", 4, "reconfiguration latency in ms")
+		csv     = fs.Bool("csv", false, "also emit CSV after each figure table")
 
-		cf = cliflags.Register(flag.CommandLine)
+		cf = cliflags.Register(fs)
 
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of this run to the file (inspect with go tool pprof; see EXPERIMENTS.md)")
-		memProfile = flag.String("memprofile", "", "write a heap profile (live memory after GC) to the file at exit")
+		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of this run to the file (inspect with go tool pprof; see EXPERIMENTS.md)")
+		memProfile = fs.String("memprofile", "", "write a heap profile (live memory after GC) to the file at exit")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	stderr = &campaign.LockedWriter{W: stderr}
 
 	stopProfiles, err := profiling.Start(*cpuProfile, *memProfile)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer func() {
 		if err := stopProfiles(); err != nil {
-			fmt.Fprintln(os.Stderr, "rtrrepro:", err)
+			fmt.Fprintln(stderr, "rtrrepro:", err)
 		}
 	}()
 
 	setup, err := cf.Resolve()
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	store := setup.Store
 	// Design-time artifact tier: with a store attached, mobility tables
@@ -116,28 +130,28 @@ func main() {
 	// start from zero for this run's digest.
 	mobility.ResetStats()
 	if store != nil {
-		artifact.Install(store)
+		defer artifact.Install(store)()
 	}
 	if setup.StoreGC {
 		line, err := resultstore.RunGC(store)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Println(line)
-		return
+		fmt.Fprintln(stdout, line)
+		return nil
 	}
 	if setup.CoordStatus {
 		report, err := setup.StatusReport()
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Print(report)
-		return
+		fmt.Fprint(stdout, report)
+		return nil
 	}
 
 	units, err := sweep.ParseRUs(*rus)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	opt := experiments.Options{
 		Seed:          *seed,
@@ -153,11 +167,14 @@ func main() {
 
 	selected, err := selectExperiments(*only)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
 	var poolWatch *coord.PoolWatch
-	out := io.Writer(os.Stdout)
+	out := stdout
+	// resetCheckpoint, set by a watch merge, clears its render checkpoint
+	// once the merge has succeeded; a failed merge keeps it to resume.
+	resetCheckpoint := func() {}
 	if setup.Coord != nil {
 		fingerprint := coordFingerprint(opt, selected)
 		cfg := setup.Coord.Config(fingerprint)
@@ -165,10 +182,10 @@ func main() {
 		if !setup.Merge {
 			c, err := coord.Open(cfg)
 			if errors.Is(err, coord.ErrUninitialised) {
-				fatal(fmt.Errorf("%w (pass -coord-shards N to initialise the pool)", err))
+				return fmt.Errorf("%w (pass -coord-shards N to initialise the pool)", err)
 			}
 			if err != nil {
-				fatal(err)
+				return err
 			}
 			// Checkpointed populate: a re-leased shard resumes past the
 			// spec indices a dead worker's attempt already stored.
@@ -179,16 +196,16 @@ func main() {
 				if err != nil {
 					return err
 				}
-				fmt.Fprintf(os.Stderr, "coord worker %s: %s (attempt %d)\n", c.Owner(), shardDigest(sh, st), r.Attempt)
+				fmt.Fprintf(stderr, "coord worker %s: %s (attempt %d)\n", c.Owner(), shardDigest(sh, st), r.Attempt)
 				return nil
 			})
 			if err != nil {
-				fatal(err)
+				return err
 			}
-			fmt.Fprintln(os.Stderr, stats.Summary(c.Shards()))
-			fmt.Fprintln(os.Stderr, store.SummaryLine())
-			printMobilityDigest()
-			return
+			fmt.Fprintln(stderr, stats.Summary(c.Shards()))
+			fmt.Fprintln(stderr, store.SummaryLine())
+			printMobilityDigest(stderr)
+			return nil
 		}
 		// Coordinator-aware merge: consult the pool before rendering from
 		// the store. Without -watch a pool that has not drained is an
@@ -196,9 +213,9 @@ func main() {
 		// the pool populates, each row the moment its scenarios land, and
 		// a pool dead past its lease TTL fails the merge instead of
 		// hanging it.
-		_, pw, poll, err := coord.MergeGate(cfg, setup.Watch, os.Stderr)
+		_, pw, poll, err := coord.MergeGate(cfg, setup.Watch, stderr)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if pw != nil {
 			poolWatch = pw
@@ -212,26 +229,26 @@ func main() {
 			// offset so a deliberate re-render prints in full.
 			resume := campaign.LoadMergeOffset(cks, fingerprint)
 			if resume > 0 {
-				fmt.Fprintf(os.Stderr, "merge checkpoint: resuming at byte offset %d\n", resume)
+				fmt.Fprintf(stderr, "merge checkpoint: resuming at byte offset %d\n", resume)
 			}
-			out = &campaign.CheckpointedWriter{W: os.Stdout, Resume: resume,
+			out = &campaign.CheckpointedWriter{W: stdout, Resume: resume,
 				Save: func(total int64) { campaign.SaveMergeOffset(cks, fingerprint, total) }}
-			defer campaign.SaveMergeOffset(cks, fingerprint, 0)
+			resetCheckpoint = func() { campaign.SaveMergeOffset(cks, fingerprint, 0) }
 		}
 	}
 	if setup.HasShard {
 		st, err := experiments.Populate(opt, selected, setup.Shard)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Fprintln(os.Stderr, shardDigest(setup.Shard, st))
-		fmt.Fprintln(os.Stderr, store.SummaryLine())
-		printMobilityDigest()
-		return
+		fmt.Fprintln(stderr, shardDigest(setup.Shard, st))
+		fmt.Fprintln(stderr, store.SummaryLine())
+		printMobilityDigest(stderr)
+		return nil
 	}
 
 	if err := campaign.RenderSuite(opt, selected, out); err != nil {
-		fatal(err)
+		return err
 	}
 	if poolWatch != nil {
 		// -watch blocks until the pool drains, not merely until the
@@ -239,21 +256,23 @@ func main() {
 		// writes the report consumed, and a worker that dies right at the
 		// end should still be reported.
 		if _, err := poolWatch.Wait(); err != nil {
-			fatal(err)
+			return err
 		}
 	}
+	resetCheckpoint()
 	if store != nil {
-		fmt.Fprintln(os.Stderr, store.SummaryLine())
+		fmt.Fprintln(stderr, store.SummaryLine())
 	}
-	printMobilityDigest()
+	printMobilityDigest(stderr)
+	return nil
 }
 
 // printMobilityDigest emits the design-time cache digest to stderr when
 // this run touched the mobility cache at all. Keep the format stable —
 // the CI artifact-reuse gate greps it.
-func printMobilityDigest() {
+func printMobilityDigest(w io.Writer) {
 	if line := mobility.DigestLine(); line != "" {
-		fmt.Fprintln(os.Stderr, line)
+		fmt.Fprintln(w, line)
 	}
 }
 
@@ -292,9 +311,4 @@ func selectExperiments(only string) ([]experiments.Experiment, error) {
 		return campaign.SelectExperiments(nil)
 	}
 	return campaign.SelectExperiments(strings.Split(only, ","))
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "rtrrepro:", err)
-	os.Exit(1)
 }

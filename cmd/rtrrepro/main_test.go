@@ -1,6 +1,9 @@
 package main
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/experiments"
@@ -75,5 +78,24 @@ func TestShardDigestFormat(t *testing.T) {
 	want := "shard 2/6: ran 15 of 82 grid scenarios across 4 grids (67 skipped by other shards)"
 	if got != want {
 		t.Errorf("shard digest\n got %q\nwant %q", got, want)
+	}
+}
+
+// TestFailedRunFlushesProfiles: a run that fails after its profiles
+// started still writes them, so the run one wants to inspect is the one
+// that left a profile.
+func TestFailedRunFlushesProfiles(t *testing.T) {
+	t.Setenv("RTR_STORE", "")
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	var stdout, stderr bytes.Buffer
+	err := run([]string{"-cpuprofile", cpu, "-memprofile", mem, "-only", "fig2,nope"}, &stdout, &stderr)
+	if err == nil {
+		t.Fatal("unknown experiment id accepted")
+	}
+	for _, p := range []string{cpu, mem} {
+		if fi, err := os.Stat(p); err != nil || fi.Size() == 0 {
+			t.Errorf("failed run left profile %s empty or missing: %v", filepath.Base(p), err)
+		}
 	}
 }

@@ -102,6 +102,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	stderr = &campaign.LockedWriter{W: stderr}
 
 	stopProfiles, err := profiling.Start(*cpuProfile, *memProfile)
 	if err != nil {

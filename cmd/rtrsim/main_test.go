@@ -127,3 +127,27 @@ func TestGanttBypassesStore(t *testing.T) {
 		t.Errorf("a -gantt run left a result entry behind: %q", stderr)
 	}
 }
+
+// TestCoordWorkersShareStderr: the -coord-workers claim loops print
+// their progress to one stderr at once, so run serializes the writes
+// (the race detector checks them here, on a bytes.Buffer). Each shard is
+// reported once, and a merge over the drained pool prints what a plain
+// sweep prints.
+func TestCoordWorkersShareStderr(t *testing.T) {
+	t.Setenv("RTR_STORE", "")
+	dir := t.TempDir()
+	sweepArgs := []string{"-policy", "lru,locallfd:1", "-rus", "4-5", "-apps", "40"}
+	want, _ := rtrsimOutput(t, sweepArgs...)
+	pool := append(sweepArgs, "-store", filepath.Join(dir, "store"), "-coord", filepath.Join(dir, "coord"))
+	// A claim loop that finds the other loop's shard still leased idles
+	// for a heartbeat, a quarter of the lease TTL: 7.5 s by default.
+	_, stderr := rtrsimOutput(t, append(pool, "-coord-shards", "2", "-coord-workers", "2", "-lease-ttl", "2s")...)
+	for _, shard := range []string{"shard 0/2:", "shard 1/2:"} {
+		if n := strings.Count(stderr, shard); n != 1 {
+			t.Errorf("stderr reports %q %d times, want once:\n%s", shard, n, stderr)
+		}
+	}
+	if got, _ := rtrsimOutput(t, append(pool, "-merge-report")...); got != want {
+		t.Errorf("merge over the pool printed\n%s\nwant (plain sweep)\n%s", got, want)
+	}
+}

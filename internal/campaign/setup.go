@@ -1,6 +1,8 @@
 package campaign
 
 import (
+	"io"
+	"sync"
 	"time"
 
 	"repro/internal/backendurl"
@@ -73,4 +75,20 @@ func (s *Setup) StatusReport() (string, error) {
 		return "", err
 	}
 	return st.Render(c.Dir()), nil
+}
+
+// LockedWriter serializes writes to W. The CLIs wrap their stderr in one
+// because several goroutines report to it at once: the -coord-workers
+// claim loops and a watch merge's pool watch print progress lines while
+// the main goroutine prints its own.
+type LockedWriter struct {
+	mu sync.Mutex
+	W  io.Writer
+}
+
+// Write writes p to W under the lock.
+func (l *LockedWriter) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.W.Write(p)
 }

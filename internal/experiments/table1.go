@@ -113,8 +113,8 @@ func tableICases(full []taskgraph.TaskID) []tableICase {
 // It returns rows in the paper's order. Timing uses testing.Benchmark —
 // necessarily sequential, unlike the simulation sweeps: concurrent
 // scenarios would perturb each other's clocks. The results are
-// machine-dependent; the meaningful comparison is the ratio column (see
-// DESIGN.md §3 on the PowerPC substitution).
+// machine-dependent; the meaningful comparison is the ratio column (the
+// paper measured a PowerPC 405 at 100 MHz, this runs on the host).
 func MeasureTableI(opt Options) ([]TableIRow, error) {
 	opt = opt.normalized()
 	seq, err := opt.sequence()

@@ -20,7 +20,7 @@
 // next event.
 //
 // Semantics that the paper leaves implicit were reverse-engineered from
-// its worked figures and are locked in by golden tests (see DESIGN.md §2):
+// its worked figures and are locked in by the TestFig2*/TestFig3* tests:
 // applications execute strictly sequentially (the loads of graph k+1 begin
 // when graph k completes); eviction candidates are units that are neither
 // executing nor holding a configuration still awaiting execution in the

@@ -26,9 +26,9 @@ const retiredIdealKind = "ideal-run"
 // Artifacts and results share the key space but never the keys: an
 // artifact key hashes a kind tag along with the inputs (domain
 // separation), and the envelopes are mutually unservable — a result
-// entry has no artifact_schema, an artifact has no run — so Get can
-// never serve an artifact as an outcome nor GetArtifact an outcome as
-// an artifact.
+// entry is not JSON, an artifact does not open with the entry magic —
+// so Get can never serve an artifact as an outcome nor GetArtifact an
+// outcome as an artifact.
 type Artifact struct {
 	// Schema is the envelope version, stamped by PutArtifact.
 	Schema int `json:"artifact_schema"`

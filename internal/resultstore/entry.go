@@ -1,9 +1,7 @@
 package resultstore
 
 import (
-	"encoding/base64"
 	"encoding/binary"
-	"errors"
 	"math"
 	"math/bits"
 
@@ -15,55 +13,52 @@ import (
 // Entry is one stored scenario outcome: the raw run and the derived
 // summary (absent without baselines); since v4 no ideal baseline is
 // stored (see manager.Runner.Ideal). Schema and Key are stamped by Put.
-// It is one JSON object, all plain values but the run's completions
-// blob; a 2000-app Fig. 9 entry is ~4.9 KB.
+// Since v5 it is stored in the binary layout of appendEntry, read back
+// in one pass by decodeEntry; a 2000-app Fig. 9 entry is ~3.5 KB.
 type Entry struct {
-	Schema int    `json:"schema"`
-	Key    string `json:"key"`
+	Schema int
+	Key    string
 	// Scenario is a human-readable label for store inspection only; it is
 	// not part of the identity (the key is).
-	Scenario string `json:"scenario,omitempty"`
+	Scenario string
 
 	// ElapsedNS is the measured wall time, in nanoseconds, of simulating
 	// this scenario (its own run — not the shared ideal baseline or the
 	// design-time phase, which are amortized across a sweep). It is trace
 	// and operator metadata, never part of the result: reports and
 	// dispatch ignore it.
-	ElapsedNS int64 `json:"elapsed_ns,omitempty"`
+	ElapsedNS int64
 
 	// Attempts is how many executions the scenario took before this
 	// result landed (1 = first try). LastError and RetriedAtNS record the
 	// final retried failure and when the winning attempt started, set
 	// only when Attempts > 1. Like ElapsedNS these are operational
-	// metadata, never part of the result: reports ignore them, so adding
-	// them did not bump SchemaVersion (strictly-additive optional fields
-	// never do — old entries simply decode with Attempts 0, meaning
-	// "recorded before retry bookkeeping existed").
-	Attempts    int    `json:"attempts,omitempty"`
-	LastError   string `json:"last_error,omitempty"`
-	RetriedAtNS int64  `json:"retried_at_ns,omitempty"`
+	// metadata, never part of the result: reports ignore them.
+	Attempts    int
+	LastError   string
+	RetriedAtNS int64
 
-	Run     *Run             `json:"run"`
-	Summary *metrics.Summary `json:"summary,omitempty"`
+	Run     *Run
+	Summary *metrics.Summary
 }
 
 // Run is the serializable subset of a manager.Result: every counter and
 // timing a report can consume, minus the in-memory-only execution trace
 // and template map (trace-recording sweeps bypass the store entirely).
-// Completions, the one per-instance field, is stored as a compact blob
-// (see Completions); every other field is a plain JSON number.
+// Completions, the one per-instance field, makes up most of an entry
+// (see Completions); every other field is one varint.
 type Run struct {
-	Makespan    simtime.Time `json:"makespan"`
-	Executed    int          `json:"executed"`
-	Reused      int          `json:"reused"`
-	Loads       int          `json:"loads"`
-	Evictions   int          `json:"evictions"`
-	Skips       int          `json:"skips,omitempty"`
-	ForcedSkips int          `json:"forced_skips,omitempty"`
-	Preloads    int          `json:"preloads,omitempty"`
-	Graphs      int          `json:"graphs"`
-	Completions Completions  `json:"completions,omitempty"`
-	Events      uint64       `json:"events"`
+	Makespan    simtime.Time
+	Executed    int
+	Reused      int
+	Loads       int
+	Evictions   int
+	Skips       int
+	ForcedSkips int
+	Preloads    int
+	Graphs      int
+	Completions Completions
+	Events      uint64
 }
 
 // RecordRun captures the serializable fields of a completed run. The
@@ -116,9 +111,10 @@ func (r *Run) Result() *manager.Result {
 
 // Completions is a run's per-instance completion times, in instance
 // order. It makes up most of an entry, yet only per-application delay
-// lines read it, so since schema v3 it is stored as one JSON string
-// rather than an array of decimal integers: standard base64 of
+// lines read it, so it is stored as deltas (since v3; without the base64
+// and the JSON string around them since v5):
 //
+//   - uvarint n, the number of times; if n > 0,
 //   - uvarint g, the GCD of the absolute deltas between consecutive
 //     times (1 if every delta is 0), then
 //   - for each time, a zigzag varint of (time − previous time) / g,
@@ -127,13 +123,73 @@ func (r *Run) Result() *manager.Result {
 // Deltas use wrapping uint64 arithmetic, so every int64 sequence —
 // unsorted, negative, extreme — round-trips exactly. Simulated times are
 // whole milliseconds apart, so g factors out the microsecond unit and
-// most deltas fit in a byte or two.
+// most deltas fit in a byte or two. An empty list decodes as nil.
 type Completions []simtime.Time
 
-var errCompletions = errors.New("resultstore: malformed completions blob")
+// entryMagic opens every encoded entry. It tells a v5-or-later entry
+// from the JSON of older entries and of artifacts, which open with '{'.
+const entryMagic = "RTRe"
 
-// MarshalJSON encodes the times as the schema-v3 blob.
-func (c Completions) MarshalJSON() ([]byte, error) {
+// appendEntry appends e's encoding to dst. The layout, in order, with
+// every integer a varint (zigzag for signed values) and every string its
+// uvarint byte length then its bytes:
+//
+//	entryMagic, Schema, Key, Scenario, ElapsedNS, Attempts, LastError,
+//	RetriedAtNS,
+//	one byte 1 and the run, or 0 for no run:
+//	  Makespan, Executed, Reused, Loads, Evictions, Skips, ForcedSkips,
+//	  Preloads, Graphs, Events (uvarint), Completions (see there),
+//	one byte 1 and the summary, or 0 for no summary:
+//	  PolicyName, RUs, Latency, Executed, Reused, Loads, Skips,
+//	  Makespan, IdealMakespan.
+//
+// Nothing follows. decodeEntry accepts exactly the outputs of this
+// function, so every accepted input re-encodes to the same bytes.
+func appendEntry(dst []byte, e *Entry) []byte {
+	dst = append(dst, entryMagic...)
+	dst = binary.AppendVarint(dst, int64(e.Schema))
+	dst = appendString(dst, e.Key)
+	dst = appendString(dst, e.Scenario)
+	dst = binary.AppendVarint(dst, e.ElapsedNS)
+	dst = binary.AppendVarint(dst, int64(e.Attempts))
+	dst = appendString(dst, e.LastError)
+	dst = binary.AppendVarint(dst, e.RetriedAtNS)
+	if r := e.Run; r == nil {
+		dst = append(dst, 0)
+	} else {
+		dst = append(dst, 1)
+		for _, v := range [...]int64{int64(r.Makespan), int64(r.Executed), int64(r.Reused),
+			int64(r.Loads), int64(r.Evictions), int64(r.Skips), int64(r.ForcedSkips),
+			int64(r.Preloads), int64(r.Graphs)} {
+			dst = binary.AppendVarint(dst, v)
+		}
+		dst = binary.AppendUvarint(dst, r.Events)
+		dst = r.Completions.appendTo(dst)
+	}
+	if s := e.Summary; s == nil {
+		dst = append(dst, 0)
+	} else {
+		dst = append(dst, 1)
+		dst = appendString(dst, s.PolicyName)
+		for _, v := range [...]int64{int64(s.RUs), int64(s.Latency), int64(s.Executed),
+			int64(s.Reused), int64(s.Loads), int64(s.Skips), int64(s.Makespan),
+			int64(s.IdealMakespan)} {
+			dst = binary.AppendVarint(dst, v)
+		}
+	}
+	return dst
+}
+
+func appendString(dst []byte, s string) []byte {
+	return append(binary.AppendUvarint(dst, uint64(len(s))), s...)
+}
+
+// appendTo appends the encoding described at Completions.
+func (c Completions) appendTo(dst []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(c)))
+	if len(c) == 0 {
+		return dst
+	}
 	var g, prev uint64
 	for _, t := range c {
 		g = gcd(g, absDelta(uint64(t)-prev))
@@ -142,7 +198,7 @@ func (c Completions) MarshalJSON() ([]byte, error) {
 	if g == 0 {
 		g = 1
 	}
-	raw := binary.AppendUvarint(make([]byte, 0, binary.MaxVarintLen64+2*len(c)), g)
+	dst = binary.AppendUvarint(dst, g)
 	prev = 0
 	for _, t := range c {
 		d := uint64(t) - prev
@@ -150,69 +206,191 @@ func (c Completions) MarshalJSON() ([]byte, error) {
 		if int64(d) < 0 {
 			q = -q
 		}
-		raw = binary.AppendVarint(raw, int64(q))
+		dst = binary.AppendVarint(dst, int64(q))
 		prev = uint64(t)
 	}
-	out := make([]byte, base64.StdEncoding.EncodedLen(len(raw))+2)
-	out[0], out[len(out)-1] = '"', '"'
-	base64.StdEncoding.Encode(out[1:len(out)-1], raw)
-	return out, nil
+	return dst
 }
 
-// UnmarshalJSON decodes the blob straight from the bytes between the
-// literal's quotes, without a second JSON scan. A JSON escape is not in
-// the base64 alphabet, so a literal carrying one is malformed, as is a
-// truncated or overlong varint, g = 0, or a delta × g that overflows
-// int64: the error makes the whole entry unservable, never a panic.
-func (c *Completions) UnmarshalJSON(data []byte) error {
-	if len(data) < 2 || data[0] != '"' || data[len(data)-1] != '"' {
-		return errCompletions
+// decodeEntry reads an entry in one pass. It rejects, never panics on,
+// anything appendEntry could not have written: a wrong magic, a
+// truncated, overflowing or non-minimal varint, a string or count longer
+// than the bytes left, a flag byte other than 0 or 1, malformed
+// completions (see decoder.completions) and trailing bytes. No
+// allocation is sized beyond the input's length.
+func decodeEntry(data []byte) (*Entry, bool) {
+	if len(data) < len(entryMagic) || string(data[:len(entryMagic)]) != entryMagic {
+		return nil, false
 	}
-	lit := data[1 : len(data)-1]
-	raw := make([]byte, base64.StdEncoding.DecodedLen(len(lit)))
-	n, err := base64.StdEncoding.Decode(raw, lit)
-	if err != nil {
-		return errCompletions
+	d := decoder{b: data[len(entryMagic):]}
+	e := &Entry{
+		Schema:      d.int(),
+		Key:         d.string(),
+		Scenario:    d.string(),
+		ElapsedNS:   d.varint(),
+		Attempts:    d.int(),
+		LastError:   d.string(),
+		RetriedAtNS: d.varint(),
 	}
-	raw = raw[:n]
-	g, k := binary.Uvarint(raw)
-	if k <= 0 || g == 0 {
-		return errCompletions
-	}
-	raw = raw[k:]
-	count := 0 // one varint per time ends at each byte below 0x80
-	for _, b := range raw {
-		if b < 0x80 {
-			count++
+	if d.flag() {
+		e.Run = &Run{
+			Makespan:    simtime.Time(d.varint()),
+			Executed:    d.int(),
+			Reused:      d.int(),
+			Loads:       d.int(),
+			Evictions:   d.int(),
+			Skips:       d.int(),
+			ForcedSkips: d.int(),
+			Preloads:    d.int(),
+			Graphs:      d.int(),
+			Events:      d.uvarint(),
+			Completions: d.completions(),
 		}
 	}
-	var out Completions
-	if count > 0 {
-		out = make(Completions, 0, count)
-	}
-	var prev uint64
-	for len(raw) > 0 {
-		q, k := binary.Varint(raw)
-		if k <= 0 {
-			return errCompletions
+	if d.flag() {
+		e.Summary = &metrics.Summary{
+			PolicyName:    d.string(),
+			RUs:           d.int(),
+			Latency:       simtime.Time(d.varint()),
+			Executed:      d.int(),
+			Reused:        d.int(),
+			Loads:         d.int(),
+			Skips:         d.int(),
+			Makespan:      simtime.Time(d.varint()),
+			IdealMakespan: simtime.Time(d.varint()),
 		}
-		raw = raw[k:]
+	}
+	if d.bad || len(d.b) > 0 {
+		return nil, false
+	}
+	return e, true
+}
+
+// decoder reads the fields of an encoded entry in order. The first
+// malformed field sets bad and empties b, so every later read fails too
+// and returns a zero value; the caller checks bad once at the end.
+type decoder struct {
+	b   []byte
+	bad bool
+}
+
+func (d *decoder) fail() {
+	d.bad, d.b = true, nil
+}
+
+func (d *decoder) uvarint() uint64 {
+	v, n := uvarint(d.b)
+	if n <= 0 {
+		d.fail()
+		return 0
+	}
+	d.b = d.b[n:]
+	return v
+}
+
+// uvarint is binary.Uvarint restricted to minimal encodings: a
+// multi-byte one may not end in a zero byte, which would be a longer
+// spelling of a smaller value. n <= 0 reports a malformed varint.
+func uvarint(b []byte) (v uint64, n int) {
+	v, n = binary.Uvarint(b)
+	if n > 1 && b[n-1] == 0 {
+		return 0, 0
+	}
+	return v, n
+}
+
+func (d *decoder) varint() int64 {
+	u := d.uvarint()
+	return int64(u>>1) ^ -int64(u&1)
+}
+
+func (d *decoder) int() int {
+	v := d.varint()
+	if int64(int(v)) != v {
+		d.fail()
+	}
+	return int(v)
+}
+
+func (d *decoder) string() string {
+	n := d.uvarint()
+	if n > uint64(len(d.b)) {
+		d.fail()
+		return ""
+	}
+	s := string(d.b[:n])
+	d.b = d.b[n:]
+	return s
+}
+
+func (d *decoder) flag() bool {
+	if len(d.b) == 0 || d.b[0] > 1 {
+		d.fail()
+		return false
+	}
+	f := d.b[0] == 1
+	d.b = d.b[1:]
+	return f
+}
+
+// completions reads the encoding described at Completions. Beyond the
+// varint rules it rejects a count larger than the bytes left (every time
+// takes at least one), g = 0, a g that is not the GCD of the deltas
+// (which appendTo would not write) and a delta × g that overflows int64.
+func (d *decoder) completions() Completions {
+	n := d.uvarint()
+	if n == 0 {
+		return nil
+	}
+	g := d.uvarint()
+	if g == 0 || n > uint64(len(d.b)) {
+		d.fail()
+		return nil
+	}
+	out := make(Completions, n)
+	var prev, div uint64 // div: the GCD of the quotients so far
+	// A local slice, so that the loop stores no pointer per time.
+	b := d.b
+	for i := range out {
+		// Nearly every delta takes one or two bytes: read those inline,
+		// the rest by uvarint. b[1]-1 < 0x7f is b[1] in 1..0x7f: the
+		// byte ends the varint, and a 0 there would not be minimal.
+		var u uint64
+		var k int
+		if len(b) > 0 && b[0] < 0x80 {
+			u, k = uint64(b[0]), 1
+		} else if len(b) > 1 && b[1]-1 < 0x7f {
+			u, k = uint64(b[0]&0x7f)|uint64(b[1])<<7, 2
+		} else if u, k = uvarint(b); k <= 0 {
+			d.fail()
+			return nil
+		}
+		b = b[k:]
+		q := int64(u>>1) ^ -int64(u&1)
 		mag, limit := uint64(q), uint64(math.MaxInt64)
 		if q < 0 {
 			mag, limit = -mag, limit+1
 		}
-		hi, d := bits.Mul64(mag, g)
-		if hi != 0 || d > limit {
-			return errCompletions
+		if div != 1 {
+			div = gcd(div, mag)
+		}
+		hi, delta := bits.Mul64(mag, g)
+		if hi != 0 || delta > limit {
+			d.fail()
+			return nil
 		}
 		if q < 0 {
-			d = -d
+			delta = -delta
 		}
-		prev += d
-		out = append(out, simtime.Time(prev))
+		prev += delta
+		out[i] = simtime.Time(prev)
 	}
-	*c = out
-	return nil
+	d.b = b
+	if div > 1 || div == 0 && g != 1 {
+		d.fail()
+		return nil
+	}
+	return out
 }
 
 // absDelta is |int64(d)| for a wrapped delta, as a uint64 so that the

@@ -1,7 +1,7 @@
 // Package resultstore persists simulated scenario results in a
 // content-addressed on-disk store, keyed by a canonical config hash of
 // every input that determines the outcome (workload content, unit count,
-// latency, policy specifier, feature flags, schema version).
+// latency, policy specifier, feature flags).
 //
 // The store is the simulator practicing what it simulates: the paper's
 // replacement technique avoids redoing reconfiguration work whose result
@@ -16,10 +16,12 @@
 // predicate) over a byte-level Backend. Three backends ship — the
 // default filesystem layout (DIR/objects/<k0k1>/<key>.json, atomic
 // temp+rename writes, the merge substrate for sharded multi-host
-// sweeps), an in-memory map (tests, ephemeral CI), and the http client
-// of a campaign hosted by rtrserved. internal/storetest runs the shared
-// conformance suite against all of them; internal/backendurl parses the CLI locator
-// syntax shared with -coord.
+// sweeps; the suffix is historical since entries went binary in v5, and
+// kept because artifacts, which are still JSON, share the path), an
+// in-memory map (tests, ephemeral CI), and the http client of a
+// campaign hosted by rtrserved. internal/storetest runs the shared
+// conformance suite against all of them; internal/backendurl parses
+// the CLI locator syntax shared with -coord.
 //
 // Invalidation: every entry records the SchemaVersion it was written
 // under — inside the entry, deliberately not in the key (since schema
@@ -30,14 +32,16 @@
 // does not match their filename.
 //
 // Entries additionally record the measured wall time of their simulation
-// (elapsed_ns, schema v2). It is trace and operator metadata, never part
+// (ElapsedNS, schema v2). It is trace and operator metadata, never part
 // of the result: reports never see it and dispatch does not read it.
 //
-// Schema history: v2 added elapsed_ns and took the schema out of the
+// Schema history: v2 added ElapsedNS and took the schema out of the
 // keys; v3 stores each run's completions as a delta-varint blob (see
 // Completions) instead of an array of integers, which cut a 2000-app
 // entry from ~37 KB to ~9.5 KB and with it the cost of every decode; v4
-// stores no ideal baseline (see SchemaVersion).
+// stores no ideal baseline; v5 stores each entry in a binary layout
+// read in one pass (see appendEntry), so entries are no longer JSON and
+// no longer readable with jq (see SchemaVersion).
 //
 // Two lookups with two accounting rules: Get serves a full entry and
 // counts a hit or a miss; Probe serves identically but counts only the
@@ -46,7 +50,6 @@
 package resultstore
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -82,12 +85,23 @@ import (
 // overwritten in place; GC removes them and every "ideal-run" artifact
 // (the kind that once held v4 baselines; their entries stay servable).
 //
-// Strictly-additive optional fields do NOT bump the version: ElapsedNS
-// landed inside v2, and the retry metadata (Attempts, LastError,
-// RetriedAtNS) followed the same pattern — old entries decode with the
-// zero values and stay servable, because reports never read these
-// fields.
-const SchemaVersion = 4
+// v5: an entry is no longer a JSON object but the binary layout of
+// appendEntry: a magic string, then varints and length-prefixed strings
+// in a fixed order, the completions as v3's varint deltas without the
+// base64 around them. Decoding v4's JSON was most of the CPU time of a
+// warm render (the base64 completions string alone was scanned twice);
+// decodeEntry reads every field once. The fields and keys are v4's, but
+// a v4 entry does not decode, so it misses, is re-simulated and
+// overwritten in place, and `-store-gc` removes any leftover.
+// Artifacts stay JSON (see Artifact).
+//
+// While entries were JSON (v2–v4), strictly-additive optional fields did
+// not bump the version: ElapsedNS landed inside v2, and the retry
+// metadata (Attempts, LastError, RetriedAtNS) followed the same pattern,
+// old entries decoding with the zero values. The v5 layout has no
+// optional fields, so any field added to an entry now changes the layout
+// and bumps the version.
+const SchemaVersion = 5
 
 // Store is a content-addressed result store over a Backend. The zero
 // value is not usable; call Open (fs), OpenMem, OpenURL or
@@ -238,12 +252,11 @@ func (s *Store) get(key string) (*Entry, bool) {
 // delegate here, so invalidation can never drift between serving and
 // collection — on any backend.
 func decodeServable(key string, data []byte) (*Entry, bool) {
-	var e Entry
-	if err := json.Unmarshal(data, &e); err != nil ||
-		e.Schema != SchemaVersion || e.Key != key || e.Run == nil {
+	e, ok := decodeEntry(data)
+	if !ok || e.Schema != SchemaVersion || e.Key != key || e.Run == nil {
 		return nil, false
 	}
-	return &e, true
+	return e, true
 }
 
 // Put writes the entry under key, stamping the current schema version and
@@ -269,11 +282,7 @@ func (s *Store) put(key string, e *Entry) error {
 	}
 	e.Schema = SchemaVersion
 	e.Key = key
-	data, err := json.Marshal(e)
-	if err != nil {
-		return fmt.Errorf("resultstore: encode %s: %w", key, err)
-	}
-	return s.b.Store(key, data)
+	return s.b.Store(key, appendEntry(nil, e))
 }
 
 // Stats reports the cumulative lookup and write counters since Open.

@@ -15,6 +15,8 @@
 package storetest
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
@@ -174,13 +176,15 @@ func Backends(tb testing.TB) []Backend {
 	return out
 }
 
-// StaleifySchema rewrites every entry in the store with an unservable
-// schema version, keeping everything else (keys, recorded timings)
-// intact — the state a store is in right after a
+// StaleifySchema rewrites every result entry in the store with an
+// unservable schema version, keeping every other byte (keys, recorded
+// timings) intact — the state a store is in right after a
 // resultstore.SchemaVersion bump, where every scenario must
-// re-simulate in place. Tests of that path share this one recipe so it
-// cannot drift between them. It goes through the store's raw Backend,
-// so it works on any of them.
+// re-simulate in place. Artifacts, whose servability does not depend on
+// the result schema, are left as they are; anything else fails the test.
+// Tests of that path share this one recipe so it cannot drift between
+// them. It goes through the store's raw Backend, so it works on any of
+// them.
 func StaleifySchema(tb testing.TB, s *resultstore.Store) {
 	tb.Helper()
 	b := s.Backend()
@@ -196,19 +200,24 @@ func StaleifySchema(tb testing.TB, s *resultstore.Store) {
 		tb.Fatal(err)
 	}
 	for _, e := range entries {
-		var raw map[string]any
-		if err := json.Unmarshal(e.data, &raw); err != nil {
-			tb.Fatalf("staleify %s: %v", e.key, err)
+		rest, ok := bytes.CutPrefix(e.data, entryHeader(resultstore.SchemaVersion))
+		if !ok {
+			if json.Valid(e.data) {
+				continue // an artifact
+			}
+			tb.Fatalf("staleify %s: neither a v%d entry nor an artifact", e.key, resultstore.SchemaVersion)
 		}
-		raw["schema"] = resultstore.SchemaVersion + 1000
-		out, err := json.Marshal(raw)
-		if err != nil {
-			tb.Fatal(err)
-		}
+		out := append(entryHeader(resultstore.SchemaVersion+1000), rest...)
 		if err := b.Store(e.key, out); err != nil {
 			tb.Fatal(err)
 		}
 	}
+}
+
+// entryHeader is how resultstore opens an encoded entry of the given
+// schema: the magic "RTRe", then the schema as a zigzag varint.
+func entryHeader(schema int) []byte {
+	return binary.AppendVarint([]byte("RTRe"), int64(schema))
 }
 
 // Key derives a canonical-form 64-hex-char store key from a seed, for

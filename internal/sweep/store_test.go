@@ -1,7 +1,7 @@
 package sweep
 
 import (
-	"encoding/json"
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -94,17 +94,21 @@ func TestStoreWarmRunIdentical(t *testing.T) {
 	}
 }
 
-// TestSchemaV2EntryMigrates pins the v2 → v3 schema bump on a literal
-// v2 entry, completions still a JSON integer array: Get and Probe miss,
-// a sweep re-simulates the scenario and overwrites the entry in place at
-// the current schema (and stores nothing else), and GC removes a v2
+// v4Entry is a literal entry of the last JSON layout, schema v4: the
+// completions a base64 blob of varint deltas, no embedded ideal.
+func v4Entry(key string) []byte {
+	return fmt.Appendf(nil, `{"schema":4,"key":%q,"elapsed_ns":4242,`+
+		`"run":{"makespan":70000,"executed":15,"reused":5,"loads":10,"evictions":6,"graphs":3,"completions":"kE4GCAE=","events":42},`+
+		`"summary":{"PolicyName":"LRU","RUs":4,"Latency":4000,"Executed":15,"Reused":5,"Loads":10,"Makespan":70000,"IdealMakespan":50000}}`, key)
+}
+
+// TestSchemaV2EntryMigrates pins two schema bumps on the fs layout, each
+// on a literal entry of an older schema: v2, completions still a JSON
+// integer array, and v4, the last JSON layout. Get and Probe miss, a
+// sweep re-simulates the scenario and overwrites the file in place at
+// the current schema (and stores nothing else), and GC removes an old
 // entry nobody re-simulated while it keeps the current entry.
 func TestSchemaV2EntryMigrates(t *testing.T) {
-	dir := t.TempDir()
-	store, err := resultstore.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	spec := fig9Spec(t, 4)
 	spec.Policies = spec.Policies[:1]
 	keys, err := spec.ScenarioKeys()
@@ -112,84 +116,97 @@ func TestSchemaV2EntryMigrates(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := keys[0]
-	path := func(key string) string { return filepath.Join(dir, "objects", key[:2], key+".json") }
-	writeV2 := func(key string) {
-		t.Helper()
-		v2 := fmt.Sprintf(`{"schema":2,"key":%q,"elapsed_ns":4242,`+
+	v2Entry := func(key string) []byte {
+		return fmt.Appendf(nil, `{"schema":2,"key":%q,"elapsed_ns":4242,`+
 			`"run":{"makespan":70000,"executed":15,"reused":5,"loads":10,"evictions":6,"graphs":3,"completions":[30000,70000],"events":42},`+
 			`"ideal":{"makespan":50000,"executed":15,"loads":15,"evictions":0,"reused":0,"graphs":3,"completions":[20000,50000],"events":40}}`, key)
-		if err := os.MkdirAll(filepath.Dir(path(key)), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path(key), []byte(v2), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	writeV2(key)
-
-	if _, ok := store.Get(key); ok {
-		t.Error("Get served a v2 entry")
-	}
-	if _, ok := store.Probe(key); ok {
-		t.Error("Probe served a v2 entry")
 	}
 
-	res, err := (Executor{Workers: 1, Store: store}).Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, misses, puts := store.Stats(); misses != 2 || puts != 1 {
-		t.Errorf("sweep over a v2 entry: misses=%d puts=%d, want 2 (Get above + sweep) and 1", misses, puts)
-	}
-	data, err := os.ReadFile(path(key))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var head struct {
-		Schema int `json:"schema"`
-		Run    struct {
-			Completions json.RawMessage `json:"completions"`
-		} `json:"run"`
-	}
-	if err := json.Unmarshal(data, &head); err != nil {
-		t.Fatal(err)
-	}
-	if head.Schema != resultstore.SchemaVersion || !strings.HasPrefix(string(head.Run.Completions), `"`) {
-		t.Errorf("entry after the sweep: schema %d, completions %.20s…; want v%d with a blob",
-			head.Schema, head.Run.Completions, resultstore.SchemaVersion)
-	}
-	ent, ok := store.Get(key)
-	if !ok {
-		t.Fatal("re-simulated entry not served")
-	}
-	if got := ent.Run.Result(); !reflect.DeepEqual(got.Completions, res.Results[0].Run.Completions) {
-		t.Error("re-simulated entry serves different completions than the run that wrote it")
-	}
+	for _, old := range []struct {
+		name  string
+		entry func(key string) []byte
+	}{{"v2", v2Entry}, {"v4", v4Entry}} {
+		t.Run(old.name, func(t *testing.T) {
+			dir := t.TempDir()
+			store, err := resultstore.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := func(key string) string { return filepath.Join(dir, "objects", key[:2], key+".json") }
+			write := func(key string) {
+				t.Helper()
+				if err := os.MkdirAll(filepath.Dir(path(key)), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path(key), old.entry(key), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			write(key)
 
-	leftover := strings.Repeat("ab", 32)
-	writeV2(leftover)
-	st, err := store.GC()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hits, misses, puts := store.ArtifactStats(); hits+misses+puts != 0 {
-		t.Errorf("sweep made %d/%d/%d artifact hits/misses/puts, want none", hits, misses, puts)
-	}
-	if st.Removed != 1 || st.Kept != 1 {
-		t.Errorf("gc removed %d kept %d, want the v2 leftover removed and the current entry kept", st.Removed, st.Kept)
-	}
-	if _, err := os.Stat(path(leftover)); !os.IsNotExist(err) {
-		t.Errorf("v2 leftover survived gc: %v", err)
+			if _, ok := store.Get(key); ok {
+				t.Errorf("Get served a %s entry", old.name)
+			}
+			if _, ok := store.Probe(key); ok {
+				t.Errorf("Probe served a %s entry", old.name)
+			}
+
+			res, err := (Executor{Workers: 1, Store: store}).Run(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, misses, puts := store.Stats(); misses != 2 || puts != 1 {
+				t.Errorf("sweep over a %s entry: misses=%d puts=%d, want 2 (Get above + sweep) and 1", old.name, misses, puts)
+			}
+			files, err := filepath.Glob(filepath.Join(dir, "objects", "*", "*"))
+			if err != nil || len(files) != 1 || files[0] != path(key) {
+				t.Fatalf("store files after the sweep: %v (%v), want only %s", files, err, path(key))
+			}
+			data, err := os.ReadFile(path(key))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if bytes.Equal(data, old.entry(key)) {
+				t.Fatalf("the sweep left the %s entry in place", old.name)
+			}
+			ent, ok := store.Get(key)
+			if !ok {
+				t.Fatal("re-simulated entry not served")
+			}
+			if ent.Schema != resultstore.SchemaVersion {
+				t.Errorf("re-simulated entry has schema %d, want %d", ent.Schema, resultstore.SchemaVersion)
+			}
+			if got := ent.Run.Result(); !reflect.DeepEqual(got.Completions, res.Results[0].Run.Completions) {
+				t.Error("re-simulated entry serves different completions than the run that wrote it")
+			}
+
+			leftover := strings.Repeat("ab", 32)
+			write(leftover)
+			st, err := store.GC()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if hits, misses, puts := store.ArtifactStats(); hits+misses+puts != 0 {
+				t.Errorf("sweep made %d/%d/%d artifact hits/misses/puts, want none", hits, misses, puts)
+			}
+			if st.Removed != 1 || st.Kept != 1 {
+				t.Errorf("gc removed %d kept %d, want the %s leftover removed and the current entry kept", st.Removed, st.Kept, old.name)
+			}
+			if _, err := os.Stat(path(leftover)); !os.IsNotExist(err) {
+				t.Errorf("%s leftover survived gc: %v", old.name, err)
+			}
+		})
 	}
 }
 
-// TestSchemaV3EntryMigrates pins the v3 → v4 schema bump on every
-// backend, on a literal v3 entry that embeds its ideal baseline next to
-// a v3 ideal-run artifact under the baseline's key: Get and Probe miss,
-// a sweep re-simulates the scenario and overwrites the entry in place as
-// v4, without an embedded ideal, and touches no artifact; GC then
-// removes the ideal-run artifact and a v3 entry and artifact nobody
-// re-simulated, while it keeps the v4 entry.
+// TestSchemaV3EntryMigrates pins the bumps from v3 and v4 on every
+// backend. The v3 input is a literal entry that embeds its ideal
+// baseline, the v4 input a literal of the last JSON layout; each sits
+// next to a v3 ideal-run artifact under the baseline's key. Get and
+// Probe miss, a sweep re-simulates the scenario and overwrites the entry
+// in place at the current schema, without an embedded ideal, and touches
+// no artifact; GC then removes the ideal-run artifact and an old entry
+// and artifact nobody re-simulated, while it keeps the current entry.
 func TestSchemaV3EntryMigrates(t *testing.T) {
 	spec := fig9Spec(t, 4)
 	spec.Policies = spec.Policies[:1]
@@ -216,70 +233,76 @@ func TestSchemaV3EntryMigrates(t *testing.T) {
 
 	for _, bk := range storetest.Backends(t) {
 		t.Run(bk.Name, func(t *testing.T) {
-			store, _ := bk.Open(t)
-			b := store.Backend()
-			write := func(key string, data []byte) {
-				t.Helper()
-				if err := b.Store(key, data); err != nil {
-					t.Fatal(err)
-				}
-			}
-			write(key, v3Entry(key))
-			write(ideal, v3Artifact(ideal))
-			if _, ok := store.Get(key); ok {
-				t.Error("Get served a v3 entry")
-			}
-			if _, ok := store.Probe(key); ok {
-				t.Error("Probe served a v3 entry")
-			}
+			for _, old := range []struct {
+				name  string
+				entry func(key string) []byte
+			}{{"v3", v3Entry}, {"v4", v4Entry}} {
+				t.Run(old.name, func(t *testing.T) {
+					store, _ := bk.Open(t)
+					b := store.Backend()
+					write := func(key string, data []byte) {
+						t.Helper()
+						if err := b.Store(key, data); err != nil {
+							t.Fatal(err)
+						}
+					}
+					write(key, old.entry(key))
+					write(ideal, v3Artifact(ideal))
+					if _, ok := store.Get(key); ok {
+						t.Errorf("Get served a %s entry", old.name)
+					}
+					if _, ok := store.Probe(key); ok {
+						t.Errorf("Probe served a %s entry", old.name)
+					}
 
-			if _, err := (Executor{Workers: 1, Store: store}).Run(spec); err != nil {
-				t.Fatal(err)
-			}
-			if _, misses, puts := store.Stats(); misses != 2 || puts != 1 {
-				t.Errorf("sweep over a v3 entry: misses=%d puts=%d, want 2 (Get above + sweep) and 1", misses, puts)
-			}
-			if hits, misses, puts := store.ArtifactStats(); hits+misses+puts != 0 {
-				t.Errorf("sweep over a v3 ideal artifact: %d/%d/%d artifact hits/misses/puts, want none", hits, misses, puts)
-			}
-			data, ok := b.Load(key)
-			if !ok {
-				t.Fatal("entry gone after the sweep")
-			}
-			var head map[string]json.RawMessage
-			if err := json.Unmarshal(data, &head); err != nil {
-				t.Fatal(err)
-			}
-			if string(head["schema"]) != fmt.Sprint(resultstore.SchemaVersion) || head["ideal"] != nil {
-				t.Errorf("entry after the sweep: schema %s, ideal %.20s; want v%d without an embedded ideal",
-					head["schema"], head["ideal"], resultstore.SchemaVersion)
-			}
+					if _, err := (Executor{Workers: 1, Store: store}).Run(spec); err != nil {
+						t.Fatal(err)
+					}
+					if _, misses, puts := store.Stats(); misses != 2 || puts != 1 {
+						t.Errorf("sweep over a %s entry: misses=%d puts=%d, want 2 (Get above + sweep) and 1", old.name, misses, puts)
+					}
+					if hits, misses, puts := store.ArtifactStats(); hits+misses+puts != 0 {
+						t.Errorf("sweep over a v3 ideal artifact: %d/%d/%d artifact hits/misses/puts, want none", hits, misses, puts)
+					}
+					data, ok := b.Load(key)
+					if !ok {
+						t.Fatal("entry gone after the sweep")
+					}
+					if bytes.Equal(data, old.entry(key)) {
+						t.Fatalf("the sweep left the %s entry in place", old.name)
+					}
+					if ent, ok := store.Get(key); !ok || ent.Schema != resultstore.SchemaVersion {
+						t.Errorf("entry after the sweep: served %v; want a v%d entry", ok, resultstore.SchemaVersion)
+					}
 
-			leftEntry, leftIdeal := strings.Repeat("ab", 32), strings.Repeat("cd", 32)
-			write(leftEntry, v3Entry(leftEntry))
-			write(leftIdeal, v3Artifact(leftIdeal))
-			st, err := store.GC()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st.Removed != 3 || st.Kept != 1 {
-				t.Errorf("gc removed %d kept %d, want the ideal-run artifact and the two v3 leftovers removed and the v4 entry kept", st.Removed, st.Kept)
-			}
-			for _, k := range []string{ideal, leftEntry, leftIdeal} {
-				if _, ok := b.Load(k); ok {
-					t.Errorf("v3 leftover %s survived gc", k[:12])
-				}
-			}
-			if _, ok := store.Get(key); !ok {
-				t.Error("gc lost the v4 entry")
+					leftEntry, leftIdeal := strings.Repeat("ab", 32), strings.Repeat("cd", 32)
+					write(leftEntry, old.entry(leftEntry))
+					write(leftIdeal, v3Artifact(leftIdeal))
+					st, err := store.GC()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if st.Removed != 3 || st.Kept != 1 {
+						t.Errorf("gc removed %d kept %d, want the ideal-run artifact and the two old leftovers removed and the current entry kept", st.Removed, st.Kept)
+					}
+					for _, k := range []string{ideal, leftEntry, leftIdeal} {
+						if _, ok := b.Load(k); ok {
+							t.Errorf("%s leftover %s survived gc", old.name, k[:12])
+						}
+					}
+					if _, ok := store.Get(key); !ok {
+						t.Error("gc lost the current entry")
+					}
+				})
 			}
 		})
 	}
 }
 
-// TestSchemaV4IdealArtifactsCollected pins the upgrade of a v4 store
-// written while baselines were stored, on every backend: entries, one
-// ideal-run artifact per (workload, RUs) and the mobility tables. Its
+// TestSchemaV4IdealArtifactsCollected pins the upgrade of a store that
+// holds the ideal-run artifacts v4 baselines were stored in, on every
+// backend: current entries, one ideal-run artifact per (workload, RUs)
+// and the mobility tables. Its
 // first warm run renders rows byte-identical to a live run, loading each
 // entry once and no artifact; GC then removes the ideal-run artifacts
 // while it keeps every entry and mobility table.

@@ -5,7 +5,8 @@
 //
 //   - The motivational-example graphs of Fig. 2 and Fig. 3, whose
 //     structures and execution times were reverse-engineered so that every
-//     number in those figures reproduces exactly (see DESIGN.md §2).
+//     number in those figures reproduces exactly (internal/manager's
+//     TestFig2* and TestFig3* tests check them).
 //   - The three multimedia benchmarks (JPEG decoder, MPEG-1 encoder, Hough
 //     transform). The paper gives their node counts (4, 5, 6 — fifteen
 //     distinct tasks in total) and their initial execution times
