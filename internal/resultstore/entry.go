@@ -13,8 +13,8 @@ import (
 // Entry is one stored scenario outcome: the raw run and the derived
 // summary (absent without baselines); since v4 no ideal baseline is
 // stored (see manager.Runner.Ideal). Schema and Key are stamped by Put.
-// Since v5 it is stored in the binary layout of appendEntry, read back
-// in one pass by decodeEntry; a 2000-app Fig. 9 entry is ~3.5 KB.
+// Since v5 it is stored in the binary layout of EncodeEntry, read back
+// in one pass by DecodeEntry; a 2000-app Fig. 9 entry is ~3.5 KB.
 type Entry struct {
 	Schema int
 	Key    string
@@ -130,9 +130,13 @@ type Completions []simtime.Time
 // from the JSON of older entries and of artifacts, which open with '{'.
 const entryMagic = "RTRe"
 
-// appendEntry appends e's encoding to dst. The layout, in order, with
-// every integer a varint (zigzag for signed values) and every string its
-// uvarint byte length then its bytes:
+// EncodeEntry returns e's stored bytes, as Put writes them. It and
+// DecodeEntry are the one definition of the entry layout: code outside
+// this package that sees a Backend's raw bytes (a wrapping Backend, a
+// test that rewrites entries) goes through them and knows nothing of the
+// layout. The layout, in order, with every integer a varint (zigzag for
+// signed values) and every string its uvarint byte length then its
+// bytes:
 //
 //	entryMagic, Schema, Key, Scenario, ElapsedNS, Attempts, LastError,
 //	RetriedAtNS,
@@ -143,10 +147,10 @@ const entryMagic = "RTRe"
 //	  PolicyName, RUs, Latency, Executed, Reused, Loads, Skips,
 //	  Makespan, IdealMakespan.
 //
-// Nothing follows. decodeEntry accepts exactly the outputs of this
+// Nothing follows. DecodeEntry accepts exactly the outputs of this
 // function, so every accepted input re-encodes to the same bytes.
-func appendEntry(dst []byte, e *Entry) []byte {
-	dst = append(dst, entryMagic...)
+func EncodeEntry(e *Entry) []byte {
+	dst := []byte(entryMagic)
 	dst = binary.AppendVarint(dst, int64(e.Schema))
 	dst = appendString(dst, e.Key)
 	dst = appendString(dst, e.Scenario)
@@ -212,13 +216,16 @@ func (c Completions) appendTo(dst []byte) []byte {
 	return dst
 }
 
-// decodeEntry reads an entry in one pass. It rejects, never panics on,
-// anything appendEntry could not have written: a wrong magic, a
-// truncated, overflowing or non-minimal varint, a string or count longer
-// than the bytes left, a flag byte other than 0 or 1, malformed
-// completions (see decoder.completions) and trailing bytes. No
-// allocation is sized beyond the input's length.
-func decodeEntry(data []byte) (*Entry, bool) {
+// DecodeEntry reads an entry in one pass. It rejects, never panics on,
+// anything EncodeEntry could not have written: a wrong magic (so every
+// JSON entry of v4 or earlier and every artifact), a truncated,
+// overflowing or non-minimal varint, a string or count longer than the
+// bytes left, a flag byte other than 0 or 1, malformed completions (see
+// decoder.completions) and trailing bytes. Allocations are bounded by a
+// constant multiple of the input's length: a string by its bytes, the
+// completions by 8 bytes per input byte. It does not check that the
+// entry is servable (schema, key, run); Get does.
+func DecodeEntry(data []byte) (*Entry, bool) {
 	if len(data) < len(entryMagic) || string(data[:len(entryMagic)]) != entryMagic {
 		return nil, false
 	}

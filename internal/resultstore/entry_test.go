@@ -74,7 +74,7 @@ func FuzzCompletions(f *testing.F) {
 		want := unpackTimes(packed)
 		e := sampleEntry()
 		e.Run.Completions = want
-		back, ok := decodeEntry(appendEntry(nil, e))
+		back, ok := DecodeEntry(EncodeEntry(e))
 		if !ok || !slices.Equal(back.Run.Completions, want) {
 			t.Fatalf("round trip of %v gave %v (ok %v)", want, back, ok)
 		}
@@ -117,19 +117,19 @@ func TestCompletionsMalformed(t *testing.T) {
 	key := testKey(1)
 	e := sampleEntry()
 	e.Schema, e.Key = SchemaVersion, key
-	good := appendEntry(nil, e)
+	good := EncodeEntry(e)
 	if _, ok := decodeServable(key, good); !ok {
 		t.Fatal("sample entry not servable")
 	}
 	for i := range good {
-		if _, ok := decodeEntry(good[:i]); ok {
+		if _, ok := DecodeEntry(good[:i]); ok {
 			t.Errorf("entry truncated to %d of %d bytes decoded", i, len(good))
 		}
 	}
 	withFlag := func(flag byte) []byte {
 		e := *e
 		e.Summary = nil
-		b := appendEntry(nil, &e)
+		b := EncodeEntry(&e)
 		b[len(b)-1] = flag
 		return b
 	}
@@ -139,11 +139,11 @@ func TestCompletionsMalformed(t *testing.T) {
 		"flag byte 2":   withFlag(2),
 		"v4 JSON entry": fmt.Appendf(nil, `{"schema":4,"key":%q,"run":{"makespan":70000,"executed":15,"graphs":3,"completions":"kE4GCAE=","events":42}}`, key),
 	} {
-		if _, ok := decodeEntry(data); ok {
+		if _, ok := DecodeEntry(data); ok {
 			t.Errorf("%s: decoded", name)
 		}
 	}
-	if _, ok := decodeEntry(withFlag(0)); !ok {
+	if _, ok := DecodeEntry(withFlag(0)); !ok {
 		t.Error("an entry without a summary did not decode")
 	}
 
@@ -219,12 +219,12 @@ func TestEntryEncoding(t *testing.T) {
 		"08120204060a",     // RUs 4, latency 9, executed 1 … skips 5
 		"c80103",           // makespan 100, ideal -2
 	}, "")
-	if got := hex.EncodeToString(appendEntry(nil, e)); got != want {
+	if got := hex.EncodeToString(EncodeEntry(e)); got != want {
 		t.Errorf("encoding\n got %s\nwant %s", got, want)
 	}
 }
 
-// normalized returns e as decodeEntry returns it: no completions decode
+// normalized returns e as DecodeEntry returns it: no completions decode
 // as nil.
 func normalized(e Entry) Entry {
 	if e.Run != nil && len(e.Run.Completions) == 0 {
@@ -276,8 +276,8 @@ func TestEntryRoundTrip(t *testing.T) {
 		cases = append(cases, v.Interface().(Entry))
 	}
 	for i, e := range cases {
-		data := appendEntry(nil, &e)
-		got, ok := decodeEntry(data)
+		data := EncodeEntry(&e)
+		got, ok := DecodeEntry(data)
 		if !ok {
 			t.Fatalf("case %d: %+v did not decode from %x", i, e, data)
 		}
@@ -298,21 +298,21 @@ func TestEntryRoundTrip(t *testing.T) {
 func FuzzDecodeEntry(f *testing.F) {
 	e := sampleEntry()
 	e.Schema, e.Key = SchemaVersion, testKey(1)
-	good := appendEntry(nil, e)
+	good := EncodeEntry(e)
 	f.Add(good)
 	f.Add(good[:len(good)/2])
-	f.Add(appendEntry(nil, &Entry{}))
+	f.Add(EncodeEntry(&Entry{}))
 	e.Attempts, e.LastError, e.Summary = 2, "boom", nil
-	f.Add(appendEntry(nil, e))
+	f.Add(EncodeEntry(e))
 	f.Add([]byte(`{"schema":4,"key":"x","run":{"completions":"kE4GCAE="}}`))
 	f.Add([]byte(entryMagic))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		e, ok := decodeEntry(data)
+		e, ok := DecodeEntry(data)
 		if !ok {
 			return
 		}
-		if again := appendEntry(nil, e); !bytes.Equal(again, data) {
+		if again := EncodeEntry(e); !bytes.Equal(again, data) {
 			t.Fatalf("%x decoded to %+v, which re-encodes to %x", data, e, again)
 		}
 	})

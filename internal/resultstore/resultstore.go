@@ -40,7 +40,7 @@
 // Completions) instead of an array of integers, which cut a 2000-app
 // entry from ~37 KB to ~9.5 KB and with it the cost of every decode; v4
 // stores no ideal baseline; v5 stores each entry in a binary layout
-// read in one pass (see appendEntry), so entries are no longer JSON and
+// read in one pass (see EncodeEntry), so entries are no longer JSON and
 // no longer readable with jq (see SchemaVersion).
 //
 // Two lookups with two accounting rules: Get serves a full entry and
@@ -86,11 +86,11 @@ import (
 // (the kind that once held v4 baselines; their entries stay servable).
 //
 // v5: an entry is no longer a JSON object but the binary layout of
-// appendEntry: a magic string, then varints and length-prefixed strings
+// EncodeEntry: a magic string, then varints and length-prefixed strings
 // in a fixed order, the completions as v3's varint deltas without the
 // base64 around them. Decoding v4's JSON was most of the CPU time of a
 // warm render (the base64 completions string alone was scanned twice);
-// decodeEntry reads every field once. The fields and keys are v4's, but
+// DecodeEntry reads every field once. The fields and keys are v4's, but
 // a v4 entry does not decode, so it misses, is re-simulated and
 // overwritten in place, and `-store-gc` removes any leftover.
 // Artifacts stay JSON (see Artifact).
@@ -252,7 +252,7 @@ func (s *Store) get(key string) (*Entry, bool) {
 // delegate here, so invalidation can never drift between serving and
 // collection — on any backend.
 func decodeServable(key string, data []byte) (*Entry, bool) {
-	e, ok := decodeEntry(data)
+	e, ok := DecodeEntry(data)
 	if !ok || e.Schema != SchemaVersion || e.Key != key || e.Run == nil {
 		return nil, false
 	}
@@ -282,7 +282,7 @@ func (s *Store) put(key string, e *Entry) error {
 	}
 	e.Schema = SchemaVersion
 	e.Key = key
-	return s.b.Store(key, appendEntry(nil, e))
+	return s.b.Store(key, EncodeEntry(e))
 }
 
 // Stats reports the cumulative lookup and write counters since Open.

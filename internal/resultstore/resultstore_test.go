@@ -112,7 +112,7 @@ func TestGetRejectsBadEntries(t *testing.T) {
 		}
 		e.Schema = SchemaVersion // Put stamped it; apply the corruption
 		mutate(e)
-		data := appendEntry(nil, e)
+		data := EncodeEntry(e)
 		p := filepath.Join(dir, "objects", key[:2], key+".json")
 		if err := os.WriteFile(p, data, 0o644); err != nil {
 			t.Fatal(err)
@@ -166,7 +166,7 @@ func TestGC(t *testing.T) {
 	e := sampleEntry()
 	e.Schema = SchemaVersion + 1
 	e.Key = stale
-	data := appendEntry(nil, e)
+	data := EncodeEntry(e)
 	if err := os.WriteFile(filepath.Join(dir, "objects", stale[:2], stale+".json"), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +296,7 @@ func TestProbeMatchesGetServability(t *testing.T) {
 		e := sampleEntry()
 		e.Schema, e.Key = SchemaVersion, key
 		corrupt(e)
-		data := appendEntry(nil, e)
+		data := EncodeEntry(e)
 		if err := os.WriteFile(p, data, 0o644); err != nil {
 			t.Fatal(err)
 		}

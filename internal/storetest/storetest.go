@@ -15,8 +15,6 @@
 package storetest
 
 import (
-	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
@@ -177,7 +175,7 @@ func Backends(tb testing.TB) []Backend {
 }
 
 // StaleifySchema rewrites every result entry in the store with an
-// unservable schema version, keeping every other byte (keys, recorded
+// unservable schema version, keeping every other field (keys, recorded
 // timings) intact — the state a store is in right after a
 // resultstore.SchemaVersion bump, where every scenario must
 // re-simulate in place. Artifacts, whose servability does not depend on
@@ -199,25 +197,19 @@ func StaleifySchema(tb testing.TB, s *resultstore.Store) {
 	}); err != nil {
 		tb.Fatal(err)
 	}
-	for _, e := range entries {
-		rest, ok := bytes.CutPrefix(e.data, entryHeader(resultstore.SchemaVersion))
-		if !ok {
-			if json.Valid(e.data) {
+	for _, p := range entries {
+		e, ok := resultstore.DecodeEntry(p.data)
+		if !ok || e.Schema != resultstore.SchemaVersion {
+			if !ok && json.Valid(p.data) {
 				continue // an artifact
 			}
-			tb.Fatalf("staleify %s: neither a v%d entry nor an artifact", e.key, resultstore.SchemaVersion)
+			tb.Fatalf("staleify %s: neither a v%d entry nor an artifact", p.key, resultstore.SchemaVersion)
 		}
-		out := append(entryHeader(resultstore.SchemaVersion+1000), rest...)
-		if err := b.Store(e.key, out); err != nil {
+		e.Schema += 1000
+		if err := b.Store(p.key, resultstore.EncodeEntry(e)); err != nil {
 			tb.Fatal(err)
 		}
 	}
-}
-
-// entryHeader is how resultstore opens an encoded entry of the given
-// schema: the magic "RTRe", then the schema as a zigzag varint.
-func entryHeader(schema int) []byte {
-	return binary.AppendVarint([]byte("RTRe"), int64(schema))
 }
 
 // Key derives a canonical-form 64-hex-char store key from a seed, for
@@ -324,11 +316,7 @@ func Conformance(t *testing.T, b Backend) {
 		e := sampleEntry("moved")
 		e.Schema = resultstore.SchemaVersion
 		e.Key = Key(5) // recorded key disagrees with where it is filed
-		data, err := json.Marshal(e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Backend().Store(key, data); err != nil {
+		if err := s.Backend().Store(key, resultstore.EncodeEntry(e)); err != nil {
 			t.Fatal(err)
 		}
 		if _, ok := s.Get(key); ok {
