@@ -160,7 +160,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		Latency:       simtime.FromMs(*latency),
 		CSV:           *csv,
 		Parallel:      setup.Parallel,
-		Retries:       setup.Retries,
 		Store:         store,
 		RequireStored: setup.Merge,
 	}

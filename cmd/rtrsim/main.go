@@ -170,7 +170,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		// A schedule view needs the trace, which is not serialized, so
 		// Spec.Cacheable sends such a run past the store.
 		spec.RecordTrace = needTrace
-		err = runSingle(stdout, *wl, spec, sweep.Executor{Store: store, MaxScenarioRetries: setup.Retries},
+		err = runSingle(stdout, *wl, spec, sweep.Executor{Store: store},
 			*gantt, *tick, *svgOut, *traceOut)
 	} else {
 		if needTrace {
@@ -281,7 +281,7 @@ func runSweep(stdout, stderr io.Writer, wl string, spec sweep.Spec, setup campai
 				sp.Shard = sweep.Shard{Index: r.Shard, Count: r.Count}
 				// Checkpointed populate: a re-leased shard resumes past the
 				// spec indices a dead worker's attempt already stored.
-				ex := sweep.Executor{Workers: setup.Parallel, Store: store, MaxScenarioRetries: setup.Retries}
+				ex := sweep.Executor{Workers: setup.Parallel, Store: store}
 				if _, err := ex.CollectResumable(sp, sweep.Discard, cks,
 					fmt.Sprintf("shard-%04d/sweep", r.Shard), fingerprint); err != nil {
 					return err
@@ -322,7 +322,7 @@ func runSweep(stdout, stderr io.Writer, wl string, spec sweep.Spec, setup campai
 	}
 	if setup.HasShard {
 		spec.Shard = setup.Shard
-		ex := sweep.Executor{Workers: setup.Parallel, Store: store, MaxScenarioRetries: setup.Retries}
+		ex := sweep.Executor{Workers: setup.Parallel, Store: store}
 		if err := ex.Collect(spec, sweep.Discard); err != nil {
 			return err
 		}
@@ -332,7 +332,7 @@ func runSweep(stdout, stderr io.Writer, wl string, spec sweep.Spec, setup campai
 		return nil
 	}
 	ex := sweep.Executor{Workers: setup.Parallel, Store: store, RequireStored: setup.Merge,
-		StoreWait: storeWait, MaxScenarioRetries: setup.Retries}
+		StoreWait: storeWait}
 	if err := campaign.RenderSweepTable(wl, len(spec.Workloads[0].Seq), spec, ex, out); err != nil {
 		return err
 	}

@@ -36,10 +36,6 @@ type HTTPOptions struct {
 	Token string
 	// Timeout bounds each HTTP attempt (default 1 minute).
 	Timeout time.Duration
-	// Retries is the number of extra attempts after a connection error
-	// or 5xx response (default 3; 4xx responses never retry). Backoff
-	// is exponential starting at 100ms.
-	Retries int
 	// Client overrides the underlying *http.Client (tests).
 	Client *http.Client
 }
@@ -48,14 +44,16 @@ func (o HTTPOptions) withDefaults() HTTPOptions {
 	if o.Timeout <= 0 {
 		o.Timeout = time.Minute
 	}
-	if o.Retries == 0 {
-		o.Retries = 3
-	}
 	if o.Client == nil {
 		o.Client = &http.Client{}
 	}
 	return o
 }
+
+// httpRetries is the number of extra attempts after a connection error
+// or 5xx response; 4xx responses never retry. Backoff is exponential
+// starting at 100ms.
+const httpRetries = 3
 
 // httpClient is the shared request engine: auth header, per-request
 // timeout, retry-with-backoff on 5xx and connection errors.
@@ -91,7 +89,7 @@ func (e *errStatus) Error() string {
 func (c *httpClient) do(method, path string, body []byte) ([]byte, error) {
 	var last error
 	backoff := 100 * time.Millisecond
-	for attempt := 0; attempt <= c.o.Retries; attempt++ {
+	for attempt := 0; attempt <= httpRetries; attempt++ {
 		if attempt > 0 {
 			time.Sleep(backoff)
 			if backoff < 2*time.Second {
@@ -108,7 +106,7 @@ func (c *httpClient) do(method, path string, body []byte) ([]byte, error) {
 			return nil, err // 4xx: the request is wrong, retrying cannot help
 		}
 	}
-	return nil, fmt.Errorf("%s %s%s: %w (after %d attempts)", method, c.base, path, last, c.o.Retries+1)
+	return nil, fmt.Errorf("%s %s%s: %w (after %d attempts)", method, c.base, path, last, httpRetries+1)
 }
 
 func (c *httpClient) once(method, path string, body []byte) ([]byte, error) {

@@ -29,9 +29,6 @@ type Setup struct {
 	Merge, Watch bool
 	// Parallel is the scenario executor's worker count (0 = NumCPU).
 	Parallel int
-	// Retries is the per-scenario retry budget (-max-scenario-retries)
-	// threaded into every scenario executor.
-	Retries int
 	// Coord carries the coordinator pool settings, nil without -coord.
 	Coord *Coord
 	// HTTP is the wire-client configuration applied to any http(s)

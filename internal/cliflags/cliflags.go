@@ -32,7 +32,6 @@ type CampaignFlags struct {
 	Watch bool
 
 	Parallel int
-	Retries  int
 
 	Coord        string
 	CoordShards  int
@@ -56,7 +55,6 @@ func Register(fs *flag.FlagSet) *CampaignFlags {
 	fs.BoolVar(&f.Merge, "merge-report", false, "render the report purely from -store (populated by N -shard runs); a missing grid scenario is an error")
 	fs.BoolVar(&f.Watch, "watch", false, "with -coord and -merge-report: block until the pool drains, rendering each report row the moment its scenarios are stored (per-shard progress on stderr); a pool dead past its lease TTL errors instead of hanging")
 	fs.IntVar(&f.Parallel, "parallel", 0, "concurrently simulated scenarios (0 = one per CPU; reports are identical at any setting)")
-	fs.IntVar(&f.Retries, "max-scenario-retries", 0, "per-scenario retry budget: rerun a failing scenario up to this many extra times with jittered exponential backoff before failing the sweep; attempt metadata is recorded in the store entry")
 	fs.StringVar(&f.Coord, "coord", "",
 		"shard coordinator state locator (a directory, fs:DIR, mem:, or an rtrserved campaign http(s)://HOST:PORT/c/ID): claim, heartbeat and re-lease shards from a self-healing pool into -store; every host runs this same command")
 	fs.IntVar(&f.CoordShards, "coord-shards", 0, "total shard count for the -coord pool; the first worker persists it, later workers may omit it (0) or must agree")
@@ -89,7 +87,6 @@ func (f *CampaignFlags) Resolve() (campaign.Setup, error) {
 		Merge:       f.Merge,
 		Watch:       f.Watch,
 		Parallel:    f.Parallel,
-		Retries:     f.Retries,
 		HTTP:        *f.HTTP,
 	}
 	store, err := resultstore.OpenIfSet(f.Store, f.NoStore, s.HTTP)

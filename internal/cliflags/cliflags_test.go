@@ -139,8 +139,8 @@ func TestResolveOpensEveryScheme(t *testing.T) {
 	}
 }
 
-// TestResolveStoreSwitches: -no-store wins over -store, and the retry
-// budget plus wire options thread into the Setup.
+// TestResolveStoreSwitches: -no-store wins over -store, and the worker
+// count plus wire options thread into the Setup.
 func TestResolveStoreSwitches(t *testing.T) {
 	f, err := parse(t, "-store", "mem:", "-no-store")
 	if err != nil {
@@ -152,7 +152,7 @@ func TestResolveStoreSwitches(t *testing.T) {
 
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	f2 := Register(fs)
-	if err := fs.Parse([]string{"-store", "mem:", "-max-scenario-retries", "4",
+	if err := fs.Parse([]string{"-store", "mem:",
 		"-auth-token", "tok", "-http-timeout", "5s", "-parallel", "3"}); err != nil {
 		t.Fatal(err)
 	}
@@ -160,8 +160,8 @@ func TestResolveStoreSwitches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Retries != 4 || s.Parallel != 3 {
-		t.Fatalf("Setup retries=%d parallel=%d, want 4 and 3", s.Retries, s.Parallel)
+	if s.Parallel != 3 {
+		t.Fatalf("Setup parallel=%d, want 3", s.Parallel)
 	}
 	if s.HTTP.Token != "tok" || s.HTTP.Timeout != 5*time.Second {
 		t.Fatalf("Setup HTTP = %+v, want token tok, timeout 5s", s.HTTP)

@@ -67,11 +67,6 @@ type Options struct {
 	// pointless (pool drained or dead); see internal/sweep.StoreWait and
 	// coord.(*Coordinator).Drained.
 	StoreWait *sweep.StoreWait
-	// Retries is the per-scenario retry budget (-max-scenario-retries):
-	// a live-simulation failure reruns up to this many extra times with
-	// jittered exponential backoff before failing the sweep, and the
-	// attempt count lands in the store entry. 0 fails on the first error.
-	Retries int
 	// Checkpoints, when non-nil, makes sharded populates resumable
 	// mid-grid: Populate loads per-grid checkpoints, skips the prefix
 	// the store already acknowledged, and saves fresh progress as
@@ -149,7 +144,6 @@ func (o Options) executor() sweep.Executor {
 	return sweep.Executor{
 		Workers: o.Parallel, Store: o.Store,
 		RequireStored: o.RequireStored, StoreWait: o.StoreWait,
-		MaxScenarioRetries: o.Retries,
 	}
 }
 
@@ -232,7 +226,7 @@ func Populate(opt Options, exps []Experiment, shard sweep.Shard) (PopulateStats,
 	}
 	// Populate always simulates what the store lacks; RequireStored is
 	// the merge side of the protocol, never the populate side.
-	ex := sweep.Executor{Workers: opt.Parallel, Store: opt.Store, MaxScenarioRetries: opt.Retries}
+	ex := sweep.Executor{Workers: opt.Parallel, Store: opt.Store}
 	for _, e := range exps {
 		if e.Grids == nil {
 			continue

@@ -1,8 +1,8 @@
 // Package faultstore wraps result-store and coordinator backends with
 // scripted and seeded fault injection: errors, latency, and torn
 // writes. It is the test substrate for every recovery path this module
-// promises — per-scenario retry budgets, checkpointed resume, GC of
-// torn entries — and doubles as a registered conformance decorator
+// promises — checkpointed resume, coord re-lease, GC of torn entries —
+// and doubles as a registered conformance decorator
 // (RTR_BACKEND=fault in internal/storetest and internal/coordtest), so
 // the backend contracts are exercised under injected timing jitter too.
 //

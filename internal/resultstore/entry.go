@@ -29,15 +29,6 @@ type Entry struct {
 	// dispatch ignore it.
 	ElapsedNS int64
 
-	// Attempts is how many executions the scenario took before this
-	// result landed (1 = first try). LastError and RetriedAtNS record the
-	// final retried failure and when the winning attempt started, set
-	// only when Attempts > 1. Like ElapsedNS these are operational
-	// metadata, never part of the result: reports ignore them.
-	Attempts    int
-	LastError   string
-	RetriedAtNS int64
-
 	Run     *Run
 	Summary *metrics.Summary
 }
@@ -138,8 +129,7 @@ const entryMagic = "RTRe"
 // signed values) and every string its uvarint byte length then its
 // bytes:
 //
-//	entryMagic, Schema, Key, Scenario, ElapsedNS, Attempts, LastError,
-//	RetriedAtNS,
+//	entryMagic, Schema, Key, Scenario, ElapsedNS,
 //	one byte 1 and the run, or 0 for no run:
 //	  Makespan, Executed, Reused, Loads, Evictions, Skips, ForcedSkips,
 //	  Preloads, Graphs, Events (uvarint), Completions (see there),
@@ -155,9 +145,6 @@ func EncodeEntry(e *Entry) []byte {
 	dst = appendString(dst, e.Key)
 	dst = appendString(dst, e.Scenario)
 	dst = binary.AppendVarint(dst, e.ElapsedNS)
-	dst = binary.AppendVarint(dst, int64(e.Attempts))
-	dst = appendString(dst, e.LastError)
-	dst = binary.AppendVarint(dst, e.RetriedAtNS)
 	if r := e.Run; r == nil {
 		dst = append(dst, 0)
 	} else {
@@ -231,13 +218,10 @@ func DecodeEntry(data []byte) (*Entry, bool) {
 	}
 	d := decoder{b: data[len(entryMagic):]}
 	e := &Entry{
-		Schema:      d.int(),
-		Key:         d.string(),
-		Scenario:    d.string(),
-		ElapsedNS:   d.varint(),
-		Attempts:    d.int(),
-		LastError:   d.string(),
-		RetriedAtNS: d.varint(),
+		Schema:    d.int(),
+		Key:       d.string(),
+		Scenario:  d.string(),
+		ElapsedNS: d.varint(),
 	}
 	if d.flag() {
 		e.Run = &Run{

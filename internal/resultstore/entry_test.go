@@ -190,8 +190,7 @@ func TestCompletionsEncoding(t *testing.T) {
 // TestEntryEncoding pins a whole entry's layout, field by field.
 func TestEntryEncoding(t *testing.T) {
 	e := &Entry{
-		Schema: 5, Key: "k", Scenario: "é", ElapsedNS: 3, Attempts: 2,
-		LastError: "x", RetriedAtNS: -1,
+		Schema: 6, Key: "k", Scenario: "é", ElapsedNS: 3,
 		Run: &Run{
 			Makespan: 100, Executed: 1, Reused: 2, Loads: 3, Evictions: 4,
 			Skips: 5, ForcedSkips: 6, Preloads: 7, Graphs: 8, Events: 300,
@@ -204,11 +203,10 @@ func TestEntryEncoding(t *testing.T) {
 	}
 	want := strings.Join([]string{
 		hex.EncodeToString([]byte(entryMagic)),
-		"0a",               // schema 5
+		"0c",               // schema 6
 		"016b",             // key "k"
 		"02c3a9",           // scenario "é"
-		"0604",             // elapsed 3, attempts 2
-		"017801",           // last error "x", retried at -1
+		"06",               // elapsed 3
 		"01",               // a run follows
 		"c801",             // makespan 100
 		"020406080a0c0e10", // executed 1 … graphs 8
@@ -255,16 +253,13 @@ func TestEntryRoundTrip(t *testing.T) {
 		full(func(e *Entry) {
 			e.Run.Completions = Completions{math.MinInt64, math.MaxInt64, 0, math.MinInt64, -1}
 			e.Run.Makespan, e.Run.Events = math.MinInt64, math.MaxUint64
-			e.ElapsedNS, e.RetriedAtNS = math.MaxInt64, math.MinInt64
+			e.ElapsedNS = math.MaxInt64
 		}),
 		full(func(e *Entry) { e.Summary = nil }),
 		full(func(e *Entry) { e.Run = nil }),
 		full(func(e *Entry) {
 			e.Scenario = strings.Repeat("Local LFD + Skip Events, R=9 — ", 4000)
 			e.Summary.PolicyName = "日本語 ✓ \x00\xff"
-		}),
-		full(func(e *Entry) {
-			e.Attempts, e.LastError, e.RetriedAtNS = 3, "simulate: injected fault\nline two", 1_700_000_000_000_000_000
 		}),
 	}
 	rng := rand.New(rand.NewSource(2011))
@@ -302,7 +297,7 @@ func FuzzDecodeEntry(f *testing.F) {
 	f.Add(good)
 	f.Add(good[:len(good)/2])
 	f.Add(EncodeEntry(&Entry{}))
-	e.Attempts, e.LastError, e.Summary = 2, "boom", nil
+	e.Summary = nil
 	f.Add(EncodeEntry(e))
 	f.Add([]byte(`{"schema":4,"key":"x","run":{"completions":"kE4GCAE="}}`))
 	f.Add([]byte(entryMagic))

@@ -95,13 +95,20 @@ import (
 // overwritten in place, and `-store-gc` removes any leftover.
 // Artifacts stay JSON (see Artifact).
 //
+// v6: the layout drops three fields that recorded a per-scenario retry
+// (the attempt count, the last retried error and the retry time). A
+// scenario is a deterministic function of its key's inputs, so rerunning
+// a failed one fails the same way; the executor runs each scenario once
+// and the fields had nothing to record. Keys do not move: a v5 entry
+// misses, is re-simulated and overwritten in place, and `-store-gc`
+// removes any leftover.
+//
 // While entries were JSON (v2–v4), strictly-additive optional fields did
-// not bump the version: ElapsedNS landed inside v2, and the retry
-// metadata (Attempts, LastError, RetriedAtNS) followed the same pattern,
-// old entries decoding with the zero values. The v5 layout has no
-// optional fields, so any field added to an entry now changes the layout
-// and bumps the version.
-const SchemaVersion = 5
+// not bump the version: ElapsedNS landed inside v2, old entries decoding
+// with the zero value. The binary layout has no optional fields, so any
+// field added to or removed from an entry changes the layout and bumps
+// the version.
+const SchemaVersion = 6
 
 // Store is a content-addressed result store over a Backend. The zero
 // value is not usable; call Open (fs), OpenMem, OpenURL or

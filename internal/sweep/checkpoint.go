@@ -106,7 +106,7 @@ type Checkpointer struct {
 	Name        string
 	Fingerprint string
 	// Resume is the prefix already collected before this run (the
-	// executor's ResumeSkip); the counter starts there.
+	// executor's resumeSkip); the counter starts there.
 	Resume int
 	// Stride bounds how many acknowledged results may land between
 	// saves when the downstream collector exposes no row boundaries;
@@ -210,7 +210,7 @@ func (e Executor) CollectResumable(spec Spec, c Collector, cks CheckpointStore, 
 	if resumed < 0 {
 		resumed = 0
 	}
-	e.ResumeSkip = resumed
+	e.resumeSkip = resumed
 	k := &Checkpointer{C: c, Store: cks, Name: name, Fingerprint: fingerprint, Resume: resumed}
 	err := e.Collect(spec, k)
 	k.Flush()

@@ -3,7 +3,6 @@ package sweep
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"runtime"
 	"sync"
 	"time"
@@ -91,35 +90,13 @@ type Executor struct {
 	// for benchmarks comparing the dispatch strategies and as an escape
 	// hatch should load ranking ever misjudge a workload badly.
 	SpecOrderDispatch bool
-	// MaxScenarioRetries is the per-scenario retry budget for live
-	// simulation errors: a failing scenario reruns up to this many extra
-	// times with jittered exponential backoff before its error fails the
-	// sweep, so one flaky scenario no longer burns a whole shard
-	// generation. 0 (the default) fails on the first error — the classic
-	// behavior. Store misses under RequireStored and store-wait verdicts
-	// are never retried: they are coverage facts, not flaky work. The
-	// attempt count (and, past the first attempt, the last retried error
-	// and retry time) is recorded in the store entry — see
-	// resultstore.Entry.Attempts.
-	MaxScenarioRetries int
-	// RetryBackoff is the base delay before the first retry, doubled per
-	// further attempt and jittered over [d/2, 3d/2) so pooled workers
-	// retrying a shared flaky dependency do not stampede in lockstep;
-	// values ≤ 0 mean 100ms.
-	RetryBackoff time.Duration
-	// ResumeSkip treats the first N owned positions as already collected
-	// (typically loaded from a Checkpoint): they are neither probed,
-	// dispatched, nor delivered to the collector. Only meaningful when
-	// the collector does not need the skipped results — the sharded
-	// populate path's Discard — so prefer CollectResumable, which pairs
-	// the skip with the checkpoint bookkeeping that makes it safe.
-	ResumeSkip int
 
-	// retrySleep overrides the retry backoff sleep; tests inject it to
-	// pin the budget and the backoff schedule without wall-clock waits.
-	// It returns false when the sweep was cancelled mid-sleep.
-	retrySleep func(d time.Duration, stop <-chan struct{}) bool
-
+	// resumeSkip treats the first N owned positions as already collected
+	// (loaded from a Checkpoint): they are neither probed, dispatched,
+	// nor delivered to the collector. Only CollectResumable sets it,
+	// pairing the skip with the checkpoint bookkeeping that makes it
+	// safe for a collector that does not need the skipped results.
+	resumeSkip int
 	// observePending, when non-nil, receives the number of dispatched-
 	// but-uncollected scenarios after every dispatch and completion.
 	// Tests use it to pin the O(workers) reorder-window bound.
@@ -213,7 +190,7 @@ func (e Executor) Collect(spec Spec, c Collector) error {
 	// A checkpointed resume: the first skip owned positions were fully
 	// collected (and acknowledged by the store) in a previous attempt, so
 	// this run starts past them — no probe, no dispatch, no collect.
-	skip := e.ResumeSkip
+	skip := e.resumeSkip
 	if skip < 0 {
 		skip = 0
 	}
@@ -438,7 +415,7 @@ func (e Executor) runStored(sp *Spec, sc Scenario, ideals *idealCache, runner *m
 			return nil, fmt.Errorf("not in result store %s (did every shard run?)", e.Store.Dir())
 		}
 	}
-	res, retry, err := e.runRetried(sp, sc, ideals, runner, stop)
+	res, err := runScenario(sp, sc, ideals, runner)
 	if err != nil || key == "" {
 		return res, err
 	}
@@ -454,13 +431,8 @@ func (e Executor) runStored(sp *Spec, sc Scenario, ideals *idealCache, runner *m
 	ent := &resultstore.Entry{
 		Scenario:  sc.Name(),
 		ElapsedNS: int64(res.Elapsed),
-		Attempts:  retry.attempts,
 		Run:       resultstore.RecordRun(res.Run),
 		Summary:   res.Summary,
-	}
-	if retry.attempts > 1 {
-		ent.LastError = retry.lastErr.Error()
-		ent.RetriedAtNS = retry.retriedAt.UnixNano()
 	}
 	// A failed write (full disk, read-only store) must not lose the
 	// computed sweep: the store degrades to re-simulation next run and
@@ -471,77 +443,6 @@ func (e Executor) runStored(sp *Spec, sc Scenario, ideals *idealCache, runner *m
 		res.stored = true
 	}
 	return res, nil
-}
-
-// retryInfo is the attempt bookkeeping runRetried hands back for the
-// store entry: how many executions the result took, and — past the
-// first — the last retried failure and when the winning attempt began.
-type retryInfo struct {
-	attempts  int
-	lastErr   error
-	retriedAt time.Time
-}
-
-// maxRetryBackoff caps the exponential retry delay; past it only the
-// jitter varies.
-const maxRetryBackoff = 30 * time.Second
-
-// runRetried executes one scenario live, retrying failures within the
-// MaxScenarioRetries budget with jittered exponential backoff. On
-// exhaustion the final error is wrapped with the attempt count (only
-// when retries were actually configured, so the zero-budget path reads
-// exactly as before).
-func (e Executor) runRetried(sp *Spec, sc Scenario, ideals *idealCache, runner *manager.Runner, stop <-chan struct{}) (*Result, retryInfo, error) {
-	info := retryInfo{attempts: 1}
-	for {
-		res, err := runScenario(sp, sc, ideals, runner)
-		if err == nil {
-			return res, info, nil
-		}
-		if info.attempts > e.MaxScenarioRetries {
-			if e.MaxScenarioRetries > 0 {
-				err = fmt.Errorf("after %d attempts: %w", info.attempts, err)
-			}
-			return nil, info, err
-		}
-		info.lastErr = err
-		if !e.sleepBackoff(retryBackoff(e.RetryBackoff, info.attempts), stop) {
-			return nil, info, fmt.Errorf("%w while backing off from: %w", errCancelled, err)
-		}
-		info.attempts++
-		info.retriedAt = time.Now()
-	}
-}
-
-// retryBackoff is the delay before the retry following failed attempt
-// number `attempt` (1-based): the base doubled per prior failure, capped
-// at maxRetryBackoff, then jittered uniformly over [d/2, 3d/2).
-func retryBackoff(base time.Duration, attempt int) time.Duration {
-	if base <= 0 {
-		base = 100 * time.Millisecond
-	}
-	d := base
-	for i := 1; i < attempt && d < maxRetryBackoff; i++ {
-		d *= 2
-	}
-	if d > maxRetryBackoff {
-		d = maxRetryBackoff
-	}
-	return d/2 + time.Duration(rand.Int63n(int64(d)))
-}
-
-// sleepBackoff waits out one retry delay, aborting (false) if the sweep
-// is cancelled meanwhile.
-func (e Executor) sleepBackoff(d time.Duration, stop <-chan struct{}) bool {
-	if e.retrySleep != nil {
-		return e.retrySleep(d, stop)
-	}
-	select {
-	case <-stop:
-		return false
-	case <-time.After(d):
-		return true
-	}
 }
 
 // StoreWait configures the watch-mode serve of a RequireStored sweep:

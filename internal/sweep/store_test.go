@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"bytes"
+	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -102,9 +103,21 @@ func v4Entry(key string) []byte {
 		`"summary":{"PolicyName":"LRU","RUs":4,"Latency":4000,"Executed":15,"Reused":5,"Loads":10,"Makespan":70000,"IdealMakespan":50000}}`, key)
 }
 
-// TestSchemaV2EntryMigrates pins two schema bumps on the fs layout, each
-// on a literal entry of an older schema: v2, completions still a JSON
-// integer array, and v4, the last JSON layout. Get and Probe miss, a
+// v5Entry is a literal entry of the first binary layout, schema v5, as
+// that layout's EncodeEntry wrote it for v4Entry's content: after the
+// scenario label and elapsed time it still carries the attempt count
+// (1), an empty last error and a zero retry time. The key is spliced
+// in after its length byte (0x40: keys are 64 hex digits).
+func v5Entry(key string) []byte {
+	head, _ := hex.DecodeString("525452650a40")
+	tail, _ := hex.DecodeString("00a44202000001e0c5081e0a140c000000062a02904e060801034c525508c03e1e0a1400e0c508a08d06")
+	return append(append(head, key...), tail...)
+}
+
+// TestSchemaV2EntryMigrates pins three schema bumps on the fs layout,
+// each on a literal entry of an older schema: v2, completions still a
+// JSON integer array, v4, the last JSON layout, and v5, the binary
+// layout with the retry fields. Get and Probe miss, a
 // sweep re-simulates the scenario and overwrites the file in place at
 // the current schema (and stores nothing else), and GC removes an old
 // entry nobody re-simulated while it keeps the current entry.
@@ -125,7 +138,7 @@ func TestSchemaV2EntryMigrates(t *testing.T) {
 	for _, old := range []struct {
 		name  string
 		entry func(key string) []byte
-	}{{"v2", v2Entry}, {"v4", v4Entry}} {
+	}{{"v2", v2Entry}, {"v4", v4Entry}, {"v5", v5Entry}} {
 		t.Run(old.name, func(t *testing.T) {
 			dir := t.TempDir()
 			store, err := resultstore.Open(dir)
@@ -199,9 +212,10 @@ func TestSchemaV2EntryMigrates(t *testing.T) {
 	}
 }
 
-// TestSchemaV3EntryMigrates pins the bumps from v3 and v4 on every
+// TestSchemaV3EntryMigrates pins the bumps from v3, v4 and v5 on every
 // backend. The v3 input is a literal entry that embeds its ideal
-// baseline, the v4 input a literal of the last JSON layout; each sits
+// baseline, the v4 input a literal of the last JSON layout, the v5
+// input a literal of the binary layout with the retry fields; each sits
 // next to a v3 ideal-run artifact under the baseline's key. Get and
 // Probe miss, a sweep re-simulates the scenario and overwrites the entry
 // in place at the current schema, without an embedded ideal, and touches
@@ -236,7 +250,7 @@ func TestSchemaV3EntryMigrates(t *testing.T) {
 			for _, old := range []struct {
 				name  string
 				entry func(key string) []byte
-			}{{"v3", v3Entry}, {"v4", v4Entry}} {
+			}{{"v3", v3Entry}, {"v4", v4Entry}, {"v5", v5Entry}} {
 				t.Run(old.name, func(t *testing.T) {
 					store, _ := bk.Open(t)
 					b := store.Backend()

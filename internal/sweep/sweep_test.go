@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/dynlist"
@@ -225,9 +226,10 @@ func TestSharedBaselinesAndSummaries(t *testing.T) {
 func TestFirstErrorCancels(t *testing.T) {
 	spec := fig9Spec(t, 4)
 	boom := fmt.Errorf("boom")
+	var calls atomic.Int32
 	spec.Policies = []PolicySpec{
 		Fixed("LRU", policy.NewLRU()),
-		{Name: "broken", New: func() (policy.Policy, error) { return nil, boom }},
+		{Name: "broken", New: func() (policy.Policy, error) { calls.Add(1); return nil, boom }},
 		Fixed("LFD", policy.NewLFD()),
 	}
 	_, err := Executor{Workers: 4}.Run(spec)
@@ -237,6 +239,10 @@ func TestFirstErrorCancels(t *testing.T) {
 	want := `sweep: scenario 1 (broken R=4 latency=4 ms): boom`
 	if err.Error() != want {
 		t.Errorf("error = %q, want %q", err, want)
+	}
+	// A scenario is deterministic, so a failed one is never rerun.
+	if n := calls.Load(); n != 1 {
+		t.Errorf("broken policy constructed %d times, want 1", n)
 	}
 }
 
