@@ -324,47 +324,6 @@ func BenchmarkFig9ArtifactWarm(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(rus)*len(pool)), "ns/table")
 }
 
-// BenchmarkFig9SweepDispatch isolates the heavy-tail dispatch fix on a
-// small pool, in the grid shape where a static spec-order feed is
-// weakest: the R=4 scenarios cost the most (the most replacement
-// decisions, under maximum contention), and on a descending-RU grid — a
-// perfectly natural way to write the axis — they have the highest spec
-// indices, so spec order starts them when everything else is already
-// draining and the whole pool idles behind the stragglers.
-// Load-order (longest-processing-time) dispatch starts it first and
-// backfills with the cheap scenarios, cutting the tail regardless of
-// how the user happened to order the axes. Collection order and results
-// are byte-identical either way (see TestSpecOrderDispatchIdentical);
-// the ascending Fig. 9 grids dodge the worst case only by luck of
-// putting R=4 first.
-func BenchmarkFig9SweepDispatch(b *testing.B) {
-	pool, seq := fig9Workload(b)
-	spec := fig9SweepSpec(b, pool, seq)
-	spec.RUs = []int{10, 9, 8, 7, 6, 5, 4} // expensive contended scenarios last in spec order
-	// Warm the shared design-time cache so the measurement isolates
-	// dispatch strategy, not the one-off mobility computation.
-	if _, err := (sweep.Executor{}).Run(spec); err != nil {
-		b.Fatal(err)
-	}
-	for _, bc := range []struct {
-		name      string
-		specOrder bool
-	}{
-		{"SpecOrder", true},
-		{"CostOrderLPT", false},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			ex := sweep.Executor{Workers: 4, SpecOrderDispatch: bc.specOrder}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := ex.RunSummaries(spec); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // benchSink keeps a benchmark's output conservatively live so the
 // retained-memory measurements below can't be optimized away.
 var benchSink any

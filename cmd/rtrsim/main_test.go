@@ -139,9 +139,7 @@ func TestCoordWorkersShareStderr(t *testing.T) {
 	sweepArgs := []string{"-policy", "lru,locallfd:1", "-rus", "4-5", "-apps", "40"}
 	want, _ := rtrsimOutput(t, sweepArgs...)
 	pool := append(sweepArgs, "-store", filepath.Join(dir, "store"), "-coord", filepath.Join(dir, "coord"))
-	// A claim loop that finds the other loop's shard still leased idles
-	// for a heartbeat, a quarter of the lease TTL: 7.5 s by default.
-	_, stderr := rtrsimOutput(t, append(pool, "-coord-shards", "2", "-coord-workers", "2", "-lease-ttl", "2s")...)
+	_, stderr := rtrsimOutput(t, append(pool, "-coord-shards", "2", "-coord-workers", "2")...)
 	for _, shard := range []string{"shard 0/2:", "shard 1/2:"} {
 		if n := strings.Count(stderr, shard); n != 1 {
 			t.Errorf("stderr reports %q %d times, want once:\n%s", shard, n, stderr)

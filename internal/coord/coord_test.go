@@ -554,6 +554,67 @@ func TestRunWorkersPropagatesError(t *testing.T) {
 	}
 }
 
+// idleProbe wraps a one-shard pool's backend and closes parked once the
+// idle claim loop has read the shard unfinished for the last time
+// before it waits. Each loop's Claim lists the shard once and the claim
+// holder lists it again only after finishing it, so while the holder is
+// inside its shard the third List is the idle loop's Status, and that
+// Status's done-record read is the idle loop's last backend call.
+type idleProbe struct {
+	Backend
+	mu     sync.Mutex
+	lists  int
+	parked chan struct{}
+	once   sync.Once
+}
+
+func (p *idleProbe) List(dir string) ([]string, error) {
+	if dir == shardKey(0) {
+		p.mu.Lock()
+		p.lists++
+		p.mu.Unlock()
+	}
+	return p.Backend.List(dir)
+}
+
+func (p *idleProbe) Get(key string) ([]byte, error) {
+	data, err := p.Backend.Get(key)
+	p.mu.Lock()
+	third := p.lists == 3
+	p.mu.Unlock()
+	if key == doneKey(0) && third {
+		p.once.Do(func() { close(p.parked) })
+	}
+	return data, err
+}
+
+// TestRunWorkersWakesIdleLoop: a claim loop idling on a shard that a
+// sibling loop of the same process holds wakes when that shard is done,
+// instead of sleeping out its heartbeat (15 minutes at this TTL).
+func TestRunWorkersWakesIdleLoop(t *testing.T) {
+	probe := &idleProbe{Backend: NewMem(), parked: make(chan struct{})}
+	c, err := Open(Config{Backend: probe, Shards: 1, Owner: "w", LeaseTTL: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.RunWorkers(2, func(ShardRun) error {
+			<-probe.parked // finish only once the other loop has seen the shard leased
+			return nil
+		})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("RunWorkers still running 10s after its only shard finished: the idle loop slept out its heartbeat")
+	}
+}
+
 func TestStatusRender(t *testing.T) {
 	dir := t.TempDir()
 	clk := newFakeClock()

@@ -39,9 +39,11 @@ type ShardRun struct {
 // RunWorkers drains the pool: `workers` concurrent claim loops, each
 // claiming a shard, running fn on it with heartbeats maintained in the
 // background (at a quarter of the lease TTL), marking it done and moving
-// on. A loop that finds nothing claimable polls until every shard is
-// done — covering the self-healing case where the only remaining shard
-// is leased to a worker that has died and must first expire.
+// on. A loop that finds nothing claimable waits until every shard is
+// done: it wakes as soon as a sibling loop of this process finishes a
+// shard, and otherwise polls once a heartbeat — covering shards leased
+// by other processes and the self-healing case where the only remaining
+// shard is leased to a worker that has died and must first expire.
 //
 // The first fn error stops this process's loops and is returned; the
 // erroring shard's lease is left to expire so other processes (or a
@@ -65,6 +67,9 @@ func (c *Coordinator) RunWorkers(workers int, fn func(ShardRun) error) (RunStats
 		firstErr error
 		stop     = make(chan struct{})
 		stopOnce sync.Once
+		// finished is closed, and replaced, whenever a loop finishes a
+		// shard: it wakes the loops idling on that shard's lease.
+		finished = make(chan struct{})
 	)
 	abort := func(err error) {
 		mu.Lock()
@@ -89,6 +94,11 @@ func (c *Coordinator) RunWorkers(workers int, fn func(ShardRun) error) (RunStats
 		go func() {
 			defer wg.Done()
 			for !stopped() {
+				// Taken before Claim, so a shard finished after Claim or
+				// Status saw it leased still wakes the wait below.
+				mu.Lock()
+				wake := finished
+				mu.Unlock()
 				lease, err := c.Claim()
 				if err != nil {
 					abort(err)
@@ -106,6 +116,7 @@ func (c *Coordinator) RunWorkers(workers int, fn func(ShardRun) error) (RunStats
 					select {
 					case <-stop:
 						return
+					case <-wake:
 					case <-time.After(interval):
 					}
 					continue
@@ -123,6 +134,8 @@ func (c *Coordinator) RunWorkers(workers int, fn func(ShardRun) error) (RunStats
 				if lost {
 					stats.LostLeases++
 				}
+				close(finished)
+				finished = make(chan struct{})
 				mu.Unlock()
 			}
 		}()

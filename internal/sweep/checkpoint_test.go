@@ -148,7 +148,7 @@ func TestCollectResumableSkipsCompletedPrefix(t *testing.T) {
 	cks := newMemCheckpoints()
 	const name, fp = "shard-0000/grid0", "fp"
 
-	ex := Executor{Workers: 1, Store: store, SpecOrderDispatch: true}
+	ex := Executor{Workers: 1, Store: store}
 	spec := resumableSpec(t, func() (policy.Policy, error) {
 		return nil, fmt.Errorf("worker died here")
 	})
@@ -171,7 +171,7 @@ func TestCollectResumableSkipsCompletedPrefix(t *testing.T) {
 		panic("resumed attempt re-dispatched a checkpointed scenario")
 	}
 	var dispatched []int
-	ex2 := Executor{Workers: 1, Store: store, SpecOrderDispatch: true}
+	ex2 := Executor{Workers: 1, Store: store}
 	ex2.observeDispatch = func(i int) { dispatched = append(dispatched, i) }
 	resumed, err = ex2.CollectResumable(spec2, Discard, cks, name, fp)
 	if err != nil {

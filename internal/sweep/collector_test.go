@@ -105,7 +105,7 @@ func TestCollectorErrorNotDisplacedByStraggler(t *testing.T) {
 		spec.Policies[3],
 	}
 	boom := fmt.Errorf("collector sink full")
-	ex := Executor{Workers: 2, SpecOrderDispatch: true}
+	ex := Executor{Workers: 2}
 	ex.onCancel = func() { close(release) }
 	err := ex.Collect(spec, CollectorFunc(func(*Result) error { return boom }))
 	if err == nil {
@@ -278,68 +278,14 @@ func TestRowRendererBoundedRetention(t *testing.T) {
 	}
 }
 
-// TestEstimatedCostOrdering sanity-checks the dispatch rank: fewer
-// units mean more load, and the rank ignores the policy, so every policy
-// at one unit count weighs the same. (Only dispatch order — never
-// results — depends on it.)
-func TestEstimatedCostOrdering(t *testing.T) {
-	spec := fig9Spec(t, 4, 10)
-	scenarios, err := spec.Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
-	load := map[int]float64{}
-	for i := range scenarios {
-		sc := &scenarios[i]
-		l := scenarioLoad(sc)
-		if prev, ok := load[sc.RUs]; ok && prev != l {
-			t.Errorf("%s load %v differs from another policy's %v at R=%d", sc.Name(), l, prev, sc.RUs)
-		}
-		load[sc.RUs] = l
-	}
-	if load[10] >= load[4] {
-		t.Errorf("load at R=10 %v not below R=4 %v", load[10], load[4])
-	}
-}
-
-// TestCostOrderDispatchesStragglerFirst pins the heavy-tail fix where a
-// one-core host's wall clock cannot: on a descending-RU grid the
-// heaviest scenarios by load form the last (R=4) block, and spec order
-// would start them last. Load-order dispatch must hand the block's first
-// scenario (ties fall to spec order) to the pool first — and with
-// SpecOrderDispatch set, must not.
-func TestCostOrderDispatchesStragglerFirst(t *testing.T) {
+// TestDispatchFollowsSpecOrder pins the dispatch order where a one-core
+// host's wall clock cannot: even on a descending-RU grid, whose costliest
+// scenarios (the R=4 block) come last, a four-worker pool hands the
+// scenarios out in exact spec order.
+func TestDispatchFollowsSpecOrder(t *testing.T) {
 	spec := fig9Spec(t, 10, 8, 6, 4) // descending: the expensive R=4 block last
-	scenarios, err := spec.Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
-	straggler := 0
-	for i := range scenarios {
-		if scenarioLoad(&scenarios[i]) > scenarioLoad(&scenarios[straggler]) {
-			straggler = i
-		}
-	}
-	if scenarios[straggler].RUs != 4 || straggler != spec.Size()-len(spec.Policies) {
-		t.Fatalf("grid layout changed: costliest scenario %s at index %d of %d",
-			scenarios[straggler].Name(), straggler, spec.Size())
-	}
-	order := dispatchOrder(t, Executor{Workers: 1}, spec)
-	if order[0] != straggler {
-		t.Errorf("cost order dispatched scenario %d (%s) first, want the straggler %d (%s)",
-			order[0], scenarios[order[0]].Name(), straggler, scenarios[straggler].Name())
-	}
-	fifo := dispatchOrder(t, Executor{Workers: 1, SpecOrderDispatch: true}, spec)
-	for i, got := range fifo {
-		if got != i {
-			t.Fatalf("spec-order dispatch ran scenario %d at step %d", got, i)
-		}
-	}
-}
-
-func dispatchOrder(t *testing.T, ex Executor, spec Spec) []int {
-	t.Helper()
 	var order []int
+	ex := Executor{Workers: 4}
 	ex.observeDispatch = func(i int) { order = append(order, i) }
 	if err := ex.Collect(spec, Discard); err != nil {
 		t.Fatal(err)
@@ -347,29 +293,9 @@ func dispatchOrder(t *testing.T, ex Executor, spec Spec) []int {
 	if len(order) != spec.Size() {
 		t.Fatalf("dispatched %d of %d scenarios", len(order), spec.Size())
 	}
-	return order
-}
-
-// TestSpecOrderDispatchIdentical: the dispatch strategy must never reach
-// the results — cost-order and spec-order runs are interchangeable.
-func TestSpecOrderDispatchIdentical(t *testing.T) {
-	spec := fig9Spec(t, 4, 5)
-	lpt, err := Executor{Workers: 4}.RunSummaries(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fifo, err := Executor{Workers: 4, SpecOrderDispatch: true}.RunSummaries(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(lpt.Rows) != len(fifo.Rows) {
-		t.Fatalf("cost-order collected %d rows, spec-order %d", len(lpt.Rows), len(fifo.Rows))
-	}
-	for i := range lpt.Rows {
-		a, b := &lpt.Rows[i], &fifo.Rows[i]
-		if a.Scenario.Name() != b.Scenario.Name() || a.Counters != b.Counters ||
-			!reflect.DeepEqual(a.Summary, b.Summary) {
-			t.Errorf("row %d: dispatch order changed the collected result", i)
+	for i, got := range order {
+		if got != i {
+			t.Fatalf("dispatched scenario %d at step %d, want spec order", got, i)
 		}
 	}
 }

@@ -28,22 +28,15 @@ import (
 // applications by a recurrence. The first scenario error cancels the
 // remaining work.
 //
-// Scenarios are dispatched to the pool longest-processing-time first
-// (LPT) rather than in spec order, ranked by their load — workload
-// length over unit count (scenarioLoad), ties to spec order. The rank is
-// a pure function of the grid: nothing is read from the store and
-// nothing is learned while the sweep runs, so a fully warm sweep reads
-// each entry exactly once, to serve it. Collection stays in spec order
-// either way, held to a bounded reorder window so a sweep never buffers
-// more than O(workers) completed results — the property that lets
-// SummaryCollector sweeps run grids far larger than memory would hold as
-// ResultSets. The memory bound and the look-ahead are the same knob:
-// dispatch may reorder only within the window (in-order collection could
-// otherwise buffer the whole grid), so on grids larger than the window
-// the heavy scenarios are front-run within each window's reach rather
-// than globally. TestDispatchReplay replays recorded scenario times
-// through this window-and-pick step (nextDispatch) and pins how close it
-// comes to the best possible makespan.
+// Scenarios are dispatched to the pool in spec order, the order they are
+// collected in. Dispatch runs at most a bounded reorder window ahead of
+// collection, so a sweep never buffers more than O(workers) completed
+// results — the property that lets SummaryCollector sweeps run grids far
+// larger than memory would hold as ResultSets. No store read precedes
+// dispatch, so a fully warm sweep reads each entry exactly once, to
+// serve it. TestDispatchReplay replays recorded scenario times through
+// this window and pins how close it comes to the best possible makespan;
+// ARCHITECTURE.md §"Dispatch order" records why no ranking beat it.
 //
 // With a Store attached, every scenario's canonical config hash is looked
 // up before it runs: hits are served from disk (the scenario is not
@@ -85,25 +78,21 @@ type Executor struct {
 	// renders rows while remote shards are still running. Requires
 	// RequireStored (and therefore Store).
 	StoreWait *StoreWait
-	// SpecOrderDispatch feeds scenarios to the pool in spec order instead
-	// of descending load. Results are identical either way; this exists
-	// for benchmarks comparing the dispatch strategies and as an escape
-	// hatch should load ranking ever misjudge a workload badly.
-	SpecOrderDispatch bool
 
 	// resumeSkip treats the first N owned positions as already collected
 	// (loaded from a Checkpoint): they are neither probed, dispatched,
 	// nor delivered to the collector. Only CollectResumable sets it,
-	// pairing the skip with the checkpoint bookkeeping that makes it
-	// safe for a collector that does not need the skipped results.
+	// clamped to [0, owned positions], pairing the skip with the
+	// checkpoint bookkeeping that makes it safe for a collector that does
+	// not need the skipped results.
 	resumeSkip int
 	// observePending, when non-nil, receives the number of dispatched-
 	// but-uncollected scenarios after every dispatch and completion.
 	// Tests use it to pin the O(workers) reorder-window bound.
 	observePending func(int)
 	// observeDispatch, when non-nil, receives each scenario's spec index
-	// as it is handed to a worker. Tests use it to pin the cost-order
-	// (LPT) dispatch, which wall clock cannot show on a one-core host.
+	// as it is handed to a worker. Tests use it to pin which scenarios a
+	// sweep dispatches, and in what order.
 	observeDispatch func(int)
 	// onCancel, when non-nil, runs once immediately after the sweep is
 	// cancelled (first error). Tests use it to sequence in-flight
@@ -132,8 +121,8 @@ func (e Executor) Run(spec Spec) (*ResultSet, error) {
 // reorderWindow bounds how far dispatch may run ahead of in-order
 // collection: the executor holds at most this many dispatched-but-
 // uncollected scenarios (in flight + buffered completions), so memory
-// for raw results is O(workers) with a small floor that keeps cost-order
-// dispatch effective on little pools.
+// for raw results is O(workers). The floor lets a little pool's fast
+// workers run on past a slow scenario at the head of the window.
 func reorderWindow(workers int) int {
 	const floor = 32
 	if w := 4 * workers; w > floor {
@@ -191,12 +180,6 @@ func (e Executor) Collect(spec Spec, c Collector) error {
 	// collected (and acknowledged by the store) in a previous attempt, so
 	// this run starts past them — no probe, no dispatch, no collect.
 	skip := e.resumeSkip
-	if skip < 0 {
-		skip = 0
-	}
-	if skip > len(owned) {
-		skip = len(owned)
-	}
 	if skip == len(owned) {
 		return nil
 	}
@@ -208,15 +191,6 @@ func (e Executor) Collect(spec Spec, c Collector) error {
 		workers = len(owned) - skip
 	}
 	window := reorderWindow(workers)
-
-	// Dispatch ranks, longest first. All-zero ranks (SpecOrderDispatch)
-	// make nextDispatch pick in exact spec order.
-	costs := make([]float64, len(owned))
-	if !e.SpecOrderDispatch {
-		for p := skip; p < len(owned); p++ {
-			costs[p] = scenarioLoad(&scenarios[owned[p]])
-		}
-	}
 
 	ideals := &idealCache{sp: &sp, m: make(map[idealID]*idealEntry)}
 	jobs := make(chan int)
@@ -245,13 +219,9 @@ func (e Executor) Collect(spec Spec, c Collector) error {
 	}
 
 	// Coordinator: single goroutine interleaving dispatch and in-order
-	// collection. Invariant: every dispatched-but-uncollected position
-	// lies in [collected, collected+window), so pending + in flight never
-	// exceeds the reorder window.
-	dispatched := make([]bool, len(owned))
-	for p := 0; p < skip; p++ {
-		dispatched[p] = true
-	}
+	// collection. Positions are dispatched in order, so the dispatched-
+	// but-uncollected ones are [collected, nDispatched), and dispatch
+	// waits while that span fills the reorder window.
 	var (
 		nDispatched = skip
 		inFlight    int
@@ -276,22 +246,17 @@ func (e Executor) Collect(spec Spec, c Collector) error {
 		if cancelled && inFlight == 0 {
 			break
 		}
-		pick := -1
-		if !cancelled && nDispatched < len(owned) {
-			pick = nextDispatch(costs, dispatched, collected, window)
-		}
 		jobsCh := jobs
-		if pick < 0 {
+		if cancelled || nDispatched == len(owned) || nDispatched >= collected+window {
 			jobsCh = nil
 		}
 		select {
-		case jobsCh <- pick:
-			dispatched[pick] = true
+		case jobsCh <- nDispatched:
+			if e.observeDispatch != nil {
+				e.observeDispatch(owned[nDispatched])
+			}
 			nDispatched++
 			inFlight++
-			if e.observeDispatch != nil {
-				e.observeDispatch(owned[pick])
-			}
 			if e.observePending != nil {
 				e.observePending(len(pending) + inFlight)
 			}
@@ -348,28 +313,6 @@ func (e Executor) Collect(spec Spec, c Collector) error {
 	return collectErr
 }
 
-// nextDispatch is the coordinator's window-and-pick step: the costliest
-// undispatched owned position within the reorder window [collected,
-// collected+window), ties to the lower position — with uniform costs, or
-// SpecOrderDispatch, this degrades to exact spec order. It returns -1
-// when every position in the window is already dispatched.
-func nextDispatch(costs []float64, dispatched []bool, collected, window int) int {
-	lim := collected + window
-	if lim > len(costs) {
-		lim = len(costs)
-	}
-	best := -1
-	for p := collected; p < lim; p++ {
-		if dispatched[p] {
-			continue
-		}
-		if best < 0 || costs[p] > costs[best] {
-			best = p
-		}
-	}
-	return best
-}
-
 // errCancelled marks a scenario error that is a symptom of the sweep's
 // cancellation rather than a cause of it.
 var errCancelled = errors.New("sweep cancelled")
@@ -383,18 +326,6 @@ func displaces(err error, pos int, cur error, curPos int) bool {
 		return cc
 	}
 	return pos < curPos
-}
-
-// scenarioLoad is a scenario's dispatch rank: workload length over unit
-// count. Replacement decisions grow with the sequence and contention
-// shrinks with the units. Per-policy weights do not earn a place: since
-// the next-use index made LFD linear, every scenario of a 2000-app grid
-// costs within a small factor of every other whatever its policy, and
-// replays of recorded times (TestDispatchReplay, ARCHITECTURE.md §"Cost
-// model") found load alone within noise of every richer ranking. A bad
-// rank costs wall clock, never results.
-func scenarioLoad(sc *Scenario) float64 {
-	return float64(len(sc.Workload.Seq)) / float64(sc.RUs)
 }
 
 // runStored serves one scenario from the result store when possible and

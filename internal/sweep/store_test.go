@@ -529,7 +529,7 @@ func TestPreCancelWritesSurvive(t *testing.T) {
 		{Name: "broken", Key: "broken", New: func() (policy.Policy, error) { return nil, fmt.Errorf("boom") }},
 		spec.Policies[3], // never dispatched on a sequential pool
 	}
-	if _, err := (Executor{Workers: 1, Store: store, SpecOrderDispatch: true}).Run(spec); err == nil {
+	if _, err := (Executor{Workers: 1, Store: store}).Run(spec); err == nil {
 		t.Fatal("failing sweep succeeded")
 	}
 	if _, _, puts := store.Stats(); puts != 1 {

@@ -148,7 +148,7 @@ func TestCancelSymptomNeverDisplacesCause(t *testing.T) {
 	}
 	cancelled := make(chan struct{})
 	ex := Executor{
-		Workers: 2, Store: store, RequireStored: true, SpecOrderDispatch: true,
+		Workers: 2, Store: store, RequireStored: true,
 		StoreWait: &StoreWait{Poll: time.Hour, Done: func() (bool, error) {
 			<-cancelled // scenario 0 waits until scenario 1 has failed the sweep
 			return false, nil
