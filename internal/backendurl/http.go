@@ -128,13 +128,29 @@ func (c *httpClient) once(method, path string, body []byte) ([]byte, error) {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
+	data, err := readBody(resp)
 	if resp.StatusCode >= 200 && resp.StatusCode < 300 {
 		return data, err
 	}
 	var we wire.Error
 	_ = json.Unmarshal(data, &we)
 	return nil, &errStatus{code: resp.StatusCode, msg: we.Message}
+}
+
+// maxSizedBody bounds the Content-Length readBody trusts for sizing.
+const maxSizedBody = 64 << 20
+
+// readBody reads a whole response body like io.ReadAll, into a buffer
+// sized from the Content-Length when the server sent one, so a store
+// object arrives in one allocation whatever its size.
+func readBody(resp *http.Response) ([]byte, error) {
+	size := int64(bytes.MinRead) // room to read the EOF without growing
+	if n := resp.ContentLength; n > 0 && n <= maxSizedBody {
+		size += n
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, size))
+	_, err := buf.ReadFrom(resp.Body)
+	return buf.Bytes(), err
 }
 
 // notFound reports whether err is a 404 response.

@@ -38,6 +38,11 @@ type Entry struct {
 // and template map (trace-recording sweeps bypass the store entirely).
 // Completions, the one per-instance field, makes up most of an entry
 // (see Completions); every other field is one varint.
+//
+// A Run that DecodeEntry returns keeps its completions encoded: its
+// Completions field is nil, and Result decodes the validated section
+// into a fresh slice on each call. Counters, for a reader of counters
+// alone, decodes nothing.
 type Run struct {
 	Makespan    simtime.Time
 	Executed    int
@@ -50,6 +55,12 @@ type Run struct {
 	Graphs      int
 	Completions Completions
 	Events      uint64
+
+	// section is the encoded completions of a decoded Run (nil for a Run
+	// built in memory, and for a decoded one without times): DecodeEntry
+	// has validated it and owns the copy. Result decodes it; EncodeEntry
+	// writes it back as it is.
+	section []byte
 }
 
 // RecordRun captures the serializable fields of a completed run. The
@@ -79,9 +90,25 @@ func RecordRun(r *manager.Result) *Run {
 
 // Result reconstructs a manager.Result from the record. Trace and
 // Templates are nil — by construction no stored scenario was recorded
-// with tracing enabled. The Result shares r's Completions: callers decode
-// a Run only to convert it, so the decoded slice is handed over.
+// with tracing enabled. The Result shares r's Completions. On a decoded
+// Run each call first decodes the stored times into a fresh slice and
+// sets r.Completions to it, so two calls never share an array; that
+// write makes Result unsafe to call concurrently on one decoded Run.
 func (r *Run) Result() *manager.Result {
+	res := r.Counters()
+	if res == nil {
+		return nil
+	}
+	if r.section != nil {
+		r.Completions, _, _ = readCompletions(r.section, true)
+	}
+	res.Completions = r.Completions
+	return res
+}
+
+// Counters is Result without the completion times: every counter of the
+// run, and nothing decoded.
+func (r *Run) Counters() *manager.Result {
 	if r == nil {
 		return nil
 	}
@@ -95,7 +122,6 @@ func (r *Run) Result() *manager.Result {
 		ForcedSkips: r.ForcedSkips,
 		Preloads:    r.Preloads,
 		Graphs:      r.Graphs,
-		Completions: r.Completions,
 		Events:      r.Events,
 	}
 }
@@ -115,6 +141,10 @@ func (r *Run) Result() *manager.Result {
 // unsorted, negative, extreme — round-trips exactly. Simulated times are
 // whole milliseconds apart, so g factors out the microsecond unit and
 // most deltas fit in a byte or two. An empty list decodes as nil.
+//
+// DecodeEntry checks a section by every rule of readCompletions but
+// does not decode it: most readers of an entry (every grid report) use
+// its counters and summary only. Run.Result decodes the kept section.
 type Completions []simtime.Time
 
 // entryMagic opens every encoded entry. It tells a v5-or-later entry
@@ -138,7 +168,8 @@ const entryMagic = "RTRe"
 //	  Makespan, IdealMakespan.
 //
 // Nothing follows. DecodeEntry accepts exactly the outputs of this
-// function, so every accepted input re-encodes to the same bytes.
+// function, so every accepted input re-encodes to the same bytes; a
+// decoded Run's completions are written back from the section it kept.
 func EncodeEntry(e *Entry) []byte {
 	dst := []byte(entryMagic)
 	dst = binary.AppendVarint(dst, int64(e.Schema))
@@ -155,7 +186,11 @@ func EncodeEntry(e *Entry) []byte {
 			dst = binary.AppendVarint(dst, v)
 		}
 		dst = binary.AppendUvarint(dst, r.Events)
-		dst = r.Completions.appendTo(dst)
+		if r.section != nil {
+			dst = append(dst, r.section...)
+		} else {
+			dst = r.Completions.appendTo(dst)
+		}
 	}
 	if s := e.Summary; s == nil {
 		dst = append(dst, 0)
@@ -208,10 +243,10 @@ func (c Completions) appendTo(dst []byte) []byte {
 // JSON entry of v4 or earlier and every artifact), a truncated,
 // overflowing or non-minimal varint, a string or count longer than the
 // bytes left, a flag byte other than 0 or 1, malformed completions (see
-// decoder.completions) and trailing bytes. Allocations are bounded by a
-// constant multiple of the input's length: a string by its bytes, the
-// completions by 8 bytes per input byte. It does not check that the
-// entry is servable (schema, key, run); Get does.
+// readCompletions) and trailing bytes. The completions are validated but
+// not decoded: the Run keeps a copy of their section, which Run.Result
+// decodes, so allocations are the input's length at most. It does not
+// check that the entry is servable (schema, key, run); Get does.
 func DecodeEntry(data []byte) (*Entry, bool) {
 	if len(data) < len(entryMagic) || string(data[:len(entryMagic)]) != entryMagic {
 		return nil, false
@@ -235,7 +270,7 @@ func DecodeEntry(data []byte) (*Entry, bool) {
 			Preloads:    d.int(),
 			Graphs:      d.int(),
 			Events:      d.uvarint(),
-			Completions: d.completions(),
+			section:     d.completions(),
 		}
 	}
 	if d.flag() {
@@ -324,25 +359,51 @@ func (d *decoder) flag() bool {
 	return f
 }
 
-// completions reads the encoding described at Completions. Beyond the
-// varint rules it rejects a count larger than the bytes left (every time
-// takes at least one), g = 0, a g that is not the GCD of the deltas
-// (which appendTo would not write) and a delta × g that overflows int64.
-func (d *decoder) completions() Completions {
-	n := d.uvarint()
-	if n == 0 {
-		return nil
-	}
-	g := d.uvarint()
-	if g == 0 || n > uint64(len(d.b)) {
+// completions validates the section described at Completions and
+// returns a copy of its bytes, or nil when it holds no times.
+func (d *decoder) completions() []byte {
+	_, rest, ok := readCompletions(d.b, false)
+	if !ok {
 		d.fail()
 		return nil
 	}
-	out := make(Completions, n)
+	var section []byte
+	if d.b[0] != 0 { // a count of 0 is the whole section
+		section = append([]byte(nil), d.b[:len(d.b)-len(rest)]...)
+	}
+	d.b = rest
+	return section
+}
+
+// readCompletions reads the section described at Completions from the
+// front of b and returns the bytes after it; with keep it also returns
+// the times, an empty list as nil. Without keep it only validates and
+// allocates nothing. Beyond the varint rules it rejects a count larger
+// than the bytes left (every time takes at least one), g = 0, a g that is
+// not the GCD of the deltas (which appendTo would not write) and a
+// delta × g that overflows int64.
+func readCompletions(b []byte, keep bool) (times Completions, rest []byte, ok bool) {
+	n, k := uvarint(b)
+	if k <= 0 {
+		return nil, nil, false
+	}
+	b = b[k:]
+	if n == 0 {
+		return nil, b, true
+	}
+	g, k := uvarint(b)
+	if k <= 0 || g == 0 {
+		return nil, nil, false
+	}
+	b = b[k:]
+	if n > uint64(len(b)) {
+		return nil, nil, false
+	}
+	if keep {
+		times = make(Completions, n)
+	}
 	var prev, div uint64 // div: the GCD of the quotients so far
-	// A local slice, so that the loop stores no pointer per time.
-	b := d.b
-	for i := range out {
+	for i := range n {
 		// Nearly every delta takes one or two bytes: read those inline,
 		// the rest by uvarint. b[1]-1 < 0x7f is b[1] in 1..0x7f: the
 		// byte ends the varint, and a 0 there would not be minimal.
@@ -353,35 +414,30 @@ func (d *decoder) completions() Completions {
 		} else if len(b) > 1 && b[1]-1 < 0x7f {
 			u, k = uint64(b[0]&0x7f)|uint64(b[1])<<7, 2
 		} else if u, k = uvarint(b); k <= 0 {
-			d.fail()
-			return nil
+			return nil, nil, false
 		}
 		b = b[k:]
-		q := int64(u>>1) ^ -int64(u&1)
-		mag, limit := uint64(q), uint64(math.MaxInt64)
-		if q < 0 {
-			mag, limit = -mag, limit+1
-		}
+		// u zigzags the quotient q: q < 0 when neg is 1, and |q| is
+		// u>>1 + neg, up to 2^63. Nothing branches on the sign, which
+		// is as random as the deltas.
+		neg := u & 1
+		mag := u>>1 + neg
 		if div != 1 {
 			div = gcd(div, mag)
 		}
 		hi, delta := bits.Mul64(mag, g)
-		if hi != 0 || delta > limit {
-			d.fail()
-			return nil
+		if hi != 0 || delta > math.MaxInt64+neg {
+			return nil, nil, false
 		}
-		if q < 0 {
-			delta = -delta
+		prev += delta ^ -neg + neg // −delta when neg
+		if keep {
+			times[i] = simtime.Time(prev)
 		}
-		prev += delta
-		out[i] = simtime.Time(prev)
 	}
-	d.b = b
 	if div > 1 || div == 0 && g != 1 {
-		d.fail()
-		return nil
+		return nil, nil, false
 	}
-	return out
+	return times, b, true
 }
 
 // absDelta is |int64(d)| for a wrapped delta, as a uint64 so that the

@@ -86,6 +86,32 @@ func (h *Hash) Int(name string, v int64) {
 	h.Bytes(name, b[:])
 }
 
+// Ints folds in one named integer component per element of vs, in
+// order: the same frames, and so the same digest, as calling Int(name, v)
+// for each v, written in one pass over a precomputed frame head.
+func (h *Hash) Ints(name string, vs []int64) {
+	// Every component shares the bytes before its value: the name's
+	// frame, then the value's length, 8.
+	head := binary.LittleEndian.AppendUint64(make([]byte, 0, 64), uint64(len(name)))
+	head = append(head, name...)
+	head = binary.LittleEndian.AppendUint64(head, 8)
+	size := len(head) + 8
+	if size > len(h.buf) {
+		for _, v := range vs {
+			h.Int(name, v)
+		}
+		return
+	}
+	for _, v := range vs {
+		if h.n+size > len(h.buf) {
+			h.flush()
+		}
+		copy(h.buf[h.n:], head)
+		binary.LittleEndian.PutUint64(h.buf[h.n+len(head):], uint64(v))
+		h.n += size
+	}
+}
+
 // Bool folds in a named flag.
 func (h *Hash) Bool(name string, v bool) {
 	var b [1]byte

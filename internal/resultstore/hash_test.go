@@ -70,15 +70,55 @@ func TestHashMatchesExplicitFraming(t *testing.T) {
 	}
 }
 
+// TestHashIntsMatchesInt: Ints writes exactly the frames of one Int call
+// per value. Runs of every length from a few values to several buffers'
+// worth start at every buffer offset, under names from empty to longer
+// than the buffer, and each digest equals the one repeated Int calls give.
+func TestHashIntsMatchesInt(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := range 300 {
+		name := "seq"
+		switch trial % 4 {
+		case 1:
+			name = ""
+		case 2:
+			name = string(make([]byte, rng.Intn(2*hashBufSize)))
+		}
+		vs := make([]int64, rng.Intn(200))
+		if trial%5 == 0 {
+			vs = make([]int64, rng.Intn(3000))
+		}
+		for i := range vs {
+			vs[i] = rng.Int63() - rng.Int63()
+		}
+		lead := string(make([]byte, rng.Intn(hashBufSize)))
+		batched, single := NewHash(), NewHash()
+		batched.String("lead", lead)
+		single.String("lead", lead)
+		batched.Ints(name, vs)
+		for _, v := range vs {
+			single.Int(name, v)
+		}
+		batched.Int("tail", 1)
+		single.Int("tail", 1)
+		if got, want := batched.Sum(), single.Sum(); got != want {
+			t.Fatalf("trial %d (%d values, name of %d bytes, lead of %d): Ints digest %s, Int calls %s",
+				trial, len(vs), len(name), len(lead), got, want)
+		}
+	}
+}
+
 // TestHashComponentsDoNotAllocate: folding in a component of any kind
 // allocates nothing; only NewHash and Sum do.
 func TestHashComponentsDoNotAllocate(t *testing.T) {
 	h := NewHash()
 	long := make([]byte, 3*hashBufSize)
+	seq := make([]int64, 3*hashBufSize)
 	allocs := testing.AllocsPerRun(100, func() {
 		h.String("label", "seed 2011")
 		h.Bytes("template:0", long)
 		h.Int("seq", 7)
+		h.Ints("seq", seq)
 		h.Bool("skip_events", true)
 		h.Float("latency", 4e6)
 	})

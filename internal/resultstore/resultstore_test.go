@@ -57,7 +57,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if got.Schema != SchemaVersion || got.Key != key {
 		t.Errorf("entry stamped schema=%d key=%q", got.Schema, got.Key)
 	}
-	if !reflect.DeepEqual(got.Run, want.Run) ||
+	if m := materialized(got); !reflect.DeepEqual(m.Run, want.Run) ||
 		!reflect.DeepEqual(got.Summary, want.Summary) {
 		t.Errorf("round trip mutated the entry:\ngot  %+v\nwant %+v", got, want)
 	}

@@ -8,6 +8,7 @@ import (
 	"io"
 	"io/fs"
 	"net/http"
+	"strconv"
 	"strings"
 
 	"repro/internal/coord"
@@ -230,7 +231,10 @@ func (s *Server) handleStoreGet(w http.ResponseWriter, r *http.Request) {
 		s.error(w, http.StatusNotFound, "no object %s", key)
 		return
 	}
+	// An explicit length keeps a large object from being chunked, so the
+	// client sizes its read buffer once.
 	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
 	w.Write(data)
 }
 

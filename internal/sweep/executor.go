@@ -40,13 +40,18 @@ import (
 //
 // With a Store attached, every scenario's canonical config hash is looked
 // up before it runs: hits are served from disk (the scenario is not
-// simulated again; its baseline comes from the ideal cache) and misses
-// are written back on completion — unless the sweep has already failed,
-// in which case no further entries are persisted (a cancelled sweep must
-// never silently populate the store with the scenarios that happened to
-// finish). Stored
-// results carry the exact counters, completions and summary of a live
-// run, so a warm sweep is byte-identical in every report to a cold one.
+// simulated again) and misses are written back on completion — unless
+// the sweep has already failed, in which case no further entries are
+// persisted (a cancelled sweep must never silently populate the store
+// with the scenarios that happened to finish). Stored results carry the
+// exact counters, completions and summary of a live run, so a warm sweep
+// is byte-identical in every report to a cold one. What a hit costs
+// depends on the collector: one that only condenses (SummaryCollector,
+// RowRenderer, Discard, or a Checkpointer around one of them) receives
+// the entry's counters and stored summary alone — Run without
+// Completions, no Ideal — so serving it decodes no completion times and
+// computes no baseline; any other collector receives the full result, its
+// completions decoded and its baseline taken from the ideal cache.
 // Specs the store cannot identify canonically (see Spec.Cacheable)
 // bypass it transparently.
 //
@@ -98,6 +103,9 @@ type Executor struct {
 	// cancelled (first error). Tests use it to sequence in-flight
 	// workers deterministically against the cancellation.
 	onCancel func()
+	// observeIdeal, when non-nil, is called once per ideal baseline the
+	// sweep computes. Tests use it to pin which serves compute none.
+	observeIdeal func()
 }
 
 // Run executes every scenario of spec and returns the results in spec
@@ -192,7 +200,8 @@ func (e Executor) Collect(spec Spec, c Collector) error {
 	}
 	window := reorderWindow(workers)
 
-	ideals := &idealCache{sp: &sp, m: make(map[idealID]*idealEntry)}
+	ideals := &idealCache{sp: &sp, m: make(map[idealID]*idealEntry), observe: e.observeIdeal}
+	condensed := condensesOnly(c)
 	jobs := make(chan int)
 	completions := make(chan indexedResult)
 	stop := make(chan struct{})
@@ -212,7 +221,7 @@ func (e Executor) Collect(spec Spec, c Collector) error {
 				if keys != nil {
 					key = keys[i]
 				}
-				res, err := e.runStored(&sp, scenarios[i], ideals, runner, key, stop)
+				res, err := e.runStored(&sp, scenarios[i], condensed, ideals, runner, key, stop)
 				completions <- indexedResult{pos: p, res: res, err: err}
 			}
 		}()
@@ -329,16 +338,17 @@ func displaces(err error, pos int, cur error, curPos int) bool {
 }
 
 // runStored serves one scenario from the result store when possible and
-// simulates (then writes back) otherwise. key is empty when the sweep
-// runs without a store or the spec is uncacheable; stop is closed once
-// the sweep has failed, after which nothing more is persisted.
-func (e Executor) runStored(sp *Spec, sc Scenario, ideals *idealCache, runner *manager.Runner, key string, stop <-chan struct{}) (*Result, error) {
+// simulates (then writes back) otherwise. condensed serves a hit as
+// resultFromEntry says; key is empty when the sweep runs without a store
+// or the spec is uncacheable; stop is closed once the sweep has failed,
+// after which nothing more is persisted.
+func (e Executor) runStored(sp *Spec, sc Scenario, condensed bool, ideals *idealCache, runner *manager.Runner, key string, stop <-chan struct{}) (*Result, error) {
 	if key != "" {
 		if e.RequireStored && e.StoreWait != nil {
-			return e.awaitStored(sp, sc, ideals, runner, key, stop)
+			return e.awaitStored(sp, sc, condensed, ideals, runner, key, stop)
 		}
 		if ent, ok := e.Store.Get(key); ok {
-			if res, err := resultFromEntry(sp, sc, ent, ideals, runner); res != nil || err != nil {
+			if res, err := resultFromEntry(sp, sc, ent, condensed, ideals, runner); res != nil || err != nil {
 				return res, err
 			}
 		}
@@ -399,13 +409,13 @@ type StoreWait struct {
 // awaitStored serves one scenario from the store the moment a producer
 // lands it, per the StoreWait contract above. stop aborts the wait when
 // the sweep fails elsewhere.
-func (e Executor) awaitStored(sp *Spec, sc Scenario, ideals *idealCache, runner *manager.Runner, key string, stop <-chan struct{}) (*Result, error) {
+func (e Executor) awaitStored(sp *Spec, sc Scenario, condensed bool, ideals *idealCache, runner *manager.Runner, key string, stop <-chan struct{}) (*Result, error) {
 	poll := e.StoreWait.Poll
 	if poll <= 0 {
 		poll = 200 * time.Millisecond
 	}
 	serve := func(ent *resultstore.Entry) (*Result, error) {
-		if res, err := resultFromEntry(sp, sc, ent, ideals, runner); res != nil || err != nil {
+		if res, err := resultFromEntry(sp, sc, ent, condensed, ideals, runner); res != nil || err != nil {
 			return res, err
 		}
 		return nil, fmt.Errorf("entry in result store %s lacks a part this sweep needs (damaged store?)", e.Store.Dir())
@@ -434,23 +444,36 @@ func (e Executor) awaitStored(sp *Spec, sc Scenario, ideals *idealCache, runner 
 	}
 }
 
-// resultFromEntry rebuilds a scenario result from a store entry and the
-// ideal cache (which computes a missing baseline on runner), or
+// resultFromEntry rebuilds a scenario result from a store entry, or
 // returns nil when the entry lacks its summary (only possible for a
-// hand-damaged store — the baseline flag is part of the key).
-func resultFromEntry(sp *Spec, sc Scenario, ent *resultstore.Entry, ideals *idealCache, runner *manager.Runner) (*Result, error) {
-	res := &Result{Scenario: sc, Run: ent.Run.Result(), stored: true}
+// hand-damaged store — the baseline flag is part of the key). For a
+// condensing collector the result holds what Condense reads: the run's
+// counters without its completion times, and the stored summary without
+// an ideal baseline. Otherwise the run's completions are decoded and the
+// baseline comes from the ideal cache (which computes a missing one on
+// runner).
+func resultFromEntry(sp *Spec, sc Scenario, ent *resultstore.Entry, condensed bool, ideals *idealCache, runner *manager.Runner) (*Result, error) {
+	res := &Result{Scenario: sc, stored: true}
+	if condensed {
+		res.Run = ent.Run.Counters()
+	} else {
+		res.Run = ent.Run.Result()
+	}
 	if sp.NoBaseline {
 		return res, nil
 	}
 	if ent.Summary == nil {
 		return nil, nil
 	}
+	res.Summary = ent.Summary
+	if condensed {
+		return res, nil
+	}
 	ideal, err := ideals.get(sc.WorkloadIdx, sc.RUs, runner)
 	if err != nil {
 		return nil, fmt.Errorf("ideal baseline: %w", err)
 	}
-	res.Ideal, res.Summary = ideal, ent.Summary
+	res.Ideal = ideal
 	return res, nil
 }
 
@@ -546,9 +569,10 @@ func (w *Workload) templates() []*taskgraph.Graph {
 // (internal/manager's TestIdealTimingIndependentOfPolicy), so one
 // baseline serves every policy's Summary.
 type idealCache struct {
-	sp *Spec
-	mu sync.Mutex
-	m  map[idealID]*idealEntry
+	sp      *Spec
+	mu      sync.Mutex
+	m       map[idealID]*idealEntry
+	observe func() // Executor.observeIdeal
 }
 
 type idealID struct {
@@ -574,6 +598,9 @@ func (c *idealCache) get(workload, rus int, runner *manager.Runner) (*manager.Re
 	}
 	c.mu.Unlock()
 	e.once.Do(func() {
+		if c.observe != nil {
+			c.observe()
+		}
 		e.res, e.err = runner.Ideal(rus, c.sp.Workloads[workload].feed())
 	})
 	return e.res, e.err

@@ -92,41 +92,51 @@ func (s *Spec) scenarioKeysFor(scenarios []Scenario) ([]string, error) {
 // workloadKey canonically hashes a workload: its label, the canonical
 // JSON encoding of every distinct template (pool order first, then
 // first-appearance order in the sequence), and the arrival sequence as
-// template indices. Hashing the materialized content rather than the
-// generator seed means any change to workload generation invalidates
-// store entries automatically.
+// template indices, one ("seq", index) integer component each. Hashing
+// the materialized content rather than the generator seed means any
+// change to workload generation invalidates store entries automatically.
 func workloadKey(w *Workload) (string, error) {
 	h := resultstore.NewHash()
 	h.String("label", w.Label)
 	index := make(map[*taskgraph.Graph]int)
-	add := func(g *taskgraph.Graph) error {
-		if _, ok := index[g]; ok {
-			return nil
+	add := func(g *taskgraph.Graph) (int, error) {
+		if i, ok := index[g]; ok {
+			return i, nil
 		}
 		// The graph's memoized canonical encoding: json.Marshal would
 		// return the same bytes, re-encoded on every call.
 		data, err := g.MarshalJSON()
 		if err != nil {
-			return fmt.Errorf("encode template %s: %w", g.Name(), err)
+			return 0, fmt.Errorf("encode template %s: %w", g.Name(), err)
 		}
-		h.Bytes("template:"+strconv.Itoa(len(index)), data)
-		index[g] = len(index)
-		return nil
+		i := len(index)
+		h.Bytes("template:"+strconv.Itoa(i), data)
+		index[g] = i
+		return i, nil
 	}
 	for _, g := range w.Pool {
-		if err := add(g); err != nil {
+		if _, err := add(g); err != nil {
 			return "", err
 		}
 	}
 	h.Int("pool", int64(len(w.Pool)))
-	for _, g := range w.Seq {
-		if err := add(g); err != nil {
-			return "", err
+	// One pass frames the templates the pool lacks, in first-appearance
+	// order, and records the indices; they are folded in after every
+	// template, in one batch. A repeated template costs no lookup.
+	seq := make([]int64, len(w.Seq))
+	var last *taskgraph.Graph
+	var idx int
+	for i, g := range w.Seq {
+		if i == 0 || g != last {
+			var err error
+			if idx, err = add(g); err != nil {
+				return "", err
+			}
+			last = g
 		}
+		seq[i] = int64(idx)
 	}
-	for _, g := range w.Seq {
-		h.Int("seq", int64(index[g]))
-	}
+	h.Ints("seq", seq)
 	return h.Sum(), nil
 }
 

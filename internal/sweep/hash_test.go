@@ -1,8 +1,12 @@
 package sweep
 
 import (
+	"fmt"
+	"math/rand"
+	"strconv"
 	"testing"
 
+	"repro/internal/resultstore"
 	"repro/internal/simtime"
 	"repro/internal/taskgraph"
 	"repro/internal/workload"
@@ -173,5 +177,77 @@ func TestWorkloadKeyAllocationsFlat(t *testing.T) {
 	}
 	if small, large := allocs(200), allocs(2000); large > small {
 		t.Errorf("workloadKey allocations grow with the sequence: %v at 200 apps, %v at 2000", small, large)
+	}
+}
+
+// referenceWorkloadKey is workloadKey's recipe written the plain way:
+// every template framed in pool-then-first-appearance order, then one
+// Hash.Int call per application.
+func referenceWorkloadKey(t *testing.T, w *Workload) string {
+	t.Helper()
+	h := resultstore.NewHash()
+	h.String("label", w.Label)
+	index := make(map[*taskgraph.Graph]int)
+	add := func(g *taskgraph.Graph) {
+		if _, ok := index[g]; ok {
+			return
+		}
+		data, err := g.MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Bytes("template:"+strconv.Itoa(len(index)), data)
+		index[g] = len(index)
+	}
+	for _, g := range w.Pool {
+		add(g)
+	}
+	h.Int("pool", int64(len(w.Pool)))
+	for _, g := range w.Seq {
+		add(g)
+	}
+	for _, g := range w.Seq {
+		h.Int("seq", int64(index[g]))
+	}
+	return h.Sum()
+}
+
+// TestWorkloadKeyMatchesReference pins the key recipe at real size: for
+// random workloads of 0 to 3000 applications — with and without a Pool,
+// with sequences that draw templates from outside the pool, in runs of
+// repeats or scattered — workloadKey equals the per-application
+// reference, so a key never moves when its computation is sped up.
+// TestScenarioKeysGolden's grid is too small to fill Hash's buffer.
+func TestWorkloadKeyMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(2011))
+	all := append(workload.Multimedia(), workload.Fig2Sequence()...)
+	for trial := range 60 {
+		templates := all[:1+rng.Intn(len(all))]
+		w := &Workload{Label: fmt.Sprintf("trial %d", trial)}
+		if trial%2 == 0 {
+			// The pool leaves out some templates the sequence uses.
+			w.Pool = templates[:rng.Intn(len(templates)+1)]
+		}
+		n := rng.Intn(3001)
+		if trial%10 == 0 {
+			n = rng.Intn(3)
+		}
+		w.Seq = make([]*taskgraph.Graph, n)
+		run := 1 + rng.Intn(8) // the longest run of one template
+		for i := range w.Seq {
+			if i > 0 && rng.Intn(run) > 0 {
+				w.Seq[i] = w.Seq[i-1]
+			} else {
+				w.Seq[i] = templates[rng.Intn(len(templates))]
+			}
+		}
+		got, err := workloadKey(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := referenceWorkloadKey(t, w); got != want {
+			t.Fatalf("trial %d (%d apps, %d in the pool, of %d templates): key %s, the reference gives %s",
+				trial, n, len(w.Pool), len(templates), got, want)
+		}
 	}
 }

@@ -350,10 +350,13 @@ type Result struct {
 	// it in store entries as trace and operator metadata; it never reaches
 	// a report.
 	Elapsed time.Duration
-	// Run is the raw simulation outcome.
+	// Run is the raw simulation outcome. A store hit served to a
+	// condensing collector (see Executor) carries its counters only:
+	// Completions is nil.
 	Run *manager.Result
 	// Ideal is the shared zero-latency baseline for the scenario's
-	// (workload, RUs); nil when Spec.NoBaseline is set.
+	// (workload, RUs); nil when Spec.NoBaseline is set, and on a store
+	// hit served to a condensing collector.
 	Ideal *manager.Result
 	// Summary carries the paper's metrics; nil when Spec.NoBaseline is
 	// set.
