@@ -60,7 +60,6 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/cliflags"
 	"repro/internal/coord"
-	"repro/internal/metrics"
 	"repro/internal/mobility"
 	"repro/internal/profiling"
 	"repro/internal/resultstore"
@@ -215,7 +214,7 @@ func runSingle(w io.Writer, wl string, spec sweep.Spec, ex sweep.Executor, gantt
 		s.Overhead(), s.RemainingOverheadPct(), s.OriginalOverhead())
 	fmt.Fprintf(w, "loads           %d (skips taken: %d, preloads: %d)\n",
 		s.Loads, res.Run.Skips, res.Run.Preloads)
-	if d, err := metrics.Delays(res.Run, res.Ideal); err == nil && d.Count > 0 {
+	if d := s.Delay; d.Count > 0 {
 		fmt.Fprintf(w, "per-app delay   mean %v, p50 %v, p95 %v, max %v\n", d.Mean, d.P50, d.P95, d.Max)
 	}
 	if gantt {

@@ -3,7 +3,7 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/manager"
 	"repro/internal/simtime"
@@ -39,19 +39,17 @@ func Delays(run, ideal *manager.Result) (*DelayStats, error) {
 	}
 	delays := make([]simtime.Time, n)
 	var sum simtime.Time
-	for i := range delays {
-		d := run.Completions[i].Sub(ideal.Completions[i])
+	for i, c := range run.Completions {
+		d := c.Sub(ideal.Completions[i])
 		if d < 0 {
 			return nil, fmt.Errorf("metrics: instance %d finished earlier (%v) than ideal (%v)",
-				i, run.Completions[i], ideal.Completions[i])
+				i, c, ideal.Completions[i])
 		}
 		delays[i] = d
 		sum = sum.Add(d)
-		if d.After(stats.Max) {
-			stats.Max = d
-		}
 	}
-	sort.Slice(delays, func(a, b int) bool { return delays[a] < delays[b] })
+	slices.Sort(delays)
+	stats.Max = delays[n-1]
 	stats.Mean = sum / simtime.Time(n)
 	stats.P50 = percentile(delays, 50)
 	stats.P95 = percentile(delays, 95)

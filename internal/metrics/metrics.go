@@ -35,9 +35,16 @@ type Summary struct {
 
 	Makespan      simtime.Time
 	IdealMakespan simtime.Time
+
+	// Delay digests the per-application delays of the run against the
+	// baseline (see Delays). Its Count is 0 when the run has no
+	// completion times, or when Delays rejects the pair.
+	Delay DelayStats
 }
 
-// Summarize combines a run and its zero-latency baseline.
+// Summarize combines a run and its zero-latency baseline. The delay
+// digest is taken here, while both sets of completion times are at hand;
+// a pair Delays rejects leaves it zero and is no error of Summarize.
 func Summarize(policyName string, rus int, latency simtime.Time, res, ideal *manager.Result) (*Summary, error) {
 	if res == nil || ideal == nil {
 		return nil, fmt.Errorf("metrics: nil result")
@@ -50,7 +57,7 @@ func Summarize(policyName string, rus int, latency simtime.Time, res, ideal *man
 		return nil, fmt.Errorf("metrics: run makespan %v beats ideal %v — baseline mismatch",
 			res.Makespan, ideal.Makespan)
 	}
-	return &Summary{
+	s := &Summary{
 		PolicyName:    policyName,
 		RUs:           rus,
 		Latency:       latency,
@@ -60,7 +67,11 @@ func Summarize(policyName string, rus int, latency simtime.Time, res, ideal *man
 		Skips:         res.Skips,
 		Makespan:      res.Makespan,
 		IdealMakespan: ideal.Makespan,
-	}, nil
+	}
+	if d, err := Delays(res, ideal); err == nil {
+		s.Delay = *d
+	}
+	return s, nil
 }
 
 // ReuseRate returns reused/executed in percent (0 for an empty run).

@@ -2,19 +2,19 @@ package resultstore
 
 import (
 	"encoding/binary"
-	"math"
-	"math/bits"
 
 	"repro/internal/manager"
 	"repro/internal/metrics"
 	"repro/internal/simtime"
 )
 
-// Entry is one stored scenario outcome: the raw run and the derived
-// summary (absent without baselines); since v4 no ideal baseline is
-// stored (see manager.Runner.Ideal). Schema and Key are stamped by Put.
-// Since v5 it is stored in the binary layout of EncodeEntry, read back
-// in one pass by DecodeEntry; a 2000-app Fig. 9 entry is ~3.5 KB.
+// Entry is one stored scenario outcome: the run's counters and the
+// derived summary (absent without baselines); since v4 no ideal baseline
+// is stored (see manager.Runner.Ideal), and since v7 no completion times
+// (the summary carries their one reader's digest, metrics.DelayStats).
+// Schema and Key are stamped by Put. Since v5 it is stored in the binary
+// layout of EncodeEntry, read back in one pass by DecodeEntry; a
+// 2000-app Fig. 9 entry is about 176 bytes, whatever the workload's size.
 type Entry struct {
 	Schema int
 	Key    string
@@ -33,16 +33,10 @@ type Entry struct {
 	Summary *metrics.Summary
 }
 
-// Run is the serializable subset of a manager.Result: every counter and
-// timing a report can consume, minus the in-memory-only execution trace
-// and template map (trace-recording sweeps bypass the store entirely).
-// Completions, the one per-instance field, makes up most of an entry
-// (see Completions); every other field is one varint.
-//
-// A Run that DecodeEntry returns keeps its completions encoded: its
-// Completions field is nil, and Result decodes the validated section
-// into a fresh slice on each call. Counters, for a reader of counters
-// alone, decodes nothing.
+// Run is the serializable subset of a manager.Result: every scalar
+// counter a report can consume, each one varint. The per-instance
+// completion times, the execution trace and the template map stay in
+// memory (trace-recording sweeps bypass the store entirely).
 type Run struct {
 	Makespan    simtime.Time
 	Executed    int
@@ -53,24 +47,17 @@ type Run struct {
 	ForcedSkips int
 	Preloads    int
 	Graphs      int
-	Completions Completions
 	Events      uint64
-
-	// section is the encoded completions of a decoded Run (nil for a Run
-	// built in memory, and for a decoded one without times): DecodeEntry
-	// has validated it and owns the copy. Result decodes it; EncodeEntry
-	// writes it back as it is.
-	section []byte
 }
 
 // RecordRun captures the serializable fields of a completed run. The
-// trace and the template map are dropped — callers that need them must
-// not serve the scenario from the store.
+// completion times, the trace and the template map are dropped — callers
+// that need them must not serve the scenario from the store.
 func RecordRun(r *manager.Result) *Run {
 	if r == nil {
 		return nil
 	}
-	rec := &Run{
+	return &Run{
 		Makespan:    r.Makespan,
 		Executed:    r.Executed,
 		Reused:      r.Reused,
@@ -82,33 +69,11 @@ func RecordRun(r *manager.Result) *Run {
 		Graphs:      r.Graphs,
 		Events:      r.Events,
 	}
-	if len(r.Completions) > 0 {
-		rec.Completions = append([]simtime.Time(nil), r.Completions...)
-	}
-	return rec
 }
 
-// Result reconstructs a manager.Result from the record. Trace and
-// Templates are nil — by construction no stored scenario was recorded
-// with tracing enabled. The Result shares r's Completions. On a decoded
-// Run each call first decodes the stored times into a fresh slice and
-// sets r.Completions to it, so two calls never share an array; that
-// write makes Result unsafe to call concurrently on one decoded Run.
+// Result reconstructs a manager.Result from the record: every counter,
+// and nil Completions, Trace and Templates.
 func (r *Run) Result() *manager.Result {
-	res := r.Counters()
-	if res == nil {
-		return nil
-	}
-	if r.section != nil {
-		r.Completions, _, _ = readCompletions(r.section, true)
-	}
-	res.Completions = r.Completions
-	return res
-}
-
-// Counters is Result without the completion times: every counter of the
-// run, and nothing decoded.
-func (r *Run) Counters() *manager.Result {
 	if r == nil {
 		return nil
 	}
@@ -126,27 +91,6 @@ func (r *Run) Counters() *manager.Result {
 	}
 }
 
-// Completions is a run's per-instance completion times, in instance
-// order. It makes up most of an entry, yet only per-application delay
-// lines read it, so it is stored as deltas (since v3; without the base64
-// and the JSON string around them since v5):
-//
-//   - uvarint n, the number of times; if n > 0,
-//   - uvarint g, the GCD of the absolute deltas between consecutive
-//     times (1 if every delta is 0), then
-//   - for each time, a zigzag varint of (time − previous time) / g,
-//     where the first previous time is 0.
-//
-// Deltas use wrapping uint64 arithmetic, so every int64 sequence —
-// unsorted, negative, extreme — round-trips exactly. Simulated times are
-// whole milliseconds apart, so g factors out the microsecond unit and
-// most deltas fit in a byte or two. An empty list decodes as nil.
-//
-// DecodeEntry checks a section by every rule of readCompletions but
-// does not decode it: most readers of an entry (every grid report) use
-// its counters and summary only. Run.Result decodes the kept section.
-type Completions []simtime.Time
-
 // entryMagic opens every encoded entry. It tells a v5-or-later entry
 // from the JSON of older entries and of artifacts, which open with '{'.
 const entryMagic = "RTRe"
@@ -162,14 +106,14 @@ const entryMagic = "RTRe"
 //	entryMagic, Schema, Key, Scenario, ElapsedNS,
 //	one byte 1 and the run, or 0 for no run:
 //	  Makespan, Executed, Reused, Loads, Evictions, Skips, ForcedSkips,
-//	  Preloads, Graphs, Events (uvarint), Completions (see there),
+//	  Preloads, Graphs, Events (uvarint),
 //	one byte 1 and the summary, or 0 for no summary:
 //	  PolicyName, RUs, Latency, Executed, Reused, Loads, Skips,
-//	  Makespan, IdealMakespan.
+//	  Makespan, IdealMakespan, and the Delay digest's Count, Mean, Max,
+//	  P50 and P95.
 //
 // Nothing follows. DecodeEntry accepts exactly the outputs of this
-// function, so every accepted input re-encodes to the same bytes; a
-// decoded Run's completions are written back from the section it kept.
+// function, so every accepted input re-encodes to the same bytes.
 func EncodeEntry(e *Entry) []byte {
 	dst := []byte(entryMagic)
 	dst = binary.AppendVarint(dst, int64(e.Schema))
@@ -186,11 +130,6 @@ func EncodeEntry(e *Entry) []byte {
 			dst = binary.AppendVarint(dst, v)
 		}
 		dst = binary.AppendUvarint(dst, r.Events)
-		if r.section != nil {
-			dst = append(dst, r.section...)
-		} else {
-			dst = r.Completions.appendTo(dst)
-		}
 	}
 	if s := e.Summary; s == nil {
 		dst = append(dst, 0)
@@ -199,7 +138,8 @@ func EncodeEntry(e *Entry) []byte {
 		dst = appendString(dst, s.PolicyName)
 		for _, v := range [...]int64{int64(s.RUs), int64(s.Latency), int64(s.Executed),
 			int64(s.Reused), int64(s.Loads), int64(s.Skips), int64(s.Makespan),
-			int64(s.IdealMakespan)} {
+			int64(s.IdealMakespan), int64(s.Delay.Count), int64(s.Delay.Mean),
+			int64(s.Delay.Max), int64(s.Delay.P50), int64(s.Delay.P95)} {
 			dst = binary.AppendVarint(dst, v)
 		}
 	}
@@ -210,43 +150,13 @@ func appendString(dst []byte, s string) []byte {
 	return append(binary.AppendUvarint(dst, uint64(len(s))), s...)
 }
 
-// appendTo appends the encoding described at Completions.
-func (c Completions) appendTo(dst []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(c)))
-	if len(c) == 0 {
-		return dst
-	}
-	var g, prev uint64
-	for _, t := range c {
-		g = gcd(g, absDelta(uint64(t)-prev))
-		prev = uint64(t)
-	}
-	if g == 0 {
-		g = 1
-	}
-	dst = binary.AppendUvarint(dst, g)
-	prev = 0
-	for _, t := range c {
-		d := uint64(t) - prev
-		q := absDelta(d) / g
-		if int64(d) < 0 {
-			q = -q
-		}
-		dst = binary.AppendVarint(dst, int64(q))
-		prev = uint64(t)
-	}
-	return dst
-}
-
 // DecodeEntry reads an entry in one pass. It rejects, never panics on,
 // anything EncodeEntry could not have written: a wrong magic (so every
 // JSON entry of v4 or earlier and every artifact), a truncated,
-// overflowing or non-minimal varint, a string or count longer than the
-// bytes left, a flag byte other than 0 or 1, malformed completions (see
-// readCompletions) and trailing bytes. The completions are validated but
-// not decoded: the Run keeps a copy of their section, which Run.Result
-// decodes, so allocations are the input's length at most. It does not
-// check that the entry is servable (schema, key, run); Get does.
+// overflowing or non-minimal varint, a string longer than the bytes
+// left, a flag byte other than 0 or 1, an int out of range and
+// trailing bytes. It does not check that the entry is servable (schema,
+// key, run); Get does.
 func DecodeEntry(data []byte) (*Entry, bool) {
 	if len(data) < len(entryMagic) || string(data[:len(entryMagic)]) != entryMagic {
 		return nil, false
@@ -270,7 +180,6 @@ func DecodeEntry(data []byte) (*Entry, bool) {
 			Preloads:    d.int(),
 			Graphs:      d.int(),
 			Events:      d.uvarint(),
-			section:     d.completions(),
 		}
 	}
 	if d.flag() {
@@ -284,6 +193,13 @@ func DecodeEntry(data []byte) (*Entry, bool) {
 			Skips:         d.int(),
 			Makespan:      simtime.Time(d.varint()),
 			IdealMakespan: simtime.Time(d.varint()),
+			Delay: metrics.DelayStats{
+				Count: d.int(),
+				Mean:  simtime.Time(d.varint()),
+				Max:   simtime.Time(d.varint()),
+				P50:   simtime.Time(d.varint()),
+				P95:   simtime.Time(d.varint()),
+			},
 		}
 	}
 	if d.bad || len(d.b) > 0 {
@@ -357,101 +273,4 @@ func (d *decoder) flag() bool {
 	f := d.b[0] == 1
 	d.b = d.b[1:]
 	return f
-}
-
-// completions validates the section described at Completions and
-// returns a copy of its bytes, or nil when it holds no times.
-func (d *decoder) completions() []byte {
-	_, rest, ok := readCompletions(d.b, false)
-	if !ok {
-		d.fail()
-		return nil
-	}
-	var section []byte
-	if d.b[0] != 0 { // a count of 0 is the whole section
-		section = append([]byte(nil), d.b[:len(d.b)-len(rest)]...)
-	}
-	d.b = rest
-	return section
-}
-
-// readCompletions reads the section described at Completions from the
-// front of b and returns the bytes after it; with keep it also returns
-// the times, an empty list as nil. Without keep it only validates and
-// allocates nothing. Beyond the varint rules it rejects a count larger
-// than the bytes left (every time takes at least one), g = 0, a g that is
-// not the GCD of the deltas (which appendTo would not write) and a
-// delta × g that overflows int64.
-func readCompletions(b []byte, keep bool) (times Completions, rest []byte, ok bool) {
-	n, k := uvarint(b)
-	if k <= 0 {
-		return nil, nil, false
-	}
-	b = b[k:]
-	if n == 0 {
-		return nil, b, true
-	}
-	g, k := uvarint(b)
-	if k <= 0 || g == 0 {
-		return nil, nil, false
-	}
-	b = b[k:]
-	if n > uint64(len(b)) {
-		return nil, nil, false
-	}
-	if keep {
-		times = make(Completions, n)
-	}
-	var prev, div uint64 // div: the GCD of the quotients so far
-	for i := range n {
-		// Nearly every delta takes one or two bytes: read those inline,
-		// the rest by uvarint. b[1]-1 < 0x7f is b[1] in 1..0x7f: the
-		// byte ends the varint, and a 0 there would not be minimal.
-		var u uint64
-		var k int
-		if len(b) > 0 && b[0] < 0x80 {
-			u, k = uint64(b[0]), 1
-		} else if len(b) > 1 && b[1]-1 < 0x7f {
-			u, k = uint64(b[0]&0x7f)|uint64(b[1])<<7, 2
-		} else if u, k = uvarint(b); k <= 0 {
-			return nil, nil, false
-		}
-		b = b[k:]
-		// u zigzags the quotient q: q < 0 when neg is 1, and |q| is
-		// u>>1 + neg, up to 2^63. Nothing branches on the sign, which
-		// is as random as the deltas.
-		neg := u & 1
-		mag := u>>1 + neg
-		if div != 1 {
-			div = gcd(div, mag)
-		}
-		hi, delta := bits.Mul64(mag, g)
-		if hi != 0 || delta > math.MaxInt64+neg {
-			return nil, nil, false
-		}
-		prev += delta ^ -neg + neg // −delta when neg
-		if keep {
-			times[i] = simtime.Time(prev)
-		}
-	}
-	if div > 1 || div == 0 && g != 1 {
-		return nil, nil, false
-	}
-	return times, b, true
-}
-
-// absDelta is |int64(d)| for a wrapped delta, as a uint64 so that the
-// delta of MinInt64 (2^63) still fits.
-func absDelta(d uint64) uint64 {
-	if int64(d) < 0 {
-		return -d
-	}
-	return d
-}
-
-func gcd(a, b uint64) uint64 {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
 }

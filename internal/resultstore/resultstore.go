@@ -36,12 +36,14 @@
 // of the result: reports never see it and dispatch does not read it.
 //
 // Schema history: v2 added ElapsedNS and took the schema out of the
-// keys; v3 stores each run's completions as a delta-varint blob (see
-// Completions) instead of an array of integers, which cut a 2000-app
-// entry from ~37 KB to ~9.5 KB and with it the cost of every decode; v4
-// stores no ideal baseline; v5 stores each entry in a binary layout
-// read in one pass (see EncodeEntry), so entries are no longer JSON and
-// no longer readable with jq (see SchemaVersion).
+// keys; v3 stored each run's completion times as a delta-varint blob
+// instead of an array of integers, which cut a 2000-app entry from
+// ~37 KB to ~9.5 KB and with it the cost of every decode; v4 stores no
+// ideal baseline; v5 stores each entry in a binary layout read in one
+// pass (see EncodeEntry), so entries are no longer JSON and no longer
+// readable with jq; v6 drops the per-scenario retry fields; v7 stores no
+// completion times at all, only the summary's delay digest, so an entry
+// is ~176 bytes whatever the workload's size (see SchemaVersion).
 //
 // Two lookups with two accounting rules: Get serves a full entry and
 // counts a hit or a miss; Probe serves identically but counts only the
@@ -73,7 +75,7 @@ import (
 // folding in the schema version.
 //
 // v3: Run.Completions is encoded as one base64 string of zigzag varint
-// deltas over their GCD (see Completions), not a JSON integer array. A
+// deltas over their GCD, not a JSON integer array. A
 // v2 entry no longer decodes as a result, so it reads as a miss, is
 // re-simulated and overwritten in place, and `-store-gc` removes any
 // leftover.
@@ -103,12 +105,21 @@ import (
 // misses, is re-simulated and overwritten in place, and `-store-gc`
 // removes any leftover.
 //
+// v7: the run holds no completion times, and the summary ends with the
+// per-application delay digest (metrics.DelayStats: count, mean, max,
+// p50, p95) that the executor computes from them on the live run. The
+// times made up about 95 % of an entry and had one reader, rtrsim's
+// per-app delay line, which reads the digest; every store hit is now
+// served one way, from counters and summary, with no ideal baseline
+// computed. Keys do not move: a v6 entry misses, is re-simulated and
+// overwritten in place, and `-store-gc` removes any leftover.
+//
 // While entries were JSON (v2–v4), strictly-additive optional fields did
 // not bump the version: ElapsedNS landed inside v2, old entries decoding
 // with the zero value. The binary layout has no optional fields, so any
 // field added to or removed from an entry changes the layout and bumps
 // the version.
-const SchemaVersion = 6
+const SchemaVersion = 7
 
 // Store is a content-addressed result store over a Backend. The zero
 // value is not usable; call Open (fs), OpenMem, OpenURL or

@@ -25,14 +25,16 @@ func sampleEntry() *Entry {
 		Scenario: "LRU R=4 latency=4 ms",
 		Run: &Run{
 			Makespan: simtime.FromMs(70), Executed: 15, Reused: 5, Loads: 10,
-			Evictions: 6, Skips: 1, Graphs: 3,
-			Completions: []simtime.Time{simtime.FromMs(30), simtime.FromMs(70)},
-			Events:      42,
+			Evictions: 6, Skips: 1, Graphs: 3, Events: 42,
 		},
 		Summary: &metrics.Summary{
 			PolicyName: "LRU", RUs: 4, Latency: simtime.FromMs(4),
 			Executed: 15, Reused: 5, Loads: 10, Skips: 1,
 			Makespan: simtime.FromMs(70), IdealMakespan: simtime.FromMs(50),
+			Delay: metrics.DelayStats{
+				Count: 2, Mean: simtime.FromMs(15), Max: simtime.FromMs(20),
+				P50: simtime.FromMs(10), P95: simtime.FromMs(20),
+			},
 		},
 	}
 }
@@ -57,8 +59,7 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if got.Schema != SchemaVersion || got.Key != key {
 		t.Errorf("entry stamped schema=%d key=%q", got.Schema, got.Key)
 	}
-	if m := materialized(got); !reflect.DeepEqual(m.Run, want.Run) ||
-		!reflect.DeepEqual(got.Summary, want.Summary) {
+	if !reflect.DeepEqual(got.Run, want.Run) || !reflect.DeepEqual(got.Summary, want.Summary) {
 		t.Errorf("round trip mutated the entry:\ngot  %+v\nwant %+v", got, want)
 	}
 	hits, misses, puts := s.Stats()
@@ -67,34 +68,6 @@ func TestPutGetRoundTrip(t *testing.T) {
 	}
 	if !strings.Contains(s.SummaryLine(), "1 hits, 1 misses, 1 entries written") {
 		t.Errorf("summary line %q", s.SummaryLine())
-	}
-}
-
-// TestGetsNeverShareCompletions: Run.Result hands the completions a Get
-// decoded over to the Result instead of copying them, so the pin is that
-// every Get decodes into its own array — a caller changing one result's
-// completions can never reach another's.
-func TestGetsNeverShareCompletions(t *testing.T) {
-	s := OpenMem()
-	key := testKey(1)
-	if err := s.Put(key, sampleEntry()); err != nil {
-		t.Fatal(err)
-	}
-	a, okA := s.Get(key)
-	b, okB := s.Get(key)
-	if !okA || !okB {
-		t.Fatal("miss after Put")
-	}
-	ra, rb := a.Run.Result(), b.Run.Result()
-	if &ra.Completions[0] != &a.Run.Completions[0] {
-		t.Error("Result copied the decoded completions instead of taking them over")
-	}
-	if &ra.Completions[0] == &rb.Completions[0] {
-		t.Fatal("two Gets of one key share a completions backing array")
-	}
-	ra.Completions[0]++
-	if want := sampleEntry().Run.Completions; !reflect.DeepEqual(rb.Completions, []simtime.Time(want)) {
-		t.Errorf("changing one Get's completions changed another's: %v, want %v", rb.Completions, want)
 	}
 }
 
@@ -244,22 +217,36 @@ func TestRunRecordRoundTrip(t *testing.T) {
 		Completions: []simtime.Time{simtime.FromMs(60), simtime.FromMs(123)},
 		Events:      77,
 	}
-	rec := RecordRun(orig)
-	back := rec.Result()
-	if back.Trace != nil || back.Templates != nil {
-		t.Error("reconstructed result carries trace/templates")
+	back := RecordRun(orig).Result()
+	if back.Completions != nil || back.Trace != nil || back.Templates != nil {
+		t.Error("reconstructed result carries completions, trace or templates")
 	}
-	orig.Templates = nil // never serialized
-	if !reflect.DeepEqual(back, orig) {
-		t.Errorf("round trip:\ngot  %+v\nwant %+v", back, orig)
+	want := *orig
+	want.Completions = nil // never serialized
+	if !reflect.DeepEqual(*back, want) {
+		t.Errorf("round trip:\ngot  %+v\nwant %+v", back, want)
 	}
 	if RecordRun(nil) != nil || (*Run)(nil).Result() != nil {
 		t.Error("nil round trip not nil")
 	}
-	// The record must not alias the original's completions.
-	rec.Completions[0] = 0
-	if orig.Completions[0] == 0 {
-		t.Error("RecordRun aliases Completions")
+	// The delay digest of those times travels in the summary instead.
+	ideal := &manager.Result{Executed: 9, Makespan: simtime.FromMs(100),
+		Completions: []simtime.Time{simtime.FromMs(40), simtime.FromMs(100)}}
+	sum, err := metrics.Summarize("LRU", 4, simtime.FromMs(4), orig, ideal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := OpenMem()
+	key := testKey(2)
+	if err := s.Put(key, &Entry{Run: RecordRun(orig), Summary: sum}); err != nil {
+		t.Fatal(err)
+	}
+	got, ok := s.Get(key)
+	if !ok {
+		t.Fatal("miss after Put")
+	}
+	if d, _ := metrics.Delays(orig, ideal); got.Summary.Delay != *d || d.Count != 2 {
+		t.Errorf("stored delay digest %+v, want %+v", got.Summary.Delay, *d)
 	}
 }
 

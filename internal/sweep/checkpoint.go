@@ -155,10 +155,6 @@ func (k *Checkpointer) Collect(r *Result) error {
 	return nil
 }
 
-// condenses marks the Checkpointer as its wrapped collector is marked:
-// it reads only whether a result was stored.
-func (k *Checkpointer) condenses() bool { return condensesOnly(k.C) }
-
 func (k *Checkpointer) save() {
 	k.sinceSave = 0
 	cp := Checkpoint{

@@ -17,7 +17,10 @@ import (
 // The executor holds on to a result only until its turn comes — at most
 // a bounded reorder window of them (see Executor.Collect) — so a
 // Collector that drops or condenses results caps the sweep's memory at
-// O(workers) raw runs no matter how large the grid is.
+// O(workers) raw runs no matter how large the grid is. A result served
+// from the store carries the run's counters and the stored summary only;
+// completion times, traces and the ideal baseline reach a Collector from
+// live runs alone (see Result).
 type Collector interface {
 	Collect(*Result) error
 }
@@ -28,37 +31,16 @@ type CollectorFunc func(*Result) error
 // Collect calls f.
 func (f CollectorFunc) Collect(r *Result) error { return f(r) }
 
-// condenser marks the Collectors that read no more of a result than
-// Condense does: its Scenario, Summary and scalar run counters. The
-// executor serves a store hit to such a collector from the entry's
-// counters and stored summary alone — no completion times decoded, no
-// ideal baseline computed. Every other collector (ResultSetCollector,
-// any CollectorFunc) receives the full result a live run would give.
-type condenser interface {
-	condenses() bool
-}
-
-// condensesOnly reports whether c is marked as a condenser.
-func condensesOnly(c Collector) bool {
-	k, ok := c.(condenser)
-	return ok && k.condenses()
-}
-
 // Discard drops every result. With Executor.Store attached this is the
 // write-through population mode: the sweep's only output is the store
 // entries it persists — exactly what a shard run feeding a shared store
 // wants (the report is rendered later, from the merged store).
-var Discard Collector = discard{}
-
-type discard struct{}
-
-func (discard) Collect(*Result) error { return nil }
-func (discard) condenses() bool       { return true }
+var Discard Collector = CollectorFunc(func(*Result) error { return nil })
 
 // ResultSetCollector accumulates every streamed result in spec order —
 // the classic Run behaviour, O(grid) memory. Use it when a report needs
-// raw runs (traces, completion times); summary-only grids should prefer
-// SummaryCollector.
+// raw runs (traces, completion times, which only live runs carry);
+// summary-only grids should prefer SummaryCollector.
 type ResultSetCollector struct {
 	Results []*Result
 }
@@ -140,8 +122,6 @@ func (c *SummaryCollector) Collect(r *Result) error {
 	return nil
 }
 
-func (*SummaryCollector) condenses() bool { return true }
-
 // RowRenderer groups a sweep's streamed results into report rows and
 // hands each row over the moment its last scenario lands. It is the
 // streaming report primitive on top of the Collector pipeline: where
@@ -204,8 +184,6 @@ func (r *RowRenderer) Collect(res *Result) error {
 	r.emitted++
 	return r.Emit(i, block)
 }
-
-func (*RowRenderer) condenses() bool { return true }
 
 // Close verifies the stream ended on a row boundary; a partial block
 // left behind means the declared Sizes do not tile the grid — a report

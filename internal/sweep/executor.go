@@ -44,16 +44,13 @@ import (
 // the sweep has already failed, in which case no further entries are
 // persisted (a cancelled sweep must never silently populate the store
 // with the scenarios that happened to finish). Stored results carry the
-// exact counters, completions and summary of a live run, so a warm sweep
-// is byte-identical in every report to a cold one. What a hit costs
-// depends on the collector: one that only condenses (SummaryCollector,
-// RowRenderer, Discard, or a Checkpointer around one of them) receives
-// the entry's counters and stored summary alone — Run without
-// Completions, no Ideal — so serving it decodes no completion times and
-// computes no baseline; any other collector receives the full result, its
-// completions decoded and its baseline taken from the ideal cache.
-// Specs the store cannot identify canonically (see Spec.Cacheable)
-// bypass it transparently.
+// exact counters and summary of a live run — the summary includes the
+// per-application delay digest — so a warm sweep is byte-identical in
+// every report to a cold one. Every collector receives a hit the same
+// way: the run's counters and the stored summary, computing no ideal
+// baseline. Run.Completions, Run.Trace, Run.Templates and Ideal are
+// live-only (see Result). Specs the store cannot identify canonically
+// (see Spec.Cacheable) bypass it transparently.
 //
 // With Spec.Shard set, only the shard's slice of the grid runs; config
 // hashes and spec order are shard-independent, so N shard runs into one
@@ -201,7 +198,6 @@ func (e Executor) Collect(spec Spec, c Collector) error {
 	window := reorderWindow(workers)
 
 	ideals := &idealCache{sp: &sp, m: make(map[idealID]*idealEntry), observe: e.observeIdeal}
-	condensed := condensesOnly(c)
 	jobs := make(chan int)
 	completions := make(chan indexedResult)
 	stop := make(chan struct{})
@@ -221,7 +217,7 @@ func (e Executor) Collect(spec Spec, c Collector) error {
 				if keys != nil {
 					key = keys[i]
 				}
-				res, err := e.runStored(&sp, scenarios[i], condensed, ideals, runner, key, stop)
+				res, err := e.runStored(&sp, scenarios[i], ideals, runner, key, stop)
 				completions <- indexedResult{pos: p, res: res, err: err}
 			}
 		}()
@@ -338,18 +334,17 @@ func displaces(err error, pos int, cur error, curPos int) bool {
 }
 
 // runStored serves one scenario from the result store when possible and
-// simulates (then writes back) otherwise. condensed serves a hit as
-// resultFromEntry says; key is empty when the sweep runs without a store
-// or the spec is uncacheable; stop is closed once the sweep has failed,
-// after which nothing more is persisted.
-func (e Executor) runStored(sp *Spec, sc Scenario, condensed bool, ideals *idealCache, runner *manager.Runner, key string, stop <-chan struct{}) (*Result, error) {
+// simulates (then writes back) otherwise. key is empty when the sweep
+// runs without a store or the spec is uncacheable; stop is closed once
+// the sweep has failed, after which nothing more is persisted.
+func (e Executor) runStored(sp *Spec, sc Scenario, ideals *idealCache, runner *manager.Runner, key string, stop <-chan struct{}) (*Result, error) {
 	if key != "" {
 		if e.RequireStored && e.StoreWait != nil {
-			return e.awaitStored(sp, sc, condensed, ideals, runner, key, stop)
+			return e.awaitStored(sp, sc, key, stop)
 		}
 		if ent, ok := e.Store.Get(key); ok {
-			if res, err := resultFromEntry(sp, sc, ent, condensed, ideals, runner); res != nil || err != nil {
-				return res, err
+			if res := resultFromEntry(sp, sc, ent); res != nil {
+				return res, nil
 			}
 		}
 		if e.RequireStored {
@@ -409,14 +404,14 @@ type StoreWait struct {
 // awaitStored serves one scenario from the store the moment a producer
 // lands it, per the StoreWait contract above. stop aborts the wait when
 // the sweep fails elsewhere.
-func (e Executor) awaitStored(sp *Spec, sc Scenario, condensed bool, ideals *idealCache, runner *manager.Runner, key string, stop <-chan struct{}) (*Result, error) {
+func (e Executor) awaitStored(sp *Spec, sc Scenario, key string, stop <-chan struct{}) (*Result, error) {
 	poll := e.StoreWait.Poll
 	if poll <= 0 {
 		poll = 200 * time.Millisecond
 	}
 	serve := func(ent *resultstore.Entry) (*Result, error) {
-		if res, err := resultFromEntry(sp, sc, ent, condensed, ideals, runner); res != nil || err != nil {
-			return res, err
+		if res := resultFromEntry(sp, sc, ent); res != nil {
+			return res, nil
 		}
 		return nil, fmt.Errorf("entry in result store %s lacks a part this sweep needs (damaged store?)", e.Store.Dir())
 	}
@@ -444,37 +439,20 @@ func (e Executor) awaitStored(sp *Spec, sc Scenario, condensed bool, ideals *ide
 	}
 }
 
-// resultFromEntry rebuilds a scenario result from a store entry, or
-// returns nil when the entry lacks its summary (only possible for a
-// hand-damaged store — the baseline flag is part of the key). For a
-// condensing collector the result holds what Condense reads: the run's
-// counters without its completion times, and the stored summary without
-// an ideal baseline. Otherwise the run's completions are decoded and the
-// baseline comes from the ideal cache (which computes a missing one on
-// runner).
-func resultFromEntry(sp *Spec, sc Scenario, ent *resultstore.Entry, condensed bool, ideals *idealCache, runner *manager.Runner) (*Result, error) {
-	res := &Result{Scenario: sc, stored: true}
-	if condensed {
-		res.Run = ent.Run.Counters()
-	} else {
-		res.Run = ent.Run.Result()
-	}
+// resultFromEntry rebuilds a scenario result from a store entry: the
+// run's counters and the stored summary. It returns nil when the entry
+// lacks its summary (only possible for a hand-damaged store — the
+// baseline flag is part of the key).
+func resultFromEntry(sp *Spec, sc Scenario, ent *resultstore.Entry) *Result {
+	res := &Result{Scenario: sc, Run: ent.Run.Result(), stored: true}
 	if sp.NoBaseline {
-		return res, nil
+		return res
 	}
 	if ent.Summary == nil {
-		return nil, nil
+		return nil
 	}
 	res.Summary = ent.Summary
-	if condensed {
-		return res, nil
-	}
-	ideal, err := ideals.get(sc.WorkloadIdx, sc.RUs, runner)
-	if err != nil {
-		return nil, fmt.Errorf("ideal baseline: %w", err)
-	}
-	res.Ideal = ideal
-	return res, nil
+	return res
 }
 
 // runScenario simulates one scenario on the worker's reusable runner:

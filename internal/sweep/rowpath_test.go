@@ -117,14 +117,14 @@ func servedRowCost(t *testing.T, store *resultstore.Store, spec Spec, collector 
 //   - it computes no ideal baseline;
 //   - a served row allocates no more often at 2000 applications than at
 //     200, and its extra bytes at 2000 are at most three times the extra
-//     bytes loaded: the backend's read of the entry, the run's copy of its
-//     completions section, and the allocator's rounding up of both.
-//     Decoding the times would add 8 bytes per application, about five
-//     times an entry's growth, and the ideal baselines more on top;
+//     bytes loaded (the backend's read of the entry and the allocator's
+//     rounding up of it) plus the http server's jitter. Holding the
+//     times would add 8 bytes per application, and the ideal baselines
+//     more on top;
 //   - it delivers the cold sweep's rows.
 //
-// Any other collector still receives the full result, completions and
-// baseline included.
+// Any other collector is served the same way: a CollectorFunc receives
+// counters and summary, with no completion times and no baseline.
 func TestWarmRowPathServesCondensedRows(t *testing.T) {
 	sizes := []int{200, 2000}
 	specs := make(map[int]Spec)
@@ -201,9 +201,14 @@ func TestWarmRowPathServesCondensedRows(t *testing.T) {
 						t.Errorf("a served row allocates %.2f times at %d apps but %.2f at %d",
 							large.allocs, sizes[1], small.allocs, sizes[0])
 					}
-					if grown, bound := large.bytes-small.bytes, 3*(large.loaded-small.loaded); grown > bound {
-						t.Errorf("a served row allocates %.0f bytes more at %d apps than at %d, over three times the %.0f more it loads",
-							grown, sizes[1], sizes[0], large.loaded-small.loaded)
+					// An entry grows by a few bytes from 200 to 2000
+					// applications, so the byte bound carries the same
+					// server's jitter too: tens of bytes per row, against
+					// the 14,400 that 8 bytes per application would add.
+					const byteJitter = 1024
+					if grown, bound := large.bytes-small.bytes, 3*(large.loaded-small.loaded)+byteJitter; grown > bound {
+						t.Errorf("a served row allocates %.0f bytes more at %d apps than at %d, over three times the %.0f more it loads plus %d",
+							grown, sizes[1], sizes[0], large.loaded-small.loaded, byteJitter)
 					}
 				})
 			}
@@ -214,16 +219,16 @@ func TestWarmRowPathServesCondensedRows(t *testing.T) {
 				ex.observeIdeal = func() { ideals.Add(1) }
 				spec := specs[sizes[0]]
 				err := ex.Collect(spec, CollectorFunc(func(r *Result) error {
-					if r.Ideal == nil || len(r.Run.Completions) != sizes[0] {
-						t.Errorf("%s: served without its baseline or completions", r.Scenario.Name())
+					if r.Ideal != nil || r.Run.Completions != nil || r.Summary == nil {
+						t.Errorf("%s: served with a baseline or completions, or without its summary", r.Scenario.Name())
 					}
 					return nil
 				}))
 				if err != nil {
 					t.Fatal(err)
 				}
-				if n, want := ideals.Load(), int64(len(spec.RUs)); n != want {
-					t.Errorf("computed %d ideal baselines, want one per unit count, %d", n, want)
+				if n := ideals.Load(); n != 0 {
+					t.Errorf("computed %d ideal baselines, want none", n)
 				}
 			})
 		})

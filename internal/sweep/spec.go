@@ -350,15 +350,15 @@ type Result struct {
 	// it in store entries as trace and operator metadata; it never reaches
 	// a report.
 	Elapsed time.Duration
-	// Run is the raw simulation outcome. A store hit served to a
-	// condensing collector (see Executor) carries its counters only:
-	// Completions is nil.
+	// Run is the raw simulation outcome. A store hit carries its
+	// counters only: Completions, Trace and Templates are live-only.
 	Run *manager.Result
 	// Ideal is the shared zero-latency baseline for the scenario's
-	// (workload, RUs); nil when Spec.NoBaseline is set, and on a store
-	// hit served to a condensing collector.
+	// (workload, RUs) on a live run; nil when Spec.NoBaseline is set,
+	// and on every store hit.
 	Ideal *manager.Result
-	// Summary carries the paper's metrics; nil when Spec.NoBaseline is
+	// Summary carries the paper's metrics, the per-application delay
+	// digest included, live or stored alike; nil when Spec.NoBaseline is
 	// set.
 	Summary *metrics.Summary
 

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/dynlist"
 	"repro/internal/manager"
+	"repro/internal/metrics"
 	"repro/internal/policy"
 	"repro/internal/resultstore"
 	"repro/internal/simtime"
@@ -155,6 +156,39 @@ func TestTimedArrivals(t *testing.T) {
 		}
 		if atZero := rs.At(0, 0, 0, pi); atZero.Run.Makespan == run.Makespan {
 			t.Errorf("%s: the timed workload ran as if every application arrived at zero", ps.Name)
+		}
+	}
+}
+
+// TestSummaryCarriesDelays: the summary of every live scenario carries
+// the delay digest of its completion times against its baseline's, the
+// one a store hit serves in their place. The grid is Fig. 9's, with and
+// without skip events and with and without cross-graph prefetch, over an
+// untimed workload and a timed-arrival one.
+func TestSummaryCarriesDelays(t *testing.T) {
+	spec := fig9Spec(t, 4, 5, 6)
+	for _, p := range spec.Policies {
+		p.Name += " + prefetch"
+		p.CrossGraphPrefetch = true
+		spec.Policies = append(spec.Policies, p)
+	}
+	timed := spec.Workloads[0]
+	timed.Arrivals = make([]simtime.Time, len(timed.Seq))
+	for i := range timed.Arrivals {
+		timed.Arrivals[i] = simtime.FromMs(float64(50 * i))
+	}
+	spec.Workloads = append(spec.Workloads, timed)
+	rs, err := Executor{Workers: 2}.Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rs.Results {
+		d, err := metrics.Delays(r.Run, r.Ideal)
+		if err != nil {
+			t.Fatalf("%s: %v", r.Scenario.Name(), err)
+		}
+		if r.Summary.Delay != *d || d.Count != len(r.Scenario.Workload.Seq) {
+			t.Errorf("%s: summary carries the delay digest %+v, want %+v", r.Scenario.Name(), r.Summary.Delay, *d)
 		}
 	}
 }
