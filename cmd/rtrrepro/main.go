@@ -10,69 +10,33 @@
 //
 // With -store DIR (or RTR_STORE set), every grid experiment serves
 // scenarios already on disk instead of re-simulating them and the reports
-// stay byte-identical — CI runs the suite twice into one store and diffs
-// the outputs. The hit/miss digest goes to stderr, never into a report.
+// stay byte-identical. The hit/miss digest goes to stderr, never into a
+// report.
 //
-// A sweep too large for one machine splits across hosts sharing a store.
-// The self-healing way is the coordinator — every host runs the same
-// command and the pool divides the work by leasing shards; the merge can
-// run anywhere, even before the workers, with -watch:
+// A suite too large for one machine splits across hosts sharing a store:
 //
 //	every host:  rtrrepro -store /shared/store -coord /shared/coord -coord-shards 16
 //	any host:    rtrrepro -store /shared/store -coord /shared/coord -merge-report -watch > report.txt
+//	fixed split: rtrrepro -store /shared/store -shard 0/4   # … 3/4, then -merge-report
 //
-// The store and coordinator need not be directories at all: with an
-// rtrserved control plane the same commands run over the wire —
-//
-//	every host:  rtrrepro -store http://host:8080/c/ID -coord http://host:8080/c/ID
-//	any host:    rtrrepro -store http://host:8080/c/ID -coord http://host:8080/c/ID -merge-report -watch
-//
-// (-auth-token/-http-timeout tune the wire client; see EXPERIMENTS.md
-// "Running a sweep service").
-//
-// Each worker claims the next unleased shard, heartbeats while it
-// populates the store, marks the shard done and claims another until
-// none remain. A worker that dies mid-shard stops heartbeating; once its
-// lease outlives -lease-ttl any surviving worker re-claims the shard and
-// re-runs its slice (idempotent — the store dedupes by config hash, so
-// only what the dead worker left unfinished re-simulates).
-// -coord-workers N runs N claim loops inside one process;
-// -coord-status prints the per-shard state without running anything.
-//
-// The watch merge renders each report row the moment the pool stores its
-// scenarios, printing per-shard progress to stderr, and uses the same
-// lease TTL for liveness: a pool whose newest heartbeat or completion is
-// older than the TTL is declared dead and the merge errors instead of
-// waiting forever. Without -watch, -merge-report next to -coord checks
-// the pool has drained and refuses with its per-shard tally otherwise.
-//
-// Manual sharding remains for fixed CI matrices: -shard i/N runs every
-// grid experiment's scenarios whose spec index ≡ i (mod N) into the
-// store and renders nothing (a per-shard digest — scenarios ran, skipped
-// by other shards, store hits/misses — goes to stderr). Either way,
-// -merge-report renders the full suite purely from the store: a grid
-// scenario missing from it is an error, never a silent re-simulation, so
-// the merged report is byte-identical to a single-process run — CI
-// enforces exactly that, including after SIGKILLing a coordinator worker
-// mid-sweep. Experiments with nothing to persist (worked examples,
-// timing tables, trace or per-task-latency sweeps) run live at merge
-// time.
+// Both locators also take an rtrserved campaign URL. The modes are the
+// same for rtrsim; the internal/campaign package comment and
+// EXPERIMENTS.md §"Multi-host sweeps" tell how they work. Experiments
+// with nothing to persist (worked examples, timing tables, trace or
+// per-task-latency sweeps) run live at merge time.
 package main
 
 import (
-	"errors"
+	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"strings"
 
-	"repro/internal/artifact"
 	"repro/internal/campaign"
 	"repro/internal/cliflags"
-	"repro/internal/coord"
 	"repro/internal/experiments"
-	"repro/internal/mobility"
 	"repro/internal/profiling"
 	"repro/internal/resultstore"
 	"repro/internal/simtime"
@@ -107,8 +71,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	stderr = &campaign.LockedWriter{W: stderr}
-
 	stopProfiles, err := profiling.Start(*cpuProfile, *memProfile)
 	if err != nil {
 		return err
@@ -123,156 +85,50 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	store := setup.Store
-	// Design-time artifact tier: with a store attached, mobility tables
-	// computed by this run persist next to the results, and tables any
-	// previous run stored are loaded instead of recomputed. Counters
-	// start from zero for this run's digest.
-	mobility.ResetStats()
-	if store != nil {
-		defer artifact.Install(store)()
-	}
-	if setup.StoreGC {
-		line, err := resultstore.RunGC(store)
+	return campaign.Drive(context.Background(), setup, stdout, stderr, func() (campaign.Job, error) {
+		units, err := sweep.ParseRUs(*rus)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		fmt.Fprintln(stdout, line)
-		return nil
-	}
-	if setup.CoordStatus {
-		report, err := setup.StatusReport()
+		selected, err := selectExperiments(*only)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		fmt.Fprint(stdout, report)
-		return nil
-	}
-
-	units, err := sweep.ParseRUs(*rus)
-	if err != nil {
-		return err
-	}
-	opt := experiments.Options{
-		Seed:          *seed,
-		Apps:          *apps,
-		RUs:           units,
-		Latency:       simtime.FromMs(*latency),
-		CSV:           *csv,
-		Parallel:      setup.Parallel,
-		Store:         store,
-		RequireStored: setup.Merge,
-	}
-
-	selected, err := selectExperiments(*only)
-	if err != nil {
-		return err
-	}
-
-	var poolWatch *coord.PoolWatch
-	out := stdout
-	// resetCheckpoint, set by a watch merge, clears its render checkpoint
-	// once the merge has succeeded; a failed merge keeps it to resume.
-	resetCheckpoint := func() {}
-	if setup.Coord != nil {
-		fingerprint := coordFingerprint(opt, selected)
-		cfg := setup.Coord.Config(fingerprint)
-		cks := coord.NewCheckpointStore(setup.Coord.Backend)
-		if !setup.Merge {
-			c, err := coord.Open(cfg)
-			if errors.Is(err, coord.ErrUninitialised) {
-				return fmt.Errorf("%w (pass -coord-shards N to initialise the pool)", err)
-			}
-			if err != nil {
-				return err
-			}
-			// Checkpointed populate: a re-leased shard resumes past the
-			// spec indices a dead worker's attempt already stored.
-			opt.Checkpoints, opt.Fingerprint = cks, fingerprint
-			stats, err := c.RunWorkers(setup.Coord.Workers, func(r coord.ShardRun) error {
-				sh := sweep.Shard{Index: r.Shard, Count: r.Count}
-				st, err := experiments.Populate(opt, selected, sh)
-				if err != nil {
-					return err
-				}
-				fmt.Fprintf(stderr, "coord worker %s: %s (attempt %d)\n", c.Owner(), shardDigest(sh, st), r.Attempt)
-				return nil
-			})
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(stderr, stats.Summary(c.Shards()))
-			fmt.Fprintln(stderr, store.SummaryLine())
-			printMobilityDigest(stderr)
-			return nil
-		}
-		// Coordinator-aware merge: consult the pool before rendering from
-		// the store. Without -watch a pool that has not drained is an
-		// immediate, pointed error; with -watch the suite renders while
-		// the pool populates, each row the moment its scenarios land, and
-		// a pool dead past its lease TTL fails the merge instead of
-		// hanging it.
-		_, pw, poll, err := coord.MergeGate(cfg, setup.Watch, stderr)
-		if err != nil {
-			return err
-		}
-		if pw != nil {
-			poolWatch = pw
-			defer poolWatch.Stop()
-			opt.StoreWait = &sweep.StoreWait{Poll: poll, Done: poolWatch.Done}
-			// Checkpointed render: a killed watch merge left the byte
-			// offset it had printed; the resumed render re-renders from
-			// the store (pure serve hits) and suppresses exactly that
-			// prefix, so partial-output + resumed-output reassemble the
-			// plain report byte for byte. A completed merge resets the
-			// offset so a deliberate re-render prints in full.
-			resume := campaign.LoadMergeOffset(cks, fingerprint)
-			if resume > 0 {
-				fmt.Fprintf(stderr, "merge checkpoint: resuming at byte offset %d\n", resume)
-			}
-			out = &campaign.CheckpointedWriter{W: stdout, Resume: resume,
-				Save: func(total int64) { campaign.SaveMergeOffset(cks, fingerprint, total) }}
-			resetCheckpoint = func() { campaign.SaveMergeOffset(cks, fingerprint, 0) }
-		}
-	}
-	if setup.HasShard {
-		st, err := experiments.Populate(opt, selected, setup.Shard)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(stderr, shardDigest(setup.Shard, st))
-		fmt.Fprintln(stderr, store.SummaryLine())
-		printMobilityDigest(stderr)
-		return nil
-	}
-
-	if err := campaign.RenderSuite(opt, selected, out); err != nil {
-		return err
-	}
-	if poolWatch != nil {
-		// -watch blocks until the pool drains, not merely until the
-		// report is complete: the last done records can trail the store
-		// writes the report consumed, and a worker that dies right at the
-		// end should still be reported.
-		if _, err := poolWatch.Wait(); err != nil {
-			return err
-		}
-	}
-	resetCheckpoint()
-	if store != nil {
-		fmt.Fprintln(stderr, store.SummaryLine())
-	}
-	printMobilityDigest(stderr)
-	return nil
+		return suite{opt: experiments.Options{
+			Seed:          *seed,
+			Apps:          *apps,
+			RUs:           units,
+			Latency:       simtime.FromMs(*latency),
+			CSV:           *csv,
+			Parallel:      setup.Parallel,
+			Store:         setup.Store,
+			RequireStored: setup.Merge,
+		}, selected: selected}, nil
+	})
 }
 
-// printMobilityDigest emits the design-time cache digest to stderr when
-// this run touched the mobility cache at all. Keep the format stable —
-// the CI artifact-reuse gate greps it.
-func printMobilityDigest(w io.Writer) {
-	if line := mobility.DigestLine(); line != "" {
-		fmt.Fprintln(w, line)
+// suite is the campaign.Job of the selected experiments.
+type suite struct {
+	opt      experiments.Options
+	selected []experiments.Experiment
+}
+
+func (s suite) Fingerprint() (string, error) { return coordFingerprint(s.opt, s.selected), nil }
+
+func (s suite) Populate(sh sweep.Shard, cks sweep.CheckpointStore, fingerprint string) (string, error) {
+	opt := s.opt
+	opt.Checkpoints, opt.Fingerprint = cks, fingerprint
+	st, err := experiments.Populate(opt, s.selected, sh)
+	if err != nil {
+		return "", err
 	}
+	return shardDigest(sh, st), nil
+}
+
+func (s suite) Render(wait *sweep.StoreWait, w io.Writer) error {
+	opt := s.opt
+	opt.StoreWait = wait
+	return campaign.RenderSuite(opt, s.selected, w)
 }
 
 // shardDigest renders the per-shard stderr line operators read to verify

@@ -20,50 +20,29 @@
 // schema version; -no-store disables the store even when RTR_STORE is
 // set. Trace-producing runs (-gantt/-svg/-trace) bypass the store.
 //
-// A grid too large for one machine splits across hosts sharing a store.
-// With -coord every host runs the same command and a self-healing pool
-// leases the shards; the merge can run anywhere, even first, with
-// -watch:
+// A grid too large for one machine splits across hosts sharing a store:
 //
 //	every host:  rtrsim -policy lru,lfd -rus 4-10 -store /shared -coord /shared/coord -coord-shards 8
 //	any host:    rtrsim -policy lru,lfd -rus 4-10 -store /shared -coord /shared/coord -merge-report -watch
+//	fixed split: rtrsim -policy lru,lfd -rus 4-10 -store /shared -shard 0/4   # … 3/4, then -merge-report
 //
-// Both locators also take an rtrserved campaign URL
-// (http://host:8080/c/ID; -auth-token/-http-timeout tune the wire
-// client), so the same pool can span hosts with no shared filesystem.
-//
-// Workers claim shards, heartbeat while populating the store, and
-// re-lease any shard whose worker stops heartbeating for -lease-ttl
-// (idempotent: the store dedupes by config hash). -coord-workers runs
-// several claim loops in one process; -coord-status prints the pool
-// state. The watch merge prints each table row the moment its scenario
-// is stored, reports per-shard progress on stderr, blocks until the
-// pool drains, and errors — using the same lease TTL — if the pool's
-// workers die; without -watch, -merge-report next to -coord refuses a
-// pool that has not drained. Manual -shard i/N remains for fixed
-// matrices: it simulates only the scenarios whose spec index ≡ i (mod N)
-// into the store and prints no table (the per-shard digest — scenarios
-// ran, skipped by other shards, store hits/misses — goes to stderr);
-// -merge-report renders the full comparison table purely from the store,
-// failing on any scenario a shard never populated.
+// Both locators also take an rtrserved campaign URL. The modes are the
+// same for rtrrepro; the internal/campaign package comment and
+// EXPERIMENTS.md §"Multi-host sweeps" tell how they work.
 package main
 
 import (
+	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 
-	"repro/internal/artifact"
 	"repro/internal/campaign"
 	"repro/internal/cliflags"
-	"repro/internal/coord"
-	"repro/internal/mobility"
 	"repro/internal/profiling"
 	"repro/internal/resultstore"
-	"repro/internal/simtime"
 	"repro/internal/sweep"
 	"repro/internal/trace"
 )
@@ -101,8 +80,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	stderr = &campaign.LockedWriter{W: stderr}
-
 	stopProfiles, err := profiling.Start(*cpuProfile, *memProfile)
 	if err != nil {
 		return err
@@ -117,232 +94,130 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	store := setup.Store
-	// Design-time artifact tier: with a store attached, mobility tables
-	// persist next to the results and warm runs load them instead of
-	// recomputing. Counters start from zero for this run's digest.
-	mobility.ResetStats()
-	if store != nil {
-		defer artifact.Install(store)()
-	}
-	if setup.StoreGC {
-		line, err := resultstore.RunGC(store)
+	return campaign.Drive(context.Background(), setup, stdout, stderr, func() (campaign.Job, error) {
+		units, err := sweep.ParseRUs(*rus)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		fmt.Fprintln(stdout, line)
-		return nil
-	}
-	if setup.CoordStatus {
-		report, err := setup.StatusReport()
+		spec, err := campaign.SweepGrid(*wl, *apps, *seed, *pol, *skip, *prefetch, units, *latency)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		fmt.Fprint(stdout, report)
-		return nil
-	}
-
-	units, err := sweep.ParseRUs(*rus)
-	if err != nil {
-		return err
-	}
-	policies, err := sweep.ParsePolicies(*pol, *skip)
-	if err != nil {
-		return err
-	}
-	seq, err := campaign.BuildWorkload(*wl, *apps, *seed)
-	if err != nil {
-		return err
-	}
-	for i := range policies {
-		policies[i].CrossGraphPrefetch = *prefetch
-	}
-	spec := sweep.Spec{
-		Workloads: []sweep.Workload{{Seq: seq}},
-		RUs:       units,
-		Latencies: []simtime.Time{simtime.FromMs(*latency)},
-		Policies:  policies,
-	}
-	needTrace := *gantt || *svgOut != "" || *traceOut != ""
-	sharded := setup.HasShard || setup.Merge || setup.Coord != nil
-	if spec.Size() == 1 && !sharded {
-		// A schedule view needs the trace, which is not serialized, so
-		// Spec.Cacheable sends such a run past the store.
-		spec.RecordTrace = needTrace
-		err = runSingle(stdout, *wl, spec, sweep.Executor{Store: store},
-			*gantt, *tick, *svgOut, *traceOut)
-	} else {
-		if needTrace {
-			if sharded {
-				return fmt.Errorf("-gantt/-svg/-trace need a single live scenario, not a sharded sweep")
-			}
-			return fmt.Errorf("-gantt/-svg/-trace need a single scenario; got %d policies × %d unit counts",
-				len(policies), len(units))
+		g := grid{wl: *wl, spec: spec, setup: setup}
+		needTrace := *gantt || *svgOut != "" || *traceOut != ""
+		sharded := setup.HasShard || setup.Merge || setup.Coord != nil
+		switch {
+		case spec.Size() == 1 && !sharded:
+			// A schedule view needs the trace, which is not serialized,
+			// so Spec.Cacheable sends such a run past the store.
+			g.spec.RecordTrace = needTrace
+			return single{g, *gantt, *tick, *svgOut, *traceOut}, nil
+		case needTrace && sharded:
+			return nil, fmt.Errorf("-gantt/-svg/-trace need a single live scenario, not a sharded sweep")
+		case needTrace:
+			return nil, fmt.Errorf("-gantt/-svg/-trace need a single scenario; got %d policies × %d unit counts",
+				len(spec.Policies), len(units))
 		}
-		err = runSweep(stdout, stderr, *wl, spec, setup)
-	}
-	if err != nil {
-		return err
-	}
-	if store != nil {
-		fmt.Fprintln(stderr, store.SummaryLine())
-	}
-	if line := mobility.DigestLine(); line != "" {
-		fmt.Fprintln(stderr, line)
-	}
-	return nil
+		return g, nil
+	})
 }
 
-// runSingle runs the one scenario of spec on ex and prints the full
-// metric report and the schedule views; with a store attached, repeated
-// runs are served from it.
-func runSingle(w io.Writer, wl string, spec sweep.Spec, ex sweep.Executor, gantt bool, tick float64, svgOut, traceOut string) error {
-	rs, err := ex.Run(spec)
+// grid is the campaign.Job of a policies × unit-counts sweep: its
+// report prints one comparison row per scenario, in spec order, the
+// moment the scenario lands, so the sweep holds O(workers) raw runs and
+// the renderer O(1) rows however many scenarios the flags expand to.
+type grid struct {
+	wl    string
+	spec  sweep.Spec
+	setup campaign.Setup
+}
+
+func (g grid) Fingerprint() (string, error) {
+	// A pool populate (or a merge against one) is only useful if the
+	// grid can be persisted — an uncacheable spec would simulate every
+	// slice and store nothing, failing only at merge time.
+	if err := g.spec.Cacheable(); err != nil {
+		return "", fmt.Errorf("-coord: %w", err)
+	}
+	return sweepFingerprint(g.wl, &g.spec)
+}
+
+func (g grid) Populate(sh sweep.Shard, cks sweep.CheckpointStore, fingerprint string) (string, error) {
+	sp := g.spec
+	sp.Shard = sh
+	ex := sweep.Executor{Workers: g.setup.Parallel, Store: g.setup.Store}
+	var err error
+	if cks != nil {
+		// A re-leased shard resumes past the spec indices an earlier
+		// attempt already stored.
+		_, err = ex.CollectResumable(sp, sweep.Discard, cks, fmt.Sprintf("shard-%04d/sweep", sh.Index), fingerprint)
+	} else {
+		err = ex.Collect(sp, sweep.Discard)
+	}
+	if err != nil {
+		return "", err
+	}
+	n := sp.Size()
+	return fmt.Sprintf("shard %s: ran %d of %d scenarios (%d skipped by other shards)",
+		sh, sh.SizeOf(n), n, n-sh.SizeOf(n)), nil
+}
+
+func (g grid) Render(wait *sweep.StoreWait, w io.Writer) error {
+	ex := sweep.Executor{Workers: g.setup.Parallel, Store: g.setup.Store,
+		RequireStored: g.setup.Merge, StoreWait: wait}
+	return campaign.RenderSweepTable(g.wl, g.spec, ex, w)
+}
+
+// single is the campaign.Job of a one-scenario run outside any pool:
+// it prints the full metric report and the schedule views.
+type single struct {
+	grid
+	gantt            bool
+	tick             float64
+	svgOut, traceOut string
+}
+
+// Render runs the scenario, served from the store when it is there.
+func (s single) Render(_ *sweep.StoreWait, w io.Writer) error {
+	rs, err := sweep.Executor{Store: s.setup.Store}.Run(s.spec)
 	if err != nil {
 		return err
 	}
 	res := rs.Results[0]
-
-	s := res.Summary
-	fmt.Fprintf(w, "workload        %s (%d applications, %d task executions)\n", wl, len(spec.Workloads[0].Seq), s.Executed)
-	fmt.Fprintf(w, "system          %d RUs, latency %v\n", s.RUs, s.Latency)
+	sum := res.Summary
+	fmt.Fprintf(w, "workload        %s (%d applications, %d task executions)\n", s.wl, len(s.spec.Workloads[0].Seq), sum.Executed)
+	fmt.Fprintf(w, "system          %d RUs, latency %v\n", sum.RUs, sum.Latency)
 	// The spec's display name already carries the skip suffix.
-	fmt.Fprintf(w, "policy          %s\n", spec.Policies[0].Name)
-	fmt.Fprintf(w, "reuse           %d/%d = %.2f%%\n", s.Reused, s.Executed, s.ReuseRate())
-	fmt.Fprintf(w, "makespan        %v (ideal %v)\n", s.Makespan, s.IdealMakespan)
+	fmt.Fprintf(w, "policy          %s\n", s.spec.Policies[0].Name)
+	fmt.Fprintf(w, "reuse           %d/%d = %.2f%%\n", sum.Reused, sum.Executed, sum.ReuseRate())
+	fmt.Fprintf(w, "makespan        %v (ideal %v)\n", sum.Makespan, sum.IdealMakespan)
 	fmt.Fprintf(w, "overhead        %v (%.2f%% of the original %v)\n",
-		s.Overhead(), s.RemainingOverheadPct(), s.OriginalOverhead())
+		sum.Overhead(), sum.RemainingOverheadPct(), sum.OriginalOverhead())
 	fmt.Fprintf(w, "loads           %d (skips taken: %d, preloads: %d)\n",
-		s.Loads, res.Run.Skips, res.Run.Preloads)
-	if d := s.Delay; d.Count > 0 {
+		sum.Loads, res.Run.Skips, res.Run.Preloads)
+	if d := sum.Delay; d.Count > 0 {
 		fmt.Fprintf(w, "per-app delay   mean %v, p50 %v, p95 %v, max %v\n", d.Mean, d.P50, d.P95, d.Max)
 	}
-	if gantt {
+	if s.gantt {
 		fmt.Fprintln(w)
-		fmt.Fprint(w, res.Run.Trace.Gantt(trace.GanttOptions{TickMs: tick}))
+		fmt.Fprint(w, res.Run.Trace.Gantt(trace.GanttOptions{TickMs: s.tick}))
 	}
-	if svgOut != "" {
-		if err := os.WriteFile(svgOut, []byte(res.Run.Trace.SVG()), 0o644); err != nil {
+	if s.svgOut != "" {
+		if err := os.WriteFile(s.svgOut, []byte(res.Run.Trace.SVG()), 0o644); err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "schedule SVG    %s\n", svgOut)
+		fmt.Fprintf(w, "schedule SVG    %s\n", s.svgOut)
 	}
-	if traceOut != "" {
+	if s.traceOut != "" {
 		data, err := json.MarshalIndent(res.Run.Trace, "", " ")
 		if err != nil {
 			return err
 		}
-		if err := os.WriteFile(traceOut, data, 0o644); err != nil {
+		if err := os.WriteFile(s.traceOut, data, 0o644); err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "trace JSON      %s\n", traceOut)
+		fmt.Fprintf(w, "trace JSON      %s\n", s.traceOut)
 	}
-	return nil
-}
-
-// runSweep executes the policies × unit-counts grid on the streaming
-// executor and prints one comparison row per scenario, in spec order,
-// the moment the scenario lands — the sweep holds O(workers) raw runs
-// and the renderer O(1) rows however many scenarios the flags expand to.
-// In a watch-mode merge the rows appear as the coordinator pool stores
-// their scenarios.
-func runSweep(stdout, stderr io.Writer, wl string, spec sweep.Spec, setup campaign.Setup) error {
-	store := setup.Store
-	var storeWait *sweep.StoreWait
-	var poolWatch *coord.PoolWatch
-	out := stdout
-	// resetCheckpoint, set by a watch merge, clears its render checkpoint
-	// once the merge has succeeded; a failed merge keeps it to resume.
-	resetCheckpoint := func() {}
-	if setup.Coord != nil {
-		// A pool populate (or a merge against one) is only useful if the
-		// grid can be persisted — an uncacheable spec would simulate
-		// every slice and store nothing, failing only at merge time.
-		if err := spec.Cacheable(); err != nil {
-			return fmt.Errorf("-coord: %w", err)
-		}
-		fingerprint, err := sweepFingerprint(wl, &spec)
-		if err != nil {
-			return err
-		}
-		cfg := setup.Coord.Config(fingerprint)
-		cks := coord.NewCheckpointStore(setup.Coord.Backend)
-		if !setup.Merge {
-			c, err := coord.Open(cfg)
-			if errors.Is(err, coord.ErrUninitialised) {
-				return fmt.Errorf("%w (pass -coord-shards N to initialise the pool)", err)
-			}
-			if err != nil {
-				return err
-			}
-			stats, err := c.RunWorkers(setup.Coord.Workers, func(r coord.ShardRun) error {
-				sp := spec
-				sp.Shard = sweep.Shard{Index: r.Shard, Count: r.Count}
-				// Checkpointed populate: a re-leased shard resumes past the
-				// spec indices a dead worker's attempt already stored.
-				ex := sweep.Executor{Workers: setup.Parallel, Store: store}
-				if _, err := ex.CollectResumable(sp, sweep.Discard, cks,
-					fmt.Sprintf("shard-%04d/sweep", r.Shard), fingerprint); err != nil {
-					return err
-				}
-				n := sp.Size()
-				fmt.Fprintf(stderr, "coord worker %s: shard %s: ran %d of %d scenarios (%d skipped by other shards) (attempt %d)\n",
-					c.Owner(), sp.Shard, sp.Shard.SizeOf(n), n, n-sp.Shard.SizeOf(n), r.Attempt)
-				return nil
-			})
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(stderr, stats.Summary(c.Shards()))
-			return nil
-		}
-		// Coordinator-aware merge: refuse a pool that has not drained, or
-		// — with -watch — render while it drains and error if it dies.
-		_, pw, poll, err := coord.MergeGate(cfg, setup.Watch, stderr)
-		if err != nil {
-			return err
-		}
-		if pw != nil {
-			poolWatch = pw
-			defer poolWatch.Stop()
-			storeWait = &sweep.StoreWait{Poll: poll, Done: poolWatch.Done}
-			// Checkpointed render: a killed watch merge left the byte
-			// offset it had printed; the resumed render re-renders from the
-			// store and suppresses exactly that prefix, so partial output +
-			// resumed output reassemble the plain table byte for byte.
-			resume := campaign.LoadMergeOffset(cks, fingerprint)
-			if resume > 0 {
-				fmt.Fprintf(stderr, "merge checkpoint: resuming at byte offset %d\n", resume)
-			}
-			out = &campaign.CheckpointedWriter{W: stdout, Resume: resume,
-				Save: func(total int64) { campaign.SaveMergeOffset(cks, fingerprint, total) }}
-			resetCheckpoint = func() { campaign.SaveMergeOffset(cks, fingerprint, 0) }
-		}
-	}
-	if setup.HasShard {
-		spec.Shard = setup.Shard
-		ex := sweep.Executor{Workers: setup.Parallel, Store: store}
-		if err := ex.Collect(spec, sweep.Discard); err != nil {
-			return err
-		}
-		n := spec.Size()
-		fmt.Fprintf(stderr, "shard %s: ran %d of %d scenarios (%d skipped by other shards)\n",
-			setup.Shard, setup.Shard.SizeOf(n), n, n-setup.Shard.SizeOf(n))
-		return nil
-	}
-	ex := sweep.Executor{Workers: setup.Parallel, Store: store, RequireStored: setup.Merge,
-		StoreWait: storeWait}
-	if err := campaign.RenderSweepTable(wl, len(spec.Workloads[0].Seq), spec, ex, out); err != nil {
-		return err
-	}
-	if poolWatch != nil {
-		// -watch blocks until the pool drains, not merely until the table
-		// is complete (the last done records can trail the store writes).
-		if _, err := poolWatch.Wait(); err != nil {
-			return err
-		}
-	}
-	resetCheckpoint()
 	return nil
 }
 

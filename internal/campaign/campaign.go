@@ -1,29 +1,54 @@
 // Package campaign is the shared campaign layer above the store and
-// coordinator: the piece of the two CLIs that is the same sweep no
+// coordinator: the part of rtrrepro and rtrsim that is the same sweep no
 // matter where it runs — which experiments a suite selects, how a
-// policy-grid table renders, how the -store/-coord flag set resolves
-// into opened backends — plus the server-side renderer cmd/rtrserved
-// injects into internal/serve (which cannot import sweep/experiments
-// itself; see the serve package comment).
+// policy grid is built and renders, how the -store/-coord flag set
+// resolves into opened backends (internal/cliflags) — plus the
+// server-side renderer cmd/rtrserved injects into internal/serve (which
+// cannot import sweep/experiments itself; see the serve package
+// comment). A report the server streams is byte-identical to the one a
+// CLI renders because both run these same functions.
 //
-// The split keeps one source of truth for three consumers: rtrrepro,
-// rtrsim (via internal/cliflags), and rtrserved's rows endpoint. A
-// report rendered by the server over SSE is byte-identical to the one
-// the CLI renders locally because both run these same functions.
+// Drive runs one CLI invocation in the mode its flags select; a CLI
+// hands it only a Job, which says what its sweep is, how one shard of
+// it populates the store and how its report renders:
+//
+//   - plain: run the sweep (serving store hits) and print the report;
+//   - -coord: every host runs the same command and a self-healing pool
+//     leases shards to it. Each claim loop (-coord-workers runs several)
+//     heartbeats while it populates its shard, marks it done and claims
+//     the next, printing "coord worker OWNER: DIGEST (attempt N)". A
+//     worker that stops heartbeating for -lease-ttl loses its shard to
+//     a survivor, which re-runs it idempotently: the store dedupes by
+//     config hash and run checkpoints skip what the dead attempt stored;
+//   - -shard i/N: populate the scenarios whose spec index ≡ i (mod N)
+//     and print the shard digest, for fixed CI matrices;
+//   - -merge-report: render purely from the store; a scenario missing
+//     from it is an error, never a silent re-simulation. Next to -coord
+//     it refuses a pool that has not drained, with its tally; with
+//     -watch it renders each row the moment the pool stores its
+//     scenarios, prints per-shard progress, blocks until the pool
+//     drains and errors once the pool is dead past its lease TTL. A
+//     killed watch merge resumes from its byte-offset checkpoint
+//     ("merge checkpoint: resuming at byte offset N");
+//   - -store-gc and -coord-status: collect the store or print the
+//     pool's per-shard table, and exit.
+//
+// Every mode but the two exits ends with the store digest (when a store
+// is set) and the mobility digest on stderr. EXPERIMENTS.md §"Multi-host sweeps" is the
+// operator's walkthrough.
 package campaign
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"strings"
-	"time"
 
 	"repro/internal/coord"
 	"repro/internal/dynlist"
 	"repro/internal/experiments"
+	"repro/internal/resultstore"
 	"repro/internal/serve"
 	"repro/internal/serve/wire"
 	"repro/internal/simtime"
@@ -51,9 +76,9 @@ func SelectExperiments(ids []string) ([]experiments.Experiment, error) {
 	return selected, nil
 }
 
-// BuildWorkload constructs a named workload sequence (fig2, fig3, or
+// buildWorkload constructs a named workload sequence (fig2, fig3, or
 // the seeded multimedia stream).
-func BuildWorkload(name string, apps int, seed int64) ([]*taskgraph.Graph, error) {
+func buildWorkload(name string, apps int, seed int64) ([]*taskgraph.Graph, error) {
 	switch name {
 	case "fig2":
 		return workload.Fig2Sequence(), nil
@@ -75,6 +100,29 @@ func BuildWorkload(name string, apps int, seed int64) ([]*taskgraph.Graph, error
 	}
 }
 
+// SweepGrid builds the rtrsim comparison grid: every policy of the
+// comma list (with skip events and cross-graph prefetch as given) at
+// every unit count, on the named workload at one latency.
+func SweepGrid(wl string, apps int, seed int64, policies string, skip, prefetch bool, rus []int, latencyMS float64) (sweep.Spec, error) {
+	pols, err := sweep.ParsePolicies(policies, skip)
+	if err != nil {
+		return sweep.Spec{}, err
+	}
+	seq, err := buildWorkload(wl, apps, seed)
+	if err != nil {
+		return sweep.Spec{}, err
+	}
+	for i := range pols {
+		pols[i].CrossGraphPrefetch = prefetch
+	}
+	return sweep.Spec{
+		Workloads: []sweep.Workload{{Seq: seq}},
+		RUs:       rus,
+		Latencies: []simtime.Time{simtime.FromMs(latencyMS)},
+		Policies:  pols,
+	}, nil
+}
+
 // RenderSuite prints the rtrrepro report: the parameter header line
 // followed by every selected experiment, in order.
 func RenderSuite(opt experiments.Options, selected []experiments.Experiment, w io.Writer) error {
@@ -90,12 +138,12 @@ func RenderSuite(opt experiments.Options, selected []experiments.Experiment, w i
 	return nil
 }
 
-// RenderSweepTable prints the rtrsim comparison table: the workload
-// header, the column header, and one row per scenario in spec order,
-// each the moment its scenario lands.
-func RenderSweepTable(wl string, apps int, spec sweep.Spec, ex sweep.Executor, w io.Writer) error {
+// RenderSweepTable prints the rtrsim comparison table of a SweepGrid
+// spec: the workload header, the column header, and one row per
+// scenario in spec order, each the moment its scenario lands.
+func RenderSweepTable(wl string, spec sweep.Spec, ex sweep.Executor, w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "workload        %s (%d applications), latency %v, %d scenarios\n",
-		wl, apps, spec.Latencies[0], spec.Size()); err != nil {
+		wl, len(spec.Workloads[0].Seq), spec.Latencies[0], spec.Size()); err != nil {
 		return err
 	}
 	if _, err := fmt.Fprintf(w, "%-30s %4s %10s %14s %12s %8s %8s\n",
@@ -147,48 +195,51 @@ func normalize(s wire.Spec) wire.Spec {
 type plan struct {
 	spec     wire.Spec
 	selected []experiments.Experiment // suite
-	wl       []*taskgraph.Graph       // sweep
 	grid     sweep.Spec               // sweep
 }
 
 func buildPlan(s wire.Spec) (*plan, error) {
 	s = normalize(s)
 	p := &plan{spec: s}
+	var err error
 	switch s.Kind {
 	case "suite":
-		selected, err := SelectExperiments(s.Only)
-		if err != nil {
-			return nil, err
-		}
-		p.selected = selected
+		p.selected, err = SelectExperiments(s.Only)
 	case "sweep":
-		seq, err := BuildWorkload(s.Workload, s.Apps, s.Seed)
-		if err != nil {
-			return nil, err
-		}
-		policies, err := sweep.ParsePolicies(strings.Join(s.Policies, ","), s.Skip)
-		if err != nil {
-			return nil, err
-		}
-		if s.Prefetch {
-			for i := range policies {
-				policies[i].CrossGraphPrefetch = true
-			}
-		}
-		p.wl = seq
-		p.grid = sweep.Spec{
-			Workloads: []sweep.Workload{{Seq: seq}},
-			RUs:       s.RUs,
-			Latencies: []simtime.Time{simtime.FromMs(s.LatencyMS)},
-			Policies:  policies,
-		}
-		if err := p.grid.Cacheable(); err != nil {
-			return nil, err
+		p.grid, err = SweepGrid(s.Workload, s.Apps, s.Seed, strings.Join(s.Policies, ","), s.Skip, s.Prefetch, s.RUs, s.LatencyMS)
+		if err == nil {
+			err = p.grid.Cacheable()
 		}
 	default:
-		return nil, fmt.Errorf("campaign spec kind %q (want suite or sweep)", s.Kind)
+		err = fmt.Errorf("campaign spec kind %q (want suite or sweep)", s.Kind)
+	}
+	if err != nil {
+		return nil, err
 	}
 	return p, nil
+}
+
+// render renders the plan's report purely from store, as the
+// equivalent CLI -merge-report prints it.
+func (p *plan) render(store *resultstore.Store) func(*sweep.StoreWait, io.Writer) error {
+	return func(wait *sweep.StoreWait, w io.Writer) error {
+		s := p.spec
+		if s.Kind == "sweep" {
+			ex := sweep.Executor{Workers: s.Parallel, Store: store, RequireStored: true, StoreWait: wait}
+			return RenderSweepTable(s.Workload, p.grid, ex, w)
+		}
+		opt := experiments.Options{
+			Seed:          s.Seed,
+			Apps:          s.Apps,
+			RUs:           s.RUs,
+			Latency:       simtime.FromMs(s.LatencyMS),
+			Parallel:      s.Parallel,
+			Store:         store,
+			RequireStored: true,
+			StoreWait:     wait,
+		}
+		return RenderSuite(opt, p.selected, w)
+	}
 }
 
 // CheckSpec vets a campaign submission without running anything: it
@@ -200,66 +251,16 @@ func CheckSpec(s wire.Spec) error {
 }
 
 // Render is the serve.Config.Rows hook: it renders the campaign's
-// report into w — exactly the bytes the equivalent CLI merge prints
-// locally — while the worker pool populates the store, blocking until
-// the pool drains. The pool need not exist yet: like a CLI `-watch`
-// merge, Render waits (here, ctx-aware) for the first worker to
-// initialise it.
+// report into w — exactly the bytes the equivalent CLI watch merge
+// prints locally — while the worker pool populates the store, blocking
+// until the pool drains. The pool need not exist yet: Render waits for
+// the first worker to initialise it, until ctx ends. The merge's
+// progress lines are server-side noise, not report bytes, and the
+// stream keeps no merge checkpoint.
 func Render(ctx context.Context, c *serve.Campaign, w io.Writer) error {
 	p, err := buildPlan(c.Spec())
 	if err != nil {
 		return err
 	}
-	cfg := coord.Config{Backend: c.Coord()}
-	for {
-		if _, err := coord.Open(cfg); err == nil {
-			break
-		} else if !errors.Is(err, coord.ErrUninitialised) {
-			return err
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-time.After(500 * time.Millisecond):
-		}
-	}
-	// The pool exists now, so MergeGate returns without blocking; its
-	// progress lines are server-side noise, not report bytes.
-	_, pw, poll, err := coord.MergeGate(cfg, true, io.Discard)
-	if err != nil {
-		return err
-	}
-	defer pw.Stop()
-	wait := &sweep.StoreWait{Poll: poll, Done: pw.Done}
-	store := c.Store()
-	var renderErr error
-	switch p.spec.Kind {
-	case "suite":
-		opt := experiments.Options{
-			Seed:          p.spec.Seed,
-			Apps:          p.spec.Apps,
-			RUs:           p.spec.RUs,
-			Latency:       simtime.FromMs(p.spec.LatencyMS),
-			Parallel:      p.spec.Parallel,
-			Store:         store,
-			RequireStored: true,
-			StoreWait:     wait,
-		}
-		renderErr = RenderSuite(opt, p.selected, w)
-	case "sweep":
-		ex := sweep.Executor{
-			Workers:       p.spec.Parallel,
-			Store:         store,
-			RequireStored: true,
-			StoreWait:     wait,
-		}
-		renderErr = RenderSweepTable(p.spec.Workload, len(p.wl), p.grid, ex, w)
-	}
-	if renderErr != nil {
-		return renderErr
-	}
-	// Block until the pool drains: the last done records can trail the
-	// store writes the report consumed.
-	_, err = pw.Wait()
-	return err
+	return mergeReport(ctx, coord.Config{Backend: c.Coord()}, true, io.Discard, nil, p.render(c.Store()), w)
 }

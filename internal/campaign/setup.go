@@ -1,8 +1,6 @@
 package campaign
 
 import (
-	"io"
-	"sync"
 	"time"
 
 	"repro/internal/backendurl"
@@ -13,7 +11,7 @@ import (
 
 // Setup is the resolved campaign flag set both CLIs share (see
 // internal/cliflags.CampaignFlags.Resolve): backends opened, mode
-// exclusions enforced, one struct the mains dispatch on.
+// exclusions enforced, one struct Drive dispatches on.
 type Setup struct {
 	// Store is the opened result store, nil when unset or disabled.
 	Store *resultstore.Store
@@ -46,46 +44,4 @@ type Coord struct {
 	Shards, Workers int
 	// LeaseTTL/Heartbeat tune the lease protocol (0 = adopt/derive).
 	LeaseTTL, Heartbeat time.Duration
-}
-
-// Config builds the coord.Config for this pool with the sweep
-// fingerprint the caller computed from its full parameter set.
-func (c *Coord) Config(fingerprint string) coord.Config {
-	return coord.Config{
-		Backend: c.Backend, Shards: c.Shards,
-		LeaseTTL: c.LeaseTTL, Heartbeat: c.Heartbeat,
-		Fingerprint: fingerprint,
-	}
-}
-
-// StatusReport renders the -coord-status table (adopting the pool's
-// persisted constants).
-func (s *Setup) StatusReport() (string, error) {
-	c, err := coord.Open(coord.Config{
-		Backend: s.Coord.Backend, LeaseTTL: s.Coord.LeaseTTL, Heartbeat: s.Coord.Heartbeat,
-	})
-	if err != nil {
-		return "", err
-	}
-	st, err := c.Status()
-	if err != nil {
-		return "", err
-	}
-	return st.Render(c.Dir()), nil
-}
-
-// LockedWriter serializes writes to W. The CLIs wrap their stderr in one
-// because several goroutines report to it at once: the -coord-workers
-// claim loops and a watch merge's pool watch print progress lines while
-// the main goroutine prints its own.
-type LockedWriter struct {
-	mu sync.Mutex
-	W  io.Writer
-}
-
-// Write writes p to W under the lock.
-func (l *LockedWriter) Write(p []byte) (int, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.W.Write(p)
 }

@@ -1,6 +1,7 @@
 package coord
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -17,15 +18,16 @@ import (
 // claim timestamps and done records — so watching needs no new protocol,
 // no daemon and no cooperation from the workers.
 
-// OpenForMerge opens the pool on behalf of a merge-side consumer (the
-// CLIs' `-coord … -merge-report`). With wait set, an uninitialised state
-// directory is polled once a second until a worker initialises it —
-// announced once on out — so a watch-mode merge may start before the
-// first worker ("launch everywhere, merge anywhere, in any order"); the
-// fingerprint check still refuses a merge whose flags differ from the
-// pool's the moment the pool exists. Without wait, ErrUninitialised
-// passes through for the caller to decorate.
-func OpenForMerge(cfg Config, wait bool, out io.Writer) (*Coordinator, error) {
+// OpenForMerge opens the pool on behalf of a merge-side consumer (a
+// `-coord … -merge-report` or the server's report stream). With wait
+// set, an uninitialised pool is polled once a second until a worker
+// initialises it or ctx ends — announced once on out — so a watch-mode
+// merge may start before the first worker ("launch everywhere, merge
+// anywhere, in any order"); the fingerprint check still refuses a merge
+// whose flags differ from the pool's the moment the pool exists.
+// Without wait, ErrUninitialised passes through for the caller to
+// decorate.
+func OpenForMerge(ctx context.Context, cfg Config, wait bool, out io.Writer) (*Coordinator, error) {
 	announced := false
 	for {
 		c, err := Open(cfg)
@@ -36,13 +38,17 @@ func OpenForMerge(cfg Config, wait bool, out io.Writer) (*Coordinator, error) {
 			fmt.Fprintf(out, "merge watch: waiting for a worker to initialise %s\n", cfg.Dir)
 			announced = true
 		}
-		time.Sleep(time.Second)
+		select {
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		case <-time.After(time.Second):
+		}
 	}
 }
 
-// MergeGate is the whole merge-side drain policy behind the CLIs'
-// `-coord … -merge-report [-watch]`, kept in one place so the two CLIs
-// cannot drift: it opens the pool (OpenForMerge — with watch set a
+// MergeGate is the whole merge-side drain policy behind
+// `-coord … -merge-report [-watch]` and the server's report stream: it
+// opens the pool (OpenForMerge — with watch set a
 // not-yet-initialised pool is awaited, without it ErrUninitialised is
 // decorated with the operator hint), then either starts a background
 // PoolWatch printing progress to out (watch: the returned PoolWatch and
@@ -52,7 +58,13 @@ func OpenForMerge(cfg Config, wait bool, out io.Writer) (*Coordinator, error) {
 // already drained and refuses with the per-shard tally otherwise
 // (pw == nil in that case).
 func MergeGate(cfg Config, watch bool, out io.Writer) (c *Coordinator, pw *PoolWatch, poll time.Duration, err error) {
-	c, err = OpenForMerge(cfg, watch, out)
+	return MergeGateContext(context.Background(), cfg, watch, out)
+}
+
+// MergeGateContext is MergeGate whose wait for an uninitialised pool
+// ends with ctx.
+func MergeGateContext(ctx context.Context, cfg Config, watch bool, out io.Writer) (c *Coordinator, pw *PoolWatch, poll time.Duration, err error) {
+	c, err = OpenForMerge(ctx, cfg, watch, out)
 	if errors.Is(err, ErrUninitialised) {
 		return nil, nil, 0, fmt.Errorf("%w — no worker has initialised the pool yet (start the workers, or add -watch to wait for them)", err)
 	}

@@ -1,6 +1,7 @@
 package coord
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -264,7 +265,7 @@ func TestPoolWatchDoneVerdict(t *testing.T) {
 // straight through for the CLI to decorate.
 func TestOpenForMergeUninitialised(t *testing.T) {
 	var out syncBuffer
-	_, err := OpenForMerge(Config{Dir: t.TempDir()}, false, &out)
+	_, err := OpenForMerge(context.Background(), Config{Dir: t.TempDir()}, false, &out)
 	if err == nil || !strings.Contains(err.Error(), "not initialised") {
 		t.Fatalf("err = %v, want ErrUninitialised through", err)
 	}

@@ -106,9 +106,10 @@ func NewSequence(graphs ...*taskgraph.Graph) *SliceFeed {
 }
 
 // NewTimed builds a feed from explicit arrivals. Arrival times must be
-// non-decreasing; instances are renumbered in order.
-func NewTimed(arrivals []Item) (*SliceFeed, error) {
-	items := append([]Item(nil), arrivals...)
+// non-decreasing; instances are renumbered in order. The feed takes
+// ownership of arrivals: it renumbers them in place and reads them on
+// every run, so the caller must not modify the slice afterwards.
+func NewTimed(items []Item) (*SliceFeed, error) {
 	var prev simtime.Time
 	for i := range items {
 		if items[i].Graph == nil {
