@@ -492,7 +492,7 @@ func BenchmarkHybridVsPureRuntime(b *testing.B) {
 	b.Run("pure-runtime", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := mobility.ComputePureRuntime(g, 4, workload.PaperLatency()); err != nil {
+			if _, err := mobility.Compute(g, 4, workload.PaperLatency()); err != nil {
 				b.Fatal(err)
 			}
 			for d := 0; d < decisions; d++ {

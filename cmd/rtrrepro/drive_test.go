@@ -43,11 +43,11 @@ func TestDriveModes(t *testing.T) {
 	coordDir := filepath.Join(dir, "coord")
 	pool := append(suiteArgs, "-store", filepath.Join(dir, "store"), "-coord", coordDir)
 
-	if _, err := coord.Open(coord.Config{Dir: coordDir, Shards: 2}); err != nil {
+	if _, err := coord.Open(coord.Config{Backend: coord.NewFS(coordDir), Shards: 2}); err != nil {
 		t.Fatal(err)
 	}
 	_, _, err := rtrrepro(append(pool, "-merge-report")...)
-	if err == nil || !strings.Contains(err.Error(), "has not drained (0 done, 0 leased, 2 pending of 2 shards)") {
+	if err == nil || !strings.Contains(err.Error(), "coordinator pool "+coordDir+" has not drained (0 done, 0 leased, 2 pending of 2 shards)") {
 		t.Errorf("merge over an undrained pool: err = %v, want the refusal with its tally", err)
 	}
 

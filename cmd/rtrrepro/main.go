@@ -22,7 +22,7 @@
 // Both locators also take an rtrserved campaign URL. The modes are the
 // same for rtrsim; the internal/campaign package comment and
 // EXPERIMENTS.md §"Multi-host sweeps" tell how they work. Experiments
-// with nothing to persist (worked examples, timing tables, trace or
+// with nothing to persist (worked examples, counted tables, trace or
 // per-task-latency sweeps) run live at merge time.
 package main
 

@@ -24,12 +24,12 @@ func TestDriveModes(t *testing.T) {
 	coordDir := filepath.Join(dir, "coord")
 	pool := append(sweepArgs, "-store", filepath.Join(dir, "store"), "-coord", coordDir)
 
-	if _, err := coord.Open(coord.Config{Dir: coordDir, Shards: 2}); err != nil {
+	if _, err := coord.Open(coord.Config{Backend: coord.NewFS(coordDir), Shards: 2}); err != nil {
 		t.Fatal(err)
 	}
 	var out, errOut bytes.Buffer
 	err := run(append(pool, "-merge-report"), &out, &errOut)
-	if err == nil || !strings.Contains(err.Error(), "has not drained (0 done, 0 leased, 2 pending of 2 shards)") {
+	if err == nil || !strings.Contains(err.Error(), "coordinator pool "+coordDir+" has not drained (0 done, 0 leased, 2 pending of 2 shards)") {
 		t.Errorf("merge over an undrained pool: err = %v, want the refusal with its tally", err)
 	}
 	_, stderr := rtrsimOutput(t, pool...)

@@ -38,8 +38,6 @@ type Setup struct {
 type Coord struct {
 	// Backend is the opened pool-state backend.
 	Backend coord.Backend
-	// Locator is the raw -coord value, for operator-facing messages.
-	Locator string
 	// Shards/Workers are -coord-shards and -coord-workers.
 	Shards, Workers int
 	// LeaseTTL/Heartbeat tune the lease protocol (0 = adopt/derive).

@@ -106,8 +106,7 @@ func (f *CampaignFlags) Resolve() (campaign.Setup, error) {
 			return s, err
 		}
 		s.Coord = &campaign.Coord{
-			Backend: back, Locator: f.Coord,
-			Shards: f.CoordShards, Workers: f.CoordWorkers,
+			Backend: back, Shards: f.CoordShards, Workers: f.CoordWorkers,
 			LeaseTTL: f.LeaseTTL, Heartbeat: f.Heartbeat,
 		}
 	}

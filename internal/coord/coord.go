@@ -37,8 +37,8 @@
 //	  done.json            completion record (owner, attempts, when)
 //
 // Persistence is pluggable: the protocol runs over a Backend (Get/Put/
-// exclusive-Create/List plus the pool clock). The default FSBackend is
-// the historical on-disk format above, byte for byte; MemBackend backs
+// exclusive-Create/List plus the pool clock). FSBackend is the
+// historical on-disk format above, byte for byte; MemBackend backs
 // fake-clock -race tests and ephemeral single-process pools; and the
 // http client (internal/backendurl) reaches a pool hosted by rtrserved.
 // internal/coordtest runs the shared conformance suite against all of
@@ -85,15 +85,11 @@ const DefaultLeaseTTL = 30 * time.Second
 
 // Config opens a Coordinator.
 type Config struct {
-	// Dir is the coordinator state directory, shared by every worker of
-	// the sweep (for multi-host pools: on the same shared filesystem as
-	// the result store). Ignored when Backend is set.
-	Dir string
-	// Backend, when non-nil, is the persistence substrate the pool
-	// state lives in (and the pool's clock); nil means the default
-	// filesystem backend over Dir. Coordinators of one pool must use
-	// backends over the same state: the same directory or campaign
-	// file, or the very same MemBackend instance.
+	// Backend is the persistence substrate the pool state lives in (and
+	// the pool's clock); Open refuses a nil one. Coordinators of one
+	// pool must use backends over the same state: the same directory
+	// (NewFS), the same rtrserved campaign, or the very same MemBackend
+	// instance.
 	Backend Backend
 	// Shards is the total shard count. The first worker to open the
 	// directory persists it; later workers may pass 0 to adopt the
@@ -185,10 +181,7 @@ const stateKey = "coordinator.json"
 func Open(cfg Config) (*Coordinator, error) {
 	b := cfg.Backend
 	if b == nil {
-		if cfg.Dir == "" {
-			return nil, errors.New("coord: empty coordinator directory")
-		}
-		b = NewFS(cfg.Dir)
+		return nil, errors.New("coord: no pool backend")
 	}
 	if cfg.Shards < 0 {
 		return nil, fmt.Errorf("coord: shard count %d < 0", cfg.Shards)

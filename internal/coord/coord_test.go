@@ -231,8 +231,8 @@ func TestDeadBeforeLeaseWrite(t *testing.T) {
 
 func TestOpenValidation(t *testing.T) {
 	clk := newFakeClock()
-	if _, err := Open(Config{Dir: "", Shards: 1}); err == nil {
-		t.Error("empty dir accepted")
+	if _, err := Open(Config{Shards: 1}); err == nil {
+		t.Error("nil backend accepted")
 	}
 	dir := t.TempDir()
 	if _, err := Open(Config{Backend: fsOn(dir, clk)}); err == nil || !strings.Contains(err.Error(), "not initialised") {
@@ -445,7 +445,7 @@ func TestClaimContentionProperty(t *testing.T) {
 // TTL): every shard executed exactly once, stats consistent.
 func TestRunWorkersDrainsPool(t *testing.T) {
 	dir := t.TempDir()
-	c, err := Open(Config{Dir: dir, Shards: 9, Owner: "pool", LeaseTTL: 2 * time.Second})
+	c, err := Open(Config{Backend: NewFS(dir), Shards: 9, Owner: "pool", LeaseTTL: 2 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -485,7 +485,7 @@ func TestRunWorkersDrainsPool(t *testing.T) {
 // everything.
 func TestRunWorkersRecoversDeadLease(t *testing.T) {
 	dir := t.TempDir()
-	dead, err := Open(Config{Dir: dir, Shards: 4, Owner: "dead", LeaseTTL: 750 * time.Millisecond})
+	dead, err := Open(Config{Backend: NewFS(dir), Shards: 4, Owner: "dead", LeaseTTL: 750 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -495,7 +495,7 @@ func TestRunWorkersRecoversDeadLease(t *testing.T) {
 	}
 	// The dead worker is never heard from again.
 
-	alive, err := Open(Config{Dir: dir, Shards: 0, Owner: "alive", LeaseTTL: 750 * time.Millisecond})
+	alive, err := Open(Config{Backend: NewFS(dir), Shards: 0, Owner: "alive", LeaseTTL: 750 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -528,7 +528,7 @@ func TestRunWorkersRecoversDeadLease(t *testing.T) {
 // pool and surfaces with the shard coordinates.
 func TestRunWorkersPropagatesError(t *testing.T) {
 	dir := t.TempDir()
-	c, err := Open(Config{Dir: dir, Shards: 6, Owner: "w", LeaseTTL: time.Second})
+	c, err := Open(Config{Backend: NewFS(dir), Shards: 6, Owner: "w", LeaseTTL: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,7 @@ func OpenForMerge(ctx context.Context, cfg Config, wait bool, out io.Writer) (*C
 			return c, err
 		}
 		if !announced {
-			fmt.Fprintf(out, "merge watch: waiting for a worker to initialise %s\n", cfg.Dir)
+			fmt.Fprintf(out, "merge watch: waiting for a worker to initialise %s\n", cfg.Backend.Location())
 			announced = true
 		}
 		select {
@@ -79,7 +79,7 @@ func MergeGateContext(ctx context.Context, cfg Config, watch bool, out io.Writer
 		if !st.AllDone() {
 			done, leased, pending := st.Counts()
 			return nil, nil, 0, fmt.Errorf("coordinator pool %s has not drained (%d done, %d leased, %d pending of %d shards) — wait for the workers, or add -watch to block and render rows as shards land",
-				cfg.Dir, done, leased, pending, c.Shards())
+				cfg.Backend.Location(), done, leased, pending, c.Shards())
 		}
 		return c, nil, 0, nil
 	}

@@ -2,6 +2,7 @@ package coord
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -226,7 +227,7 @@ func TestWatcherProgressLines(t *testing.T) {
 // the printed transcript carries the per-shard lines.
 func TestPoolWatchDoneVerdict(t *testing.T) {
 	dir := t.TempDir()
-	c, err := Open(Config{Dir: dir, Shards: 1, Owner: "w", LeaseTTL: time.Minute, Heartbeat: 5 * time.Millisecond})
+	c, err := Open(Config{Backend: NewFS(dir), Shards: 1, Owner: "w", LeaseTTL: time.Minute, Heartbeat: 5 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,14 +263,25 @@ func TestPoolWatchDoneVerdict(t *testing.T) {
 }
 
 // TestOpenForMergeUninitialised: without wait, ErrUninitialised passes
-// straight through for the CLI to decorate.
+// straight through for the CLI to decorate; with wait, the one
+// announcement names the pool being waited for.
 func TestOpenForMergeUninitialised(t *testing.T) {
 	var out syncBuffer
-	_, err := OpenForMerge(context.Background(), Config{Dir: t.TempDir()}, false, &out)
+	_, err := OpenForMerge(context.Background(), Config{Backend: NewFS(t.TempDir())}, false, &out)
 	if err == nil || !strings.Contains(err.Error(), "not initialised") {
 		t.Fatalf("err = %v, want ErrUninitialised through", err)
 	}
 	if out.String() != "" {
 		t.Errorf("non-wait open wrote %q", out.String())
+	}
+
+	dir := t.TempDir()
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	if _, err := OpenForMerge(ctx, Config{Backend: NewFS(dir)}, true, &out); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("wait open = %v, want the context's end", err)
+	}
+	if want := "merge watch: waiting for a worker to initialise " + dir + "\n"; out.String() != want {
+		t.Errorf("wait open wrote %q, want %q", out.String(), want)
 	}
 }

@@ -49,7 +49,7 @@ func TestCoordinatedPopulateMergeByteIdentical(t *testing.T) {
 	// The dead worker claims a shard and is never heard from again — the
 	// pool below must wait out its lease and re-run the slice.
 	dead, err := coord.Open(coord.Config{
-		Dir: coordDir, Shards: shards, Owner: "dead-worker",
+		Backend: coord.NewFS(coordDir), Shards: shards, Owner: "dead-worker",
 		LeaseTTL: 750 * time.Millisecond,
 	})
 	if err != nil {
@@ -61,7 +61,7 @@ func TestCoordinatedPopulateMergeByteIdentical(t *testing.T) {
 	}
 
 	pool, err := coord.Open(coord.Config{
-		Dir: coordDir, Owner: "pool",
+		Backend: coord.NewFS(coordDir), Owner: "pool",
 		LeaseTTL: 750 * time.Millisecond,
 	})
 	if err != nil {

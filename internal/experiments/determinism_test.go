@@ -12,10 +12,6 @@ import (
 // scenarios run one at a time or eight at a time. Run under -race (CI
 // does) this doubles as the concurrency check for the whole
 // experiments → sweep → manager stack.
-//
-// The experiments with testing.Benchmark timing lines (table1, table2,
-// ablation's hybrid-vs-pure line) are excluded: wall-clock measurements
-// are not byte-stable even sequentially.
 func TestParallelReportsByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full grid sweep in -short mode")
@@ -25,6 +21,9 @@ func TestParallelReportsByteIdentical(t *testing.T) {
 		"fig9a":       Fig9A,
 		"fig9b":       Fig9B,
 		"fig9c":       Fig9C,
+		"table1":      TableI,
+		"table2":      TableII,
+		"ablation":    Ablation,
 		"energy":      EnergyExperiment,
 		"sensitivity": Sensitivity,
 		"prefetch":    Prefetch,

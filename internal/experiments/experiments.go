@@ -162,7 +162,7 @@ type Runner func(opt Options, w io.Writer) error
 // GridsFunc declares the cacheable sweep Specs an experiment executes,
 // so shard mode can populate a shared result store without rendering
 // the report (see Populate). Experiments with no persistable grid —
-// worked examples, timing tables, trace-consuming sweeps — have none.
+// worked examples, counted tables, trace-consuming sweeps — have none.
 type GridsFunc func(opt Options) ([]sweep.Spec, error)
 
 // Experiment couples an identifier with its runner and, for the grid
@@ -218,7 +218,7 @@ type PopulateStats struct {
 // store, a RequireStored suite run (-merge-report) renders the full
 // report byte-identical to a single-process run. Experiments without a
 // GridsFunc are skipped — they either have no grid or cannot be
-// persisted (traces, timing) and run live at merge time instead.
+// persisted (traces) and run live at merge time instead.
 func Populate(opt Options, exps []Experiment, shard sweep.Shard) (PopulateStats, error) {
 	var st PopulateStats
 	if opt.Store == nil {

@@ -141,16 +141,13 @@ func TestFig9Shapes(t *testing.T) {
 }
 
 func TestAblationReport(t *testing.T) {
-	if testing.Short() {
-		t.Skip("ablation includes timing benchmarks")
-	}
 	opt := smallOptions()
 	var buf bytes.Buffer
 	if err := Ablation(opt, &buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, frag := range []string{"window sweep", "FIFO", "MRU", "Random", "10×"} {
+	for _, frag := range []string{"window sweep", "FIFO", "MRU", "Random", "10×", "hybrid 6 decisions × 11 lookahead entries", "plus 11 design-time schedules"} {
 		if !strings.Contains(out, frag) {
 			t.Errorf("ablation report missing %q", frag)
 		}

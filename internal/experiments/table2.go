@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"testing"
 
 	"repro/internal/dynlist"
 	"repro/internal/manager"
@@ -15,70 +14,57 @@ import (
 	"repro/internal/workload"
 )
 
-// TableIIRow is one benchmark's measurements.
+// TableIIRow is one benchmark's counted costs.
 type TableIIRow struct {
 	Benchmark string
 	// InitialExecMs is the application's no-overhead execution time
 	// (paper column 2; exact: 79 / 37 / 94 ms by construction).
 	InitialExecMs float64
-	// ManagerNs approximates paper column 3 — the run-time cost of the
-	// task-graph execution manager — as the host time to drive one
-	// instance of the benchmark through the event loop.
-	ManagerNs float64
-	// ModuleNs is the run-time replacement module's worst-case decision
-	// time averaged over Dynamic List windows 1, 2 and 4 (paper column 4
-	// averages the same three configurations).
-	ModuleNs float64
-	// DesignNs is the design-time mobility calculation (paper column 6).
-	DesignNs float64
+	// ManagerEvents stands for paper column 3, the run-time cost of the
+	// task-graph execution manager: the simulator events of one isolated
+	// instance driven through the event loop (manager.Result.Events).
+	ManagerEvents uint64
+	// ModuleEntries is the run-time replacement module's worst-case
+	// decision in lookahead entries compared, averaged over Dynamic List
+	// windows 1, 2 and 4 (paper column 4 averages the same three).
+	ModuleEntries float64
+	// DesignSchedules is the design-time mobility calculation (paper
+	// column 6) in isolated schedules simulated (mobility.Table.Schedules).
+	// Each is one run like the manager column's, so DesignSchedules is
+	// also the design/manager ratio.
+	DesignSchedules int
 }
 
-// MeasureTableII produces the Table II measurements for the three
-// multimedia benchmarks on a 4-unit system.
-func MeasureTableII(opt Options) ([]TableIIRow, error) {
+// CountTableII counts the Table II costs of the three multimedia
+// benchmarks on a 4-unit system. Their host times are
+// BenchmarkTableIIManager's and BenchmarkTableIIDesignTime's.
+func CountTableII(opt Options) ([]TableIIRow, error) {
 	opt = opt.normalized()
 	rows := make([]TableIIRow, 0, 3)
 	for _, g := range workload.Multimedia() {
-		row := TableIIRow{
-			Benchmark:     g.Name(),
-			InitialExecMs: g.CriticalPath().Ms(),
+		res, err := manager.Run(manager.Config{RUs: 4, Latency: opt.Latency, Policy: policy.NewLRU()}, dynlist.NewSequence(g))
+		if err != nil {
+			return nil, err
 		}
-		// Manager cost: one full isolated instance through the event loop.
-		mres := testing.Benchmark(func(b *testing.B) {
-			cfg := manager.Config{RUs: 4, Latency: opt.Latency, Policy: policy.NewLRU()}
-			for i := 0; i < b.N; i++ {
-				if _, err := manager.Run(cfg, dynlist.NewSequence(g)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		row.ManagerNs = float64(mres.NsPerOp())
-		// Replacement module: worst-case decision, averaged over windows.
-		var moduleNs []float64
+		entries := make([]float64, 0, 3)
 		for _, w := range []int{1, 2, 4} {
 			pol, err := sweep.LocalLFD(w, true).New()
 			if err != nil {
 				return nil, err
 			}
-			wc := NewWorstCase(windowLookaheadFor(g, w))
-			bres := testing.Benchmark(func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					pol.SelectVictim(wc.Request, wc.Candidates)
-				}
-			})
-			moduleNs = append(moduleNs, float64(bres.NsPerOp()))
+			entries = append(entries, float64(countDecision(pol, NewWorstCase(windowLookaheadFor(g, w)))))
 		}
-		row.ModuleNs = metrics.Mean(moduleNs)
-		// Design-time phase: the full mobility calculation.
-		dres := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := mobility.Compute(g, 4, opt.Latency); err != nil {
-					b.Fatal(err)
-				}
-			}
+		tab, err := mobility.Compute(g, 4, opt.Latency)
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, TableIIRow{
+			Benchmark:       g.Name(),
+			InitialExecMs:   g.CriticalPath().Ms(),
+			ManagerEvents:   res.Events,
+			ModuleEntries:   metrics.Mean(entries),
+			DesignSchedules: tab.Schedules,
 		})
-		row.DesignNs = float64(dres.NsPerOp())
-		rows = append(rows, row)
 	}
 	return rows, nil
 }
@@ -93,63 +79,63 @@ func windowLookaheadFor(g *taskgraph.Graph, w int) []taskgraph.TaskID {
 	return out
 }
 
+// tableIIPaperDesignPerManager is the paper's design/manager time
+// ratio per benchmark (PowerPC @100 MHz: design 8.60/11.09/14.48 ms over
+// manager 0.87/1.02/0.88 ms).
+var tableIIPaperDesignPerManager = map[string]float64{
+	"jpeg": 8.60 / 0.87, "mpeg1": 11.09 / 1.02, "hough": 14.48 / 0.88,
+}
+
 // TableII writes the Table II report: the replacement module's run-time
-// impact per benchmark, next to the paper's PowerPC measurements.
+// impact per benchmark, counted, next to the paper's PowerPC ratios.
 func TableII(opt Options, w io.Writer) error {
-	rows, err := MeasureTableII(opt)
+	rows, err := CountTableII(opt)
 	if err != nil {
 		return err
 	}
 	section(w, "Table II — impact of the replacement module (R=4)")
-	fmt.Fprintf(w, "%-10s %12s %14s %14s %14s %16s\n",
-		"benchmark", "init (ms)", "manager ns", "module ns", "design ns", "design/module")
+	fmt.Fprintf(w, "%-10s %10s %15s %15s %15s %13s\n",
+		"benchmark", "init (ms)", "manager events", "module entries", "design/manager", "paper ratio")
 	for _, r := range rows {
-		ratio := 0.0
-		if r.ModuleNs > 0 {
-			ratio = r.DesignNs / r.ModuleNs
-		}
-		fmt.Fprintf(w, "%-10s %12.0f %14.0f %14.0f %14.0f %16.1f\n",
-			r.Benchmark, r.InitialExecMs, r.ManagerNs, r.ModuleNs, r.DesignNs, ratio)
+		fmt.Fprintf(w, "%-10s %10.0f %15d %15.1f %15d %13.1f\n",
+			r.Benchmark, r.InitialExecMs, r.ManagerEvents, r.ModuleEntries,
+			r.DesignSchedules, tableIIPaperDesignPerManager[r.Benchmark])
 	}
-	fmt.Fprintln(w, "\npaper values (PowerPC @100 MHz): init 79/37/94 ms; manager 0.87/1.02/0.88 ms;")
+	fmt.Fprintln(w, "\ndesign/manager: isolated schedules the design-time phase simulates, per isolated manager run.")
+	fmt.Fprintln(w, "paper values (PowerPC @100 MHz): init 79/37/94 ms; manager 0.87/1.02/0.88 ms;")
 	fmt.Fprintln(w, "module 0.08153 ms (avg over DL 1/2/4, 0.09–0.22 % of init); design 8.60/11.09/14.48 ms.")
-	fmt.Fprintln(w, "expected shape: module ≪ manager ≪ application; design-time 1–3 orders above module.")
+	fmt.Fprintln(w, "expected shape: the design-time phase about an order of magnitude above the manager.")
+	fmt.Fprintln(w, "(host times: BenchmarkTableIIManager, BenchmarkTableIIDesignTime)")
 	return nil
 }
 
-// MeasureHybridVsPureRuntime quantifies the abstract's 10× claim: the
-// run-time cost per application of the hybrid technique (replacement
-// decisions only, mobility precomputed) versus an equivalent purely
-// run-time technique (which must also compute mobilities on arrival).
-func MeasureHybridVsPureRuntime(opt Options) (hybridNs, pureNs float64, err error) {
+// HybridVsPure counts the abstract's 10× claim for one Hough arrival in
+// the worst case: the hybrid technique's run-time work is Decisions
+// replacement decisions of Entries lookahead entries each, and an
+// equivalent purely run-time technique does the same plus the mobility
+// calculation's Schedules isolated runs. Entries and schedules are
+// different units, so no ratio is taken; BenchmarkHybridVsPureRuntime
+// times both on the host.
+type HybridVsPure struct {
+	Decisions, Entries, Schedules int
+}
+
+// CountHybridVsPureRuntime counts HybridVsPure for the largest
+// benchmark, the paper's worst case, with one decision per task.
+func CountHybridVsPureRuntime(opt Options) (HybridVsPure, error) {
 	opt = opt.normalized()
-	g := workload.Hough() // largest benchmark: the paper's worst case
+	g := workload.Hough()
 	pol, err := sweep.LocalLFD(1, true).New()
 	if err != nil {
-		return 0, 0, err
+		return HybridVsPure{}, err
 	}
-	wc := NewWorstCase(windowLookaheadFor(g, 1))
-	decisions := g.NumTasks() // one replacement decision per task
-
-	hres := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for d := 0; d < decisions; d++ {
-				pol.SelectVictim(wc.Request, wc.Candidates)
-			}
-		}
-	})
-	hybridNs = float64(hres.NsPerOp())
-
-	pres := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := mobility.ComputePureRuntime(g, 4, opt.Latency); err != nil {
-				b.Fatal(err)
-			}
-			for d := 0; d < decisions; d++ {
-				pol.SelectVictim(wc.Request, wc.Candidates)
-			}
-		}
-	})
-	pureNs = float64(pres.NsPerOp())
-	return hybridNs, pureNs, nil
+	tab, err := mobility.Compute(g, 4, opt.Latency)
+	if err != nil {
+		return HybridVsPure{}, err
+	}
+	return HybridVsPure{
+		Decisions: g.NumTasks(),
+		Entries:   countDecision(pol, NewWorstCase(windowLookaheadFor(g, 1))),
+		Schedules: tab.Schedules,
+	}, nil
 }

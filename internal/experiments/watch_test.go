@@ -60,7 +60,7 @@ func TestWatchMergeGoldenFig9(t *testing.T) {
 	// this test exercises the waiting path, not expiry (see the dead-pool
 	// test below for that).
 	const ttl = time.Minute
-	pool, err := coord.Open(coord.Config{Dir: coordDir, Shards: 4, Owner: "workers", LeaseTTL: ttl})
+	pool, err := coord.Open(coord.Config{Backend: coord.NewFS(coordDir), Shards: 4, Owner: "workers", LeaseTTL: ttl})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestWatchMergeGoldenFig9(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mergeC, err := coord.Open(coord.Config{Dir: coordDir, Owner: "merge"})
+	mergeC, err := coord.Open(coord.Config{Backend: coord.NewFS(coordDir), Owner: "merge"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestWatchMergeDeadPoolErrors(t *testing.T) {
 	}
 	coordDir := t.TempDir()
 	const ttl = 300 * time.Millisecond
-	dead, err := coord.Open(coord.Config{Dir: coordDir, Shards: 2, Owner: "dead-worker", LeaseTTL: ttl})
+	dead, err := coord.Open(coord.Config{Backend: coord.NewFS(coordDir), Shards: 2, Owner: "dead-worker", LeaseTTL: ttl})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestWatchMergeDeadPoolErrors(t *testing.T) {
 		t.Fatal(lease, err)
 	}
 
-	mergeC, err := coord.Open(coord.Config{Dir: coordDir, Owner: "merge"})
+	mergeC, err := coord.Open(coord.Config{Backend: coord.NewFS(coordDir), Owner: "merge"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,9 +12,7 @@
 //
 // The paper performs this work at design time precisely because it is
 // orders of magnitude more expensive than a run-time replacement decision
-// (its Table II); ComputePureRuntime exists to reproduce that comparison —
-// it is the same calculation, packaged the way a purely run-time technique
-// would have to invoke it (on every arrival of a graph).
+// (its Table II).
 package mobility
 
 import (
@@ -133,15 +131,6 @@ func ComputeAll(graphs []*taskgraph.Graph, rus int, latency simtime.Time) (func(
 		tables = append(tables, t)
 	}
 	return Lookup(tables...), tables, nil
-}
-
-// ComputePureRuntime is the "equivalent purely run-time" technique the
-// paper's abstract compares against: the same mobility calculation, but
-// performed at run time on each arrival. Benchmarks call it once per
-// simulated arrival to measure the cost a purely run-time approach would
-// pay; functionally it is identical to Compute.
-func ComputePureRuntime(g *taskgraph.Graph, rus int, latency simtime.Time) (*Table, error) {
-	return Compute(g, rus, latency)
 }
 
 // String renders the table in task-ID order.

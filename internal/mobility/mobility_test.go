@@ -168,20 +168,3 @@ func TestTableString(t *testing.T) {
 		}
 	}
 }
-
-func TestPureRuntimeEquivalence(t *testing.T) {
-	g := workload.Hough()
-	a, err := Compute(g, 4, ms(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := ComputePureRuntime(g, 4, ms(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Values {
-		if a.Values[i] != b.Values[i] {
-			t.Errorf("value %d differs: %d vs %d", i, a.Values[i], b.Values[i])
-		}
-	}
-}

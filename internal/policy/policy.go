@@ -25,7 +25,8 @@
 // replacement module always has to search in the whole list"): the future
 // as a slice, where each candidate's distance is found by a linear scan,
 // front to back. Policies scan it when Future is nil, which is how the
-// Table I/II harness measures the paper's run-time cost. Both yield the
+// root benchmarks time the paper's run-time cost (the Table I/II reports
+// count the same scan through a Future of their own). Both yield the
 // same distances, so they yield the same decisions.
 package policy
 
