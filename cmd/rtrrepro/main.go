@@ -133,8 +133,8 @@ func (s suite) Render(wait *sweep.StoreWait, w io.Writer) error {
 
 // shardDigest renders the per-shard stderr line operators read to verify
 // a shard actually ran its slice: scenarios owned and executed vs
-// skipped because other shards own them. Keep the format stable — the
-// CI shard determinism gate greps it.
+// skipped because other shards own them. Keep the format stable —
+// TestEndToEnd greps it.
 func shardDigest(shard sweep.Shard, st experiments.PopulateStats) string {
 	return fmt.Sprintf("shard %s: ran %d of %d grid scenarios across %d grids (%d skipped by other shards)",
 		shard, st.Ran, st.Scenarios, st.Grids, st.SkippedByShard)

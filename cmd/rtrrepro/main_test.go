@@ -70,7 +70,7 @@ func TestCoordFingerprintSensitivity(t *testing.T) {
 	}
 }
 
-// TestShardDigestFormat pins the stderr line the CI gates grep.
+// TestShardDigestFormat pins the stderr line TestEndToEnd greps.
 func TestShardDigestFormat(t *testing.T) {
 	got := shardDigest(sweep.Shard{Index: 2, Count: 6}, experiments.PopulateStats{
 		Grids: 4, Scenarios: 82, Ran: 15, SkippedByShard: 67,

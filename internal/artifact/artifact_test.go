@@ -49,7 +49,7 @@ func TestMobilityKeyCanonical(t *testing.T) {
 // store handle over the same data) performs zero mobility computations
 // and serves identical tables.
 func TestTwoProcessReuse(t *testing.T) {
-	for _, bk := range storetest.Backends(t) {
+	for _, bk := range storetest.Backends() {
 		t.Run(bk.Name, func(t *testing.T) {
 			resetMobility(t)
 			store, reopen := bk.Open(t)

@@ -52,8 +52,9 @@ func TestMergeOffsetRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCheckpointedWriterReassembly is the byte-identity property the
-// merge-resume CI gate asserts end to end: for EVERY possible kill
+// TestCheckpointedWriterReassembly is the byte-identity property
+// cmd/rtrrepro's TestEndToEnd asserts on a killed and resumed watch
+// merge: for EVERY possible kill
 // point R, truncating the dead merge's output at R and appending a
 // resumed render (same deterministic stream, Resume=R) reproduces the
 // plain report exactly — across write-call boundaries, mid-chunk and

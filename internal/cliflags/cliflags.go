@@ -79,7 +79,7 @@ func RegisterHTTP(fs *flag.FlagSet) *backendurl.HTTPOptions {
 
 // Resolve opens the backends and enforces the mode exclusions. The
 // error messages are shared verbatim by both CLIs (several are pinned
-// by tests and CI greps).
+// by tests).
 func (f *CampaignFlags) Resolve() (campaign.Setup, error) {
 	s := campaign.Setup{
 		StoreGC:     f.StoreGC,

@@ -14,8 +14,8 @@ import (
 // logical paths identical to the historical on-disk layout
 // ("coordinator.json", "shard-0007/gen-0001.claim", …), so the fs
 // backend *is* the historical format, byte for byte, and operators
-// (and the CI self-healing gate) can keep inspecting the state
-// directory with ls.
+// (and cmd/rtrrepro's TestEndToEnd, which counts claim markers) can
+// keep inspecting the state directory with ls.
 //
 // All protocol semantics — initialise-vs-adopt, generation numbering,
 // lease expiry, the clock-skew clamp, drain verdicts — live in

@@ -299,7 +299,7 @@ type Lease struct {
 	Shard int
 	// Gen is the claim generation, 1 on the first attempt. Gen > 1 means
 	// the shard was re-claimed after a previous worker's lease expired —
-	// the attempt count the CI self-healing gate asserts on.
+	// the attempt count cmd/rtrrepro's TestEndToEnd asserts on.
 	Gen int
 }
 
@@ -613,8 +613,8 @@ func (c *Coordinator) Status() (Status, error) {
 }
 
 // Render prints the status as the operator-facing table the CLIs'
-// -coord-status flag emits (and the CI self-healing gate greps — keep
-// the format stable).
+// -coord-status flag emits (and cmd/rtrrepro's TestEndToEnd greps —
+// keep the format stable).
 func (s Status) Render(dir string) string {
 	var b strings.Builder
 	done, leased, pending := s.Counts()

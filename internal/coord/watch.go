@@ -147,7 +147,8 @@ func (c *Coordinator) Drained() (bool, error) {
 
 // Watcher diffs successive Status snapshots into the operator-facing
 // progress lines a watch-mode merge prints to stderr. Line formats are
-// stable — the CI watch gate greps them:
+// stable — cmd/rtrrepro's TestEndToEnd greps the drained line and
+// TestWatcherProgressLines pins them all:
 //
 //	merge watch: DIR: 2/6 shards done, 3 leased, 1 pending
 //	merge watch: shard 4 leased by hostA-11 (attempt 1)

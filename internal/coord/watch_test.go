@@ -135,7 +135,7 @@ func TestCheckDrainedClampsFutureCompletions(t *testing.T) {
 }
 
 // TestWatcherProgressLines pins the stderr lines a watch-mode merge
-// prints (the CI watch gate greps the counts and drained formats): one
+// prints (cmd/rtrrepro's TestEndToEnd greps the drained line): one
 // counts line whenever the tally changes, one line per shard transition
 // — leased, done, lease expired, re-leased at the next attempt — and
 // the final drained line.

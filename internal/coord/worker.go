@@ -20,8 +20,9 @@ type RunStats struct {
 }
 
 // Summary renders the one-line epilogue both CLIs print to stderr after
-// a successful RunWorkers (and the CI self-healing gate may grep — keep
-// the format stable, and keep it here so the CLIs cannot drift apart).
+// a successful RunWorkers (and cmd/rtrrepro's TestDriveModes greps —
+// keep the format stable, and keep it here so the CLIs cannot drift
+// apart).
 func (s RunStats) Summary(shards int) string {
 	return fmt.Sprintf("coord pool drained: all %d shards done; this process completed %d (%d recovered from expired leases)",
 		shards, s.Completed, s.Recovered)

@@ -3,9 +3,9 @@ package coordtest
 import "testing"
 
 // TestConformance runs the shared suite against every registered
-// backend (honoring the RTR_BACKEND filter the CI matrix sets).
+// backend.
 func TestConformance(t *testing.T) {
-	for _, b := range Backends(t) {
+	for _, b := range Backends() {
 		t.Run(b.Name, func(t *testing.T) { Conformance(t, b) })
 	}
 }

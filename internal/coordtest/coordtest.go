@@ -11,7 +11,6 @@
 package coordtest
 
 import (
-	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -23,15 +22,9 @@ import (
 	"repro/internal/storetest"
 )
 
-// EnvFilter is the environment variable the CI backend matrix sets to
-// restrict the registry: a comma list of backend names ("fs", "mem",
-// "fault", "http"). Empty or unset runs all of them.
-const EnvFilter = "RTR_BACKEND"
-
 // Backend is one registered coordinator backend under test.
 type Backend struct {
-	// Name is the registry (and CI matrix) name: "fs", "mem",
-	// "fault", "http".
+	// Name is the subtest name: "fs", "mem", "fault", "http".
 	Name string
 	// New creates one fresh, empty pool state and returns a handle
 	// factory: every call yields a coord.Backend over that same state
@@ -51,7 +44,9 @@ type reclocked struct {
 
 func (r reclocked) Now() time.Time { return r.clk() }
 
-func registry() []Backend {
+// Backends returns every registered coordinator backend: fs, mem, the
+// fault-injection decorator and http.
+func Backends() []Backend {
 	return []Backend{
 		{
 			Name: "fs",
@@ -112,36 +107,6 @@ func registry() []Backend {
 			},
 		},
 	}
-}
-
-// Backends returns the registered backends, filtered by the EnvFilter
-// environment variable when set (same contract as storetest.Backends).
-func Backends(tb testing.TB) []Backend {
-	all := registry()
-	filter := strings.TrimSpace(os.Getenv(EnvFilter))
-	if filter == "" {
-		return all
-	}
-	byName := make(map[string]Backend, len(all))
-	for _, b := range all {
-		byName[b.Name] = b
-	}
-	var out []Backend
-	for _, name := range strings.Split(filter, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		b, ok := byName[name]
-		if !ok {
-			tb.Fatalf("%s=%q: unknown backend %q (have fs, mem, fault, http)", EnvFilter, filter, name)
-		}
-		out = append(out, b)
-	}
-	if len(out) == 0 {
-		tb.Fatalf("%s=%q selects no backend", EnvFilter, filter)
-	}
-	return out
 }
 
 // Clock is a race-safe fake clock shared by every worker of a test

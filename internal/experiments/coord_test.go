@@ -11,9 +11,9 @@ import (
 )
 
 // TestCoordinatedPopulateMergeByteIdentical is the in-process version of
-// the CI coord-self-healing gate: a 6-shard grid drained by a 3-worker
-// coordinator pool — with one shard pre-claimed by a simulated dead
-// worker that never heartbeats — must still produce a merge render
+// cmd/rtrrepro's TestEndToEnd/self-healing: a 6-shard grid drained by a
+// 3-worker coordinator pool — with one shard pre-claimed by a simulated
+// dead worker that never heartbeats — must still produce a merge render
 // byte-identical to a plain single-process run, with the dead worker's
 // shard recovered at attempt 2.
 func TestCoordinatedPopulateMergeByteIdentical(t *testing.T) {

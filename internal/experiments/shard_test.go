@@ -10,7 +10,8 @@ import (
 )
 
 // TestShardedPopulateMergeByteIdentical is the suite-level shard pin,
-// the property the CI gate enforces through the rtrrepro binary: N
+// the property cmd/rtrrepro's TestEndToEnd/shards checks through the
+// rtrrepro binary: N
 // shard populate runs into one store followed by a RequireStored render
 // must emit reports byte-identical to a plain single-process run —
 // covering the summary-grid path (fig9b), the NoBaseline counters path
@@ -82,8 +83,9 @@ func TestShardedPopulateMergeByteIdentical(t *testing.T) {
 	}
 }
 
-// TestFig9MergeByteIdenticalAcrossBackends is the cross-backend pin the
-// CI backend-conformance matrix enforces end to end: a sharded populate
+// TestFig9MergeByteIdenticalAcrossBackends is the in-process form of
+// cmd/rtrrepro's TestEndToEnd/shards, over every store backend the
+// storetest registry holds: a sharded populate
 // plus RequireStored merge of the fig9 grid must render byte-identically
 // no matter which store backend holds the entries. Every backend's
 // merged report is compared against the same plain single-process
@@ -106,7 +108,7 @@ func TestFig9MergeByteIdenticalAcrossBackends(t *testing.T) {
 	}
 	plain := render(base)
 
-	for _, bk := range storetest.Backends(t) {
+	for _, bk := range storetest.Backends() {
 		t.Run(bk.Name, func(t *testing.T) {
 			store, reopen := bk.Open(t)
 			const count = 2

@@ -10,8 +10,8 @@ import (
 
 // TestWarmStoreReportsByteIdentical is the experiments-level reuse pin:
 // re-running a grid experiment against a populated store must re-simulate
-// nothing and emit a byte-identical report. The CI determinism gate
-// enforces the same property end to end through the rtrrepro binary.
+// nothing and emit a byte-identical report. cmd/rtrrepro's
+// TestEndToEnd/determinism checks the same through the rtrrepro binary.
 func TestWarmStoreReportsByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("grid sweep in -short mode")

@@ -3,7 +3,7 @@
 // writes. It is the test substrate for every recovery path this module
 // promises — checkpointed resume, coord re-lease, GC of torn entries —
 // and doubles as a registered conformance decorator
-// (RTR_BACKEND=fault in internal/storetest and internal/coordtest), so
+// (the "fault" backend of internal/storetest and internal/coordtest), so
 // the backend contracts are exercised under injected timing jitter too.
 //
 // A Plan is the shared fault schedule: scripted faults (FailNext,

@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"fmt"
-	"math"
 	"slices"
 
 	"repro/internal/manager"
@@ -75,17 +74,4 @@ func percentile(sorted []simtime.Time, p int) simtime.Time {
 func (d *DelayStats) String() string {
 	return fmt.Sprintf("per-app delay over %d apps: mean %v, p50 %v, p95 %v, max %v",
 		d.Count, d.Mean, d.P50, d.P95, d.Max)
-}
-
-// Stddev computes the population standard deviation of vs.
-func Stddev(vs []float64) float64 {
-	if len(vs) == 0 {
-		return 0
-	}
-	m := Mean(vs)
-	s := 0.0
-	for _, v := range vs {
-		s += (v - m) * (v - m)
-	}
-	return math.Sqrt(s / float64(len(vs)))
 }

@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"math"
 	"strings"
 	"testing"
 
@@ -84,18 +83,5 @@ func TestPercentile(t *testing.T) {
 	}
 	if percentile(nil, 50) != 0 {
 		t.Error("empty percentile should be 0")
-	}
-}
-
-func TestStddev(t *testing.T) {
-	if Stddev(nil) != 0 {
-		t.Error("Stddev(nil)")
-	}
-	if got := Stddev([]float64{2, 2, 2}); got != 0 {
-		t.Errorf("constant stddev = %v", got)
-	}
-	got := Stddev([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if math.Abs(got-2) > 1e-12 {
-		t.Errorf("stddev = %v, want 2", got)
 	}
 }

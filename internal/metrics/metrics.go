@@ -140,15 +140,6 @@ func (t *Table) AddRow(name string, values ...string) error {
 	return nil
 }
 
-// AddFloatRow appends a series of percentages/numbers with two decimals.
-func (t *Table) AddFloatRow(name string, values ...float64) error {
-	strs := make([]string, len(values))
-	for i, v := range values {
-		strs[i] = fmt.Sprintf("%.2f", v)
-	}
-	return t.AddRow(name, strs...)
-}
-
 // String renders the table with aligned columns.
 func (t *Table) String() string {
 	head := append([]string{t.XLabel}, t.XValues...)

@@ -108,7 +108,7 @@ func TestSummaryString(t *testing.T) {
 
 func TestTable(t *testing.T) {
 	tab := NewTable("Fig 9a", "policy", "4", "5", "6")
-	if err := tab.AddFloatRow("LRU", 30.1, 31.2, 32.3); err != nil {
+	if err := tab.AddRow("LRU", "30.10", "31.20", "32.30"); err != nil {
 		t.Fatal(err)
 	}
 	if err := tab.AddRow("LFD", "45.97", "46.00", "46.10"); err != nil {

@@ -326,9 +326,9 @@ func (s *Store) SummaryLine() string {
 }
 
 // RunGC is the CLIs' shared -store-gc entry point: it garbage-collects
-// the store and returns the printable one-line digest (which the CI
-// determinism gate greps — keep the format stable). A nil store is the
-// flag-resolution error.
+// the store and returns the printable one-line digest (which
+// cmd/rtrrepro's TestEndToEnd greps — keep the format stable). A nil
+// store is the flag-resolution error.
 func RunGC(s *Store) (string, error) {
 	if s == nil {
 		return "", errors.New("-store-gc needs a store directory (-store DIR or $RTR_STORE)")

@@ -20,8 +20,8 @@ import (
 	"repro/internal/sweep"
 )
 
-// TestServiceEndToEnd is the in-process version of the CI
-// service-self-healing gate: a campaign submitted to a live control
+// TestServiceEndToEnd is the in-process version of cmd/rtrrepro's
+// TestEndToEnd/self-healing/http: a campaign submitted to a live control
 // plane, populated by two workers running entirely over http backends,
 // whose SSE row stream — collected while the workers run — must be
 // byte-identical to the plain local report. This is the property that

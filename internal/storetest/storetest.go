@@ -1,7 +1,7 @@
 // Package storetest is the result-store conformance harness: a
 // registry of every persistence backend (fs, mem, fault, http —
 // the last over a live in-process control plane) and one
-// shared suite of the behavioral properties the sweeps and CI gates
+// shared suite of the behavioral properties the sweeps
 // pin — serve/miss accounting, schema invalidation, GC's
 // keep-predicate, reopen persistence. A new backend is correct when it passes Conformance,
 // not when it resembles the FS code; backend-parameterized tests
@@ -18,7 +18,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
-	"os"
 	"reflect"
 	"strings"
 	"sync"
@@ -33,15 +32,9 @@ import (
 	"repro/internal/simtime"
 )
 
-// EnvFilter is the environment variable the CI backend matrix sets to
-// restrict the registry: a comma list of backend names ("fs", "mem",
-// "fault", "http"). Empty or unset runs all of them.
-const EnvFilter = "RTR_BACKEND"
-
 // Backend is one registered store backend under test.
 type Backend struct {
-	// Name is the registry (and CI matrix) name: "fs", "mem",
-	// "fault", "http".
+	// Name is the subtest name: "fs", "mem", "fault", "http".
 	Name string
 	// Open returns a fresh, empty store plus a reopen function that
 	// opens a second handle over the same data with fresh counters —
@@ -49,7 +42,9 @@ type Backend struct {
 	Open func(tb testing.TB) (s *resultstore.Store, reopen func(tb testing.TB) *resultstore.Store)
 }
 
-func registry() []Backend {
+// Backends returns every registered store backend: fs, mem, the
+// fault-injection decorator and http.
+func Backends() []Backend {
 	return []Backend{
 		{
 			Name: "fs",
@@ -140,38 +135,6 @@ func HTTPCampaign(tb testing.TB) (string, backendurl.HTTPOptions) {
 	ts := httptest.NewServer(srv.Handler())
 	tb.Cleanup(ts.Close)
 	return ts.URL + "/c/" + c.ID(), backendurl.HTTPOptions{Token: token}
-}
-
-// Backends returns the registered backends, filtered by the EnvFilter
-// environment variable when set. An unknown name in the filter is a
-// test fatal — a typo in the CI matrix must fail loudly, not silently
-// run nothing.
-func Backends(tb testing.TB) []Backend {
-	all := registry()
-	filter := strings.TrimSpace(os.Getenv(EnvFilter))
-	if filter == "" {
-		return all
-	}
-	byName := make(map[string]Backend, len(all))
-	for _, b := range all {
-		byName[b.Name] = b
-	}
-	var out []Backend
-	for _, name := range strings.Split(filter, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		b, ok := byName[name]
-		if !ok {
-			tb.Fatalf("%s=%q: unknown backend %q (have fs, mem, fault, http)", EnvFilter, filter, name)
-		}
-		out = append(out, b)
-	}
-	if len(out) == 0 {
-		tb.Fatalf("%s=%q selects no backend", EnvFilter, filter)
-	}
-	return out
 }
 
 // StaleifySchema rewrites every result entry in the store with an

@@ -129,7 +129,7 @@ func mustScenarioName(t *testing.T, spec Spec, i int) string {
 // TestCollectBoundedReorderWindow pins the streaming memory guarantee:
 // however large the grid, the executor never holds more dispatched-but-
 // uncollected scenarios than the reorder window — O(workers), not
-// O(grid). This is the CI memory-regression gate for SummaryCollector
+// O(grid). This is the memory-regression pin for SummaryCollector
 // sweeps.
 func TestCollectBoundedReorderWindow(t *testing.T) {
 	rus := make([]int, 0, 17)

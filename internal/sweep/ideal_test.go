@@ -231,7 +231,7 @@ func TestMergeSurvivesDamagedIdealArtifacts(t *testing.T) {
 		{"store wait", &StoreWait{Poll: time.Millisecond, Done: func() (bool, error) { return true, nil }}},
 	}
 
-	for _, bk := range storetest.Backends(t) {
+	for _, bk := range storetest.Backends() {
 		t.Run(bk.Name, func(t *testing.T) {
 			store, reopen := bk.Open(t)
 			if err := (Executor{Workers: 2, Store: store}).Collect(spec, Discard); err != nil {

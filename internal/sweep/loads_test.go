@@ -71,7 +71,7 @@ func TestWarmCollectLoadsEachEntryOnce(t *testing.T) {
 		}
 	}
 
-	for _, bk := range storetest.Backends(t) {
+	for _, bk := range storetest.Backends() {
 		t.Run(bk.Name, func(t *testing.T) {
 			base, _ := bk.Open(t)
 			counter := &loadCounter{Backend: base.Backend(), loads: make(map[string]int)}

@@ -157,7 +157,7 @@ func TestWarmRowPathServesCondensedRows(t *testing.T) {
 		}},
 	}
 
-	for _, bk := range storetest.Backends(t) {
+	for _, bk := range storetest.Backends() {
 		t.Run(bk.Name, func(t *testing.T) {
 			store, reopen := bk.Open(t)
 			cold := make(map[int][]SummaryRow)

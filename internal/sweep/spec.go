@@ -383,13 +383,3 @@ func (rs *ResultSet) At(workload, ru, latency, policy int) *Result {
 	nr, nl, np := len(rs.Spec.RUs), len(rs.Spec.Latencies), len(rs.Spec.Policies)
 	return rs.Results[((workload*nr+ru)*nl+latency)*np+policy]
 }
-
-// Summaries collects the metric summaries in spec order (nil entries when
-// the sweep ran without baselines).
-func (rs *ResultSet) Summaries() []*metrics.Summary {
-	out := make([]*metrics.Summary, len(rs.Results))
-	for i, r := range rs.Results {
-		out[i] = r.Summary
-	}
-	return out
-}

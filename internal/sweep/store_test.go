@@ -31,13 +31,13 @@ func openStore(t *testing.T) *resultstore.Store {
 // TestStoreWarmRunIdentical is the reuse pin: a second identical sweep
 // against the same store simulates nothing (every scenario is a hit) and
 // returns the cold run's summaries, delay digests included, and its run
-// counters field for field — the property the CI determinism gate
-// enforces end to end on the CLI. A hit carries no completion times and
-// no ideal baseline: those are live-only. It runs against every
+// counters field for field — the property cmd/rtrrepro's
+// TestEndToEnd/determinism checks end to end on the CLI. A hit carries
+// no completion times and no ideal baseline: those are live-only. It runs against every
 // registered store backend: serving from memory or the campaign database
 // must reproduce the fs behavior bit for bit.
 func TestStoreWarmRunIdentical(t *testing.T) {
-	for _, bk := range storetest.Backends(t) {
+	for _, bk := range storetest.Backends() {
 		t.Run(bk.Name, func(t *testing.T) {
 			spec := fig9Spec(t, 4, 5)
 			store, reopen := bk.Open(t)
@@ -257,7 +257,7 @@ func TestSchemaV3EntryMigrates(t *testing.T) {
 			key, idealRunKind, v3Ideal)
 	}
 
-	for _, bk := range storetest.Backends(t) {
+	for _, bk := range storetest.Backends() {
 		t.Run(bk.Name, func(t *testing.T) {
 			for _, old := range []struct {
 				name  string
@@ -356,7 +356,7 @@ func TestSchemaV4IdealArtifactsCollected(t *testing.T) {
 		tables = append(tables, ts...)
 	}
 
-	for _, bk := range storetest.Backends(t) {
+	for _, bk := range storetest.Backends() {
 		t.Run(bk.Name, func(t *testing.T) {
 			store, reopen := bk.Open(t)
 			if err := (Executor{Workers: 2, Store: store}).Collect(spec, Discard); err != nil {

@@ -247,9 +247,6 @@ func TestSharedBaselinesAndSummaries(t *testing.T) {
 	if r.Summary.PolicyName != "Local LFD (1) + Skip Events" || r.Summary.RUs != 5 {
 		t.Errorf("At(0,1,0,2) = %q R=%d, want skip series at R=5", r.Summary.PolicyName, r.Summary.RUs)
 	}
-	if got := rs.Summaries(); len(got) != spec.Size() || got[0] != rs.Results[0].Summary {
-		t.Error("Summaries() does not mirror spec order")
-	}
 	// Skip events actually fired at the contended point (mobility tables
 	// were wired through).
 	if skips := rs.At(0, 0, 0, 2).Run.Skips; skips == 0 {
