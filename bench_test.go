@@ -84,14 +84,9 @@ func fig9Workload(b *testing.B) (pool, seq []*taskgraph.Graph) {
 	b.Helper()
 	opt := experiments.DefaultOptions()
 	pool = workload.Multimedia()
-	feed, err := dynlist.RandomSequence(pool, opt.Apps, rand.New(rand.NewSource(opt.Seed)))
+	seq, err := dynlist.RandomSequence(pool, opt.Apps, rand.New(rand.NewSource(opt.Seed)))
 	if err != nil {
 		b.Fatal(err)
-	}
-	items := feed.Remaining()
-	seq = make([]*taskgraph.Graph, len(items))
-	for i, it := range items {
-		seq[i] = it.Graph
 	}
 	return pool, seq
 }

@@ -35,12 +35,12 @@ func main() {
 
 	switch {
 	case *seq:
-		feed, err := dynlist.RandomSequence(workload.Multimedia(), *apps, rand.New(rand.NewSource(*seed)))
+		graphs, err := dynlist.RandomSequence(workload.Multimedia(), *apps, rand.New(rand.NewSource(*seed)))
 		if err != nil {
 			fatal(err)
 		}
-		for _, it := range feed.Remaining() {
-			fmt.Printf("%4d %s\n", it.Instance, it.Graph.Name())
+		for i, g := range graphs {
+			fmt.Printf("%4d %s\n", i, g.Name())
 		}
 	case *random:
 		g, err := taskgraph.RandomLayered(fmt.Sprintf("random-%d", *seed), taskgraph.RandomConfig{

@@ -137,14 +137,8 @@ func TestEndToEnd(t *testing.T) {
 				t.Logf("try %d: the victim finished before the kill landed; retrying on a fresh pool", try)
 			}
 
-			// The watch merge starts before the survivors, and the survivors
-			// start well after the kill. A merge calls the pool dead once
-			// its newest sign of life is a TTL old; this keeps the
-			// survivors' last completion more than one idle poll (100ms)
-			// after the dead lease's, so they re-lease it first.
 			var watchOut, watchLog, bLog, cLog strings.Builder
 			merge := e.start(t, &watchOut, &watchLog, mergeArgs...)
-			time.Sleep(300 * time.Millisecond)
 			survivors := []*proc{e.start(t, io.Discard, &bLog, workerArgs...), e.start(t, io.Discard, &cLog, workerArgs...)}
 			for _, w := range append(survivors, merge) {
 				if err := w.wait(); err != nil {

@@ -16,13 +16,9 @@ import (
 // checkpoint, so a change to it would make workers of two builds refuse
 // one pool and stop checkpoints from resuming.
 func TestSweepFingerprintGolden(t *testing.T) {
-	feed, err := dynlist.RandomSequence(workload.Multimedia(), 40, rand.New(rand.NewSource(2011)))
+	multimedia, err := dynlist.RandomSequence(workload.Multimedia(), 40, rand.New(rand.NewSource(2011)))
 	if err != nil {
 		t.Fatal(err)
-	}
-	var multimedia []*taskgraph.Graph
-	for _, it := range feed.Remaining() {
-		multimedia = append(multimedia, it.Graph)
 	}
 	for _, tc := range []struct {
 		wl       string

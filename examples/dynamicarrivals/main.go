@@ -61,7 +61,7 @@ func run(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	res, err := sys.RunFeed(func() dynlist.Feed { return timed.Rewind() })
+	res, err := sys.RunArrivals(timed)
 	if err != nil {
 		return err
 	}
@@ -84,7 +84,7 @@ func run(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	res, err = sys.RunFeed(func() dynlist.Feed { return poisson.Rewind() })
+	res, err = sys.RunArrivals(poisson)
 	if err != nil {
 		return err
 	}

@@ -17,7 +17,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dynlist"
 	"repro/internal/metrics"
-	"repro/internal/taskgraph"
 	"repro/internal/workload"
 )
 
@@ -35,14 +34,9 @@ func run(w io.Writer) error {
 		seed = 42
 	)
 	pool := workload.Multimedia()
-	feed, err := dynlist.RandomSequence(pool, apps, rand.New(rand.NewSource(seed)))
+	seq, err := dynlist.RandomSequence(pool, apps, rand.New(rand.NewSource(seed)))
 	if err != nil {
 		return err
-	}
-	items := feed.Remaining()
-	seq := make([]*taskgraph.Graph, len(items))
-	for i, it := range items {
-		seq[i] = it.Graph
 	}
 	fmt.Fprintf(w, "%d applications drawn from {JPEG, MPEG-1, Hough} — %d distinct tasks on %d units\n\n",
 		apps, workload.UniverseSize(pool), rus)
@@ -58,7 +52,15 @@ func run(w io.Writer) error {
 		{"Local LFD (4) + Skip Events", core.Config{Policy: "locallfd:4", SkipEvents: true}},
 		{"LFD (clairvoyant optimum)", core.Config{Policy: "lfd"}},
 	}
-	tab := metrics.NewTable("", "policy", "reuse %", "overhead", "remaining %")
+	labels := make([]string, len(configs))
+	for i, c := range configs {
+		labels[i] = c.label
+	}
+	tab := metrics.NewStreamTable(w, metrics.StreamTableConfig{
+		XLabel:    "policy",
+		RowLabels: labels,
+		XValues:   []string{"reuse %", "overhead", "remaining %"},
+	})
 	for _, c := range configs {
 		c.cfg.RUs = rus
 		c.cfg.Latency = workload.PaperLatency()
@@ -67,14 +69,13 @@ func run(w io.Writer) error {
 			return err
 		}
 		s := res.Summary
-		if err := tab.AddRow(c.label,
+		if err := tab.Row(c.label,
 			fmt.Sprintf("%.2f", s.ReuseRate()),
 			s.Overhead().String(),
 			fmt.Sprintf("%.2f", s.RemainingOverheadPct())); err != nil {
 			return err
 		}
 	}
-	fmt.Fprint(w, tab.String())
 	fmt.Fprintln(w, "\nNote how Local LFD with skip events exceeds even clairvoyant LFD on")
 	fmt.Fprintln(w, "reuse: LFD must load as soon as possible, while the hybrid technique")
 	fmt.Fprintln(w, "may delay a load to protect a configuration it knows will be needed.")

@@ -27,8 +27,8 @@
 //     it refuses a pool that has not drained, with its tally; with
 //     -watch it renders each row the moment the pool stores its
 //     scenarios, prints per-shard progress, blocks until the pool
-//     drains and errors once the pool is dead past its lease TTL. A
-//     killed watch merge resumes from its byte-offset checkpoint
+//     drains and errors once the pool is silent for twice its lease
+//     TTL. A killed watch merge resumes from its byte-offset checkpoint
 //     ("merge checkpoint: resuming at byte offset N");
 //   - -store-gc and -coord-status: collect the store or print the
 //     pool's per-shard table, and exit.
@@ -85,16 +85,7 @@ func buildWorkload(name string, apps int, seed int64) ([]*taskgraph.Graph, error
 	case "fig3":
 		return workload.Fig3Sequence(), nil
 	case "multimedia":
-		feed, err := dynlist.RandomSequence(workload.Multimedia(), apps, rand.New(rand.NewSource(seed)))
-		if err != nil {
-			return nil, err
-		}
-		items := feed.Remaining()
-		seq := make([]*taskgraph.Graph, len(items))
-		for i, it := range items {
-			seq[i] = it.Graph
-		}
-		return seq, nil
+		return dynlist.RandomSequence(workload.Multimedia(), apps, rand.New(rand.NewSource(seed)))
 	default:
 		return nil, fmt.Errorf("unknown workload %q (want fig2, fig3 or multimedia)", name)
 	}

@@ -53,7 +53,7 @@ func Register(fs *flag.FlagSet) *CampaignFlags {
 	fs.BoolVar(&f.StoreGC, "store-gc", false, "garbage-collect the result store (stale-schema and corrupt entries) and exit")
 	fs.StringVar(&f.Shard, "shard", "", "run only shard i/N of the sweep grid into -store (e.g. \"0/2\"); renders no report")
 	fs.BoolVar(&f.Merge, "merge-report", false, "render the report purely from -store (populated by N -shard runs); a missing grid scenario is an error")
-	fs.BoolVar(&f.Watch, "watch", false, "with -coord and -merge-report: block until the pool drains, rendering each report row the moment its scenarios are stored (per-shard progress on stderr); a pool dead past its lease TTL errors instead of hanging")
+	fs.BoolVar(&f.Watch, "watch", false, "with -coord and -merge-report: block until the pool drains, rendering each report row the moment its scenarios are stored (per-shard progress on stderr); a pool silent for twice its lease TTL errors instead of hanging")
 	fs.IntVar(&f.Parallel, "parallel", 0, "concurrently simulated scenarios (0 = one per CPU; reports are identical at any setting)")
 	fs.StringVar(&f.Coord, "coord", "",
 		"shard coordinator state locator (a directory, fs:DIR, mem:, or an rtrserved campaign http(s)://HOST:PORT/c/ID): claim, heartbeat and re-lease shards from a self-healing pool into -store; every host runs this same command")

@@ -48,9 +48,9 @@
 // merge (the CLIs' `-coord … -merge-report -watch`) renders the report
 // while the pool populates the store, and decides "finished?" from the
 // done records and "still alive?" from the newest heartbeat, claim or
-// completion timestamp across the pool — older than the lease TTL means
-// no worker can still be heartbeating and the merge errors instead of
-// polling forever (CheckDrained/Drained). PoolWatch packages the polling
+// completion timestamp across the pool — older than twice the lease TTL
+// means no worker can still be heartbeating or re-claiming and the merge
+// errors instead of polling forever (CheckDrained/Drained). PoolWatch packages the polling
 // loop: background progress lines per shard transition plus a cached
 // drain verdict for the sweep executor's workers, final once drained or
 // dead. See ARCHITECTURE.md for how coordinator, result store and the

@@ -94,16 +94,19 @@ func MergeGateContext(ctx context.Context, cfg Config, watch bool, out io.Writer
 //
 //   - (true, nil) once every shard has a completion record — the pool
 //     has drained and no further store entries will arrive;
-//   - (false, nil) while the pool is live (a heartbeat, claim or
-//     completion younger than the lease TTL exists) or has not started
-//     (nothing was ever claimed — a watch launched before the first
-//     worker waits for the pool to form);
+//   - (false, nil) while the pool may be live (a heartbeat, claim or
+//     completion younger than twice the lease TTL exists) or has not
+//     started (nothing was ever claimed — a watch launched before the
+//     first worker waits for the pool to form);
 //   - (false, error) when the pool is dead: shards were claimed but the
-//     newest proof of life across the whole pool is older than the lease
-//     TTL. No worker can still be heartbeating — the same TTL rule that
-//     lets surviving workers re-claim a dead worker's shard — so the
-//     remaining shards will never finish without operator action, and a
-//     watcher must error out rather than poll forever.
+//     newest proof of life across the whole pool is older than twice the
+//     lease TTL. A dead worker's lease expires one TTL after its last
+//     heartbeat, and a survivor re-claims the shard at its next idle
+//     poll, one heartbeat interval later at most; Open refuses any
+//     heartbeat interval of a TTL or more, so a live pool shows a sign
+//     of life within two TTLs. Past that, the remaining shards will never
+//     finish without operator action, and a watcher must error out rather
+//     than poll forever.
 //
 // The dead verdict deliberately keys on pool-wide evidence, not
 // per-shard leases: between finishing one shard and claiming the next a
@@ -126,9 +129,9 @@ func (c *Coordinator) CheckDrained(st Status) (bool, error) {
 	if !claimed {
 		return false, nil // pool forming: no worker has claimed anything yet
 	}
-	if age := c.now().Sub(newest); age > c.ttl {
+	if age := c.now().Sub(newest); age > 2*c.ttl {
 		done, leased, pending := st.Counts()
-		return false, fmt.Errorf("coord: pool %s looks dead: %d done, %d leased, %d pending, and the newest heartbeat/completion is %v old (lease TTL %v) — no live worker remains; restart workers, then re-run the merge",
+		return false, fmt.Errorf("coord: pool %s looks dead: %d done, %d leased, %d pending, and the newest heartbeat/completion is %v old (over twice the lease TTL of %v) — no live worker remains; restart workers, then re-run the merge",
 			c.Dir(), done, leased, pending, age.Round(time.Millisecond), c.ttl)
 	}
 	return false, nil

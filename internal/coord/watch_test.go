@@ -31,7 +31,7 @@ func (s *syncBuffer) String() string {
 // state on the fake clock: forming (nothing claimed → wait), live
 // (fresh heartbeats → wait), between-claims gap (only a recent
 // completion as proof of life → still wait), dead (every proof of life
-// older than the TTL → error), drained (all done → true).
+// older than twice the TTL → error), drained (all done → true).
 func TestCheckDrainedLifecycle(t *testing.T) {
 	clk := newFakeClock()
 	dir := t.TempDir()
@@ -61,12 +61,12 @@ func TestCheckDrainedLifecycle(t *testing.T) {
 	}
 
 	// The worker claims the second shard and dies: once its heartbeat is
-	// older than the TTL the whole pool is evidence-dead.
+	// older than twice the TTL the whole pool is evidence-dead.
 	lease2, err := c.Claim()
 	if err != nil || lease2 == nil {
 		t.Fatal(lease2, err)
 	}
-	clk.Advance(c.LeaseTTL() + time.Second)
+	clk.Advance(2*c.LeaseTTL() + time.Second)
 	drained, err = c.Drained()
 	if drained {
 		t.Fatal("dead pool reported drained")
@@ -95,8 +95,8 @@ func TestCheckDrainedLifecycle(t *testing.T) {
 // worker whose clock runs more than one TTL fast must not keep a dead
 // pool looking alive for the whole skew — the same clamp inspect applies
 // to heartbeats. The skewed completion contributes no liveness evidence,
-// so once the genuinely-claimed shard's lease ages past the TTL the pool
-// is declared dead after one TTL of real time, not after the skew.
+// so once the genuinely-claimed shard's lease ages past twice the TTL the
+// pool is declared dead after two TTLs of real time, not after the skew.
 func TestCheckDrainedClampsFutureCompletions(t *testing.T) {
 	clk := newFakeClock()
 	dir := t.TempDir()
@@ -118,13 +118,13 @@ func TestCheckDrainedClampsFutureCompletions(t *testing.T) {
 	}
 
 	// A sane worker claims shard 1 and dies. Its lease is the pool's only
-	// real evidence; once it expires the pool must read dead despite the
-	// 48-hours-from-now completion record.
+	// real evidence; once it is two TTLs old the pool must read dead
+	// despite the 48-hours-from-now completion record.
 	lease2, err := c.Claim()
 	if err != nil || lease2 == nil {
 		t.Fatal(lease2, err)
 	}
-	clk.Advance(c.LeaseTTL() + time.Second)
+	clk.Advance(2*c.LeaseTTL() + time.Second)
 	drained, err := c.Drained()
 	if drained {
 		t.Fatal("dead pool reported drained")
@@ -181,10 +181,11 @@ func TestWatcherProgressLines(t *testing.T) {
 	mustContain(tick(), "0/2 shards done, 1 leased, 1 pending",
 		"merge watch: shard 0 leased by hostA-1 (attempt 1)")
 
-	// The leaseholder dies. The expiry tick reports the transition AND
-	// the dead-pool verdict (no other worker is alive to keep the pool's
-	// evidence fresh) — a watcher on a genuinely dead pool errors here.
-	clk.Advance(c.LeaseTTL() + time.Second)
+	// The leaseholder dies. Two TTLs later, the expiry tick reports the
+	// transition AND the dead-pool verdict (no other worker is alive to
+	// keep the pool's evidence fresh) — a watcher on a genuinely dead pool
+	// errors here.
+	clk.Advance(2*c.LeaseTTL() + time.Second)
 	expLines, expDrained, expErr := w.Tick()
 	if expDrained || expErr == nil || !strings.Contains(expErr.Error(), "looks dead") {
 		t.Fatalf("expiry tick = (drained=%v, err=%v), want the dead verdict", expDrained, expErr)

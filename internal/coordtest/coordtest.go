@@ -317,12 +317,18 @@ func Conformance(t *testing.T, b Backend) {
 		if drained, err := c.Drained(); drained || err != nil {
 			t.Fatalf("between claims: drained=%v err=%v, want wait", drained, err)
 		}
-		// A claimed shard whose evidence ages past the TTL → dead verdict.
+		// A claimed shard whose evidence ages past twice the TTL → dead
+		// verdict; one TTL is not enough, since a survivor may still be
+		// on its way to re-claim the shard.
 		lease2, err := c.Claim()
 		if err != nil || lease2 == nil {
 			t.Fatal(lease2, err)
 		}
 		clk.Advance(ttl + time.Second)
+		if drained, err := c.Drained(); drained || err != nil {
+			t.Fatalf("one TTL of silence: drained=%v err=%v, want wait", drained, err)
+		}
+		clk.Advance(ttl)
 		drained, err := c.Drained()
 		if drained || err == nil || !strings.Contains(err.Error(), "looks dead") {
 			t.Fatalf("dead pool verdict = (%v, %v), want the 'looks dead' error", drained, err)
@@ -337,6 +343,41 @@ func Conformance(t *testing.T, b Backend) {
 		}
 		if drained, err := c.Drained(); !drained || err != nil {
 			t.Fatalf("finished pool: drained=%v err=%v, want true", drained, err)
+		}
+
+		// A survivor finishes its shard less than one heartbeat after the
+		// victim's last heartbeat. One TTL after that completion the
+		// victim's lease has expired, but the survivor re-claims the
+		// shard only at its next idle poll, up to one heartbeat later:
+		// the pool is live, so a watcher polling in that gap must wait.
+		newPool := b.New(t)
+		victim := open(t, newPool(clk.Now), 2, "victim")
+		survivor := open(t, newPool(clk.Now), 0, "survivor")
+		hb := survivor.HeartbeatInterval()
+		if _, err := victim.Claim(); err != nil {
+			t.Fatal(err)
+		}
+		own, err := survivor.Claim()
+		if err != nil || own == nil {
+			t.Fatal(own, err)
+		}
+		clk.Advance(hb / 2)
+		if err := own.Done(); err != nil {
+			t.Fatal(err)
+		}
+		clk.Advance(ttl + hb/4)
+		if drained, err := survivor.Drained(); drained || err != nil {
+			t.Fatalf("before the survivor's re-claim: drained=%v err=%v, want wait", drained, err)
+		}
+		taken, err := survivor.Claim()
+		if err != nil || taken == nil || taken.Gen != 2 {
+			t.Fatalf("survivor re-claim = %v, %v, want generation 2", taken, err)
+		}
+		if err := taken.Done(); err != nil {
+			t.Fatal(err)
+		}
+		if drained, err := survivor.Drained(); !drained || err != nil {
+			t.Fatalf("healed pool: drained=%v err=%v, want true", drained, err)
 		}
 	})
 
@@ -423,7 +464,7 @@ func Conformance(t *testing.T, b Backend) {
 		if err != nil || lease2 == nil {
 			t.Fatal(lease2, err)
 		}
-		clk.Advance(ttl + time.Second)
+		clk.Advance(2*ttl + time.Second)
 		drained, err := sane.Drained()
 		if drained || err == nil || !strings.Contains(err.Error(), "looks dead") {
 			t.Fatalf("future-skewed completion masked the dead pool: (%v, %v)", drained, err)

@@ -18,12 +18,13 @@
 //	res, _ := sys.Run(sequence...)        // run-time phase
 //	fmt.Println(res.Summary)
 //
-// Run executes the workload as a one-scenario sweep on the sweep
-// executor, the same code that runs every figure's grid, so a result is
-// exactly what a sweep reports for that configuration. Every result
-// carries the paper's overhead metrics alongside the raw counters: the
-// executor computes the zero-latency ideal baseline by the per-template
-// recurrence of manager.Runner.Ideal.
+// Run, and RunArrivals for timed arrivals (dynlist.NewTimed,
+// dynlist.RandomArrivals), execute the workload as a one-scenario sweep
+// on the sweep executor, the same code that runs every figure's grid,
+// so a result is exactly what a sweep reports for that configuration.
+// Every result carries the paper's overhead metrics alongside the raw
+// counters: the executor computes the zero-latency ideal baseline by the
+// per-template recurrence of manager.Runner.Ideal.
 //
 // Design-time mobility tables are served from the process-wide memoized
 // cache in internal/mobility, keyed by (template, RUs, latency): Systems
@@ -143,15 +144,16 @@ func (s *System) Run(seq ...*taskgraph.Graph) (*Result, error) {
 	return s.run(sweep.Workload{Seq: seq})
 }
 
-// RunFeed executes an arbitrary arrival feed, such as dynlist.NewTimed or
-// dynlist.RandomArrivals. mkFeed is called once and its feed drained; the
-// ideal baseline replays the same arrival times.
-func (s *System) RunFeed(mkFeed func() dynlist.Feed) (*Result, error) {
-	var w sweep.Workload
-	feed := mkFeed()
-	for it, ok := feed.Next(); ok; it, ok = feed.Next() {
-		w.Seq = append(w.Seq, it.Graph)
-		w.Arrivals = append(w.Arrivals, it.Arrival)
+// RunArrivals executes timed arrivals, such as those of dynlist.NewTimed
+// or dynlist.RandomArrivals; the ideal baseline replays the same arrival
+// times. It only reads arrivals.
+func (s *System) RunArrivals(arrivals []dynlist.Item) (*Result, error) {
+	w := sweep.Workload{
+		Seq:      make([]*taskgraph.Graph, len(arrivals)),
+		Arrivals: make([]simtime.Time, len(arrivals)),
+	}
+	for i, it := range arrivals {
+		w.Seq[i], w.Arrivals[i] = it.Graph, it.Arrival
 	}
 	return s.run(w)
 }

@@ -120,20 +120,20 @@ func TestPrepareIdempotentAndValidates(t *testing.T) {
 	}
 }
 
-func TestRunFeed(t *testing.T) {
+func TestRunArrivals(t *testing.T) {
 	sys, err := NewSystem(Config{RUs: 4, Latency: ms(4), Policy: "lru"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	g := workload.JPEG()
-	mk := func() dynlist.Feed {
-		f, _ := dynlist.NewTimed([]dynlist.Item{
-			{Graph: g, Arrival: 0},
-			{Graph: g, Arrival: ms(500)},
-		})
-		return f
+	arrivals, err := dynlist.NewTimed([]dynlist.Item{
+		{Graph: g, Arrival: 0},
+		{Graph: g, Arrival: ms(500)},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	res, err := sys.RunFeed(mk)
+	res, err := sys.RunArrivals(arrivals)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,7 @@ import (
 // a Poisson arrival process, the standard model for the "highly dynamic
 // environments" the paper targets. The first application arrives at time
 // zero so the system starts busy. Generation is fully determined by rng.
-func RandomArrivals(pool []*taskgraph.Graph, n int, meanGap simtime.Time, rng *rand.Rand) (*SliceFeed, error) {
+func RandomArrivals(pool []*taskgraph.Graph, n int, meanGap simtime.Time, rng *rand.Rand) ([]Item, error) {
 	if len(pool) == 0 {
 		return nil, fmt.Errorf("dynlist: empty graph pool")
 	}
@@ -33,5 +33,5 @@ func RandomArrivals(pool []*taskgraph.Graph, n int, meanGap simtime.Time, rng *r
 		}
 		items[i] = Item{Graph: pool[rng.Intn(len(pool))], Arrival: at, Instance: i}
 	}
-	return &SliceFeed{items: items}, nil
+	return items, nil
 }

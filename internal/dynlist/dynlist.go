@@ -3,11 +3,12 @@
 // application is not part of the DL; Local LFD's lookahead window is a
 // prefix of the DL.
 //
-// Applications enter the DL through a Feed — a source of time-stamped
-// arrivals. A static benchmark sequence (the paper's 500-application
-// experiments) is a feed whose arrivals all occur at time zero; dynamic
-// scenarios use later timestamps, reproducing the behaviour of Fig. 1
-// where new applications are enqueued while others run.
+// Applications enter the DL from an arrival list: a []Item, known in full
+// before the run, in arrival order. A static benchmark sequence (the
+// paper's 500-application experiments) is a list whose arrivals all occur
+// at time zero; dynamic scenarios use later timestamps, reproducing the
+// behaviour of Fig. 1 where new applications are enqueued while others
+// run.
 package dynlist
 
 import (
@@ -71,45 +72,20 @@ func (l *List) Reset() {
 	l.head = 0
 }
 
-// Feed is a source of arrivals with non-decreasing timestamps.
-type Feed interface {
-	// Next returns the next arrival. ok is false when the feed is
-	// exhausted.
-	Next() (it Item, ok bool)
-}
-
-// Oracle is implemented by feeds whose complete future is known in
-// advance; the clairvoyant LFD policy needs it.
-type Oracle interface {
-	Feed
-	// Remaining returns the arrivals not yet handed out by Next, in
-	// order. The caller must not modify the result.
-	Remaining() []Item
-}
-
-// SliceFeed is a Feed over a pre-built arrival list. It implements Oracle.
-type SliceFeed struct {
-	items []Item
-	pos   int
-}
-
-var _ Oracle = (*SliceFeed)(nil)
-
-// NewSequence builds a feed where every graph arrives at time zero, in
-// order — the shape of the paper's 500-application experiments.
-func NewSequence(graphs ...*taskgraph.Graph) *SliceFeed {
+// NewSequence returns the arrivals of graphs in order, all at time zero —
+// the shape of the paper's 500-application experiments.
+func NewSequence(graphs ...*taskgraph.Graph) []Item {
 	items := make([]Item, len(graphs))
 	for i, g := range graphs {
 		items[i] = Item{Graph: g, Instance: i}
 	}
-	return &SliceFeed{items: items}
+	return items
 }
 
-// NewTimed builds a feed from explicit arrivals. Arrival times must be
-// non-decreasing; instances are renumbered in order. The feed takes
-// ownership of arrivals: it renumbers them in place and reads them on
-// every run, so the caller must not modify the slice afterwards.
-func NewTimed(items []Item) (*SliceFeed, error) {
+// NewTimed checks explicit arrivals and numbers them in place: every item
+// needs a graph, arrival times must be non-decreasing, and Instance is set
+// to the item's position. It returns items.
+func NewTimed(items []Item) ([]Item, error) {
 	var prev simtime.Time
 	for i := range items {
 		if items[i].Graph == nil {
@@ -122,37 +98,13 @@ func NewTimed(items []Item) (*SliceFeed, error) {
 		prev = items[i].Arrival
 		items[i].Instance = i
 	}
-	return &SliceFeed{items: items}, nil
+	return items, nil
 }
-
-// Next implements Feed.
-func (f *SliceFeed) Next() (Item, bool) {
-	if f.pos >= len(f.items) {
-		return Item{}, false
-	}
-	it := f.items[f.pos]
-	f.pos++
-	return it, true
-}
-
-// Remaining implements Oracle.
-func (f *SliceFeed) Remaining() []Item { return f.items[f.pos:] }
-
-// Rewind restarts the feed from its first arrival and returns the feed,
-// so one arrival list can drive many runs (a pooled runner re-simulating
-// a scenario, a benchmark iterating) without rebuilding it.
-func (f *SliceFeed) Rewind() *SliceFeed {
-	f.pos = 0
-	return f
-}
-
-// Len returns the total number of arrivals in the feed.
-func (f *SliceFeed) Len() int { return len(f.items) }
 
 // RandomSequence draws n graphs uniformly from the pool using rng — the
 // paper's "sequence of 500 applications randomly selected from our set of
 // benchmarks".
-func RandomSequence(pool []*taskgraph.Graph, n int, rng *rand.Rand) (*SliceFeed, error) {
+func RandomSequence(pool []*taskgraph.Graph, n int, rng *rand.Rand) ([]*taskgraph.Graph, error) {
 	if len(pool) == 0 {
 		return nil, fmt.Errorf("dynlist: empty graph pool")
 	}
@@ -163,5 +115,5 @@ func RandomSequence(pool []*taskgraph.Graph, n int, rng *rand.Rand) (*SliceFeed,
 	for i := range graphs {
 		graphs[i] = pool[rng.Intn(len(pool))]
 	}
-	return NewSequence(graphs...), nil
+	return graphs, nil
 }

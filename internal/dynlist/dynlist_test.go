@@ -2,6 +2,7 @@ package dynlist
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/simtime"
@@ -44,42 +45,31 @@ func TestListFIFO(t *testing.T) {
 
 func TestNewSequence(t *testing.T) {
 	a, b := g("a", 1, 1), g("b", 10, 1)
-	f := NewSequence(a, b)
-	if f.Len() != 2 {
-		t.Fatalf("Len = %d", f.Len())
-	}
-	if rem := f.Remaining(); len(rem) != 2 {
-		t.Fatalf("Remaining = %d", len(rem))
-	}
-	it, ok := f.Next()
-	if !ok || it.Graph != a || it.Instance != 0 || it.Arrival != 0 {
-		t.Errorf("first = %+v", it)
-	}
-	if rem := f.Remaining(); len(rem) != 1 || rem[0].Graph != b {
-		t.Errorf("Remaining after one = %v", rem)
-	}
-	it, ok = f.Next()
-	if !ok || it.Instance != 1 {
-		t.Errorf("second = %+v", it)
-	}
-	if _, ok := f.Next(); ok {
-		t.Error("exhausted feed returned ok")
+	items := NewSequence(a, b)
+	want := []Item{{Graph: a, Instance: 0}, {Graph: b, Instance: 1}}
+	if !slices.Equal(items, want) {
+		t.Errorf("NewSequence = %+v, want %+v", items, want)
 	}
 }
 
 func TestNewTimed(t *testing.T) {
 	a := g("a", 1, 1)
-	f, err := NewTimed([]Item{
-		{Graph: a, Arrival: ms(0)},
+	in := []Item{
+		{Graph: a, Arrival: ms(0), Instance: 7},
 		{Graph: a, Arrival: ms(5)},
 		{Graph: a, Arrival: ms(5)},
-	})
+	}
+	items, err := NewTimed(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	it, _ := f.Next()
-	if it.Instance != 0 {
-		t.Errorf("instances not renumbered: %+v", it)
+	for i, it := range items {
+		if it.Instance != i {
+			t.Errorf("item %d numbered %d", i, it.Instance)
+		}
+	}
+	if &items[0] != &in[0] {
+		t.Error("NewTimed copied the items instead of numbering them in place")
 	}
 
 	if _, err := NewTimed([]Item{{Graph: a, Arrival: ms(5)}, {Graph: a, Arrival: ms(1)}}); err == nil {
@@ -92,22 +82,20 @@ func TestNewTimed(t *testing.T) {
 
 func TestRandomSequence(t *testing.T) {
 	pool := []*taskgraph.Graph{g("a", 1, 1), g("b", 10, 2), g("c", 20, 3)}
-	f1, err := RandomSequence(pool, 100, rand.New(rand.NewSource(5)))
+	s1, err := RandomSequence(pool, 100, rand.New(rand.NewSource(5)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	f2, _ := RandomSequence(pool, 100, rand.New(rand.NewSource(5)))
-	if f1.Len() != 100 {
-		t.Fatalf("Len = %d", f1.Len())
+	s2, _ := RandomSequence(pool, 100, rand.New(rand.NewSource(5)))
+	if len(s1) != 100 {
+		t.Fatalf("len = %d", len(s1))
+	}
+	if !slices.Equal(s1, s2) {
+		t.Fatal("same seed diverged")
 	}
 	seen := map[string]bool{}
-	for i := 0; i < 100; i++ {
-		a, _ := f1.Next()
-		b, _ := f2.Next()
-		if a.Graph != b.Graph {
-			t.Fatalf("same seed diverged at %d", i)
-		}
-		seen[a.Graph.Name()] = true
+	for _, graph := range s1 {
+		seen[graph.Name()] = true
 	}
 	if len(seen) != 3 {
 		t.Errorf("only %d of 3 graphs drawn in 100 samples", len(seen))
@@ -123,11 +111,10 @@ func TestRandomSequence(t *testing.T) {
 
 func TestRandomArrivals(t *testing.T) {
 	pool := []*taskgraph.Graph{g("a", 1, 1), g("b", 10, 2)}
-	f, err := RandomArrivals(pool, 50, ms(20), rand.New(rand.NewSource(4)))
+	items, err := RandomArrivals(pool, 50, ms(20), rand.New(rand.NewSource(4)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	items := f.Remaining()
 	if len(items) != 50 {
 		t.Fatalf("len = %d", len(items))
 	}
@@ -152,19 +139,16 @@ func TestRandomArrivals(t *testing.T) {
 		t.Errorf("span %v implausible for mean gap 20 ms", total)
 	}
 	// Deterministic per seed.
-	f2, _ := RandomArrivals(pool, 50, ms(20), rand.New(rand.NewSource(4)))
-	items2 := f2.Remaining()
-	for i := range items {
-		if items[i].Arrival != items2[i].Arrival || items[i].Graph != items2[i].Graph {
-			t.Fatalf("seeded arrivals diverged at %d", i)
-		}
+	items2, _ := RandomArrivals(pool, 50, ms(20), rand.New(rand.NewSource(4)))
+	if !slices.Equal(items, items2) {
+		t.Fatal("seeded arrivals diverged")
 	}
 	// Zero gap means everything arrives at once.
-	f3, err := RandomArrivals(pool, 5, 0, rand.New(rand.NewSource(1)))
+	items3, err := RandomArrivals(pool, 5, 0, rand.New(rand.NewSource(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, it := range f3.Remaining() {
+	for _, it := range items3 {
 		if it.Arrival != 0 {
 			t.Errorf("zero-gap arrival at %v", it.Arrival)
 		}

@@ -47,39 +47,3 @@ func TestListReset(t *testing.T) {
 		t.Errorf("At(0).Instance = %d after Reset+Push", it.Instance)
 	}
 }
-
-// TestSliceFeedRewind: a rewound feed replays the identical arrival
-// stream, so one feed can drive many runs.
-func TestSliceFeedRewind(t *testing.T) {
-	g := taskgraph.Chain("g", 1, simtime.FromMs(1))
-	f := NewSequence(g, g, g)
-	var first []int
-	for {
-		it, ok := f.Next()
-		if !ok {
-			break
-		}
-		first = append(first, it.Instance)
-	}
-	if len(first) != 3 {
-		t.Fatalf("drained %d items, want 3", len(first))
-	}
-	if f.Rewind() != f {
-		t.Error("Rewind should return the receiver")
-	}
-	for i := 0; ; i++ {
-		it, ok := f.Next()
-		if !ok {
-			if i != len(first) {
-				t.Fatalf("replay ended after %d items, want %d", i, len(first))
-			}
-			break
-		}
-		if it.Instance != first[i] {
-			t.Fatalf("replay item %d: instance %d, want %d", i, it.Instance, first[i])
-		}
-	}
-	if len(f.Remaining()) != 0 {
-		t.Error("Remaining not empty after full replay")
-	}
-}

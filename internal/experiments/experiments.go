@@ -119,14 +119,9 @@ func (o Options) Workload() (pool, seq []*taskgraph.Graph, err error) {
 		return nil, nil, err
 	}
 	rng := rand.New(rand.NewSource(o.Seed))
-	feed, err := dynlist.RandomSequence(pool, o.Apps, rng)
+	seq, err = dynlist.RandomSequence(pool, o.Apps, rng)
 	if err != nil {
 		return nil, nil, err
-	}
-	items := feed.Remaining()
-	seq = make([]*taskgraph.Graph, len(items))
-	for i, it := range items {
-		seq[i] = it.Graph
 	}
 	return pool, seq, nil
 }

@@ -111,8 +111,8 @@ func TestWatchMergeGoldenFig9(t *testing.T) {
 
 // TestWatchMergeDeadPoolErrors is the liveness half: a watch merge
 // against a pool whose only worker claimed a shard and died must fail
-// with the dead-pool verdict once the lease TTL passes — an error, never
-// a hang.
+// with the dead-pool verdict once twice the lease TTL passes — an error,
+// never a hang.
 func TestWatchMergeDeadPoolErrors(t *testing.T) {
 	if testing.Short() {
 		t.Skip("grid sweeps in -short mode")

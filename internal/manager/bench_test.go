@@ -26,14 +26,9 @@ import (
 // loop the tests in reuse_test.go pin to zero allocations.
 func BenchmarkEventLoop(b *testing.B) {
 	pool := workload.Multimedia()
-	feed, err := dynlist.RandomSequence(pool, 500, rand.New(rand.NewSource(20110516)))
+	seq, err := dynlist.RandomSequence(pool, 500, rand.New(rand.NewSource(20110516)))
 	if err != nil {
 		b.Fatal(err)
-	}
-	items := feed.Remaining()
-	seq := make([]*taskgraph.Graph, len(items))
-	for i, it := range items {
-		seq[i] = it.Graph
 	}
 	local, err := policy.NewLocalLFD(1)
 	if err != nil {
@@ -67,7 +62,7 @@ func BenchmarkEventLoop(b *testing.B) {
 				if err := r.Reset(cfg); err != nil {
 					b.Fatal(err)
 				}
-				if err := r.start(run.Rewind()); err != nil {
+				if err := r.start(run); err != nil {
 					b.Fatal(err)
 				}
 				if err := r.loop(); err != nil {

@@ -162,11 +162,11 @@ func TestFutureMatchesLookahead(t *testing.T) {
 		for _, r := range []*Runner{NewRunner(), reused} {
 			p := &scanChecked{Policy: inner, t: t, r: r}
 			cfg.Policy = p
-			feed, err := dynlist.NewTimed(items)
+			arrivals, err := dynlist.NewTimed(items)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := r.Run(cfg, feed); err != nil {
+			if _, err := r.Run(cfg, arrivals); err != nil {
 				t.Fatalf("trial %d (%s): %v", trial, inner.Name(), err)
 			}
 			decisions += p.decisions
@@ -182,22 +182,9 @@ func TestFutureMatchesLookahead(t *testing.T) {
 	}
 }
 
-// sliceFeed hands out items exactly as given, unlike dynlist.NewTimed,
-// which validates and renumbers them.
-type sliceFeed []dynlist.Item
-
-func (f *sliceFeed) Next() (dynlist.Item, bool) {
-	if len(*f) == 0 {
-		return dynlist.Item{}, false
-	}
-	it := (*f)[0]
-	*f = (*f)[1:]
-	return it, true
-}
-
 // TestStartRejectsOutOfOrderArrivals pins the invariant the next-use
 // index relies on: arrivals come in instance order with non-decreasing
-// times, and a feed that breaks it is refused with an error naming the
+// times, and a list that breaks it is refused with an error naming the
 // offending arrival — before anything is simulated. Runner.Ideal refuses
 // it with the same error.
 func TestStartRejectsOutOfOrderArrivals(t *testing.T) {
@@ -212,23 +199,21 @@ func TestStartRejectsOutOfOrderArrivals(t *testing.T) {
 	}
 	for name, items := range cases {
 		t.Run(name, func(t *testing.T) {
-			feed := sliceFeed(items)
-			_, err := NewRunner().Run(Config{RUs: 2, Latency: ms(4), Policy: policy.NewLFD()}, &feed)
+			_, err := NewRunner().Run(Config{RUs: 2, Latency: ms(4), Policy: policy.NewLFD()}, items)
 			if err == nil {
 				t.Fatal("out-of-order arrivals accepted")
 			}
 			if !strings.Contains(err.Error(), "arrival 1") {
 				t.Errorf("error %q does not name arrival 1", err)
 			}
-			feed = sliceFeed(items)
-			if _, idealErr := NewRunner().Ideal(2, &feed); idealErr == nil || idealErr.Error() != err.Error() {
+			if _, idealErr := NewRunner().Ideal(2, items); idealErr == nil || idealErr.Error() != err.Error() {
 				t.Errorf("Ideal error %v, want Run's %q", idealErr, err)
 			}
 		})
 	}
-	// The same graphs in order run fine on the same kind of feed.
-	feed := sliceFeed{{Graph: a, Instance: 0}, {Graph: b, Arrival: ms(5), Instance: 1}}
-	res, err := NewRunner().Run(Config{RUs: 2, Latency: ms(4), Policy: policy.NewLFD()}, &feed)
+	// The same graphs in order run fine.
+	inOrder := []dynlist.Item{{Graph: a, Instance: 0}, {Graph: b, Arrival: ms(5), Instance: 1}}
+	res, err := NewRunner().Run(Config{RUs: 2, Latency: ms(4), Policy: policy.NewLFD()}, inOrder)
 	if err != nil || !reflect.DeepEqual(res.Completions, []simtime.Time{ms(9), ms(18)}) {
 		t.Fatalf("in-order arrivals: %v, %v", res, err)
 	}

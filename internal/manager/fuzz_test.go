@@ -110,18 +110,15 @@ func FuzzRunnerInvariants(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, seed int64, flags uint8) {
 		cfg, items := fuzzScenario(t, seed, flags)
-		feed := func() dynlist.Feed {
-			f, err := dynlist.NewTimed(items)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return f
+		arrivals, err := dynlist.NewTimed(items)
+		if err != nil {
+			t.Fatal(err)
 		}
 		r := NewRunner()
 		if err := r.Reset(cfg); err != nil {
 			t.Fatal(err)
 		}
-		if err := r.start(feed()); err != nil {
+		if err := r.start(arrivals); err != nil {
 			t.Fatal(err)
 		}
 		type execKey struct{ instance, local int }
@@ -175,7 +172,7 @@ func FuzzRunnerInvariants(f *testing.F) {
 		if err := first.Trace.Validate(first.Templates); err != nil {
 			t.Fatalf("trace invalid: %v", err)
 		}
-		again, err := r.Run(cfg, feed())
+		again, err := r.Run(cfg, arrivals)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,19 +192,16 @@ func FuzzIdealMatchesRun(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, seed int64, flags uint8) {
 		cfg, items := fuzzScenario(t, seed, flags)
-		feed := func() dynlist.Feed {
-			f, err := dynlist.NewTimed(items)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return f
-		}
-		r := NewRunner()
-		ideal, err := r.Ideal(cfg.RUs, feed())
+		arrivals, err := dynlist.NewTimed(items)
 		if err != nil {
 			t.Fatal(err)
 		}
-		run, err := r.Run(Config{RUs: cfg.RUs, Policy: cfg.Policy}, feed())
+		r := NewRunner()
+		ideal, err := r.Ideal(cfg.RUs, arrivals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run, err := r.Run(Config{RUs: cfg.RUs, Policy: cfg.Policy}, arrivals)
 		if err != nil {
 			t.Fatal(err)
 		}

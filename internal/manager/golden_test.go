@@ -24,11 +24,11 @@ var update = flag.Bool("update", false, "rewrite the golden files under testdata
 
 const runGoldenFile = "testdata/run_golden.txt"
 
-// goldenCase is one pinned run: a configuration and the feed it consumes.
+// goldenCase is one pinned run: a configuration and the arrivals it runs.
 type goldenCase struct {
 	name string
 	cfg  Config
-	feed func() *dynlist.SliceFeed
+	feed func() []dynlist.Item
 }
 
 // goldenCases returns the configurations whose outcome digests
@@ -39,7 +39,7 @@ type goldenCase struct {
 func goldenCases(t *testing.T) []goldenCase {
 	t.Helper()
 	seq, loops := loopCases(t)
-	sequence := func() *dynlist.SliceFeed { return dynlist.NewSequence(seq...) }
+	sequence := func() []dynlist.Item { return dynlist.NewSequence(seq...) }
 	var cases []goldenCase
 	for _, c := range loops {
 		cases = append(cases, goldenCase{c.name, c.cfg, sequence})
@@ -77,7 +77,7 @@ func goldenCases(t *testing.T) []goldenCase {
 		}
 		timed = append(timed, dynlist.Item{Graph: g, Arrival: at})
 	}
-	timedFeed := func() *dynlist.SliceFeed {
+	timedFeed := func() []dynlist.Item {
 		f, err := dynlist.NewTimed(timed)
 		if err != nil {
 			t.Fatal(err)
@@ -104,7 +104,7 @@ func goldenCases(t *testing.T) []goldenCase {
 	for i := 0; i < 12; i++ {
 		ends = append(ends, equal, equal, stagger)
 	}
-	endsFeed := func() *dynlist.SliceFeed { return dynlist.NewSequence(ends...) }
+	endsFeed := func() []dynlist.Item { return dynlist.NewSequence(ends...) }
 	cases = append(cases,
 		goldenCase{"EqualEnds/LRU", Config{RUs: 5, Latency: lat, Policy: policy.NewLRU()}, endsFeed},
 		goldenCase{"EqualEnds/LocalLFD1+Skip", Config{

@@ -9,7 +9,7 @@ import (
 	"repro/internal/taskgraph"
 )
 
-// Ideal returns the zero-latency ideal run of feed on rus units, the
+// Ideal returns the zero-latency ideal run of arrivals on rus units, the
 // baseline of every reconfiguration overhead: Run at Latency 0 with no
 // skip events and no prefetch, without simulating the whole sequence.
 //
@@ -20,25 +20,17 @@ import (
 // c_k = max(arrival_k, c_{k-1}) + D(template_k) (TestIdealMatchesRun).
 // It fills Makespan, Completions, Graphs and Executed; Reused, Loads,
 // Evictions, Events and Templates stay zero or nil, since no baseline
-// reads them. The feed is checked as Run checks it, arrival by arrival,
-// without sizing any of Run's whole-sequence buffers.
-func (r *Runner) Ideal(rus int, feed dynlist.Feed) (*Result, error) {
+// reads them. The arrivals are checked as Run checks them, without sizing
+// any of Run's whole-sequence buffers.
+func (r *Runner) Ideal(rus int, arrivals []dynlist.Item) (*Result, error) {
 	if rus < 1 { // as Reset checks it
 		return nil, fmt.Errorf("manager: need at least 1 reconfigurable unit, got %d", rus)
 	}
 	cfg := Config{RUs: rus, Policy: policy.NewLRU()}
 	alone := make(map[*taskgraph.Graph]simtime.Time)
-	out := new(Result)
-	if o, ok := feed.(dynlist.Oracle); ok { // size Completions up front
-		out.Completions = make([]simtime.Time, 0, len(o.Remaining()))
-	}
+	out := &Result{Graphs: len(arrivals), Completions: make([]simtime.Time, 0, len(arrivals))}
 	var prev, done simtime.Time
-	for i := 0; ; i++ {
-		it, ok := feed.Next()
-		if !ok {
-			out.Graphs = i
-			return out, nil
-		}
+	for i, it := range arrivals {
 		if err := checkArrival(i, it, prev); err != nil {
 			return nil, err
 		}
@@ -60,4 +52,5 @@ func (r *Runner) Ideal(rus int, feed dynlist.Feed) (*Result, error) {
 		out.Makespan = max(out.Makespan, done)
 		out.Executed += it.Graph.NumTasks()
 	}
+	return out, nil
 }

@@ -31,13 +31,9 @@ func TestIdealTimingIndependentOfPolicy(t *testing.T) {
 	}
 	var workloads [][]*taskgraph.Graph
 	for seed := int64(1); seed <= 4; seed++ {
-		feed, err := dynlist.RandomSequence(workload.Multimedia(), 150, rand.New(rand.NewSource(seed)))
+		seq, err := dynlist.RandomSequence(workload.Multimedia(), 150, rand.New(rand.NewSource(seed)))
 		if err != nil {
 			t.Fatal(err)
-		}
-		var seq []*taskgraph.Graph
-		for _, it := range feed.Remaining() {
-			seq = append(seq, it.Graph)
 		}
 		workloads = append(workloads, seq)
 	}
@@ -144,13 +140,9 @@ func TestIdealMatchesRun(t *testing.T) {
 	rng := rand.New(rand.NewSource(2011))
 	var workloads [][]*taskgraph.Graph
 	for i := 0; i < 2; i++ {
-		feed, err := dynlist.RandomSequence(workload.Multimedia(), 40, rng)
+		seq, err := dynlist.RandomSequence(workload.Multimedia(), 40, rng)
 		if err != nil {
 			t.Fatal(err)
-		}
-		var seq []*taskgraph.Graph
-		for _, it := range feed.Remaining() {
-			seq = append(seq, it.Graph)
 		}
 		workloads = append(workloads, seq)
 	}
@@ -161,25 +153,22 @@ func TestIdealMatchesRun(t *testing.T) {
 	r := NewRunner()
 	for wi, seq := range workloads {
 		arrivals := map[string][]dynlist.Item{
-			"at 0":  dynlist.NewSequence(seq...).Remaining(),
+			"at 0":  dynlist.NewSequence(seq...),
 			"timed": timedItems(seq, rng),
 		}
 		for mode, items := range arrivals {
-			feed := func() dynlist.Feed {
-				f, err := dynlist.NewTimed(items)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return f
+			items, err := dynlist.NewTimed(items)
+			if err != nil {
+				t.Fatal(err)
 			}
 			for rus := 1; rus <= 12; rus++ {
-				ideal, err := r.Ideal(rus, feed())
+				ideal, err := r.Ideal(rus, items)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, mk := range policies {
 					p := mk()
-					run, err := r.Run(Config{RUs: rus, Policy: p}, feed())
+					run, err := r.Run(Config{RUs: rus, Policy: p}, items)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -284,21 +284,23 @@ type Runner struct {
 // NewRunner returns an empty Runner, ready for its first Run.
 func NewRunner() *Runner { return &Runner{preloadFor: -1} }
 
-// Run executes every application produced by feed under cfg and returns
-// the aggregated result. It is shorthand for NewRunner().Run — callers
+// Run executes the applications of arrivals under cfg and returns the
+// aggregated result. It is shorthand for NewRunner().Run — callers
 // running many simulations should hold on to one Runner instead.
-func Run(cfg Config, feed dynlist.Feed) (*Result, error) {
-	return NewRunner().Run(cfg, feed)
+func Run(cfg Config, arrivals []dynlist.Item) (*Result, error) {
+	return NewRunner().Run(cfg, arrivals)
 }
 
-// Run executes every application produced by feed under cfg and returns
-// the aggregated result. The Runner's state is fully re-initialized
-// first, so runs are independent regardless of what ran before.
-func (r *Runner) Run(cfg Config, feed dynlist.Feed) (*Result, error) {
+// Run executes the applications of arrivals under cfg and returns the
+// aggregated result. The Runner's state is fully re-initialized first, so
+// runs are independent regardless of what ran before. The Runner only
+// reads arrivals, so one slice can drive any number of runs, concurrent
+// ones on different Runners included.
+func (r *Runner) Run(cfg Config, arrivals []dynlist.Item) (*Result, error) {
 	if err := r.Reset(cfg); err != nil {
 		return nil, err
 	}
-	if err := r.start(feed); err != nil {
+	if err := r.start(arrivals); err != nil {
 		return nil, err
 	}
 	if err := r.loop(); err != nil {
@@ -349,7 +351,7 @@ func (r *Runner) Reset(cfg Config) error {
 		r.running = make([]execution, 0, cfg.RUs)
 	}
 	r.running = r.running[:0]
-	r.arrivals = r.arrivals[:0]
+	r.arrivals = nil
 	r.arrived = 0
 	r.dl.Reset()
 	r.cur = nil
@@ -374,36 +376,33 @@ func (r *Runner) Reset(cfg Config) error {
 	return nil
 }
 
-// start drains the feed, pre-sizes every per-run structure from the
+// start checks arrivals, pre-sizes every per-run structure from the
 // workload's shape, asks LatencyFor for each distinct task's latency and
-// indexes the future (for a policy that sees one).
+// indexes the future (for a policy that sees one). The run reads arrivals
+// in place and never writes to them.
 //
-// Arrivals are handled in feed order, so the next arrival is the only one
+// Arrivals are handled in order, so the next arrival is the only one
 // pending. The next-use index relies on the arrival order being the
 // instance order — the Dynamic List window is then a contiguous run of
-// instances — so a feed that numbers its items out of order or goes back
+// instances — so a list that numbers its items out of order or goes back
 // in time is rejected.
-func (r *Runner) start(feed dynlist.Feed) error {
+func (r *Runner) start(arrivals []dynlist.Item) error {
 	var (
 		maxID taskgraph.TaskID
 		tasks int
 		prev  simtime.Time
 	)
-	for i := 0; ; i++ {
-		it, ok := feed.Next()
-		if !ok {
-			break
-		}
+	for i, it := range arrivals {
 		if err := checkArrival(i, it, prev); err != nil {
 			return err
 		}
 		prev = it.Arrival
-		r.arrivals = append(r.arrivals, it)
 		if id := it.Graph.MaxTaskID(); id > maxID {
 			maxID = id
 		}
 		tasks += it.Graph.NumTasks()
 	}
+	r.arrivals = arrivals
 	r.protected.reset(maxID)
 	if r.cfg.LatencyFor != nil {
 		if err := r.tabulateLatencies(maxID); err != nil {
@@ -427,7 +426,7 @@ func (r *Runner) start(feed dynlist.Feed) error {
 	return nil
 }
 
-// checkArrival checks that it can be arrival i of a feed whose arrival
+// checkArrival checks that it can be arrival i of a list whose arrival
 // i-1 came at prev: a graph, instance number i, and no earlier than prev.
 func checkArrival(i int, it dynlist.Item, prev simtime.Time) error {
 	if it.Graph == nil {

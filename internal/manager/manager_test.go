@@ -270,14 +270,14 @@ func TestBackToBackSameGraph(t *testing.T) {
 // picked up when it arrives, not before.
 func TestDynamicArrivals(t *testing.T) {
 	g := taskgraph.Chain("c", 1, ms(2))
-	feed, err := dynlist.NewTimed([]dynlist.Item{
+	arrivals, err := dynlist.NewTimed([]dynlist.Item{
 		{Graph: g, Arrival: 0},
 		{Graph: g, Arrival: ms(100)},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(Config{RUs: 2, Latency: ms(4), Policy: policy.NewLRU(), RecordTrace: true}, feed)
+	res, err := Run(Config{RUs: 2, Latency: ms(4), Policy: policy.NewLRU(), RecordTrace: true}, arrivals)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,10 +15,10 @@ import (
 // tieArrivals puts arrivals on the instants where event order decides the
 // outcome: three at 0 ms, one at 4 ms (the end_of_reconfiguration of
 // task 1's load) and two at 6.5 ms (the end_of_execution of task 1).
-func tieArrivals(t *testing.T) *dynlist.SliceFeed {
+func tieArrivals(t *testing.T) []dynlist.Item {
 	t.Helper()
 	tg1, tg2 := workload.Fig2TG1(), workload.Fig2TG2()
-	feed, err := dynlist.NewTimed([]dynlist.Item{
+	arrivals, err := dynlist.NewTimed([]dynlist.Item{
 		{Graph: tg1, Arrival: 0},
 		{Graph: tg2, Arrival: 0},
 		{Graph: tg1, Arrival: 0},
@@ -29,7 +29,7 @@ func tieArrivals(t *testing.T) *dynlist.SliceFeed {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return feed
+	return arrivals
 }
 
 // TestEventOrderAtTies pins the pop order, the result and the trace of a
@@ -190,15 +190,15 @@ graph {Name:fig2-tg1 Instance:4 Arrived:6.5 ms Started:62.5 ms Finished:77 ms}
 graph {Name:fig2-tg2 Instance:5 Arrived:6.5 ms Started:77 ms Finished:89 ms}
 `
 
-// pops steps a run of cfg over feed to the end and returns every event it
-// handled, rendered by peekEvent.
-func pops(t *testing.T, cfg Config, feed dynlist.Feed) []string {
+// pops steps a run of cfg over arrivals to the end and returns every event
+// it handled, rendered by peekEvent.
+func pops(t *testing.T, cfg Config, arrivals []dynlist.Item) []string {
 	t.Helper()
 	r := NewRunner()
 	if err := r.Reset(cfg); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.start(feed); err != nil {
+	if err := r.start(arrivals); err != nil {
 		t.Fatal(err)
 	}
 	var out []string
@@ -215,14 +215,14 @@ func pops(t *testing.T, cfg Config, feed dynlist.Feed) []string {
 	}
 }
 
-// timedFeed builds a feed of graphs arriving at the given instants.
-func timedFeed(t *testing.T, items ...dynlist.Item) dynlist.Feed {
+// timed numbers graphs arriving at the given instants.
+func timed(t *testing.T, items ...dynlist.Item) []dynlist.Item {
 	t.Helper()
-	feed, err := dynlist.NewTimed(items)
+	arrivals, err := dynlist.NewTimed(items)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return feed
+	return arrivals
 }
 
 // wantPops fails unless got holds want as a contiguous run.
@@ -259,8 +259,8 @@ func TestKindOrderAtOneInstant(t *testing.T) {
 		AddTask(1, "a", ms(4)).
 		AddTask(2, "b", ms(4)).
 		MustBuild()
-	feed := timedFeed(t, dynlist.Item{Graph: g}, dynlist.Item{Graph: workload.Fig2TG2(), Arrival: ms(8)})
-	got := pops(t, Config{RUs: 2, Latency: ms(4), Policy: policy.NewLRU()}, feed)
+	arrivals := timed(t, dynlist.Item{Graph: g}, dynlist.Item{Graph: workload.Fig2TG2(), Arrival: ms(8)})
+	got := pops(t, Config{RUs: 2, Latency: ms(4), Policy: policy.NewLRU()}, arrivals)
 	wantPops(t, got,
 		"8 ms end_of_execution task=1 ru=0 arg=0",
 		"8 ms end_of_reconfiguration task=2 ru=1 arg=0",
@@ -273,8 +273,8 @@ func TestKindOrderAtOneInstant(t *testing.T) {
 // On one unit, task 2 can only load once task 1 ends at 2 ms.
 func TestZeroLatencyLoadBeforeArrival(t *testing.T) {
 	tg := taskgraph.Chain("chain", 1, ms(2), ms(2))
-	feed := timedFeed(t, dynlist.Item{Graph: tg}, dynlist.Item{Graph: workload.Fig2TG2(), Arrival: ms(2)})
-	got := pops(t, Config{RUs: 1, Policy: policy.NewLRU()}, feed)
+	arrivals := timed(t, dynlist.Item{Graph: tg}, dynlist.Item{Graph: workload.Fig2TG2(), Arrival: ms(2)})
+	got := pops(t, Config{RUs: 1, Policy: policy.NewLRU()}, arrivals)
 	wantPops(t, got,
 		"2 ms end_of_execution task=1 ru=0 arg=0",
 		"2 ms end_of_reconfiguration task=2 ru=0 arg=0",

@@ -127,7 +127,7 @@ func TestCrossGraphPrefetchWithSkipEvents(t *testing.T) {
 func TestCrossGraphPrefetchLateArrivals(t *testing.T) {
 	a := taskgraph.Chain("a", 1, ms(30))
 	b := taskgraph.Chain("b", 11, ms(5))
-	feed, err := dynlist.NewTimed([]dynlist.Item{
+	arrivals, err := dynlist.NewTimed([]dynlist.Item{
 		{Graph: a, Arrival: 0},
 		{Graph: b, Arrival: ms(10)}, // arrives while a executes; DL was empty before
 	})
@@ -135,7 +135,7 @@ func TestCrossGraphPrefetchLateArrivals(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := Run(Config{RUs: 2, Latency: ms(4), Policy: policy.NewLRU(),
-		CrossGraphPrefetch: true, RecordTrace: true}, feed)
+		CrossGraphPrefetch: true, RecordTrace: true}, arrivals)
 	if err != nil {
 		t.Fatal(err)
 	}

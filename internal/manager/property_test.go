@@ -165,14 +165,14 @@ func TestWorkConservation(t *testing.T) {
 func TestArrivalDuringExecution(t *testing.T) {
 	a := taskgraph.Chain("a", 1, simtime.FromMs(20))
 	b := taskgraph.Chain("b", 11, simtime.FromMs(5))
-	feed, err := dynlist.NewTimed([]dynlist.Item{
+	arrivals, err := dynlist.NewTimed([]dynlist.Item{
 		{Graph: a, Arrival: 0},
 		{Graph: b, Arrival: simtime.FromMs(10)}, // a still executing
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(Config{RUs: 2, Latency: simtime.FromMs(4), Policy: policy.NewLRU(), RecordTrace: true}, feed)
+	res, err := Run(Config{RUs: 2, Latency: simtime.FromMs(4), Policy: policy.NewLRU(), RecordTrace: true}, arrivals)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -182,7 +182,7 @@ func TestEventLoopSteadyStateAllocs(t *testing.T) {
 				if err := r.Reset(c.cfg); err != nil {
 					t.Fatal(err)
 				}
-				if err := r.start(feed.Rewind()); err != nil {
+				if err := r.start(feed); err != nil {
 					t.Fatal(err)
 				}
 				if err := r.loop(); err != nil {

@@ -16,7 +16,6 @@ package metrics
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/manager"
 	"repro/internal/simtime"
@@ -108,99 +107,6 @@ func (s *Summary) String() string {
 	return fmt.Sprintf("%s R=%d: reuse %.2f%% (%d/%d), overhead %v (%.2f%% of original), makespan %v",
 		s.PolicyName, s.RUs, s.ReuseRate(), s.Reused, s.Executed,
 		s.Overhead(), s.RemainingOverheadPct(), s.Makespan)
-}
-
-// Table accumulates rows for a text report in the shape of the paper's
-// figures: one row per series (policy), one column per x value (number of
-// units).
-type Table struct {
-	Title   string
-	XLabel  string
-	XValues []string
-	rows    []row
-}
-
-type row struct {
-	name   string
-	values []string
-}
-
-// NewTable creates a table with the given title and column headers.
-func NewTable(title, xLabel string, xValues ...string) *Table {
-	return &Table{Title: title, XLabel: xLabel, XValues: xValues}
-}
-
-// AddRow appends a series. The number of values must match the headers.
-func (t *Table) AddRow(name string, values ...string) error {
-	if len(values) != len(t.XValues) {
-		return fmt.Errorf("metrics: row %q has %d values, table has %d columns",
-			name, len(values), len(t.XValues))
-	}
-	t.rows = append(t.rows, row{name: name, values: values})
-	return nil
-}
-
-// String renders the table with aligned columns.
-func (t *Table) String() string {
-	head := append([]string{t.XLabel}, t.XValues...)
-	widths := make([]int, len(head))
-	for i, h := range head {
-		widths[i] = len(h)
-	}
-	for _, r := range t.rows {
-		if len(r.name) > widths[0] {
-			widths[0] = len(r.name)
-		}
-		for i, v := range r.values {
-			if len(v) > widths[i+1] {
-				widths[i+1] = len(v)
-			}
-		}
-	}
-	var b strings.Builder
-	if t.Title != "" {
-		b.WriteString(t.Title)
-		b.WriteByte('\n')
-	}
-	writeRow := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(&b, "%-*s", widths[i], c)
-		}
-		b.WriteByte('\n')
-	}
-	writeRow(head)
-	sep := make([]string, len(head))
-	for i := range sep {
-		sep[i] = strings.Repeat("-", widths[i])
-	}
-	writeRow(sep)
-	for _, r := range t.rows {
-		writeRow(append([]string{r.name}, r.values...))
-	}
-	return b.String()
-}
-
-// CSV renders the table as comma-separated values.
-func (t *Table) CSV() string {
-	var b strings.Builder
-	b.WriteString(t.XLabel)
-	for _, x := range t.XValues {
-		b.WriteByte(',')
-		b.WriteString(x)
-	}
-	b.WriteByte('\n')
-	for _, r := range t.rows {
-		b.WriteString(r.name)
-		for _, v := range r.values {
-			b.WriteByte(',')
-			b.WriteString(v)
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
 }
 
 // Mean returns the arithmetic mean of vs (0 for empty input).

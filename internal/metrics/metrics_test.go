@@ -106,32 +106,6 @@ func TestSummaryString(t *testing.T) {
 	}
 }
 
-func TestTable(t *testing.T) {
-	tab := NewTable("Fig 9a", "policy", "4", "5", "6")
-	if err := tab.AddRow("LRU", "30.10", "31.20", "32.30"); err != nil {
-		t.Fatal(err)
-	}
-	if err := tab.AddRow("LFD", "45.97", "46.00", "46.10"); err != nil {
-		t.Fatal(err)
-	}
-	if err := tab.AddRow("bad", "1"); err == nil {
-		t.Error("wrong-arity row accepted")
-	}
-	out := tab.String()
-	for _, frag := range []string{"Fig 9a", "policy", "LRU", "30.10", "45.97"} {
-		if !strings.Contains(out, frag) {
-			t.Errorf("table missing %q:\n%s", frag, out)
-		}
-	}
-	csv := tab.CSV()
-	if !strings.HasPrefix(csv, "policy,4,5,6\n") {
-		t.Errorf("CSV header wrong: %q", csv)
-	}
-	if !strings.Contains(csv, "LRU,30.10,31.20,32.30") {
-		t.Errorf("CSV row wrong:\n%s", csv)
-	}
-}
-
 func TestMean(t *testing.T) {
 	if Mean(nil) != 0 {
 		t.Error("Mean(nil) != 0")

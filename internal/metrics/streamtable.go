@@ -7,12 +7,11 @@ import (
 )
 
 // StreamTableConfig fixes a StreamTable's whole layout before the first
-// row exists. A buffered Table computes its column widths from the data,
-// which forces it to hold every row until the last one has landed; a
-// StreamTable instead derives the widths from what a sweep knows up
-// front — the axis headers and the row labels the grid will produce —
-// so each row can be rendered and forgotten the moment its scenarios
-// complete. That fixed layout is what lets report tables print while a
+// row exists. A table that computed its column widths from the data would
+// have to hold every row until the last one has landed; a StreamTable
+// instead derives the widths from what a sweep knows up front — the axis
+// headers and the row labels the grid will produce — so each row can be
+// rendered and forgotten the moment its scenarios complete. That fixed layout is what lets report tables print while a
 // sweep (or a multi-host populate feeding a watch-mode merge) is still
 // running, retaining O(1) rows instead of O(grid).
 type StreamTableConfig struct {
@@ -119,8 +118,7 @@ func writeCSVLine(w io.Writer, name string, values []string) error {
 
 // Row writes one row. The number of values must match the headers. When
 // the table streams CSV, a failed CSV write surfaces here (a spool file
-// can hit a full disk; the aligned table keeps the buffered Table's
-// fire-and-forget behaviour).
+// can hit a full disk; the aligned table is written fire-and-forget).
 func (t *StreamTable) Row(name string, values ...string) error {
 	if len(values) != t.ncols {
 		return fmt.Errorf("metrics: row %q has %d values, table has %d columns",

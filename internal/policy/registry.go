@@ -45,8 +45,3 @@ func Parse(spec string) (Policy, error) {
 		return nil, fmt.Errorf("policy: unknown policy %q (want lru, mru, fifo, random, lfd or locallfd:<w>)", spec)
 	}
 }
-
-// Known lists the accepted specifier forms, for CLI help text.
-func Known() []string {
-	return []string{"lru", "mru", "fifo", "random[:seed]", "lfd", "locallfd:<window>"}
-}

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"hash"
-	"math"
 )
 
 // Hash accumulates the canonical config hash of one scenario. Every
@@ -118,13 +117,6 @@ func (h *Hash) Bool(name string, v bool) {
 	if v {
 		b[0] = 1
 	}
-	h.Bytes(name, b[:])
-}
-
-// Float folds in a named float component via its IEEE-754 bits.
-func (h *Hash) Float(name string, v float64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
 	h.Bytes(name, b[:])
 }
 

@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"math"
 	"math/rand"
 	"testing"
 )
@@ -36,7 +35,7 @@ func TestHashMatchesExplicitFraming(t *testing.T) {
 		for c := rng.Intn(300); c > 0; c-- {
 			name := string(randBytes())
 			var v []byte
-			switch rng.Intn(5) {
+			switch rng.Intn(4) {
 			case 0:
 				s := string(randBytes())
 				h.String(name, s)
@@ -55,10 +54,6 @@ func TestHashMatchesExplicitFraming(t *testing.T) {
 				if b {
 					v[0] = 1
 				}
-			case 4:
-				f := rng.NormFloat64()
-				h.Float(name, f)
-				v = binary.LittleEndian.AppendUint64(nil, math.Float64bits(f))
 			}
 			frame([]byte(name))
 			frame(v)
@@ -120,7 +115,6 @@ func TestHashComponentsDoNotAllocate(t *testing.T) {
 		h.Int("seq", 7)
 		h.Ints("seq", seq)
 		h.Bool("skip_events", true)
-		h.Float("latency", 4e6)
 	})
 	if allocs != 0 {
 		t.Errorf("%v allocations per round of components, want 0", allocs)

@@ -314,12 +314,11 @@ func TestHashFramingAndDeterminism(t *testing.T) {
 		t.Error("hash not deterministic")
 	}
 	for name, other := range map[string]func(*Hash){
-		"field split":  func(h *Hash) { h.String("ab", "c") },
-		"name/value":   func(h *Hash) { h.String("abc", "") },
-		"extra field":  func(h *Hash) { h.String("a", "bc"); h.Bool("x", false) },
-		"int vs str":   func(h *Hash) { h.Int("a", 0x6362) },
-		"empty":        func(*Hash) {},
-		"float vs int": func(h *Hash) { h.Float("a", 1) },
+		"field split": func(h *Hash) { h.String("ab", "c") },
+		"name/value":  func(h *Hash) { h.String("abc", "") },
+		"extra field": func(h *Hash) { h.String("a", "bc"); h.Bool("x", false) },
+		"int vs str":  func(h *Hash) { h.Int("a", 0x6362) },
+		"empty":       func(*Hash) {},
 	} {
 		if got := digest(other); got == base {
 			t.Errorf("%s collides with base digest", name)

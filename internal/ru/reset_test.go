@@ -29,8 +29,10 @@ func TestArrayReset(t *testing.T) {
 		if i, ok := a.FirstEmpty(); !ok || i != 0 {
 			t.Fatalf("Reset(%d): first empty = %d,%v", n, i, ok)
 		}
-		if a.TotalLoads() != 0 || a.TotalReuses() != 0 {
-			t.Fatalf("Reset(%d): counters survived", n)
+		for i := range n {
+			if u := a.Unit(i); u.Loads != 0 || u.Reuses != 0 {
+				t.Fatalf("Reset(%d): unit %d counters survived", n, i)
+			}
 		}
 		a.Install(0, 7, simtime.FromMs(1))
 	}
@@ -39,24 +41,24 @@ func TestArrayReset(t *testing.T) {
 	}
 }
 
-// TestReconfiguratorReset clears in-flight state and counters and applies
-// the new latency.
+// TestReconfiguratorReset clears in-flight state and applies the new
+// latency.
 func TestReconfiguratorReset(t *testing.T) {
 	r, err := NewReconfigurator(simtime.FromMs(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.Begin(5, 1, 0)
+	r.BeginLatency(5, 1, 0, r.Latency())
 	if err := r.Reset(simtime.FromMs(2)); err != nil {
 		t.Fatal(err)
 	}
-	if !r.Idle() || r.Loads() != 0 || r.BusyTotal() != 0 {
-		t.Fatalf("state survived Reset: idle=%v loads=%d busy=%v", r.Idle(), r.Loads(), r.BusyTotal())
+	if !r.Idle() {
+		t.Fatal("in-flight load survived Reset")
 	}
 	if r.Latency() != simtime.FromMs(2) {
 		t.Errorf("latency = %v, want 2ms", r.Latency())
 	}
-	if end := r.Begin(6, 0, 0); end != simtime.FromMs(2) {
+	if end := r.BeginLatency(6, 0, 0, r.Latency()); end != simtime.FromMs(2) {
 		t.Errorf("load end = %v, want 2ms", end)
 	}
 	if err := r.Reset(-1); err == nil {

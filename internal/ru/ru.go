@@ -144,24 +144,6 @@ func (a *Array) FinishExecution(i int, at simtime.Time) {
 // CountReuse records that unit i's resident configuration is being reused.
 func (a *Array) CountReuse(i int) { a.units[i].Reuses++ }
 
-// TotalLoads sums configuration writes across all units.
-func (a *Array) TotalLoads() int {
-	n := 0
-	for i := range a.units {
-		n += a.units[i].Loads
-	}
-	return n
-}
-
-// TotalReuses sums reuses across all units.
-func (a *Array) TotalReuses() int {
-	n := 0
-	for i := range a.units {
-		n += a.units[i].Reuses
-	}
-	return n
-}
-
 // Reconfigurator is the single reconfiguration circuitry. Only one load
 // can be in flight at a time; latency is fixed per load.
 type Reconfigurator struct {
@@ -171,9 +153,6 @@ type Reconfigurator struct {
 	task      taskgraph.TaskID
 	target    int
 	busyUntil simtime.Time
-
-	loads     int
-	busyTotal simtime.Time
 }
 
 // NewReconfigurator creates a circuitry with the given per-load latency.
@@ -186,7 +165,7 @@ func NewReconfigurator(latency simtime.Time) (*Reconfigurator, error) {
 }
 
 // Reset re-initialises the circuitry for a new run with the given
-// per-load latency, clearing the in-flight load and the counters.
+// per-load latency, clearing the in-flight load.
 func (r *Reconfigurator) Reset(latency simtime.Time) error {
 	if latency < 0 {
 		return fmt.Errorf("ru: negative reconfiguration latency %v", latency)
@@ -201,15 +180,10 @@ func (r *Reconfigurator) Latency() simtime.Time { return r.latency }
 // Idle reports whether the circuitry can accept a load.
 func (r *Reconfigurator) Idle() bool { return !r.active }
 
-// Begin starts loading task onto unit target at time at using the default
-// latency, and returns the completion time. Beginning a load while busy
-// is a programming error.
-func (r *Reconfigurator) Begin(task taskgraph.TaskID, target int, at simtime.Time) simtime.Time {
-	return r.BeginLatency(task, target, at, r.latency)
-}
-
-// BeginLatency is Begin with an explicit per-load latency, supporting
-// heterogeneous configurations (bitstream sizes differing per task).
+// BeginLatency starts loading task onto unit target at time at with the
+// given latency, which may differ per task (heterogeneous bitstream
+// sizes), and returns the completion time. Beginning a load while busy is
+// a programming error.
 func (r *Reconfigurator) BeginLatency(task taskgraph.TaskID, target int, at, latency simtime.Time) simtime.Time {
 	if r.active {
 		panic(fmt.Sprintf("ru: reconfigurator busy with task %d, cannot load %d", r.task, task))
@@ -221,8 +195,6 @@ func (r *Reconfigurator) BeginLatency(task taskgraph.TaskID, target int, at, lat
 	r.task = task
 	r.target = target
 	r.busyUntil = at.Add(latency)
-	r.loads++
-	r.busyTotal = r.busyTotal.Add(latency)
 	return r.busyUntil
 }
 
@@ -245,9 +217,3 @@ func (r *Reconfigurator) End() (end simtime.Time, active bool) {
 func (r *Reconfigurator) InFlight() (taskgraph.TaskID, int, bool) {
 	return r.task, r.target, r.active
 }
-
-// Loads returns the number of loads performed.
-func (r *Reconfigurator) Loads() int { return r.loads }
-
-// BusyTotal returns the cumulative time spent loading.
-func (r *Reconfigurator) BusyTotal() simtime.Time { return r.busyTotal }

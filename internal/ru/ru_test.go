@@ -64,8 +64,8 @@ func TestInstallAndFind(t *testing.T) {
 	if i, ok := a.Find(9); !ok || i != 0 {
 		t.Errorf("Find(9) = %d,%v", i, ok)
 	}
-	if a.TotalLoads() != 3 {
-		t.Errorf("TotalLoads = %d, want 3", a.TotalLoads())
+	if l0, l1 := a.Unit(0).Loads, a.Unit(1).Loads; l0 != 2 || l1 != 1 {
+		t.Errorf("Loads = %d, %d, want 2, 1", l0, l1)
 	}
 }
 
@@ -115,8 +115,8 @@ func TestReuseRefreshesLRUNotFIFO(t *testing.T) {
 	if u.LoadedAt != ms(0) {
 		t.Errorf("LoadedAt = %v, want 0 ms (not refreshed)", u.LoadedAt)
 	}
-	if u.Reuses != 1 || a.TotalReuses() != 1 {
-		t.Errorf("Reuses = %d / %d, want 1 / 1", u.Reuses, a.TotalReuses())
+	if u.Reuses != 1 {
+		t.Errorf("Reuses = %d, want 1", u.Reuses)
 	}
 }
 
@@ -177,9 +177,9 @@ func TestReconfigurator(t *testing.T) {
 	if !r.Idle() || r.Latency() != ms(4) {
 		t.Error("fresh reconfigurator state wrong")
 	}
-	end := r.Begin(7, 2, ms(10))
+	end := r.BeginLatency(7, 2, ms(10), r.Latency())
 	if end != ms(14) {
-		t.Errorf("Begin returned %v, want 14 ms", end)
+		t.Errorf("BeginLatency returned %v, want 14 ms", end)
 	}
 	if r.Idle() {
 		t.Error("reconfigurator should be busy")
@@ -198,9 +198,6 @@ func TestReconfigurator(t *testing.T) {
 	if _, active := r.End(); active {
 		t.Error("End reports a load after Finish")
 	}
-	if r.Loads() != 1 || r.BusyTotal() != ms(4) {
-		t.Errorf("stats: loads=%d busy=%v", r.Loads(), r.BusyTotal())
-	}
 }
 
 func TestReconfiguratorZeroLatency(t *testing.T) {
@@ -208,7 +205,7 @@ func TestReconfiguratorZeroLatency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if end := r.Begin(1, 0, ms(5)); end != ms(5) {
+	if end := r.BeginLatency(1, 0, ms(5), r.Latency()); end != ms(5) {
 		t.Errorf("zero-latency load ends at %v, want 5 ms", end)
 	}
 }
@@ -216,13 +213,13 @@ func TestReconfiguratorZeroLatency(t *testing.T) {
 func TestReconfiguratorPanics(t *testing.T) {
 	t.Run("double begin", func(t *testing.T) {
 		r, _ := NewReconfigurator(ms(4))
-		r.Begin(1, 0, 0)
+		r.BeginLatency(1, 0, 0, ms(4))
 		defer func() {
 			if recover() == nil {
 				t.Error("expected panic")
 			}
 		}()
-		r.Begin(2, 1, 0)
+		r.BeginLatency(2, 1, 0, ms(4))
 	})
 	t.Run("finish idle", func(t *testing.T) {
 		r, _ := NewReconfigurator(ms(4))

@@ -43,14 +43,8 @@ func FromMs(ms float64) Time {
 	return Time(math.Round(ms * float64(Millisecond)))
 }
 
-// FromUs converts an integer microsecond count to a Time.
-func FromUs(us int64) Time { return Time(us) }
-
 // Ms reports t in milliseconds as a float64.
 func (t Time) Ms() float64 { return float64(t) / float64(Millisecond) }
-
-// Us reports t in microseconds.
-func (t Time) Us() int64 { return int64(t) }
 
 // Add returns t+d, saturating at Never so that arithmetic on the sentinel
 // stays a sentinel.
@@ -78,9 +72,6 @@ func (t Time) Before(u Time) bool { return t < u }
 
 // After reports whether t is strictly later than u.
 func (t Time) After(u Time) bool { return t > u }
-
-// IsNever reports whether t is the unreachable sentinel.
-func (t Time) IsNever() bool { return t == Never }
 
 // String formats the time the way the paper's figures do: as a millisecond
 // quantity with the minimal number of decimals ("15 ms", "2.5 ms").
@@ -124,18 +115,6 @@ func Min(a, b Time) Time {
 		return a
 	}
 	return b
-}
-
-// MaxOf returns the latest of the given times, or the zero Time when the
-// list is empty.
-func MaxOf(ts ...Time) Time {
-	var m Time
-	for i, t := range ts {
-		if i == 0 || t > m {
-			m = t
-		}
-	}
-	return m
 }
 
 // ParseMs parses a decimal millisecond string such as "2.5" or "4" into a

@@ -395,7 +395,7 @@ type StoreWait struct {
 	// will arrive, so a still-missing scenario becomes a hard error —
 	// RequireStored's contract, deferred until the pool has had its say;
 	// a non-nil error means the producers can never finish (a coordinator
-	// pool dead past its lease TTL — see coord.(*Coordinator).Drained)
+	// pool silent for twice its lease TTL — see coord.(*Coordinator).Drained)
 	// and fails the sweep instead of hanging it forever. Called
 	// concurrently from the executor's workers; it must be safe for that.
 	Done func() (bool, error)
@@ -510,17 +510,12 @@ func runScenario(sp *Spec, sc Scenario, ideals *idealCache, runner *manager.Runn
 
 // feed returns the workload's arrivals: Seq in order, at the Arrivals
 // times or all at time zero.
-func (w *Workload) feed() *dynlist.SliceFeed {
-	if w.Arrivals == nil {
-		return dynlist.NewSequence(w.Seq...)
+func (w *Workload) feed() []dynlist.Item {
+	items := dynlist.NewSequence(w.Seq...)
+	for i := range w.Arrivals {
+		items[i].Arrival = w.Arrivals[i]
 	}
-	items := make([]dynlist.Item, len(w.Seq))
-	for i, g := range w.Seq {
-		items[i] = dynlist.Item{Graph: g, Arrival: w.Arrivals[i]}
-	}
-	// Spec.validate has checked what NewTimed checks: graphs and order.
-	f, _ := dynlist.NewTimed(items)
-	return f
+	return items
 }
 
 // templates returns the workload's template pool, deriving the distinct

@@ -15,7 +15,6 @@ import (
 	"repro/internal/policy"
 	"repro/internal/resultstore"
 	"repro/internal/storetest"
-	"repro/internal/taskgraph"
 )
 
 // twoWorkloadSpec is fig9Spec with a second, differently drawn workload,
@@ -24,13 +23,9 @@ func twoWorkloadSpec(t testing.TB, rus ...int) Spec {
 	t.Helper()
 	spec := fig9Spec(t, rus...)
 	pool := spec.Workloads[0].Pool
-	feed, err := dynlist.RandomSequence(pool, 40, rand.New(rand.NewSource(7)))
+	seq, err := dynlist.RandomSequence(pool, 40, rand.New(rand.NewSource(7)))
 	if err != nil {
 		t.Fatal(err)
-	}
-	var seq []*taskgraph.Graph
-	for _, it := range feed.Remaining() {
-		seq = append(seq, it.Graph)
 	}
 	spec.Workloads = append(spec.Workloads, Workload{Label: "seed 7", Pool: pool, Seq: seq})
 	return spec

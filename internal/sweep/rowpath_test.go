@@ -14,7 +14,6 @@ import (
 	"repro/internal/resultstore"
 	"repro/internal/simtime"
 	"repro/internal/storetest"
-	"repro/internal/taskgraph"
 	"repro/internal/workload"
 )
 
@@ -22,13 +21,9 @@ import (
 func rowSpec(t testing.TB, apps int, rus ...int) Spec {
 	t.Helper()
 	pool := workload.Multimedia()
-	feed, err := dynlist.RandomSequence(pool, apps, rand.New(rand.NewSource(2011)))
+	seq, err := dynlist.RandomSequence(pool, apps, rand.New(rand.NewSource(2011)))
 	if err != nil {
 		t.Fatal(err)
-	}
-	seq := make([]*taskgraph.Graph, 0, apps)
-	for _, it := range feed.Remaining() {
-		seq = append(seq, it.Graph)
 	}
 	return Spec{
 		Workloads: []Workload{{Label: "seed 2011", Pool: pool, Seq: seq}},

@@ -20,14 +20,9 @@ import (
 func fig9Spec(t testing.TB, rus ...int) Spec {
 	t.Helper()
 	pool := workload.Multimedia()
-	feed, err := dynlist.RandomSequence(pool, 60, rand.New(rand.NewSource(2011)))
+	seq, err := dynlist.RandomSequence(pool, 60, rand.New(rand.NewSource(2011)))
 	if err != nil {
 		t.Fatal(err)
-	}
-	items := feed.Remaining()
-	seq := make([]*taskgraph.Graph, len(items))
-	for i, it := range items {
-		seq[i] = it.Graph
 	}
 	return Spec{
 		Workloads: []Workload{{Pool: pool, Seq: seq}},
@@ -112,8 +107,8 @@ func TestSpecValidation(t *testing.T) {
 }
 
 // TestTimedArrivals: a workload with arrival times runs, and gets its
-// baseline, on the timed feed, so its results are manager.Run's and
-// Runner.Ideal's on that feed. The same sequence at time zero is a
+// baseline, on the timed arrivals, so its results are manager.Run's and
+// Runner.Ideal's on them. The same sequence at time zero is a
 // different workload, not a duplicate.
 func TestTimedArrivals(t *testing.T) {
 	spec := fig9Spec(t, 4)
@@ -133,7 +128,7 @@ func TestTimedArrivals(t *testing.T) {
 	for i, g := range timed.Seq {
 		items[i] = dynlist.Item{Graph: g, Arrival: timed.Arrivals[i]}
 	}
-	feed, err := dynlist.NewTimed(items)
+	arrivals, err := dynlist.NewTimed(items)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,17 +137,17 @@ func TestTimedArrivals(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		run, err := manager.Run(manager.Config{RUs: 4, Latency: spec.Latencies[0], Policy: pol}, feed.Rewind())
+		run, err := manager.Run(manager.Config{RUs: 4, Latency: spec.Latencies[0], Policy: pol}, arrivals)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ideal, err := manager.NewRunner().Ideal(4, feed.Rewind())
+		ideal, err := manager.NewRunner().Ideal(4, arrivals)
 		if err != nil {
 			t.Fatal(err)
 		}
 		got := rs.At(1, 0, 0, pi)
 		if !reflect.DeepEqual(got.Run, run) || !reflect.DeepEqual(got.Ideal, ideal) {
-			t.Errorf("%s: timed workload's run or baseline differs from the timed feed's", ps.Name)
+			t.Errorf("%s: timed workload's run or baseline differs from the timed arrivals'", ps.Name)
 		}
 		if atZero := rs.At(0, 0, 0, pi); atZero.Run.Makespan == run.Makespan {
 			t.Errorf("%s: the timed workload ran as if every application arrived at zero", ps.Name)

@@ -29,7 +29,7 @@ func FuzzFromJSON(f *testing.F) {
 		if g.NumTasks() == 0 {
 			t.Fatal("accepted empty graph")
 		}
-		order := g.TopoOrder()
+		order, _ := topoOrder(g)
 		if len(order) != g.NumTasks() {
 			t.Fatalf("topological order incomplete: %d of %d", len(order), g.NumTasks())
 		}

@@ -110,11 +110,14 @@ func TestDuplicateEdgesCollapse(t *testing.T) {
 
 func TestTopoOrderChain(t *testing.T) {
 	g := fig2TG1(t)
-	order := g.TopoOrder()
+	order, ok := topoOrder(g)
 	want := []int{0, 1, 2}
+	if !ok || len(order) != len(want) {
+		t.Fatalf("topoOrder = %v, %v, want %v", order, ok, want)
+	}
 	for i := range want {
 		if order[i] != want[i] {
-			t.Fatalf("TopoOrder = %v, want %v", order, want)
+			t.Fatalf("topoOrder = %v, want %v", order, want)
 		}
 	}
 }

@@ -41,13 +41,6 @@ func topoOrder(g *Graph) ([]int, bool) {
 	return order, len(order) == n
 }
 
-// TopoOrder returns a deterministic topological order of the graph's local
-// indices.
-func (g *Graph) TopoOrder() []int {
-	order, _ := topoOrder(g) // construction guarantees acyclicity
-	return append([]int(nil), order...)
-}
-
 // ASAPStarts returns, per local index, the earliest possible execution
 // start assuming unlimited reconfigurable units and zero reconfiguration
 // latency: start(i) = max over predecessors p of start(p)+exec(p).
