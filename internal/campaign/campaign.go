@@ -115,18 +115,13 @@ func SweepGrid(wl string, apps int, seed int64, policies string, skip, prefetch 
 }
 
 // RenderSuite prints the rtrrepro report: the parameter header line
-// followed by every selected experiment, in order.
+// followed by every selected experiment, in order (experiments.Render).
 func RenderSuite(opt experiments.Options, selected []experiments.Experiment, w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "reproduction suite: seed %d, %d apps, RUs %v, latency %v\n",
 		opt.Seed, opt.Apps, opt.RUs, opt.Latency); err != nil {
 		return err
 	}
-	for _, e := range selected {
-		if err := e.Run(opt, w); err != nil {
-			return fmt.Errorf("%s: %w", e.ID, err)
-		}
-	}
-	return nil
+	return experiments.Render(opt, selected, w)
 }
 
 // RenderSweepTable prints the rtrsim comparison table of a SweepGrid

@@ -13,6 +13,7 @@ import (
 	"io"
 	"math/rand"
 	"sort"
+	"sync"
 
 	"repro/internal/dynlist"
 	"repro/internal/policy"
@@ -78,6 +79,10 @@ type Options struct {
 	// Fingerprint guards Checkpoints records against grids they do not
 	// belong to.
 	Fingerprint string
+
+	// draws, set by Render and Populate for the length of the call,
+	// shares each (Seed, Apps) workload between the experiments.
+	draws *draws
 }
 
 // DefaultOptions returns the paper's parameters.
@@ -126,10 +131,10 @@ func (o Options) Workload() (pool, seq []*taskgraph.Graph, err error) {
 	return pool, seq, nil
 }
 
-// sequence is the sequence-only convenience over workload.
+// sequence is the sequence-only convenience over sweepWorkload.
 func (o Options) sequence() ([]*taskgraph.Graph, error) {
-	_, seq, err := o.Workload()
-	return seq, err
+	wl, err := o.sweepWorkload()
+	return wl.Seq, err
 }
 
 // executor returns the scenario executor the sweep-backed experiments
@@ -142,13 +147,52 @@ func (o Options) executor() sweep.Executor {
 	}
 }
 
-// sweepWorkload wraps the Fig. 9 inputs as a sweep workload.
+// sweepWorkload wraps the Fig. 9 inputs as a sweep workload with a key
+// memo. Within one Render or Populate call every experiment gets the
+// same value for one (Seed, Apps), drawn and hashed once.
 func (o Options) sweepWorkload() (sweep.Workload, error) {
+	if o.draws == nil {
+		return o.draw()
+	}
+	o.draws.mu.Lock()
+	defer o.draws.mu.Unlock()
+	id := drawID{o.Seed, o.Apps}
+	d, ok := o.draws.m[id]
+	if !ok {
+		d.wl, d.err = o.draw()
+		o.draws.m[id] = d
+	}
+	return d.wl, d.err
+}
+
+func (o Options) draw() (sweep.Workload, error) {
 	pool, seq, err := o.Workload()
 	if err != nil {
 		return sweep.Workload{}, err
 	}
-	return sweep.Workload{Pool: pool, Seq: seq}, nil
+	return sweep.Workload{Pool: pool, Seq: seq}.WithKeyMemo(), nil
+}
+
+// draws memoizes sweepWorkload per (Seed, Apps) for one call.
+type draws struct {
+	mu sync.Mutex
+	m  map[drawID]drawn
+}
+
+type drawID struct {
+	seed int64
+	apps int
+}
+
+type drawn struct {
+	wl  sweep.Workload
+	err error
+}
+
+// withDraws returns o with a fresh draw memo.
+func (o Options) withDraws() Options {
+	o.draws = &draws{m: make(map[drawID]drawn)}
+	return o
 }
 
 // Runner produces one experiment report.
@@ -188,6 +232,19 @@ func All() []Experiment {
 	}
 }
 
+// Render writes each experiment's report to w, in order. The
+// experiments share one draw of each (Seed, Apps) workload, and so one
+// key memo; both end with the call.
+func Render(opt Options, exps []Experiment, w io.Writer) error {
+	opt = opt.withDraws()
+	for _, e := range exps {
+		if err := e.Run(opt, w); err != nil {
+			return fmt.Errorf("%s: %w", e.ID, err)
+		}
+	}
+	return nil
+}
+
 // PopulateStats summarizes one shard populate pass across the selected
 // experiments' grids.
 type PopulateStats struct {
@@ -219,6 +276,8 @@ func Populate(opt Options, exps []Experiment, shard sweep.Shard) (PopulateStats,
 	if opt.Store == nil {
 		return st, fmt.Errorf("experiments: Populate needs a result store")
 	}
+	// The grids share one draw of each workload, as in Render.
+	opt = opt.withDraws()
 	// Populate always simulates what the store lacks; RequireStored is
 	// the merge side of the protocol, never the populate side.
 	ex := sweep.Executor{Workers: opt.Parallel, Store: opt.Store}

@@ -2,10 +2,13 @@ package experiments
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 
+	"repro/internal/resultstore"
 	"repro/internal/simtime"
+	"repro/internal/sweep"
 	"repro/internal/taskgraph"
 	"repro/internal/workload"
 )
@@ -73,6 +76,55 @@ func TestSequenceDeterministic(t *testing.T) {
 		if a[i].Name() != b[i].Name() {
 			t.Fatalf("sequence diverged at %d: %s vs %s", i, a[i].Name(), b[i].Name())
 		}
+	}
+}
+
+// TestDrawsShareOneWorkloadPerCall: the experiments of one Render or
+// Populate call get one workload value per (Seed, Apps), variance's
+// first seed included, while another seed or another call draws anew.
+func TestDrawsShareOneWorkloadPerCall(t *testing.T) {
+	same := func(a, b sweep.Workload) bool { return &a.Seq[0] == &b.Seq[0] && &a.Pool[0] == &b.Pool[0] }
+	var got []sweep.Workload
+	grids := func(opt Options) ([]sweep.Spec, error) {
+		specs, err := Fig9AGrids(opt)
+		if err == nil {
+			got = append(got, specs[0].Workloads[0])
+			var v []sweep.Spec
+			v, err = VarianceGrids(opt)
+			if err == nil {
+				got = append(got, v[0].Workloads[:2]...)
+			}
+		}
+		return nil, err
+	}
+	run := func(opt Options, _ io.Writer) error {
+		_, err := grids(opt)
+		return err
+	}
+	exps := []Experiment{{ID: "a", Run: run, Grids: grids}, {ID: "b", Run: run, Grids: grids}}
+	opt := smallOptions()
+	opt.Store = resultstore.OpenMem()
+	if err := Render(opt, exps, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Populate(opt, exps, sweep.Shard{Count: 1}); err != nil {
+		t.Fatal(err)
+	}
+	// Per call: a's fig9a, a's variance seeds 0 and 1, then the same for b.
+	if len(got) != 12 {
+		t.Fatalf("%d workloads captured, want 12", len(got))
+	}
+	for call, base := range []int{0, 6} {
+		w := got[base : base+6]
+		if !same(w[0], w[1]) || !same(w[0], w[3]) || !same(w[0], w[4]) || !same(w[2], w[5]) {
+			t.Errorf("call %d drew one (Seed, Apps) workload more than once", call)
+		}
+		if same(w[0], w[2]) {
+			t.Errorf("call %d served seed %d's workload for seed %d", call, opt.Seed, opt.Seed+1)
+		}
+	}
+	if same(got[0], got[6]) {
+		t.Error("a workload outlived its Render call's draw memo")
 	}
 }
 

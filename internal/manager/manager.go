@@ -336,13 +336,9 @@ func (r *Runner) Reset(cfg Config) error {
 		return err
 	}
 	if r.recon == nil {
-		recon, err := ru.NewReconfigurator(cfg.Latency)
-		if err != nil {
-			return err
-		}
-		r.recon = recon
-	} else if err := r.recon.Reset(cfg.Latency); err != nil {
-		return err
+		r.recon = new(ru.Reconfigurator)
+	} else {
+		r.recon.Reset()
 	}
 	policy.Reset(cfg.Policy)
 	r.cfg = cfg

@@ -67,7 +67,7 @@ func (b *fsBackend) path(key string) string {
 }
 
 func (b *fsBackend) Load(key string) ([]byte, bool) {
-	data, err := os.ReadFile(b.path(key))
+	data, err := readFile(b.path(key))
 	if err != nil {
 		return nil, false
 	}
@@ -122,7 +122,7 @@ func (b *fsBackend) Visit(fn func(key string, data []byte) error) (int, error) {
 			}
 			return nil
 		}
-		data, err := os.ReadFile(p)
+		data, err := readFile(p)
 		if err != nil {
 			// Unreadable entry: surface it as undecodable so the GC
 			// predicate deletes it rather than silently skipping.

@@ -208,16 +208,22 @@ func FuzzDecodeEntry(f *testing.F) {
 	})
 }
 
-// BenchmarkStoreGet measures the store-Load layer: one Get of an fs entry
-// of a 2000-application Fig. 9 scenario (an entry's size no longer grows
-// with the workload). disk-B is the entry's size on disk, and MB/s
-// counts those bytes decoded.
-func BenchmarkStoreGet(b *testing.B) {
+// fig9Entry is the entry of a 2000-application Fig. 9 scenario.
+func fig9Entry() *Entry {
 	e := sampleEntry()
 	e.Run.Executed, e.Run.Events = 6213, 38542
 	e.Summary.Executed = e.Run.Executed
 	e.Summary.Delay = metrics.DelayStats{Count: 2000, Mean: 81234, Max: 412000, P50: 76000, P95: 196000}
 	e.ElapsedNS = 123456789
+	return e
+}
+
+// BenchmarkStoreGet measures the store-Load layer: one Get of an fs entry
+// of a 2000-application Fig. 9 scenario (an entry's size no longer grows
+// with the workload). disk-B is the entry's size on disk, and MB/s
+// counts those bytes decoded.
+func BenchmarkStoreGet(b *testing.B) {
+	e := fig9Entry()
 	dir := b.TempDir()
 	s, err := Open(dir)
 	if err != nil {
@@ -239,4 +245,29 @@ func BenchmarkStoreGet(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(fi.Size()), "disk-B")
+}
+
+// BenchmarkFSLoad measures the fs backend's read alone: one Load hit on
+// the file of a 2000-application Fig. 9 entry (about 176 bytes), with
+// no decoding.
+func BenchmarkFSLoad(b *testing.B) {
+	fsb, err := NewFS(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	e := fig9Entry()
+	key := testKey(1)
+	e.Schema, e.Key = SchemaVersion, key
+	data := EncodeEntry(e)
+	if err := fsb.Store(key, data); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, ok := fsb.Load(key); !ok {
+			b.Fatal("miss")
+		}
+	}
+	b.ReportMetric(float64(len(data)), "disk-B")
 }

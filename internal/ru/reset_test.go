@@ -41,28 +41,20 @@ func TestArrayReset(t *testing.T) {
 	}
 }
 
-// TestReconfiguratorReset clears in-flight state and applies the new
-// latency.
+// TestReconfiguratorReset clears in-flight state: after a Reset the
+// circuitry is idle and takes a new load.
 func TestReconfiguratorReset(t *testing.T) {
-	r, err := NewReconfigurator(simtime.FromMs(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.BeginLatency(5, 1, 0, r.Latency())
-	if err := r.Reset(simtime.FromMs(2)); err != nil {
-		t.Fatal(err)
-	}
+	var r Reconfigurator
+	r.BeginLatency(5, 1, 0, simtime.FromMs(4))
+	r.Reset()
 	if !r.Idle() {
 		t.Fatal("in-flight load survived Reset")
 	}
-	if r.Latency() != simtime.FromMs(2) {
-		t.Errorf("latency = %v, want 2ms", r.Latency())
+	if _, active := r.End(); active {
+		t.Error("End reports a load after Reset")
 	}
-	if end := r.BeginLatency(6, 0, 0, r.Latency()); end != simtime.FromMs(2) {
+	if end := r.BeginLatency(6, 0, 0, simtime.FromMs(2)); end != simtime.FromMs(2) {
 		t.Errorf("load end = %v, want 2ms", end)
-	}
-	if err := r.Reset(-1); err == nil {
-		t.Error("Reset accepted negative latency")
 	}
 }
 

@@ -145,37 +145,18 @@ func (a *Array) FinishExecution(i int, at simtime.Time) {
 func (a *Array) CountReuse(i int) { a.units[i].Reuses++ }
 
 // Reconfigurator is the single reconfiguration circuitry. Only one load
-// can be in flight at a time; latency is fixed per load.
+// can be in flight at a time; each load's latency is the caller's (see
+// BeginLatency). The zero Reconfigurator is idle.
 type Reconfigurator struct {
-	latency simtime.Time
-
 	active    bool
 	task      taskgraph.TaskID
 	target    int
 	busyUntil simtime.Time
 }
 
-// NewReconfigurator creates a circuitry with the given per-load latency.
-// Latency may be zero (used to compute ideal schedules) but not negative.
-func NewReconfigurator(latency simtime.Time) (*Reconfigurator, error) {
-	if latency < 0 {
-		return nil, fmt.Errorf("ru: negative reconfiguration latency %v", latency)
-	}
-	return &Reconfigurator{latency: latency}, nil
-}
-
-// Reset re-initialises the circuitry for a new run with the given
-// per-load latency, clearing the in-flight load.
-func (r *Reconfigurator) Reset(latency simtime.Time) error {
-	if latency < 0 {
-		return fmt.Errorf("ru: negative reconfiguration latency %v", latency)
-	}
-	*r = Reconfigurator{latency: latency}
-	return nil
-}
-
-// Latency returns the per-load latency.
-func (r *Reconfigurator) Latency() simtime.Time { return r.latency }
+// Reset re-initialises the circuitry for a new run, clearing the
+// in-flight load.
+func (r *Reconfigurator) Reset() { *r = Reconfigurator{} }
 
 // Idle reports whether the circuitry can accept a load.
 func (r *Reconfigurator) Idle() bool { return !r.active }

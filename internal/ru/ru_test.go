@@ -167,17 +167,14 @@ func TestFinishExecutionPanicsWhenIdle(t *testing.T) {
 }
 
 func TestReconfigurator(t *testing.T) {
-	if _, err := NewReconfigurator(-ms(1)); err == nil {
-		t.Error("negative latency accepted")
+	var r Reconfigurator
+	if !r.Idle() {
+		t.Error("zero reconfigurator is busy")
 	}
-	r, err := NewReconfigurator(ms(4))
-	if err != nil {
-		t.Fatal(err)
+	if _, active := r.End(); active {
+		t.Error("zero reconfigurator reports a load")
 	}
-	if !r.Idle() || r.Latency() != ms(4) {
-		t.Error("fresh reconfigurator state wrong")
-	}
-	end := r.BeginLatency(7, 2, ms(10), r.Latency())
+	end := r.BeginLatency(7, 2, ms(10), ms(4))
 	if end != ms(14) {
 		t.Errorf("BeginLatency returned %v, want 14 ms", end)
 	}
@@ -198,21 +195,22 @@ func TestReconfigurator(t *testing.T) {
 	if _, active := r.End(); active {
 		t.Error("End reports a load after Finish")
 	}
+	// Each load carries its own latency.
+	if end := r.BeginLatency(8, 0, ms(20), ms(6)); end != ms(26) {
+		t.Errorf("a 6 ms load from 20 ms ends at %v, want 26 ms", end)
+	}
 }
 
 func TestReconfiguratorZeroLatency(t *testing.T) {
-	r, err := NewReconfigurator(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if end := r.BeginLatency(1, 0, ms(5), r.Latency()); end != ms(5) {
+	var r Reconfigurator
+	if end := r.BeginLatency(1, 0, ms(5), 0); end != ms(5) {
 		t.Errorf("zero-latency load ends at %v, want 5 ms", end)
 	}
 }
 
 func TestReconfiguratorPanics(t *testing.T) {
 	t.Run("double begin", func(t *testing.T) {
-		r, _ := NewReconfigurator(ms(4))
+		var r Reconfigurator
 		r.BeginLatency(1, 0, 0, ms(4))
 		defer func() {
 			if recover() == nil {
@@ -222,7 +220,7 @@ func TestReconfiguratorPanics(t *testing.T) {
 		r.BeginLatency(2, 1, 0, ms(4))
 	})
 	t.Run("finish idle", func(t *testing.T) {
-		r, _ := NewReconfigurator(ms(4))
+		var r Reconfigurator
 		defer func() {
 			if recover() == nil {
 				t.Error("expected panic")

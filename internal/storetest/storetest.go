@@ -15,9 +15,13 @@
 package storetest
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -40,6 +44,10 @@ type Backend struct {
 	// opens a second handle over the same data with fresh counters —
 	// what re-running a CLI against the same -store locator does.
 	Open func(tb testing.TB) (s *resultstore.Store, reopen func(tb testing.TB) *resultstore.Store)
+	// Obstruct, when set, puts something under key that the backend
+	// cannot read as a value: fs puts a directory at the entry's path.
+	// The other backends hold only values, so they have none.
+	Obstruct func(tb testing.TB, s *resultstore.Store, key string)
 }
 
 // Backends returns every registered store backend: fs, mem, the
@@ -60,6 +68,11 @@ func Backends() []Backend {
 						tb.Fatal(err)
 					}
 					return s
+				}
+			},
+			Obstruct: func(tb testing.TB, s *resultstore.Store, key string) {
+				if err := os.MkdirAll(filepath.Join(s.Dir(), "objects", key[:2], key+".json"), 0o755); err != nil {
+					tb.Fatal(err)
 				}
 			},
 		},
@@ -480,6 +493,60 @@ func Conformance(t *testing.T, b Backend) {
 		}
 		if hits, misses, puts := s2.ArtifactStats(); hits != 1 || misses != 0 || puts != 0 {
 			t.Errorf("reopened artifact stats = %d/%d/%d, want fresh counters 1/0/0", hits, misses, puts)
+		}
+	})
+
+	t.Run("LargeArtifactRoundTrip", func(t *testing.T) {
+		// 64 KiB is many times the fs reader's first buffer, so the read
+		// grows it; the payload never repeats a short period, so a chunk
+		// read twice or skipped changes the bytes.
+		s, _ := b.Open(t)
+		key := Key(13)
+		rng := rand.New(rand.NewSource(13))
+		payload := make([]byte, 0, 64<<10+2)
+		payload = append(payload, '"')
+		for len(payload) < cap(payload)-1 {
+			payload = append(payload, "abcdefghijklmnopqrstuvwxyz0123456789"[rng.Intn(36)])
+		}
+		payload = append(payload, '"')
+		want := &resultstore.Artifact{Kind: "mobility-table", KindVersion: 1, Payload: payload}
+		if err := s.PutArtifact(key, want); err != nil {
+			t.Fatal(err)
+		}
+		got, ok := s.GetArtifact(key, "mobility-table", 1)
+		if !ok {
+			t.Fatal("large artifact missed after PutArtifact")
+		}
+		if !bytes.Equal(got.Payload, payload) {
+			i := 0
+			for i < len(got.Payload) && i < len(payload) && got.Payload[i] == payload[i] {
+				i++
+			}
+			t.Fatalf("large artifact payload: %d bytes back of %d, first difference at byte %d", len(got.Payload), len(payload), i)
+		}
+	})
+
+	t.Run("ObstructedEntryIsMiss", func(t *testing.T) {
+		if b.Obstruct == nil {
+			t.Skipf("%s holds only values: nothing unreadable can sit under a key", b.Name)
+		}
+		s, _ := b.Open(t)
+		key := Key(14)
+		b.Obstruct(t, s, key)
+		if _, ok := s.Get(key); ok {
+			t.Error("Get served an obstructed entry")
+		}
+		if _, ok := s.Probe(key); ok {
+			t.Error("Probe served an obstructed entry")
+		}
+		if _, ok := s.GetArtifact(key, "mobility-table", 1); ok {
+			t.Error("GetArtifact served an obstructed entry")
+		}
+		if hits, misses, _ := s.Stats(); hits != 0 || misses != 1 {
+			t.Errorf("stats after an obstructed Get = %d hits, %d misses; want 0/1", hits, misses)
+		}
+		if _, err := s.GC(); err != nil {
+			t.Errorf("GC over an obstructed entry: %v", err)
 		}
 	})
 

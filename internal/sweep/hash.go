@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"sync"
 
 	"repro/internal/resultstore"
 	"repro/internal/taskgraph"
@@ -89,13 +90,59 @@ func (s *Spec) scenarioKeysFor(scenarios []Scenario) ([]string, error) {
 	return keys, nil
 }
 
-// workloadKey canonically hashes a workload: its label, the canonical
+// workloadKey returns a workload's canonical key: from its key memo
+// when it carries one (see Workload.WithKeyMemo), else hashed afresh.
+func workloadKey(w *Workload) (string, error) {
+	if w.keys == nil {
+		return hashWorkload(w)
+	}
+	return w.keys.key(w)
+}
+
+// keyMemo holds the keys computed over the copies of one Workload value.
+// An entry serves only a copy with the same Label and the same Pool and
+// Seq slices (one backing array, one length), so a relabelled or
+// resliced copy gets its own key. The lock is held while hashing:
+// concurrent requests for one key hash it once.
+type keyMemo struct {
+	mu      sync.Mutex
+	entries []memoEntry
+}
+
+type memoEntry struct {
+	label     string
+	pool, seq []*taskgraph.Graph
+	key       string
+}
+
+func (m *keyMemo) key(w *Workload) (string, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, e := range m.entries {
+		if e.label == w.Label && sameSlice(e.pool, w.Pool) && sameSlice(e.seq, w.Seq) {
+			return e.key, nil
+		}
+	}
+	k, err := hashWorkload(w)
+	if err != nil {
+		return "", err
+	}
+	m.entries = append(m.entries, memoEntry{label: w.Label, pool: w.Pool, seq: w.Seq, key: k})
+	return k, nil
+}
+
+// sameSlice reports whether a and b share one backing array and length.
+func sameSlice(a, b []*taskgraph.Graph) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
+// hashWorkload canonically hashes a workload: its label, the canonical
 // JSON encoding of every distinct template (pool order first, then
 // first-appearance order in the sequence), and the arrival sequence as
 // template indices, one ("seq", index) integer component each. Hashing
 // the materialized content rather than the generator seed means any
 // change to workload generation invalidates store entries automatically.
-func workloadKey(w *Workload) (string, error) {
+func hashWorkload(w *Workload) (string, error) {
 	h := resultstore.NewHash()
 	h.String("label", w.Label)
 	index := make(map[*taskgraph.Graph]int)

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math/rand"
 	"strconv"
+	"sync"
 	"testing"
 
+	"repro/internal/dynlist"
 	"repro/internal/resultstore"
 	"repro/internal/simtime"
 	"repro/internal/taskgraph"
@@ -248,6 +250,139 @@ func TestWorkloadKeyMatchesReference(t *testing.T) {
 		if want := referenceWorkloadKey(t, w); got != want {
 			t.Fatalf("trial %d (%d apps, %d in the pool, of %d templates): key %s, the reference gives %s",
 				trial, n, len(w.Pool), len(templates), got, want)
+		}
+	}
+}
+
+// BenchmarkWorkloadKey measures the key-hashing layer: one workloadKey
+// of a 2000-application Fig. 9 workload, computed afresh (no memo).
+func BenchmarkWorkloadKey(b *testing.B) {
+	pool := workload.Multimedia()
+	seq, err := dynlist.RandomSequence(pool, 2000, rand.New(rand.NewSource(2011)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	w := &Workload{Pool: pool, Seq: seq}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := workloadKey(w); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestWorkloadKeyMemoRelabelledCopy: copies of one memoized workload
+// share its key, and a copy with another label, or another Seq slice,
+// gets its own reference key even after the original's is memoized.
+func TestWorkloadKeyMemoRelabelledCopy(t *testing.T) {
+	pool := workload.Multimedia()
+	seq, err := dynlist.RandomSequence(pool, 500, rand.New(rand.NewSource(2011)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := Workload{Pool: pool, Seq: seq}.WithKeyMemo()
+	variants := []func(w *Workload){
+		func(*Workload) {},
+		func(w *Workload) { w.Label = "seed 2011" },
+		func(*Workload) {},
+		func(w *Workload) { w.Seq = w.Seq[:250] },
+		func(w *Workload) { w.Pool = w.Pool[:2] },
+		func(w *Workload) { w.Label = "seed 2011" },
+	}
+	for i, vary := range variants {
+		w := shared
+		vary(&w)
+		got, err := workloadKey(&w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := referenceWorkloadKey(t, &w); got != want {
+			t.Errorf("variant %d (label %q, %d apps, pool of %d): key %s, the reference gives %s",
+				i, w.Label, len(w.Seq), len(w.Pool), got, want)
+		}
+	}
+	if n := len(shared.keys.entries); n != 4 {
+		t.Errorf("the memo holds %d keys for 4 distinct variants", n)
+	}
+}
+
+// TestWorkloadKeyMemoConcurrent: copies of one memoized workload asked
+// for their keys at once, under two labels, agree with the reference
+// and hash each label once (run it with -race).
+func TestWorkloadKeyMemoConcurrent(t *testing.T) {
+	pool := workload.Multimedia()
+	seq, err := dynlist.RandomSequence(pool, 2000, rand.New(rand.NewSource(7)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := Workload{Pool: pool, Seq: seq}.WithKeyMemo()
+	labels := []string{"", "seed 7"}
+	const copies = 8
+	keys := make([]string, copies)
+	var wg sync.WaitGroup
+	for i := range keys {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			w := shared
+			w.Label = labels[i%len(labels)]
+			k, err := workloadKey(&w)
+			if err != nil {
+				t.Error(err)
+			}
+			keys[i] = k
+		}()
+	}
+	wg.Wait()
+	for i, k := range keys {
+		w := shared
+		w.Label = labels[i%len(labels)]
+		if want := referenceWorkloadKey(t, &w); k != want {
+			t.Errorf("copy %d (label %q): key %s, the reference gives %s", i, w.Label, k, want)
+		}
+	}
+	if n := len(shared.keys.entries); n != len(labels) {
+		t.Errorf("the memo holds %d keys for %d labels", n, len(labels))
+	}
+}
+
+// TestWorkloadKeyMemoMatchesReference runs TestWorkloadKeyMatchesReference's
+// 60 random workloads through the memo: the first key, a second one
+// served from the memo and a relabelled copy's all equal the reference.
+func TestWorkloadKeyMemoMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(2011))
+	all := append(workload.Multimedia(), workload.Fig2Sequence()...)
+	for trial := range 60 {
+		templates := all[:1+rng.Intn(len(all))]
+		w := Workload{Label: fmt.Sprintf("trial %d", trial)}
+		if trial%2 == 0 {
+			w.Pool = templates[:rng.Intn(len(templates)+1)]
+		}
+		n := rng.Intn(3001)
+		if trial%10 == 0 {
+			n = rng.Intn(3)
+		}
+		w.Seq = make([]*taskgraph.Graph, n)
+		run := 1 + rng.Intn(8)
+		for i := range w.Seq {
+			if i > 0 && rng.Intn(run) > 0 {
+				w.Seq[i] = w.Seq[i-1]
+			} else {
+				w.Seq[i] = templates[rng.Intn(len(templates))]
+			}
+		}
+		w = w.WithKeyMemo()
+		relabelled := w
+		relabelled.Label += " relabelled"
+		for pass, c := range []*Workload{&w, &w, &relabelled} {
+			got, err := workloadKey(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := referenceWorkloadKey(t, c); got != want {
+				t.Fatalf("trial %d pass %d (%d apps, %d in the pool, of %d templates): key %s, the reference gives %s",
+					trial, pass, n, len(c.Pool), len(templates), got, want)
+			}
 		}
 	}
 }

@@ -81,6 +81,22 @@ type Workload struct {
 	// as in the paper's experiments. A Spec with timed arrivals bypasses
 	// the result store (see Spec.Cacheable).
 	Arrivals []simtime.Time
+
+	// keys, when set, memoizes the workload's key for every copy of
+	// this value (see WithKeyMemo).
+	keys *keyMemo
+}
+
+// WithKeyMemo returns w with a fresh key memo that every copy of the
+// result shares: the first scenario-key computation over any copy
+// hashes the workload, and later ones reuse that key. A copy with
+// another Label, or with Pool or Seq set to another slice, gets its own
+// key, memoized too. The templates and the sequence must not change in
+// place afterwards, which nothing in a sweep does. The memo lives as
+// long as the copies do.
+func (w Workload) WithKeyMemo() Workload {
+	w.keys = new(keyMemo)
+	return w
 }
 
 // PolicySpec is one value of the policy axis: how to build the policy and
