@@ -143,15 +143,15 @@ func TestRunArrivals(t *testing.T) {
 }
 
 func TestRecordTrace(t *testing.T) {
-	res, err := Evaluate(Config{RUs: 4, Latency: ms(4), Policy: "lru", RecordTrace: true},
-		workload.Fig2Sequence()...)
+	seq := workload.Fig2Sequence()
+	res, err := Evaluate(Config{RUs: 4, Latency: ms(4), Policy: "lru", RecordTrace: true}, seq...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Run.Trace == nil {
 		t.Fatal("no trace recorded")
 	}
-	if err := res.Run.Trace.Validate(res.Run.Templates); err != nil {
+	if err := res.Run.Trace.Validate(seq); err != nil {
 		t.Errorf("trace invalid: %v", err)
 	}
 	gantt := res.Run.Trace.Gantt(trace.GanttOptions{TickMs: 1})

@@ -169,7 +169,7 @@ func FuzzRunnerInvariants(f *testing.F) {
 		if first.Events != uint64(steps) {
 			t.Fatalf("Events = %d, handled %d", first.Events, steps)
 		}
-		if err := first.Trace.Validate(first.Templates); err != nil {
+		if err := first.Trace.Validate(graphsOf(items)); err != nil {
 			t.Fatalf("trace invalid: %v", err)
 		}
 		again, err := r.Run(cfg, arrivals)

@@ -150,11 +150,12 @@ func TestRunGolden(t *testing.T) {
 	for _, c := range goldenCases(t) {
 		cfg := c.cfg
 		cfg.RecordTrace = true
-		res, err := Run(cfg, c.feed())
+		arrivals := c.feed()
+		res, err := Run(cfg, arrivals)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		if err := res.Trace.Validate(res.Templates); err != nil {
+		if err := res.Trace.Validate(graphsOf(arrivals)); err != nil {
 			t.Fatalf("%s: trace invalid: %v", c.name, err)
 		}
 		got[c.name] = runDigest(res)

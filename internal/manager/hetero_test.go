@@ -31,7 +31,7 @@ func TestHeterogeneousLatency(t *testing.T) {
 	if want := ms(14); res.Makespan != want {
 		t.Errorf("makespan = %v, want %v", res.Makespan, want)
 	}
-	if err := res.Trace.Validate(res.Templates); err != nil {
+	if err := res.Trace.Validate([]*taskgraph.Graph{g}); err != nil {
 		t.Errorf("trace invalid: %v", err)
 	}
 	if !res.Trace.Heterogeneous {
@@ -58,7 +58,7 @@ func TestBitstreamDerivedLatencies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := res.Trace.Validate(res.Templates); err != nil {
+	if err := res.Trace.Validate([]*taskgraph.Graph{jpeg, hough, jpeg}); err != nil {
 		t.Fatal(err)
 	}
 	if res.Executed != 14 {

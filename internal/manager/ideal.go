@@ -19,9 +19,9 @@ import (
 // distinct template alone once, under LRU, and completes application k at
 // c_k = max(arrival_k, c_{k-1}) + D(template_k) (TestIdealMatchesRun).
 // It fills Makespan, Completions, Graphs and Executed; Reused, Loads,
-// Evictions, Events and Templates stay zero or nil, since no baseline
-// reads them. The arrivals are checked as Run checks them, without sizing
-// any of Run's whole-sequence buffers.
+// Evictions and Events stay zero, since no baseline reads them. The
+// arrivals are checked as Run checks them, without sizing any of Run's
+// whole-sequence buffers.
 func (r *Runner) Ideal(rus int, arrivals []dynlist.Item) (*Result, error) {
 	if rus < 1 { // as Reset checks it
 		return nil, fmt.Errorf("manager: need at least 1 reconfigurable unit, got %d", rus)

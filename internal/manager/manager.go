@@ -129,9 +129,6 @@ type Result struct {
 	Events uint64
 	// Trace is the full record when Config.RecordTrace was set.
 	Trace *trace.Trace
-	// Templates holds each instance's graph template, indexed by instance
-	// number (for trace validation and reporting).
-	Templates []*taskgraph.Graph
 }
 
 // taskState tracks one task of the running instance.
@@ -357,9 +354,8 @@ func (r *Runner) Reset(cfg Config) error {
 	r.preloadDoneLocal = r.preloadDoneLocal[:0]
 	r.preloadDoneRUs = r.preloadDoneRUs[:0]
 	r.preloadInFlight = false
-	// Counters restart at zero; the result's slice buffers are kept.
-	comps, tmpls := r.res.Completions[:0], r.res.Templates[:0]
-	r.res = Result{Completions: comps, Templates: tmpls}
+	// Counters restart at zero; the completions buffer is kept.
+	r.res = Result{Completions: r.res.Completions[:0]}
 	r.tr = nil
 	if cfg.RecordTrace {
 		r.tr = &trace.Trace{
@@ -411,7 +407,6 @@ func (r *Runner) start(arrivals []dynlist.Item) error {
 	if cap(r.res.Completions) < len(r.arrivals) {
 		r.res.Completions = make([]simtime.Time, 0, len(r.arrivals))
 	}
-	r.res.Templates = resize(r.res.Templates, len(r.arrivals))
 	if r.tr != nil {
 		// Pre-size the trace from the workload shape: at most one load and
 		// exactly one exec per task occurrence, one record per instance.
@@ -464,13 +459,12 @@ func (r *Runner) tabulateLatencies(maxID taskgraph.TaskID) error {
 
 // snapshot copies the run's outcome out of the Runner's reusable buffers.
 // Callers retain Results long after the Runner has moved on (a sweep's
-// reorder window holds them across later runs), so every escaping slice
-// is freshly owned; the trace is already per-run.
+// reorder window holds them across later runs), so the completions are
+// copied; the trace is already per-run.
 func (r *Runner) snapshot() *Result {
 	out := new(Result)
 	*out = r.res
 	out.Completions = append([]simtime.Time(nil), r.res.Completions...)
-	out.Templates = append([]*taskgraph.Graph(nil), r.res.Templates...)
 	return out
 }
 
@@ -709,7 +703,6 @@ func (r *Runner) startInstance(it dynlist.Item) {
 	}
 	r.cur = c
 	r.skipArmed = false
-	r.res.Templates[it.Instance] = g
 }
 
 // startReadyExecutions launches every task whose configuration is resident

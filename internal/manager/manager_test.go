@@ -31,12 +31,22 @@ func run(t *testing.T, cfg Config, graphs ...*taskgraph.Graph) *Result {
 	return res
 }
 
+// graphsOf returns the templates of arrivals in instance order, the
+// graphs Trace.Validate checks dependencies against.
+func graphsOf(arrivals []dynlist.Item) []*taskgraph.Graph {
+	graphs := make([]*taskgraph.Graph, len(arrivals))
+	for i, it := range arrivals {
+		graphs[i] = it.Graph
+	}
+	return graphs
+}
+
 // runValidated runs with tracing and checks every architecture invariant.
 func runValidated(t *testing.T, cfg Config, graphs ...*taskgraph.Graph) *Result {
 	t.Helper()
 	cfg.RecordTrace = true
 	res := run(t, cfg, graphs...)
-	if err := res.Trace.Validate(res.Templates); err != nil {
+	if err := res.Trace.Validate(graphs); err != nil {
 		t.Fatalf("trace invalid: %v", err)
 	}
 	return res
@@ -281,7 +291,7 @@ func TestDynamicArrivals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := res.Trace.Validate(res.Templates); err != nil {
+	if err := res.Trace.Validate(graphsOf(arrivals)); err != nil {
 		t.Fatal(err)
 	}
 	// First run: load [0,4], exec [4,6]. Second arrives at 100, config
@@ -355,20 +365,6 @@ func TestSkipCounterIsPerGraph(t *testing.T) {
 	}, tg1, tg2, tg1, tg2, tg1)
 	if res.Skips < 2 {
 		t.Errorf("skips = %d, want ≥ 2 (one per TG2 instance)", res.Skips)
-	}
-}
-
-// TestTemplatesRecorded: every instance maps to its template.
-func TestTemplatesRecorded(t *testing.T) {
-	seq := workload.Fig2Sequence()
-	res := run(t, fig2Config(policy.NewLRU()), seq...)
-	if len(res.Templates) != 5 {
-		t.Fatalf("templates = %d, want 5", len(res.Templates))
-	}
-	for i, g := range seq {
-		if res.Templates[i] != g {
-			t.Errorf("instance %d template mismatch", i)
-		}
 	}
 }
 

@@ -52,7 +52,8 @@ func TestEventOrderAtTies(t *testing.T) {
 	if err := r.Reset(cfg); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.start(tieArrivals(t)); err != nil {
+	arrivals := tieArrivals(t)
+	if err := r.start(arrivals); err != nil {
 		t.Fatal(err)
 	}
 	var b strings.Builder
@@ -71,7 +72,7 @@ func TestEventOrderAtTies(t *testing.T) {
 		}
 	}
 	res := r.snapshot()
-	if err := res.Trace.Validate(res.Templates); err != nil {
+	if err := res.Trace.Validate(graphsOf(arrivals)); err != nil {
 		t.Fatalf("trace invalid: %v", err)
 	}
 	fmt.Fprintf(&b, "makespan=%v executed=%d reused=%d loads=%d evictions=%d skips=%d graphs=%d events=%d\n",

@@ -139,7 +139,7 @@ func TestCrossGraphPrefetchLateArrivals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := res.Trace.Validate(res.Templates); err != nil {
+	if err := res.Trace.Validate(graphsOf(arrivals)); err != nil {
 		t.Fatal(err)
 	}
 	// a: load [0,4] exec [4,34]. b arrives at 10, preloads [10,14], and

@@ -74,7 +74,7 @@ func TestRandomWorkloadsSatisfyInvariants(t *testing.T) {
 		if res.Graphs != len(seq) {
 			t.Fatalf("trial %d: completed %d of %d graphs", trial, res.Graphs, len(seq))
 		}
-		if err := res.Trace.Validate(res.Templates); err != nil {
+		if err := res.Trace.Validate(seq); err != nil {
 			t.Fatalf("trial %d (R=%d, latency %v, %s): trace invalid: %v",
 				trial, rus, latency, pol.Name(), err)
 		}
@@ -111,7 +111,7 @@ func TestSkipEventsNeverLosesWork(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if err := res.Trace.Validate(res.Templates); err != nil {
+		if err := res.Trace.Validate(seq); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		if res.Graphs != len(seq) {

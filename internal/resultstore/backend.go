@@ -28,8 +28,9 @@ type Backend interface {
 	// Store atomically writes data under key, overwriting.
 	Store(key string, data []byte) error
 	// Visit enumerates every stored (key, value) pair, additionally
-	// reporting how many junk artifacts (e.g. leftover temp files)
-	// it swept away; GC adds that to its removed count.
+	// reporting how many junk artifacts (e.g. leftover temp files, or a
+	// directory where an fs entry belongs) it swept away; GC adds that to
+	// its removed count.
 	Visit(fn func(key string, data []byte) error) (junk int, err error)
 	// Delete removes key; deleting an absent key is not an error.
 	Delete(key string) error
@@ -103,8 +104,20 @@ func (b *fsBackend) Visit(fn func(key string, data []byte) error) (int, error) {
 	junk := 0
 	root := filepath.Join(b.dir, "objects")
 	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() {
+		if err != nil {
 			return err
+		}
+		if d.IsDir() {
+			if p == root || filepath.Dir(p) == root {
+				return nil // objects/ or a fanout directory
+			}
+			// A directory inside a fanout directory is never an entry,
+			// and one at an entry's path would make every Put of that
+			// key fail: sweep it whole.
+			if os.RemoveAll(p) == nil {
+				junk++
+			}
+			return filepath.SkipDir
 		}
 		if strings.HasSuffix(p, ".tmp") {
 			if os.Remove(p) == nil {

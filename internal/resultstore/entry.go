@@ -72,7 +72,7 @@ func RecordRun(r *manager.Result) *Run {
 }
 
 // Result reconstructs a manager.Result from the record: every counter,
-// and nil Completions, Trace and Templates.
+// and nil Completions and Trace.
 func (r *Run) Result() *manager.Result {
 	if r == nil {
 		return nil

@@ -348,7 +348,9 @@ type GCStats struct {
 	Kept int
 	// Removed is the number of files deleted: stale-schema entries,
 	// undecodable files, entries whose key does not match their filename,
-	// "ideal-run" artifacts and leftover temp files from interrupted writes.
+	// "ideal-run" artifacts, leftover temp files from interrupted writes
+	// and, on fs, each directory found below a fanout directory (one at an
+	// entry's path blocks every write of that key).
 	Removed int
 }
 

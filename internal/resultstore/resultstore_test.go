@@ -218,8 +218,8 @@ func TestRunRecordRoundTrip(t *testing.T) {
 		Events:      77,
 	}
 	back := RecordRun(orig).Result()
-	if back.Completions != nil || back.Trace != nil || back.Templates != nil {
-		t.Error("reconstructed result carries completions, trace or templates")
+	if back.Completions != nil || back.Trace != nil {
+		t.Error("reconstructed result carries completions or trace")
 	}
 	want := *orig
 	want.Completions = nil // never serialized

@@ -39,11 +39,19 @@ type Unit struct {
 	Reuses int
 }
 
-// Array is the bank of reconfigurable units. It keeps no index of what is
-// resident where: an array holds a handful of units, and every placement
-// decision scans them all anyway, so Find scans too.
+// Array is the bank of reconfigurable units. It indexes residency by
+// TaskID, so Find is one load, and counts the units ever loaded, so
+// FirstEmpty answers at once when none is left empty — as it is after
+// the first Len loads of a run, since nothing empties a unit but Reset.
 type Array struct {
 	units []Unit
+	// unitOf maps a resident TaskID to its unit + 1, and every other ID
+	// below its length to 0. It grows in Install to the largest ID seen
+	// and keeps its length across Resets, which zero only the entries of
+	// the tasks then resident.
+	unitOf []int32
+	// filled counts the units holding a configuration.
+	filled int
 }
 
 // NewArray creates n empty units. n must be positive.
@@ -62,6 +70,12 @@ func (a *Array) Reset(n int) error {
 	if n < 1 {
 		return fmt.Errorf("ru: need at least 1 unit, got %d", n)
 	}
+	for i := range a.units {
+		if id := a.units[i].Resident; id != taskgraph.NoTask {
+			a.unitOf[id] = 0
+		}
+	}
+	a.filled = 0
 	if n <= cap(a.units) {
 		a.units = a.units[:n]
 		clear(a.units)
@@ -80,19 +94,18 @@ func (a *Array) Unit(i int) *Unit { return &a.units[i] }
 // Find returns the unit currently holding task, if any. An empty unit
 // holds no task, so Find(taskgraph.NoTask) is always false.
 func (a *Array) Find(task taskgraph.TaskID) (int, bool) {
-	if task == taskgraph.NoTask {
+	if task <= taskgraph.NoTask || int(task) >= len(a.unitOf) {
 		return -1, false
 	}
-	for i := range a.units {
-		if a.units[i].Resident == task {
-			return i, true
-		}
-	}
-	return -1, false
+	u := int(a.unitOf[task]) - 1
+	return u, u >= 0
 }
 
 // FirstEmpty returns the lowest-indexed unit that has never been loaded.
 func (a *Array) FirstEmpty() (int, bool) {
+	if a.filled == len(a.units) {
+		return -1, false
+	}
 	for i := range a.units {
 		if a.units[i].Resident == taskgraph.NoTask {
 			return i, true
@@ -103,13 +116,29 @@ func (a *Array) FirstEmpty() (int, bool) {
 
 // Install writes task's configuration onto unit i at time at, evicting
 // whatever was resident. It returns the evicted task (NoTask if the unit
-// was empty). Installing onto a busy unit is a programming error.
+// was empty). Installing onto a busy unit, installing NoTask, or
+// installing a task resident on another unit is a programming error.
 func (a *Array) Install(i int, task taskgraph.TaskID, at simtime.Time) taskgraph.TaskID {
 	u := &a.units[i]
 	if u.Busy {
 		panic(fmt.Sprintf("ru: installing task %d on busy unit %d", task, i))
 	}
+	if task <= taskgraph.NoTask {
+		panic(fmt.Sprintf("ru: installing invalid task %d on unit %d", task, i))
+	}
+	if j, ok := a.Find(task); ok && j != i {
+		panic(fmt.Sprintf("ru: installing task %d on unit %d, already resident on unit %d", task, i, j))
+	}
+	if n := int(task) + 1; n > len(a.unitOf) {
+		a.unitOf = append(a.unitOf, make([]int32, n-len(a.unitOf))...)
+	}
 	evicted := u.Resident
+	if evicted == taskgraph.NoTask {
+		a.filled++
+	} else {
+		a.unitOf[evicted] = 0
+	}
+	a.unitOf[task] = int32(i + 1)
 	u.Resident = task
 	u.LoadedAt = at
 	u.LastUse = at

@@ -545,8 +545,18 @@ func Conformance(t *testing.T, b Backend) {
 		if hits, misses, _ := s.Stats(); hits != 0 || misses != 1 {
 			t.Errorf("stats after an obstructed Get = %d hits, %d misses; want 0/1", hits, misses)
 		}
-		if _, err := s.GC(); err != nil {
-			t.Errorf("GC over an obstructed entry: %v", err)
+		st, err := s.GC()
+		if err != nil {
+			t.Fatalf("GC over an obstructed entry: %v", err)
+		}
+		if st.Removed != 1 || st.Kept != 0 {
+			t.Errorf("GC over an obstructed entry = %+v, want it removed", st)
+		}
+		if err := s.Put(key, sampleEntry("after gc")); err != nil {
+			t.Fatalf("Put after GC cleared the obstruction: %v", err)
+		}
+		if got, ok := s.Get(key); !ok || got.Scenario != "after gc" {
+			t.Errorf("Get after GC and Put = %+v, %v; want the new entry", got, ok)
 		}
 	})
 

@@ -48,9 +48,9 @@ import (
 // per-application delay digest — so a warm sweep is byte-identical in
 // every report to a cold one. Every collector receives a hit the same
 // way: the run's counters and the stored summary, computing no ideal
-// baseline. Run.Completions, Run.Trace, Run.Templates and Ideal are
-// live-only (see Result). Specs the store cannot identify canonically
-// (see Spec.Cacheable) bypass it transparently.
+// baseline. Run.Completions, Run.Trace and Ideal are live-only (see
+// Result). Specs the store cannot identify canonically (see
+// Spec.Cacheable) bypass it transparently.
 //
 // With Spec.Shard set, only the shard's slice of the grid runs; config
 // hashes and spec order are shard-independent, so N shard runs into one
@@ -103,6 +103,10 @@ type Executor struct {
 	// observeIdeal, when non-nil, is called once per ideal baseline the
 	// sweep computes. Tests use it to pin which serves compute none.
 	observeIdeal func()
+	// observeArrivals, when non-nil, receives the arrivals handed to each
+	// simulation, scenario or ideal baseline, with the workload's index.
+	// Tests use it to pin that one slice serves a whole workload.
+	observeArrivals func(workload int, arrivals []dynlist.Item)
 }
 
 // Run executes every scenario of spec and returns the results in spec
@@ -197,7 +201,8 @@ func (e Executor) Collect(spec Spec, c Collector) error {
 	}
 	window := reorderWindow(workers)
 
-	ideals := &idealCache{sp: &sp, m: make(map[idealID]*idealEntry), observe: e.observeIdeal}
+	arrivals := newArrivalCache(&sp, e.observeArrivals)
+	ideals := &idealCache{arrivals: arrivals, m: make(map[idealID]*idealEntry), observe: e.observeIdeal}
 	jobs := make(chan int)
 	completions := make(chan indexedResult)
 	stop := make(chan struct{})
@@ -217,7 +222,7 @@ func (e Executor) Collect(spec Spec, c Collector) error {
 				if keys != nil {
 					key = keys[i]
 				}
-				res, err := e.runStored(&sp, scenarios[i], ideals, runner, key, stop)
+				res, err := e.runStored(&sp, scenarios[i], arrivals, ideals, runner, key, stop)
 				completions <- indexedResult{pos: p, res: res, err: err}
 			}
 		}()
@@ -337,7 +342,7 @@ func displaces(err error, pos int, cur error, curPos int) bool {
 // simulates (then writes back) otherwise. key is empty when the sweep
 // runs without a store or the spec is uncacheable; stop is closed once
 // the sweep has failed, after which nothing more is persisted.
-func (e Executor) runStored(sp *Spec, sc Scenario, ideals *idealCache, runner *manager.Runner, key string, stop <-chan struct{}) (*Result, error) {
+func (e Executor) runStored(sp *Spec, sc Scenario, arrivals *arrivalCache, ideals *idealCache, runner *manager.Runner, key string, stop <-chan struct{}) (*Result, error) {
 	if key != "" {
 		if e.RequireStored && e.StoreWait != nil {
 			return e.awaitStored(sp, sc, key, stop)
@@ -351,7 +356,7 @@ func (e Executor) runStored(sp *Spec, sc Scenario, ideals *idealCache, runner *m
 			return nil, fmt.Errorf("not in result store %s (did every shard run?)", e.Store.Dir())
 		}
 	}
-	res, err := runScenario(sp, sc, ideals, runner)
+	res, err := runScenario(sp, sc, arrivals, ideals, runner)
 	if err != nil || key == "" {
 		return res, err
 	}
@@ -456,9 +461,9 @@ func resultFromEntry(sp *Spec, sc Scenario, ent *resultstore.Entry) *Result {
 }
 
 // runScenario simulates one scenario on the worker's reusable runner:
-// fresh policy instance, shared mobility tables, shared ideal baseline,
-// summary.
-func runScenario(sp *Spec, sc Scenario, ideals *idealCache, runner *manager.Runner) (*Result, error) {
+// fresh policy instance, shared arrivals, shared mobility tables, shared
+// ideal baseline, summary.
+func runScenario(sp *Spec, sc Scenario, arrivals *arrivalCache, ideals *idealCache, runner *manager.Runner) (*Result, error) {
 	pol, err := sc.Policy.New()
 	if err != nil {
 		return nil, err
@@ -485,7 +490,7 @@ func runScenario(sp *Spec, sc Scenario, ideals *idealCache, runner *manager.Runn
 	// folding their one-off cost into whichever scenario happened to pay
 	// it would skew the recorded per-scenario times.
 	start := time.Now()
-	run, err := runner.Run(cfg, sc.Workload.feed())
+	run, err := runner.Run(cfg, arrivals.get(sc.WorkloadIdx))
 	if err != nil {
 		return nil, err
 	}
@@ -508,7 +513,7 @@ func runScenario(sp *Spec, sc Scenario, ideals *idealCache, runner *manager.Runn
 	return res, nil
 }
 
-// feed returns the workload's arrivals: Seq in order, at the Arrivals
+// feed builds the workload's arrivals: Seq in order, at the Arrivals
 // times or all at time zero.
 func (w *Workload) feed() []dynlist.Item {
 	items := dynlist.NewSequence(w.Seq...)
@@ -535,6 +540,31 @@ func (w *Workload) templates() []*taskgraph.Graph {
 	return out
 }
 
+// arrivalCache builds each workload's arrivals once per Collect, on first
+// use. manager.Runner only reads its arrivals, so every scenario of a
+// workload and its ideal baselines share one slice, concurrent runs
+// included; the slices are dropped with the Collect.
+type arrivalCache struct {
+	sp      *Spec
+	once    []sync.Once
+	items   [][]dynlist.Item
+	observe func(workload int, arrivals []dynlist.Item) // Executor.observeArrivals
+}
+
+func newArrivalCache(sp *Spec, observe func(int, []dynlist.Item)) *arrivalCache {
+	n := len(sp.Workloads)
+	return &arrivalCache{sp: sp, once: make([]sync.Once, n), items: make([][]dynlist.Item, n), observe: observe}
+}
+
+// get returns workload w's arrivals, building them on the first call.
+func (c *arrivalCache) get(w int) []dynlist.Item {
+	c.once[w].Do(func() { c.items[w] = c.sp.Workloads[w].feed() })
+	if c.observe != nil {
+		c.observe(w, c.items[w])
+	}
+	return c.items[w]
+}
+
 // idealCache serves the zero-latency baselines shared by every scenario
 // of one (workload, RUs) pair: a single-flight map, so concurrent
 // scenarios wait for one manager.Runner.Ideal computation and share its
@@ -542,10 +572,10 @@ func (w *Workload) templates() []*taskgraph.Graph {
 // (internal/manager's TestIdealTimingIndependentOfPolicy), so one
 // baseline serves every policy's Summary.
 type idealCache struct {
-	sp      *Spec
-	mu      sync.Mutex
-	m       map[idealID]*idealEntry
-	observe func() // Executor.observeIdeal
+	arrivals *arrivalCache
+	mu       sync.Mutex
+	m        map[idealID]*idealEntry
+	observe  func() // Executor.observeIdeal
 }
 
 type idealID struct {
@@ -574,7 +604,7 @@ func (c *idealCache) get(workload, rus int, runner *manager.Runner) (*manager.Re
 		if c.observe != nil {
 			c.observe()
 		}
-		e.res, e.err = runner.Ideal(rus, c.sp.Workloads[workload].feed())
+		e.res, e.err = runner.Ideal(rus, c.arrivals.get(workload))
 	})
 	return e.res, e.err
 }

@@ -367,7 +367,7 @@ type Result struct {
 	// a report.
 	Elapsed time.Duration
 	// Run is the raw simulation outcome. A store hit carries its
-	// counters only: Completions, Trace and Templates are live-only.
+	// counters only: Completions and Trace are live-only.
 	Run *manager.Result
 	// Ideal is the shared zero-latency baseline for the scenario's
 	// (workload, RUs) on a live run; nil when Spec.NoBaseline is set,

@@ -82,7 +82,7 @@ func TestStoreWarmRunIdentical(t *testing.T) {
 					t.Errorf("scenario %d summary diverged:\ncold %+v\nwarm %+v", i, c.Summary, w.Summary)
 				}
 				cr := *c.Run
-				cr.Completions, cr.Templates = nil, nil // live-only, never stored
+				cr.Completions = nil // live-only, never stored
 				if !reflect.DeepEqual(cr, *w.Run) {
 					t.Errorf("scenario %d run diverged:\ncold %+v\nwarm %+v", i, cr, *w.Run)
 				}

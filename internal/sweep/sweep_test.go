@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -151,6 +152,54 @@ func TestTimedArrivals(t *testing.T) {
 		}
 		if atZero := rs.At(0, 0, 0, pi); atZero.Run.Makespan == run.Makespan {
 			t.Errorf("%s: the timed workload ran as if every application arrived at zero", ps.Name)
+		}
+	}
+}
+
+// TestCollectSharesArrivals: within one Collect, every simulation of a
+// workload, each scenario and each ideal baseline on either worker, reads
+// one arrival slice, and no run writes to it. A timed workload's slice
+// carries its arrival times.
+func TestCollectSharesArrivals(t *testing.T) {
+	spec := fig9Spec(t, 4, 5)
+	timed := spec.Workloads[0]
+	timed.Arrivals = make([]simtime.Time, len(timed.Seq))
+	for i := range timed.Arrivals {
+		timed.Arrivals[i] = simtime.FromMs(float64(200 * i))
+	}
+	spec.Workloads = append(spec.Workloads, timed)
+	var (
+		mu    sync.Mutex
+		first = make(map[int][]dynlist.Item)
+		uses  = make(map[int]int)
+	)
+	ex := Executor{Workers: 2}
+	ex.observeArrivals = func(w int, arrivals []dynlist.Item) {
+		mu.Lock()
+		defer mu.Unlock()
+		uses[w]++
+		f, ok := first[w]
+		if !ok {
+			first[w] = arrivals
+		} else if len(arrivals) != len(f) || &arrivals[0] != &f[0] {
+			t.Errorf("workload %d: a simulation got its own arrival slice", w)
+		}
+	}
+	if _, err := ex.Run(spec); err != nil {
+		t.Fatal(err)
+	}
+	for w := range spec.Workloads {
+		// One use per scenario and one per (workload, RUs) baseline.
+		if want := len(spec.RUs) * (len(spec.Policies) + 1); uses[w] != want {
+			t.Errorf("workload %d: %d simulations read arrivals, want %d", w, uses[w], want)
+		}
+		if !reflect.DeepEqual(first[w], spec.Workloads[w].feed()) {
+			t.Errorf("workload %d: the shared arrivals changed during the Collect", w)
+		}
+	}
+	for i, it := range first[1] {
+		if it.Arrival != timed.Arrivals[i] {
+			t.Fatalf("timed workload: arrival %d at %v, want %v", i, it.Arrival, timed.Arrivals[i])
 		}
 	}
 }
