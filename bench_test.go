@@ -53,7 +53,7 @@ func BenchmarkFig2(b *testing.B) {
 // the design-time mobility phase amortized over executions.
 func BenchmarkFig3SkipEvents(b *testing.B) {
 	seq := workload.Fig3Sequence()
-	lookup, _, err := mobility.ComputeAll(seq, 4, workload.PaperLatency())
+	lookup, _, err := mobility.CachedAll(seq, 4, workload.PaperLatency())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func fig9Workload(b *testing.B) (pool, seq []*taskgraph.Graph) {
 // data point of Fig. 9.
 func BenchmarkFig9Run(b *testing.B) {
 	pool, seq := fig9Workload(b)
-	lookup, _, err := mobility.ComputeAll(pool, 4, workload.PaperLatency())
+	lookup, _, err := mobility.CachedAll(pool, 4, workload.PaperLatency())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -325,7 +325,7 @@ var benchSink any
 
 // BenchmarkFig9SweepSummary contrasts what a completed sweep pins in
 // memory: a full ResultSet (every raw run and ideal baseline, O(grid)
-// completion-time slices) versus the streaming SummaryCollector rows
+// completion-time slices) versus the rows a streaming RowRenderer emits
 // (scalar counters only). The retained-B/scn metric is measured
 // directly — heap in use holding the output minus heap after dropping
 // it, per scenario — and must stay flat for the summary stream as the
@@ -376,11 +376,15 @@ func BenchmarkFig9SweepSummary(b *testing.B) {
 		})
 		b.Run("SummaryStream/"+grid.name, func(b *testing.B) {
 			measureRetained(b, func() any {
-				ss, err := ex.RunSummaries(spec)
-				if err != nil {
+				var rows []sweep.SummaryRow
+				rr := &sweep.RowRenderer{Emit: func(_ int, block []sweep.SummaryRow) error {
+					rows = append(rows, block...)
+					return nil
+				}}
+				if err := ex.Collect(spec, rr); err != nil {
 					b.Fatal(err)
 				}
-				return ss
+				return rows
 			})
 		})
 	}

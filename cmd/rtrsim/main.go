@@ -146,15 +146,9 @@ func (g grid) Populate(sh sweep.Shard, cks sweep.CheckpointStore, fingerprint st
 	sp := g.spec
 	sp.Shard = sh
 	ex := sweep.Executor{Workers: g.setup.Parallel, Store: g.setup.Store}
-	var err error
-	if cks != nil {
-		// A re-leased shard resumes past the spec indices an earlier
-		// attempt already stored.
-		_, err = ex.CollectResumable(sp, sweep.Discard, cks, fmt.Sprintf("shard-%04d/sweep", sh.Index), fingerprint)
-	} else {
-		err = ex.Collect(sp, sweep.Discard)
-	}
-	if err != nil {
+	// A re-leased shard resumes past the spec indices an earlier attempt
+	// already stored.
+	if _, err := ex.Populate(sp, cks, fmt.Sprintf("shard-%04d/sweep", sh.Index), fingerprint); err != nil {
 		return "", err
 	}
 	n := sp.Size()

@@ -81,7 +81,3 @@ func (w *CheckpointedWriter) Write(p []byte) (int, error) {
 	}
 	return len(p), nil
 }
-
-// Total reports the bytes of report rendered through the writer,
-// including the suppressed resume prefix.
-func (w *CheckpointedWriter) Total() int64 { return w.total }

@@ -221,9 +221,10 @@ func (w *Watcher) Tick() (lines []string, drained bool, err error) {
 }
 
 // PoolWatch is a background Watcher: one goroutine polls the pool,
-// prints progress lines, and caches the latest drain verdict so any
-// number of sweep workers can consult Done without each re-reading the
-// state directory. Create with WatchPool, release with Stop.
+// prints progress lines, and caches the latest drain verdict so the
+// merge's store-only sweep can consult Done on every poll of its head
+// scenario without re-reading the state directory. Create with
+// WatchPool, release with Stop.
 type PoolWatch struct {
 	mu      sync.Mutex
 	drained bool

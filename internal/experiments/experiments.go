@@ -291,16 +291,12 @@ func Populate(opt Options, exps []Experiment, shard sweep.Shard) (PopulateStats,
 		}
 		for gi, sp := range specs {
 			sp.Shard = shard
-			if opt.Checkpoints != nil {
-				// One checkpoint per (shard, grid): a re-leased shard skips
-				// the spec indices a previous attempt already stored.
-				name := fmt.Sprintf("shard-%04d/%s-grid%d", shard.Index, e.ID, gi)
-				resumed, err := ex.CollectResumable(sp, sweep.Discard, opt.Checkpoints, name, opt.Fingerprint)
-				st.Resumed += resumed
-				if err != nil {
-					return st, fmt.Errorf("%s: %w", e.ID, err)
-				}
-			} else if err := ex.Collect(sp, sweep.Discard); err != nil {
+			// One checkpoint per (shard, grid): a re-leased shard skips
+			// the spec indices a previous attempt already stored.
+			name := fmt.Sprintf("shard-%04d/%s-grid%d", shard.Index, e.ID, gi)
+			resumed, err := ex.Populate(sp, opt.Checkpoints, name, opt.Fingerprint)
+			st.Resumed += resumed
+			if err != nil {
 				return st, fmt.Errorf("%s: %w", e.ID, err)
 			}
 			n := sp.Size()

@@ -23,7 +23,7 @@ func TestFig9RegressionPin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lookup, _, err := mobility.ComputeAll(pool, 4, workload.PaperLatency())
+	lookup, _, err := mobility.CachedAll(pool, 4, workload.PaperLatency())
 	if err != nil {
 		t.Fatal(err)
 	}

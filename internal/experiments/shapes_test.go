@@ -19,7 +19,7 @@ func evalShape(t *testing.T, pool, seq []*taskgraph.Graph, rus int, pol policy.P
 	lat := workload.PaperLatency()
 	cfg := manager.Config{RUs: rus, Latency: lat, Policy: pol, SkipEvents: skip}
 	if skip {
-		lookup, _, err := mobility.ComputeAll(pool, rus, lat)
+		lookup, _, err := mobility.CachedAll(pool, rus, lat)
 		if err != nil {
 			t.Fatal(err)
 		}

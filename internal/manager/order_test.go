@@ -109,7 +109,8 @@ func peekEvent(r *Runner) string {
 		e := r.running[0]
 		task, unit = r.cur.g.Task(e.local).ID, e.unit
 	case endOfReconfiguration:
-		task, unit, _ = r.recon.InFlight()
+		in := *r.recon // Finish on a copy names the in-flight load
+		task, unit = in.Finish()
 	case newTaskGraph:
 		arg = r.arrived
 	}

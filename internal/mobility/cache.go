@@ -217,8 +217,9 @@ func rebind(t *Table, g *taskgraph.Graph) *Table {
 	return &c
 }
 
-// CachedAll is ComputeAll backed by the two-tier cache: one table per
-// distinct template in graphs, loaded or computed at most once per
+// CachedAll runs Cached for every distinct template in graphs and
+// returns a ready-to-use lookup plus the tables (in first-appearance
+// order): one table per template, loaded or computed at most once per
 // process. Each returned table is bound to the pointer that requested
 // it, so the Lookup covers every template in graphs even when two
 // pointers share content.

@@ -113,26 +113,6 @@ func Lookup(tables ...*Table) func(*taskgraph.Graph) []int {
 	return func(g *taskgraph.Graph) []int { return m[g] }
 }
 
-// ComputeAll runs Compute for every distinct template in graphs and
-// returns a ready-to-use lookup plus the tables (in first-appearance
-// order).
-func ComputeAll(graphs []*taskgraph.Graph, rus int, latency simtime.Time) (func(*taskgraph.Graph) []int, []*Table, error) {
-	seen := make(map[*taskgraph.Graph]bool)
-	var tables []*Table
-	for _, g := range graphs {
-		if seen[g] {
-			continue
-		}
-		seen[g] = true
-		t, err := Compute(g, rus, latency)
-		if err != nil {
-			return nil, nil, err
-		}
-		tables = append(tables, t)
-	}
-	return Lookup(tables...), tables, nil
-}
-
 // String renders the table in task-ID order.
 func (t *Table) String() string {
 	s := fmt.Sprintf("mobility of %s (R=%d, latency %v, ref makespan %v):",

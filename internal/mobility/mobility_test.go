@@ -115,10 +115,12 @@ func TestWideGraphHasMobility(t *testing.T) {
 	}
 }
 
+// TestComputeAllAndLookup: CachedAll computes one table per distinct
+// template, and its lookup serves them and nothing else.
 func TestComputeAllAndLookup(t *testing.T) {
 	jpeg := workload.JPEG()
 	seq := []*taskgraph.Graph{jpeg, workload.MPEG1(), jpeg} // jpeg repeated
-	lookup, tables, err := ComputeAll(seq, 4, ms(4))
+	lookup, tables, err := CachedAll(seq, 4, ms(4))
 	if err != nil {
 		t.Fatal(err)
 	}

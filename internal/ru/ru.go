@@ -222,8 +222,3 @@ func (r *Reconfigurator) Finish() (taskgraph.TaskID, int) {
 func (r *Reconfigurator) End() (end simtime.Time, active bool) {
 	return r.busyUntil, r.active
 }
-
-// InFlight returns the task being loaded and its target while active.
-func (r *Reconfigurator) InFlight() (taskgraph.TaskID, int, bool) {
-	return r.task, r.target, r.active
-}

@@ -181,14 +181,10 @@ func TestReconfigurator(t *testing.T) {
 	if r.Idle() {
 		t.Error("reconfigurator should be busy")
 	}
-	task, tgt, active := r.InFlight()
-	if !active || task != 7 || tgt != 2 {
-		t.Errorf("InFlight = %d,%d,%v", task, tgt, active)
-	}
 	if at, active := r.End(); !active || at != ms(14) {
 		t.Errorf("End = %v,%v, want 14 ms,true", at, active)
 	}
-	task, tgt = r.Finish()
+	task, tgt := r.Finish()
 	if task != 7 || tgt != 2 || !r.Idle() {
 		t.Errorf("Finish = %d,%d idle=%v", task, tgt, r.Idle())
 	}

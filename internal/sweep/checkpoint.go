@@ -12,10 +12,9 @@ import (
 const CheckpointSchema = 1
 
 // Checkpoint is the resumable state of one campaign participant — a
-// shard populate or a merge render. It is small by construction: the
-// executor retains only a bounded reorder window and the renderer only
-// the current row block, so "where to resume" compresses to a pair of
-// counters. Records persist in the pool's coordination backend (see
+// shard populate or a merge render. It is small by construction: "where
+// to resume" is one counter, the stored prefix of a populate or the
+// printed bytes of a merge. Records persist in the pool's coordination backend (see
 // coord.CheckpointStore) keyed by participant, guarded by the campaign
 // fingerprint so state from a different grid can never be resumed.
 type Checkpoint struct {
@@ -27,9 +26,6 @@ type Checkpoint struct {
 	// positions whose results the store acknowledged (served from it, or
 	// written back successfully). A resumed attempt skips exactly these.
 	Collected int `json:"collected,omitempty"`
-	// Rows counts renderer rows emitted when the checkpointed collector
-	// renders (zero for populate-only shards).
-	Rows int `json:"rows,omitempty"`
 	// Offset counts report bytes already written by a merge render; a
 	// resumed merge re-renders from the store and suppresses exactly
 	// this prefix (see campaign.CheckpointedWriter).
@@ -85,134 +81,46 @@ func LoadCheckpoint(cks CheckpointStore, name, fingerprint string) (*Checkpoint,
 	return DecodeCheckpoint(data, fingerprint)
 }
 
-// Checkpointer wraps a Collector with resume bookkeeping: it counts the
-// contiguous prefix of results the store acknowledged and periodically
-// persists it, so the next attempt at this shard (after a SIGKILL, a
-// lost lease, a host crash) skips straight past the completed spec
-// indices instead of re-probing — or worse, re-simulating — them.
+// savesEvery is how many acknowledged results Populate lets land
+// between two saves of its checkpoint.
+const savesEvery = 8
+
+// Populate is Collect into Discard for a re-leasable shard populate: the
+// store write-through is its only output. With cks set it loads the
+// checkpoint under name, skips the acknowledged prefix it records, and
+// saves fresh progress as results land — every savesEvery
+// acknowledged results and once at the end, error or not — so a worker
+// that dies mid-grid costs only the work since the last save, not the
+// shard generation. It returns how many owned positions the checkpoint
+// skipped. A nil cks is a plain Collect(spec, Discard).
 //
-// Advancement freezes at the first unacknowledged result (failed store
-// write, uncacheable sweep, post-cancel straggler): a checkpoint must
-// never skip a scenario the store cannot serve to the next attempt.
-// Save failures are counted, never fatal — the sweep's correctness does
-// not depend on checkpoints existing at all.
-type Checkpointer struct {
-	// C receives every result, unchanged and in spec order.
-	C Collector
-	// Store persists the records; Name keys this participant (e.g.
-	// "shard-0007/fig9b-grid0"); Fingerprint guards against resuming
-	// foreign state.
-	Store       CheckpointStore
-	Name        string
-	Fingerprint string
-	// Resume is the prefix already collected before this run (the
-	// executor's resumeSkip); the counter starts there.
-	Resume int
-	// Stride bounds how many acknowledged results may land between
-	// saves when the downstream collector exposes no row boundaries;
-	// values ≤ 0 mean 8. When C implements `Rows() int` (the streaming
-	// renderers), saves align to row-block boundaries instead.
-	Stride int
-
-	collected    int
-	rows         int
-	frozen       bool
-	sinceSave    int
-	saves        int
-	saveFailures int
-	started      bool
-}
-
-// Collect passes the result through and advances the checkpoint state.
-func (k *Checkpointer) Collect(r *Result) error {
-	if !k.started {
-		k.started = true
-		k.collected = k.Resume
+// The saved prefix freezes at the first result the store did not
+// acknowledge (failed store write, uncacheable sweep): a checkpoint must
+// never skip a scenario the store cannot serve to the next attempt. A
+// failed save costs resumability, never the sweep — the sweep's
+// correctness does not depend on checkpoints existing at all.
+func (e Executor) Populate(spec Spec, cks CheckpointStore, name, fingerprint string) (resumed int, err error) {
+	if cks == nil {
+		return 0, e.Collect(spec, Discard)
 	}
-	if err := k.C.Collect(r); err != nil {
-		return err
+	if cp, ok := LoadCheckpoint(cks, name, fingerprint); ok {
+		resumed = min(max(cp.Collected, 0), spec.Shard.SizeOf(spec.Size()))
 	}
-	if k.frozen || !r.stored {
-		k.frozen = true
-		return nil
+	collected, frozen, unsaved := resumed, false, 0
+	save := func() {
+		unsaved = 0
+		cp := Checkpoint{Fingerprint: fingerprint, Collected: collected, SavedAtNS: time.Now().UnixNano()}
+		_ = cks.SaveCheckpoint(name, cp.Encode()) // a failed save costs resumability only
 	}
-	k.collected++
-	k.sinceSave++
-	if rower, ok := k.C.(interface{ Rows() int }); ok {
-		if n := rower.Rows(); n != k.rows {
-			k.rows = n
-			k.save()
+	err = e.collect(spec, resumed, CollectorFunc(func(r *Result) error {
+		if frozen = frozen || !r.stored; !frozen {
+			collected++
+			if unsaved++; unsaved == savesEvery {
+				save()
+			}
 		}
 		return nil
-	}
-	stride := k.Stride
-	if stride <= 0 {
-		stride = 8
-	}
-	if k.sinceSave >= stride {
-		k.save()
-	}
-	return nil
-}
-
-func (k *Checkpointer) save() {
-	k.sinceSave = 0
-	cp := Checkpoint{
-		Fingerprint: k.Fingerprint,
-		Collected:   k.collected,
-		Rows:        k.rows,
-		SavedAtNS:   time.Now().UnixNano(),
-	}
-	if err := k.Store.SaveCheckpoint(k.Name, cp.Encode()); err != nil {
-		k.saveFailures++
-		return
-	}
-	k.saves++
-}
-
-// Flush persists the final state; call it once Collect has returned,
-// error or not — on failure the record is exactly what lets the next
-// attempt resume past the work that did land.
-func (k *Checkpointer) Flush() {
-	if !k.started {
-		k.collected = k.Resume
-	}
-	k.save()
-}
-
-// Collected reports the acknowledged contiguous prefix, including the
-// resumed part.
-func (k *Checkpointer) Collected() int {
-	if !k.started {
-		return k.Resume
-	}
-	return k.collected
-}
-
-// Saves reports how many checkpoint writes succeeded and failed.
-func (k *Checkpointer) Saves() (saved, failed int) { return k.saves, k.saveFailures }
-
-// CollectResumable is Collect for a re-leasable shard populate: it
-// loads the shard's checkpoint, skips the acknowledged prefix, and
-// checkpoints fresh progress as results land, so a worker that dies
-// mid-grid costs only the work since the last save — not the shard
-// generation. It returns how many owned positions the checkpoint
-// skipped. Only collectors that tolerate missing results may ride it
-// (the populate path's Discard); renderers must see every row.
-func (e Executor) CollectResumable(spec Spec, c Collector, cks CheckpointStore, name, fingerprint string) (int, error) {
-	resumed := 0
-	if cp, ok := LoadCheckpoint(cks, name, fingerprint); ok {
-		resumed = cp.Collected
-	}
-	if n := spec.Shard.SizeOf(spec.Size()); resumed > n {
-		resumed = n
-	}
-	if resumed < 0 {
-		resumed = 0
-	}
-	e.resumeSkip = resumed
-	k := &Checkpointer{C: c, Store: cks, Name: name, Fingerprint: fingerprint, Resume: resumed}
-	err := e.Collect(spec, k)
-	k.Flush()
+	}))
+	save()
 	return resumed, err
 }

@@ -35,13 +35,13 @@ func (m *memCheckpoints) SaveCheckpoint(name string, data []byte) error {
 }
 
 func TestCheckpointDecodeVetting(t *testing.T) {
-	cp := Checkpoint{Fingerprint: "fp", Collected: 7, Rows: 2, Offset: 99}
+	cp := Checkpoint{Fingerprint: "fp", Collected: 7, Offset: 99}
 	data := cp.Encode()
 	got, ok := DecodeCheckpoint(data, "fp")
 	if !ok {
 		t.Fatal("round-trip decode failed")
 	}
-	if got.Collected != 7 || got.Rows != 2 || got.Offset != 99 || got.Schema != CheckpointSchema {
+	if got.Collected != 7 || got.Offset != 99 || got.Schema != CheckpointSchema {
 		t.Fatalf("decoded %+v, want the encoded fields back", got)
 	}
 	if _, ok := DecodeCheckpoint(data, "other-campaign"); ok {
@@ -55,72 +55,61 @@ func TestCheckpointDecodeVetting(t *testing.T) {
 	}
 }
 
-// TestCheckpointerFreezesOnUnstored: the acknowledged prefix advances
-// over stored results only and freezes permanently at the first result
-// the store did not acknowledge — later stored stragglers must not
-// punch holes a resume would skip over.
-func TestCheckpointerFreezesOnUnstored(t *testing.T) {
-	cks := newMemCheckpoints()
-	k := &Checkpointer{C: Discard, Store: cks, Name: "shard-0000/t", Fingerprint: "fp", Stride: 2}
-	feed := []bool{true, true, true, false, true, true}
-	for _, stored := range feed {
-		if err := k.Collect(&Result{stored: stored}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if k.Collected() != 3 {
-		t.Fatalf("Collected() = %d after freeze, want 3", k.Collected())
-	}
-	k.Flush()
-	if saved, failed := k.Saves(); saved < 2 || failed != 0 {
-		t.Fatalf("saves = %d/%d failed, want ≥2 (stride + flush) and none failed", saved, failed)
-	}
-	cp, ok := LoadCheckpoint(cks, "shard-0000/t", "fp")
-	if !ok || cp.Collected != 3 {
-		t.Fatalf("persisted checkpoint = %+v (ok=%v), want Collected 3", cp, ok)
-	}
+// failingPuts is a store Backend whose Store fails for the keys in fail:
+// the results of those scenarios run but are never acknowledged.
+type failingPuts struct {
+	resultstore.Backend
+	fail map[string]bool
 }
 
-// rowingCollector exposes renderer-style row boundaries: one row per
-// two results.
-type rowingCollector struct{ n int }
+func (b *failingPuts) Store(key string, data []byte) error {
+	if b.fail[key] {
+		return fmt.Errorf("failingPuts: injected write failure")
+	}
+	return b.Backend.Store(key, data)
+}
 
-func (r *rowingCollector) Collect(*Result) error { r.n++; return nil }
-func (r *rowingCollector) Rows() int             { return r.n / 2 }
-
-// TestCheckpointerRowBoundarySaves: when the downstream collector
-// renders, saves align to completed row blocks, not the stride.
-func TestCheckpointerRowBoundarySaves(t *testing.T) {
+// TestCheckpointerFreezesOnUnstored: Populate's acknowledged prefix
+// advances over stored results only and freezes permanently at the first
+// result the store did not acknowledge — later stored results must not
+// punch holes a resume would skip over.
+func TestCheckpointerFreezesOnUnstored(t *testing.T) {
+	spec := fig9Spec(t, 4, 5, 6) // 12 scenarios: one stride save, then the end
+	keys, err := spec.ScenarioKeys()
+	if err != nil {
+		t.Fatal(err)
+	}
+	backend := &failingPuts{Backend: resultstore.OpenMem().Backend(), fail: map[string]bool{keys[9]: true}}
 	cks := newMemCheckpoints()
-	k := &Checkpointer{C: &rowingCollector{}, Store: cks, Name: "merge/t", Fingerprint: "fp", Stride: 1}
-	for i := 0; i < 5; i++ {
-		if err := k.Collect(&Result{stored: true}); err != nil {
-			t.Fatal(err)
-		}
+	resumed, err := (Executor{Workers: 2, Store: resultstore.FromBackend(backend)}).Populate(spec, cks, "shard-0000/t", "fp")
+	if err != nil || resumed != 0 {
+		t.Fatalf("Populate resumed %d (err %v), want 0 and nil", resumed, err)
 	}
-	if saved, _ := k.Saves(); saved != 2 {
-		t.Fatalf("saves = %d after 5 results at 2 results/row, want 2 (row boundaries only)", saved)
-	}
-	cp, ok := LoadCheckpoint(cks, "merge/t", "fp")
-	if !ok || cp.Rows != 2 || cp.Collected != 4 {
-		t.Fatalf("persisted checkpoint = %+v (ok=%v), want Rows 2, Collected 4", cp, ok)
+	cp, ok := LoadCheckpoint(cks, "shard-0000/t", "fp")
+	if !ok || cp.Collected != 9 {
+		t.Fatalf("persisted checkpoint = %+v (ok=%v), want Collected 9 (frozen at the unstored scenario 9)", cp, ok)
 	}
 }
 
 // TestCheckpointerSaveFailuresTolerated: a backend that refuses the
 // checkpoint write costs resumability, never the sweep.
 func TestCheckpointerSaveFailuresTolerated(t *testing.T) {
+	spec := fig9Spec(t, 4, 5, 6)
 	cks := newMemCheckpoints()
 	cks.failSaves = 100
-	k := &Checkpointer{C: Discard, Store: cks, Name: "t", Fingerprint: "fp", Stride: 1}
-	for i := 0; i < 4; i++ {
-		if err := k.Collect(&Result{stored: true}); err != nil {
-			t.Fatal(err)
-		}
+	store := resultstore.OpenMem()
+	resumed, err := (Executor{Workers: 2, Store: store}).Populate(spec, cks, "t", "fp")
+	if err != nil || resumed != 0 {
+		t.Fatalf("Populate resumed %d (err %v), want 0 and nil", resumed, err)
 	}
-	k.Flush()
-	if saved, failed := k.Saves(); saved != 0 || failed != 5 {
-		t.Fatalf("saves = %d/%d failed, want 0 saved and 5 failed", saved, failed)
+	if want := 100 - 2; cks.failSaves != want {
+		t.Errorf("%d checkpoint saves attempted, want 2 (one stride, one at the end)", 100-cks.failSaves)
+	}
+	if len(cks.m) != 0 {
+		t.Errorf("failed saves left records %v", cks.m)
+	}
+	if _, _, puts := store.Stats(); puts != int64(spec.Size()) {
+		t.Errorf("populate stored %d of %d scenarios", puts, spec.Size())
 	}
 }
 
@@ -138,7 +127,7 @@ func resumableSpec(t testing.TB, mid func() (policy.Policy, error)) Spec {
 	return spec
 }
 
-// TestCollectResumableSkipsCompletedPrefix is the tentpole resume pin:
+// TestCollectResumableSkipsCompletedPrefix is Populate's resume pin:
 // attempt 1 dies mid-grid (scenario 1 fails), attempt 2 loads the
 // checkpoint and resumes past the completed prefix — scenario 0 is
 // neither probed nor simulated again, asserted by the dispatch
@@ -152,7 +141,7 @@ func TestCollectResumableSkipsCompletedPrefix(t *testing.T) {
 	spec := resumableSpec(t, func() (policy.Policy, error) {
 		return nil, fmt.Errorf("worker died here")
 	})
-	resumed, err := ex.CollectResumable(spec, Discard, cks, name, fp)
+	resumed, err := ex.Populate(spec, cks, name, fp)
 	if err == nil {
 		t.Fatal("attempt 1 was scripted to die and did not")
 	}
@@ -173,7 +162,7 @@ func TestCollectResumableSkipsCompletedPrefix(t *testing.T) {
 	var dispatched []int
 	ex2 := Executor{Workers: 1, Store: store}
 	ex2.observeDispatch = func(i int) { dispatched = append(dispatched, i) }
-	resumed, err = ex2.CollectResumable(spec2, Discard, cks, name, fp)
+	resumed, err = ex2.Populate(spec2, cks, name, fp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,14 +184,14 @@ func TestCollectResumableSkipsCompletedPrefix(t *testing.T) {
 			panic("fully-resumed attempt dispatched a scenario")
 		}
 	}
-	resumed, err = (Executor{Workers: 1, Store: store}).CollectResumable(spec3, Discard, cks, name, fp)
+	resumed, err = (Executor{Workers: 1, Store: store}).Populate(spec3, cks, name, fp)
 	if err != nil || resumed != 3 {
 		t.Fatalf("attempt 3 resumed %d (err %v), want 3 and nil", resumed, err)
 	}
 }
 
-// TestCollectResumableVetsCheckpoints: foreign-fingerprint records are
-// ignored and absurd collected counts clamp to the shard's size.
+// TestCollectResumableVetsCheckpoints: Populate ignores foreign-fingerprint
+// records and clamps absurd collected counts to the shard's size.
 func TestCollectResumableVetsCheckpoints(t *testing.T) {
 	store := resultstore.OpenMem()
 	cks := newMemCheckpoints()
@@ -213,7 +202,7 @@ func TestCollectResumableVetsCheckpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := resumableSpec(t, func() (policy.Policy, error) { return policy.NewLRU(), nil })
-	resumed, err := (Executor{Workers: 1, Store: store}).CollectResumable(spec, Discard, cks, name, "fp")
+	resumed, err := (Executor{Workers: 1, Store: store}).Populate(spec, cks, name, "fp")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +220,7 @@ func TestCollectResumableVetsCheckpoints(t *testing.T) {
 			panic("clamped resume dispatched a scenario")
 		}
 	}
-	resumed, err = (Executor{Workers: 1, Store: store}).CollectResumable(spec2, Discard, cks, name, "fp")
+	resumed, err = (Executor{Workers: 1, Store: store}).Populate(spec2, cks, name, "fp")
 	if err != nil || resumed != 3 {
 		t.Fatalf("oversized checkpoint resumed %d (err %v), want clamp to the 3 owned scenarios", resumed, err)
 	}

@@ -40,7 +40,7 @@ var Discard Collector = CollectorFunc(func(*Result) error { return nil })
 // ResultSetCollector accumulates every streamed result in spec order —
 // the classic Run behaviour, O(grid) memory. Use it when a report needs
 // raw runs (traces, completion times, which only live runs carry);
-// summary-only grids should prefer SummaryCollector.
+// summary-only grids should prefer a RowRenderer.
 type ResultSetCollector struct {
 	Results []*Result
 }
@@ -81,7 +81,7 @@ func (c RunCounters) ReuseRate() float64 {
 	return 100 * float64(c.Reused) / float64(c.Executed)
 }
 
-// SummaryRow is what SummaryCollector keeps per scenario: the derived
+// SummaryRow is what a RowRenderer keeps per scenario: the derived
 // metrics summary (nil when the sweep ran with Spec.NoBaseline) plus the
 // scalar run counters. It holds no *manager.Result, so the raw run and
 // its ideal baseline are garbage the moment the row is collected.
@@ -93,12 +93,10 @@ type SummaryRow struct {
 	Counters RunCounters
 }
 
-// Condense captures the O(1)-size SummaryRow of one streamed result —
-// the condensation SummaryCollector applies to every row, exposed for
-// collectors that render rows instead of retaining them (RowRenderer,
-// the CLIs' streaming tables). The raw run and ideal baseline become
-// garbage the moment the caller drops r.
-func Condense(r *Result) SummaryRow {
+// condense captures the O(1)-size SummaryRow of one streamed result.
+// The raw run and ideal baseline become garbage the moment the caller
+// drops r.
+func condense(r *Result) SummaryRow {
 	return SummaryRow{
 		Scenario: r.Scenario,
 		Summary:  r.Summary,
@@ -106,28 +104,11 @@ func Condense(r *Result) SummaryRow {
 	}
 }
 
-// SummaryCollector condenses each result to a SummaryRow as it streams
-// past, dropping the raw run and ideal baseline. A sweep collected this
-// way retains O(workers) full results at any instant (the executor's
-// reorder window) and O(grid) small rows — the difference is what lets
-// one process sweep grids far larger than memory would allow with
-// ResultSetCollector.
-type SummaryCollector struct {
-	Rows []SummaryRow
-}
-
-// Collect condenses and appends the result.
-func (c *SummaryCollector) Collect(r *Result) error {
-	c.Rows = append(c.Rows, Condense(r))
-	return nil
-}
-
 // RowRenderer groups a sweep's streamed results into report rows and
 // hands each row over the moment its last scenario lands. It is the
-// streaming report primitive on top of the Collector pipeline: where
-// SummaryCollector retains O(grid) condensed rows for post-sweep
-// indexing, a RowRenderer retains at most one in-progress block — O(1)
-// in the grid size — because it renders and forgets. Every grid report
+// streaming report primitive on top of the Collector pipeline: it
+// retains at most one in-progress block — O(1) in the grid size —
+// because it renders and forgets. Every grid report
 // (the experiments' figure tables, the CLIs' sweep tables) sits on it,
 // which is what makes tables print incrementally while a sweep runs and,
 // in a coordinator watch-mode merge, the moment each scenario is stored
@@ -150,7 +131,6 @@ type RowRenderer struct {
 
 	block   []SummaryRow
 	emitted int
-	maxHeld int
 }
 
 // size returns the current block's expected size.
@@ -171,10 +151,7 @@ func (r *RowRenderer) Collect(res *Result) error {
 	if r.size() < 1 {
 		return fmt.Errorf("sweep: RowRenderer block %d has non-positive size %d", r.emitted, r.size())
 	}
-	r.block = append(r.block, Condense(res))
-	if len(r.block) > r.maxHeld {
-		r.maxHeld = len(r.block)
-	}
+	r.block = append(r.block, condense(res))
 	if len(r.block) < r.size() {
 		return nil
 	}
@@ -198,35 +175,3 @@ func (r *RowRenderer) Close() error {
 
 // Rows reports how many report rows have been emitted.
 func (r *RowRenderer) Rows() int { return r.emitted }
-
-// MaxHeld reports the largest number of condensed rows buffered at any
-// instant — the bounded-retention evidence: it never exceeds the largest
-// block size, however large the grid.
-func (r *RowRenderer) MaxHeld() int { return r.maxHeld }
-
-// SummarySet is a completed summary-only sweep: rows in spec order plus
-// axis-indexed access, the lightweight analogue of ResultSet.
-type SummarySet struct {
-	Spec *Spec
-	Rows []SummaryRow
-}
-
-// At returns the row at the given axis indices. Valid only for
-// unsharded sweeps (a shard holds a subset of the grid's rows).
-func (ss *SummarySet) At(workload, ru, latency, policy int) *SummaryRow {
-	nr, nl, np := len(ss.Spec.RUs), len(ss.Spec.Latencies), len(ss.Spec.Policies)
-	return &ss.Rows[((workload*nr+ru)*nl+latency)*np+policy]
-}
-
-// RunSummaries executes the sweep through a SummaryCollector and returns
-// the summary rows in spec order. This is the streaming counterpart of
-// Run for summary-only grids: same scenarios, same sharing, O(workers)
-// raw results in memory instead of O(grid).
-func (e Executor) RunSummaries(spec Spec) (*SummarySet, error) {
-	var c SummaryCollector
-	if err := e.Collect(spec, &c); err != nil {
-		return nil, err
-	}
-	sp := spec
-	return &SummarySet{Spec: &sp, Rows: c.Rows}, nil
-}

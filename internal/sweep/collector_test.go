@@ -2,46 +2,10 @@ package sweep
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
 
 	"repro/internal/policy"
 )
-
-// TestRunSummariesMatchesRun: the streaming summary path must agree with
-// the full ResultSet row for row — same order, same summaries, same
-// scalar counters.
-func TestRunSummariesMatchesRun(t *testing.T) {
-	spec := fig9Spec(t, 4, 5)
-	rs, err := Executor{Workers: 4}.Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ss, err := Executor{Workers: 4}.RunSummaries(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ss.Rows) != len(rs.Results) {
-		t.Fatalf("%d rows for %d results", len(ss.Rows), len(rs.Results))
-	}
-	for i, row := range ss.Rows {
-		res := rs.Results[i]
-		if row.Scenario.Index != i || row.Scenario.Name() != res.Scenario.Name() {
-			t.Errorf("row %d: scenario %q at index %d", i, row.Scenario.Name(), row.Scenario.Index)
-		}
-		if !reflect.DeepEqual(row.Summary, res.Summary) {
-			t.Errorf("row %d (%s): summary diverged", i, row.Scenario.Name())
-		}
-		want := countersOf(res.Run)
-		if row.Counters != want {
-			t.Errorf("row %d (%s): counters = %+v, want %+v", i, row.Scenario.Name(), row.Counters, want)
-		}
-	}
-	// Axis indexing mirrors ResultSet.At.
-	if a, b := ss.At(0, 1, 0, 2), rs.At(0, 1, 0, 2); !reflect.DeepEqual(a.Summary, b.Summary) {
-		t.Error("SummarySet.At does not mirror ResultSet.At")
-	}
-}
 
 // TestCollectStreamsInSpecOrder: whatever the completion order on a wide
 // pool, the collector sees one call per scenario, in spec order, and can
@@ -129,8 +93,7 @@ func mustScenarioName(t *testing.T, spec Spec, i int) string {
 // TestCollectBoundedReorderWindow pins the streaming memory guarantee:
 // however large the grid, the executor never holds more dispatched-but-
 // uncollected scenarios than the reorder window — O(workers), not
-// O(grid). This is the memory-regression pin for SummaryCollector
-// sweeps.
+// O(grid). This is the memory-regression pin for streaming sweeps.
 func TestCollectBoundedReorderWindow(t *testing.T) {
 	rus := make([]int, 0, 17)
 	for r := 4; r <= 20; r++ {
@@ -149,12 +112,12 @@ func TestCollectBoundedReorderWindow(t *testing.T) {
 			maxPending = n
 		}
 	}
-	var c SummaryCollector
-	if err := ex.Collect(spec, &c); err != nil {
+	collected := 0
+	if err := ex.Collect(spec, CollectorFunc(func(*Result) error { collected++; return nil })); err != nil {
 		t.Fatal(err)
 	}
-	if len(c.Rows) != spec.Size() {
-		t.Fatalf("collected %d of %d", len(c.Rows), spec.Size())
+	if collected != spec.Size() {
+		t.Fatalf("collected %d of %d", collected, spec.Size())
 	}
 	if maxPending == 0 {
 		t.Fatal("observePending never fired")
@@ -166,7 +129,7 @@ func TestCollectBoundedReorderWindow(t *testing.T) {
 
 // TestRowRendererBlocks is the pure grouping pin: Sizes sequencing with
 // last-size repeat, block indices, Close's ragged-grid error and the
-// MaxHeld bookkeeping, driven by synthetic results (no simulator).
+// row count, driven by synthetic results (no simulator).
 func TestRowRendererBlocks(t *testing.T) {
 	feed := func(rr *RowRenderer, n int) error {
 		for i := 0; i < n; i++ {
@@ -208,9 +171,6 @@ func TestRowRendererBlocks(t *testing.T) {
 	if rr.Rows() != 4 {
 		t.Errorf("Rows() = %d, want 4", rr.Rows())
 	}
-	if rr.MaxHeld() != 3 {
-		t.Errorf("MaxHeld() = %d, want 3 (the largest block)", rr.MaxHeld())
-	}
 
 	ragged := &RowRenderer{Sizes: []int{3}, Emit: func(int, []SummaryRow) error { return nil }}
 	if err := feed(ragged, 4); err != nil {
@@ -233,8 +193,9 @@ func TestRowRendererBlocks(t *testing.T) {
 
 // TestRowRendererBoundedRetention is the renderer half of the streaming
 // memory gate: on a grid far larger than one report row, a RowRenderer
-// buffers at most one block — O(1) rows, never O(grid) — while emitting
-// rows whose contents match the O(grid) SummaryCollector path exactly.
+// buffers less than one block between Collect calls — O(1) rows, never
+// O(grid) — while emitting rows whose contents match the O(grid)
+// ResultSet of Run exactly.
 func TestRowRendererBoundedRetention(t *testing.T) {
 	rus := make([]int, 0, 17)
 	for r := 4; r <= 20; r++ {
@@ -251,7 +212,13 @@ func TestRowRendererBoundedRetention(t *testing.T) {
 			return nil
 		},
 	}
-	if err := (Executor{Workers: 4}).Collect(spec, rr); err != nil {
+	held := 0
+	err := (Executor{Workers: 4}).Collect(spec, CollectorFunc(func(r *Result) error {
+		err := rr.Collect(r)
+		held = max(held, len(rr.block))
+		return err
+	}))
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := rr.Close(); err != nil {
@@ -260,21 +227,15 @@ func TestRowRendererBoundedRetention(t *testing.T) {
 	if rr.Rows() != spec.Size()/group {
 		t.Errorf("emitted %d rows, grid has %d", rr.Rows(), spec.Size()/group)
 	}
-	if rr.MaxHeld() != group {
-		t.Errorf("renderer held %d rows at peak, want exactly one block of %d — retention is not O(1) rows", rr.MaxHeld(), group)
+	if held != group-1 {
+		t.Errorf("renderer held %d rows between calls at peak, want %d, one short of a block — retention is not O(1) rows", held, group-1)
 	}
-	ss, err := Executor{Workers: 4}.RunSummaries(spec)
+	rs, err := Executor{Workers: 4}.Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != len(ss.Rows) {
-		t.Fatalf("renderer streamed %d scenarios, SummaryCollector %d", len(rows), len(ss.Rows))
-	}
-	for i := range rows {
-		a, b := &rows[i], &ss.Rows[i]
-		if a.Scenario.Name() != b.Scenario.Name() || a.Counters != b.Counters || !reflect.DeepEqual(a.Summary, b.Summary) {
-			t.Errorf("row %d: renderer diverged from SummaryCollector", i)
-		}
+	if want := condenseAll(rs.Results); !sameRows(rows, want) {
+		t.Errorf("renderer rows diverged from Run's:\n got %+v\nwant %+v", rows, want)
 	}
 }
 

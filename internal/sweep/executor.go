@@ -1,7 +1,6 @@
 package sweep
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -31,12 +30,13 @@ import (
 // Scenarios are dispatched to the pool in spec order, the order they are
 // collected in. Dispatch runs at most a bounded reorder window ahead of
 // collection, so a sweep never buffers more than O(workers) completed
-// results — the property that lets SummaryCollector sweeps run grids far
-// larger than memory would hold as ResultSets. No store read precedes
-// dispatch, so a fully warm sweep reads each entry exactly once, to
-// serve it. TestDispatchReplay replays recorded scenario times through
-// this window and pins how close it comes to the best possible makespan;
-// ARCHITECTURE.md §"Dispatch order" records why no ranking beat it.
+// results — the property that lets streaming collectors (RowRenderer,
+// Discard) run grids far larger than memory would hold as ResultSets. No
+// store read precedes dispatch, so a fully warm sweep reads each entry
+// exactly once, to serve it. TestDispatchReplay replays recorded scenario
+// times through this window and pins how close it comes to the best
+// possible makespan; ARCHITECTURE.md §"Dispatch order" records why no
+// ranking beat it.
 //
 // With a Store attached, every scenario's canonical config hash is looked
 // up before it runs: hits are served from disk (the scenario is not
@@ -55,7 +55,10 @@ import (
 // With Spec.Shard set, only the shard's slice of the grid runs; config
 // hashes and spec order are shard-independent, so N shard runs into one
 // shared store tile the grid exactly and a later store-only sweep (see
-// RequireStored) merges them into the full report.
+// RequireStored) merges them into the full report. A store-only sweep
+// simulates nothing, so it does not use the pool: it reads each owned
+// scenario from the store in spec order, on the collecting goroutine,
+// whatever Workers says.
 type Executor struct {
 	// Workers bounds the number of concurrently running scenarios; values
 	// ≤ 0 mean runtime.GOMAXPROCS(0). Workers == 1 is the sequential
@@ -67,27 +70,21 @@ type Executor struct {
 	// RequireStored turns a store miss on a cacheable scenario into an
 	// error instead of a re-simulation: the merge mode after sharded
 	// populate runs, where silently re-simulating would paper over a
-	// shard that never ran. Uncacheable specs (which can never be in the
-	// store) still run live. Requires Store.
+	// shard that never ran. The sweep fails at the first scenario in spec
+	// order that the store cannot serve. Uncacheable specs (which can
+	// never be in the store) still run live, on the pool. Requires Store.
 	RequireStored bool
 	// StoreWait softens RequireStored from "missing now means failed"
-	// into "missing now means not stored yet": a cacheable scenario
-	// absent from the store is awaited — polled via Store.Probe —
-	// until a producer lands it or StoreWait.Done reports no producer
-	// ever will. This is the watch-mode merge: it may start before (or
-	// while) a coordinator pool populates the store, and each scenario is
-	// served the moment its entry appears, so a streaming collector
-	// renders rows while remote shards are still running. Requires
-	// RequireStored (and therefore Store).
+	// into "missing now means not stored yet": the scenario at the head
+	// of spec order, when absent from the store, is awaited — polled via
+	// Store.Probe — until a producer lands it or StoreWait.Done reports
+	// no producer ever will. This is the watch-mode merge: it may start
+	// before (or while) a coordinator pool populates the store, and each
+	// scenario is served the moment its entry appears, so a streaming
+	// collector renders rows while remote shards are still running.
+	// Requires RequireStored (and therefore Store).
 	StoreWait *StoreWait
 
-	// resumeSkip treats the first N owned positions as already collected
-	// (loaded from a Checkpoint): they are neither probed, dispatched,
-	// nor delivered to the collector. Only CollectResumable sets it,
-	// clamped to [0, owned positions], pairing the skip with the
-	// checkpoint bookkeeping that makes it safe for a collector that does
-	// not need the skipped results.
-	resumeSkip int
 	// observePending, when non-nil, receives the number of dispatched-
 	// but-uncollected scenarios after every dispatch and completion.
 	// Tests use it to pin the O(workers) reorder-window bound.
@@ -151,7 +148,12 @@ type indexedResult struct {
 // Collect executes the sweep, streaming results into c in spec order.
 // See the Executor doc comment for the ordering, sharing, sharding and
 // memory guarantees.
-func (e Executor) Collect(spec Spec, c Collector) error {
+func (e Executor) Collect(spec Spec, c Collector) error { return e.collect(spec, 0, c) }
+
+// collect is Collect past the first skip owned positions, which are
+// neither read, dispatched nor delivered to c: Populate's resume, which
+// clamps skip to [0, owned positions].
+func (e Executor) collect(spec Spec, skip int, c Collector) error {
 	sp := spec
 	scenarios, err := sp.Expand()
 	if err != nil {
@@ -182,22 +184,22 @@ func (e Executor) Collect(spec Spec, c Collector) error {
 			owned = append(owned, i)
 		}
 	}
-	if len(owned) == 0 {
-		return nil
-	}
 	// A checkpointed resume: the first skip owned positions were fully
 	// collected (and acknowledged by the store) in a previous attempt, so
 	// this run starts past them — no probe, no dispatch, no collect.
-	skip := e.resumeSkip
-	if skip == len(owned) {
+	owned = owned[skip:]
+	if len(owned) == 0 {
 		return nil
+	}
+	if keys != nil && e.RequireStored {
+		return e.collectStored(&sp, scenarios, keys, owned, c)
 	}
 	workers := e.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(owned)-skip {
-		workers = len(owned) - skip
+	if workers > len(owned) {
+		workers = len(owned)
 	}
 	window := reorderWindow(workers)
 
@@ -233,9 +235,9 @@ func (e Executor) Collect(spec Spec, c Collector) error {
 	// but-uncollected ones are [collected, nDispatched), and dispatch
 	// waits while that span fills the reorder window.
 	var (
-		nDispatched = skip
+		nDispatched int
 		inFlight    int
-		collected   = skip
+		collected   int
 		pending     = make(map[int]*Result, window)
 		cancelled   bool
 		firstPos    = -1 // lowest owned position that failed
@@ -277,9 +279,8 @@ func (e Executor) Collect(spec Spec, c Collector) error {
 				// (collection stops at the first scenario error, so the
 				// two never both occur from one cancel) — scenario
 				// errors straggling in afterwards must not displace it.
-				// Likewise an error the cancellation caused never
-				// displaces one that caused it, whatever their positions.
-				if collectErr == nil && (firstPos < 0 || displaces(done.err, done.pos, firstErr, firstPos)) {
+				// Among scenario errors the lowest position wins.
+				if collectErr == nil && (firstPos < 0 || done.pos < firstPos) {
 					firstPos, firstErr = done.pos, done.err
 				}
 				cancel()
@@ -323,37 +324,16 @@ func (e Executor) Collect(spec Spec, c Collector) error {
 	return collectErr
 }
 
-// errCancelled marks a scenario error that is a symptom of the sweep's
-// cancellation rather than a cause of it.
-var errCancelled = errors.New("sweep cancelled")
-
-// displaces reports whether scenario error err at owned position pos
-// should replace cur at curPos as the sweep's reported error: the lowest
-// position wins, except that a cancellation symptom never displaces a
-// root cause.
-func displaces(err error, pos int, cur error, curPos int) bool {
-	if c, cc := errors.Is(err, errCancelled), errors.Is(cur, errCancelled); c != cc {
-		return cc
-	}
-	return pos < curPos
-}
-
 // runStored serves one scenario from the result store when possible and
 // simulates (then writes back) otherwise. key is empty when the sweep
 // runs without a store or the spec is uncacheable; stop is closed once
 // the sweep has failed, after which nothing more is persisted.
 func (e Executor) runStored(sp *Spec, sc Scenario, arrivals *arrivalCache, ideals *idealCache, runner *manager.Runner, key string, stop <-chan struct{}) (*Result, error) {
 	if key != "" {
-		if e.RequireStored && e.StoreWait != nil {
-			return e.awaitStored(sp, sc, key, stop)
-		}
 		if ent, ok := e.Store.Get(key); ok {
 			if res := resultFromEntry(sp, sc, ent); res != nil {
 				return res, nil
 			}
-		}
-		if e.RequireStored {
-			return nil, fmt.Errorf("not in result store %s (did every shard run?)", e.Store.Dir())
 		}
 	}
 	res, err := runScenario(sp, sc, arrivals, ideals, runner)
@@ -378,7 +358,7 @@ func (e Executor) runStored(sp *Spec, sc Scenario, arrivals *arrivalCache, ideal
 	// A failed write (full disk, read-only store) must not lose the
 	// computed sweep: the store degrades to re-simulation next run and
 	// reports the failure in its summary line — but an unacknowledged
-	// result must not advance a checkpoint either (see Checkpointer), so
+	// result must not advance a checkpoint either (see Populate), so
 	// only a successful Put marks the result stored.
 	if e.Store.Put(key, ent) == nil {
 		res.stored = true
@@ -401,15 +381,41 @@ type StoreWait struct {
 	// RequireStored's contract, deferred until the pool has had its say;
 	// a non-nil error means the producers can never finish (a coordinator
 	// pool silent for twice its lease TTL — see coord.(*Coordinator).Drained)
-	// and fails the sweep instead of hanging it forever. Called
-	// concurrently from the executor's workers; it must be safe for that.
+	// and fails the sweep instead of hanging it forever. The executor
+	// calls it from the collecting goroutine only, once per poll of the
+	// scenario it waits for.
 	Done func() (bool, error)
 }
 
-// awaitStored serves one scenario from the store the moment a producer
-// lands it, per the StoreWait contract above. stop aborts the wait when
-// the sweep fails elsewhere.
-func (e Executor) awaitStored(sp *Spec, sc Scenario, key string, stop <-chan struct{}) (*Result, error) {
+// collectStored is Collect for a store-only sweep of a cacheable spec:
+// nothing is simulated, so each owned scenario is read from the store in
+// spec order on the calling goroutine, and the first one the store
+// cannot serve fails the sweep.
+func (e Executor) collectStored(sp *Spec, scenarios []Scenario, keys []string, owned []int, c Collector) error {
+	for _, i := range owned {
+		res, err := e.serveStored(sp, scenarios[i], keys[i])
+		if err != nil {
+			return fmt.Errorf("sweep: scenario %d (%s): %w", i, scenarios[i].Name(), err)
+		}
+		if err := c.Collect(res); err != nil {
+			return fmt.Errorf("sweep: collect scenario %d (%s): %w", i, scenarios[i].Name(), err)
+		}
+	}
+	return nil
+}
+
+// serveStored reads one scenario of a store-only sweep. Without a
+// StoreWait a miss is an error at once; with one, the scenario is served
+// the moment a producer lands it, per the StoreWait contract above.
+func (e Executor) serveStored(sp *Spec, sc Scenario, key string) (*Result, error) {
+	if e.StoreWait == nil {
+		if ent, ok := e.Store.Get(key); ok {
+			if res := resultFromEntry(sp, sc, ent); res != nil {
+				return res, nil
+			}
+		}
+		return nil, fmt.Errorf("not in result store %s (did every shard run?)", e.Store.Dir())
+	}
 	poll := e.StoreWait.Poll
 	if poll <= 0 {
 		poll = 200 * time.Millisecond
@@ -436,11 +442,7 @@ func (e Executor) awaitStored(sp *Spec, sc Scenario, key string, stop <-chan str
 			}
 			return nil, fmt.Errorf("not in result store %s after the pool drained (did its workers run the same grid?)", e.Store.Dir())
 		}
-		select {
-		case <-stop:
-			return nil, fmt.Errorf("%w while waiting for the store", errCancelled)
-		case <-time.After(poll):
-		}
+		time.Sleep(poll)
 	}
 }
 

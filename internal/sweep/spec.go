@@ -17,19 +17,20 @@
 //
 //   - Run gathers everything into a ResultSet (O(grid) raw results —
 //     only for reports that need traces or completion times);
-//   - RunSummaries streams through a SummaryCollector, dropping each raw
-//     run as it passes (O(workers) raw results, O(grid) small rows);
 //   - RowRenderer groups the stream into report rows and renders each
-//     one the moment its last scenario lands — O(1) rows retained, the
-//     primitive behind every streaming table (see metrics.StreamTable);
+//     one the moment its last scenario lands — O(workers) raw results
+//     and O(1) rows retained, the primitive behind every streaming table
+//     (see metrics.StreamTable);
 //   - Discard, with a Store attached, is the write-through populate mode
 //     of sharded runs: the store entries are the only output.
+//     Executor.Populate is that mode made resumable by a checkpoint.
 //
 // Spec.Shard splits the grid across cooperating processes: shard i of N
 // owns every scenario whose spec index ≡ i (mod N), the shards tile the
 // grid exactly, and a shared result store merges them back into one
-// report — Executor.RequireStored renders purely from the store, failing
-// (never silently re-simulating) on a missing scenario, and
+// report — Executor.RequireStored renders purely from the store, in spec
+// order and without the pool, failing (never silently re-simulating) on
+// the first missing scenario, and
 // Executor.StoreWait softens that into the watch-mode merge: a missing
 // scenario is awaited and served the moment a remote shard stores it,
 // with StoreWait.Done (typically coord.(*Coordinator).Drained) bounding
@@ -379,10 +380,10 @@ type Result struct {
 	Summary *metrics.Summary
 
 	// stored records that the result store acknowledged this result — a
-	// store serve, or a live run whose write-back Put succeeded. The
-	// Checkpointer advances its resume position only over stored results:
-	// a checkpoint may never skip past a scenario the store cannot serve
-	// to the next attempt.
+	// store serve, or a live run whose write-back Put succeeded.
+	// Executor.Populate advances its resume position only over stored
+	// results: a checkpoint may never skip past a scenario the store
+	// cannot serve to the next attempt.
 	stored bool
 }
 

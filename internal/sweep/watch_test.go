@@ -1,14 +1,13 @@
 package sweep
 
 import (
-	"errors"
 	"fmt"
-	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/policy"
 	"repro/internal/resultstore"
 )
 
@@ -20,7 +19,7 @@ import (
 // (the Has polling never counts as misses).
 func TestStoreWaitServesAsEntriesLand(t *testing.T) {
 	spec := fig9Spec(t, 4)
-	plain, err := Executor{Workers: 2}.RunSummaries(spec)
+	plain, err := Executor{Workers: 2}.Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +47,7 @@ func TestStoreWaitServesAsEntriesLand(t *testing.T) {
 			return producerDone.Load(), nil
 		}},
 	}
-	watched, err := ex.RunSummaries(spec)
+	watched, err := ex.Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,14 +55,8 @@ func TestStoreWaitServesAsEntriesLand(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if len(watched.Rows) != len(plain.Rows) {
-		t.Fatalf("watched %d rows, plain %d", len(watched.Rows), len(plain.Rows))
-	}
-	for i := range watched.Rows {
-		a, b := &watched.Rows[i], &plain.Rows[i]
-		if a.Scenario.Name() != b.Scenario.Name() || a.Counters != b.Counters || !reflect.DeepEqual(a.Summary, b.Summary) {
-			t.Errorf("row %d (%s): watched serve diverged from the live run", i, b.Scenario.Name())
-		}
+	if got, want := condenseAll(watched.Results), condenseAll(plain.Results); !sameRows(got, want) {
+		t.Errorf("watched serve diverged from the live run:\n got %+v\nwant %+v", got, want)
 	}
 	hits, misses, puts := consumer.Stats()
 	if misses != 0 || puts != 0 {
@@ -128,43 +121,87 @@ func TestStoreWaitRequiresRequireStored(t *testing.T) {
 	}
 }
 
-// TestCancelSymptomNeverDisplacesCause pins root-cause error reporting:
-// when scenario 1 fails and cancels the sweep, scenario 0 — blocked in
-// the store wait until the cancellation has happened — returns "sweep
-// cancelled while waiting for the store". Its lower position must not
-// let that symptom replace the failure that caused it. The onCancel hook
-// sequences the two workers, so the outcome does not depend on timing.
-func TestCancelSymptomNeverDisplacesCause(t *testing.T) {
+// TestStoreOnlySweepUsesNoPool: a store-only sweep of a cacheable spec
+// simulates nothing, so Collect reads it on the collecting goroutine and
+// hands no scenario to its pool, with or without a StoreWait, however
+// many workers it is given. An uncacheable spec still runs live, on the
+// pool.
+func TestStoreOnlySweepUsesNoPool(t *testing.T) {
+	spec := fig9Spec(t, 4, 5)
+	store := openStore(t)
+	if err := (Executor{Workers: 2, Store: store}).Collect(spec, Discard); err != nil {
+		t.Fatal(err)
+	}
+	want, err := Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, wait := range []*StoreWait{nil, {Poll: time.Millisecond, Done: func() (bool, error) { return true, nil }}} {
+		dispatched := 0
+		ex := Executor{Workers: 4, Store: store, RequireStored: true, StoreWait: wait}
+		ex.observeDispatch = func(int) { dispatched++ }
+		rs, err := ex.Run(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dispatched != 0 {
+			t.Errorf("StoreWait %v: the store-only sweep handed %d scenarios to its pool, want none", wait != nil, dispatched)
+		}
+		if got, want := condenseAll(rs.Results), condenseAll(want.Results); !sameRows(got, want) {
+			t.Errorf("StoreWait %v: served rows differ from a live run", wait != nil)
+		}
+	}
+
+	live := spec
+	live.Policies = []PolicySpec{{Name: "hand-built", New: func() (policy.Policy, error) { return policy.NewLRU(), nil }}}
+	dispatched := 0
+	ex := Executor{Workers: 2, Store: store, RequireStored: true}
+	ex.observeDispatch = func(int) { dispatched++ }
+	if err := ex.Collect(live, Discard); err != nil {
+		t.Fatal(err)
+	}
+	if dispatched != live.Size() {
+		t.Errorf("uncacheable RequireStored sweep dispatched %d of %d scenarios, want all (they run live)", dispatched, live.Size())
+	}
+}
+
+// TestStoreOnlySweepFailsAtFirstInSpecOrder pins root-cause error
+// reporting of a store-only sweep: with scenario 0 missing and scenario
+// 1's entry damaged, the sweep reports scenario 0, the first in spec
+// order it cannot serve. A watch merge polls only that head scenario, so
+// it reads nothing of scenario 1 before the pool has had its say.
+func TestStoreOnlySweepFailsAtFirstInSpecOrder(t *testing.T) {
 	spec := fig9Spec(t, 4)
 	keys, err := spec.ScenarioKeys()
 	if err != nil {
 		t.Fatal(err)
 	}
-	store := openStore(t)
-	// Scenario 1's entry lacks the baseline this sweep needs: serving it
-	// fails at once, without consulting the pool.
+	counter := &loadCounter{Backend: resultstore.OpenMem().Backend(), loads: make(map[string]int)}
+	store := resultstore.FromBackend(counter)
+	// Scenario 1's entry lacks the baseline this sweep needs.
 	if err := store.Put(keys[1], &resultstore.Entry{Run: &resultstore.Run{}}); err != nil {
 		t.Fatal(err)
 	}
-	cancelled := make(chan struct{})
-	ex := Executor{
-		Workers: 2, Store: store, RequireStored: true,
-		StoreWait: &StoreWait{Poll: time.Hour, Done: func() (bool, error) {
-			<-cancelled // scenario 0 waits until scenario 1 has failed the sweep
-			return false, nil
-		}},
+	name0 := mustScenarioName(t, spec, 0)
+
+	_, err = Executor{Workers: 2, Store: store, RequireStored: true}.Run(spec)
+	if want := fmt.Sprintf("sweep: scenario 0 (%s): not in result store %s (did every shard run?)", name0, store.Dir()); err == nil || err.Error() != want {
+		t.Errorf("error = %v, want %q", err, want)
 	}
-	ex.onCancel = func() { close(cancelled) }
-	err = ex.Collect(spec, Discard)
-	if err == nil {
-		t.Fatal("sweep over a damaged entry succeeded")
+
+	counter.take()
+	polls := 0
+	ex := Executor{Workers: 2, Store: store, RequireStored: true,
+		StoreWait: &StoreWait{Poll: time.Millisecond, Done: func() (bool, error) {
+			polls++
+			return polls > 3, nil
+		}}}
+	_, err = ex.Run(spec)
+	if want := fmt.Sprintf("sweep: scenario 0 (%s): not in result store %s after the pool drained (did its workers run the same grid?)", name0, store.Dir()); err == nil || err.Error() != want {
+		t.Errorf("watch error = %v, want %q", err, want)
 	}
-	want := fmt.Sprintf("sweep: scenario 1 (%s): entry in result store %s lacks a part this sweep needs (damaged store?)",
-		mustScenarioName(t, spec, 1), store.Dir())
-	if err.Error() != want {
-		t.Errorf("error = %q, want the root cause %q", err, want)
-	}
-	if errors.Is(err, errCancelled) {
-		t.Error("reported error is a cancellation symptom")
+	loads := counter.take()
+	if loads[keys[0]] != 5 || len(loads) != 1 {
+		t.Errorf("watch merge loads = %v, want five probes of scenario 0 (four polls and the last look) and nothing else", loads)
 	}
 }
