@@ -3,7 +3,6 @@ package campaign
 import (
 	"time"
 
-	"repro/internal/backendurl"
 	"repro/internal/coord"
 	"repro/internal/resultstore"
 	"repro/internal/sweep"
@@ -29,9 +28,6 @@ type Setup struct {
 	Parallel int
 	// Coord carries the coordinator pool settings, nil without -coord.
 	Coord *Coord
-	// HTTP is the wire-client configuration applied to any http(s)
-	// backend locator (token, per-request timeout).
-	HTTP backendurl.HTTPOptions
 }
 
 // Coord is the resolved -coord* flag group.

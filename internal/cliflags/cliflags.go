@@ -87,9 +87,8 @@ func (f *CampaignFlags) Resolve() (campaign.Setup, error) {
 		Merge:       f.Merge,
 		Watch:       f.Watch,
 		Parallel:    f.Parallel,
-		HTTP:        *f.HTTP,
 	}
-	store, err := resultstore.OpenIfSet(f.Store, f.NoStore, s.HTTP)
+	store, err := resultstore.OpenIfSet(f.Store, f.NoStore, *f.HTTP)
 	if err != nil {
 		return s, err
 	}
@@ -101,7 +100,7 @@ func (f *CampaignFlags) Resolve() (campaign.Setup, error) {
 		return s, errors.New("-coord-status needs a coordinator directory (-coord DIR)")
 	}
 	if f.Coord != "" {
-		back, err := coord.OpenBackend("-coord", f.Coord, s.HTTP)
+		back, err := coord.OpenBackend("-coord", f.Coord, *f.HTTP)
 		if err != nil {
 			return s, err
 		}

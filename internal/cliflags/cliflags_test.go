@@ -3,7 +3,9 @@ package cliflags
 import (
 	"flag"
 	"testing"
-	"time"
+
+	"repro/internal/resultstore"
+	"repro/internal/storetest"
 )
 
 // parse builds a CampaignFlags through a real FlagSet, exactly the way
@@ -139,8 +141,10 @@ func TestResolveOpensEveryScheme(t *testing.T) {
 	}
 }
 
-// TestResolveStoreSwitches: -no-store wins over -store, and the worker
-// count plus wire options thread into the Setup.
+// TestResolveStoreSwitches: -no-store wins over -store, the worker
+// count threads into the Setup, and -auth-token reaches the http
+// client: a token-protected server takes an entry with the token and
+// refuses it without.
 func TestResolveStoreSwitches(t *testing.T) {
 	f, err := parse(t, "-store", "mem:", "-no-store")
 	if err != nil {
@@ -150,20 +154,29 @@ func TestResolveStoreSwitches(t *testing.T) {
 		t.Fatal("-no-store did not disable the store")
 	}
 
-	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	f2 := Register(fs)
-	if err := fs.Parse([]string{"-store", "mem:",
-		"-auth-token", "tok", "-http-timeout", "5s", "-parallel", "3"}); err != nil {
-		t.Fatal(err)
-	}
-	s, err := f2.Resolve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Parallel != 3 {
-		t.Fatalf("Setup parallel=%d, want 3", s.Parallel)
-	}
-	if s.HTTP.Token != "tok" || s.HTTP.Timeout != 5*time.Second {
-		t.Fatalf("Setup HTTP = %+v, want token tok, timeout 5s", s.HTTP)
+	base, opts := storetest.HTTPCampaign(t)
+	for _, token := range []string{opts.Token, ""} {
+		args := []string{"-store", base, "-parallel", "3"}
+		if token != "" {
+			args = append(args, "-auth-token", token)
+		}
+		f2, err := parse(t, args...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := f2.Resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Parallel != 3 {
+			t.Fatalf("Setup parallel=%d, want 3", s.Parallel)
+		}
+		err = s.Store.Put(storetest.Key(1), &resultstore.Entry{Scenario: "auth", Run: &resultstore.Run{Events: 1}})
+		if token != "" && err != nil {
+			t.Fatalf("store with -auth-token: %v", err)
+		}
+		if token == "" && err == nil {
+			t.Fatal("a token-protected server stored an entry without -auth-token")
+		}
 	}
 }

@@ -17,12 +17,14 @@
 // Mutual exclusion is an O_EXCL file create per (shard, generation):
 // exactly one process can create `gen-G.claim`, so every generation of
 // every shard has exactly one owner — there is nothing to lock and no
-// daemon to run. The claim marker, not the lease file, is the source of
-// truth for ownership; the lease file carries the owner's heartbeats. A
-// worker that loses its lease to a thief (it stalled past the TTL but
-// did not die) may still finish and mark the shard done — the two
-// executions wrote the same store entries, so completion by either is
-// completion.
+// daemon to run. The claim marker is also the lease: its holder's
+// heartbeats overwrite it in place, so one record per generation names
+// the owner and carries its proof of life. A holder that stalled past
+// the TTL can only refresh its own, superseded generation, which expiry
+// checks never read once a newer one exists. A worker that loses its
+// lease to a thief (it stalled past the TTL but did not die) may still
+// finish and mark the shard done — the two executions wrote the same
+// store entries, so completion by either is completion.
 //
 // Layout under the coordinator directory (these are also the logical
 // keys every Backend stores — the protocol state is identical whether
@@ -32,8 +34,8 @@
 //	                       (exclusive create by the first worker; later
 //	                       workers verify or adopt all three)
 //	shard-0007/
-//	  gen-0001.claim       generation claim marker, exclusive create
-//	  lease.json           current owner + heartbeat (atomic overwrite)
+//	  gen-0001.claim       generation claim: owner + claim time, exclusive
+//	                       create; heartbeats overwrite it atomically
 //	  done.json            completion record (owner, attempts, when)
 //
 // Persistence is pluggable: the protocol runs over a Backend (Get/Put/
@@ -146,22 +148,15 @@ type stateFile struct {
 	CreatedNS   int64  `json:"created_ns"`
 }
 
-// leaseFile is shard-*/lease.json: the current generation owner and its
-// latest heartbeat.
-type leaseFile struct {
-	Shard       int    `json:"shard"`
-	Gen         int    `json:"gen"`
-	Owner       string `json:"owner"`
-	HeartbeatNS int64  `json:"heartbeat_ns"`
-	StartedNS   int64  `json:"started_ns"`
-}
-
 // claimFile is the content of a gen-*.claim marker. The marker's
 // existence is the claim; the content lets expiry checks use the
 // coordinator's clock (not file mtimes) and status name the claimer.
+// The holder's heartbeats rewrite it with HeartbeatNS set; a fresh
+// claim has none.
 type claimFile struct {
-	Owner     string `json:"owner"`
-	ClaimedNS int64  `json:"claimed_ns"`
+	Owner       string `json:"owner"`
+	ClaimedNS   int64  `json:"claimed_ns"`
+	HeartbeatNS int64  `json:"heartbeat_ns,omitempty"`
 }
 
 // doneFile is shard-*/done.json: presence marks the shard complete.
@@ -288,8 +283,7 @@ func claimKey(shard, gen int) string {
 	return fmt.Sprintf("shard-%04d/gen-%04d.claim", shard, gen)
 }
 
-func leaseKey(shard int) string { return shardKey(shard) + "/lease.json" }
-func doneKey(shard int) string  { return shardKey(shard) + "/done.json" }
+func doneKey(shard int) string { return shardKey(shard) + "/done.json" }
 
 // Lease is one claimed (shard, generation): the holder runs the shard's
 // slice, heartbeats, and marks it done.
@@ -301,6 +295,9 @@ type Lease struct {
 	// the shard was re-claimed after a previous worker's lease expired —
 	// the attempt count cmd/rtrrepro's TestEndToEnd asserts on.
 	Gen int
+	// claimedNS is the claim time, kept for heartbeats and Done's
+	// elapsed time.
+	claimedNS int64
 }
 
 // Claim atomically claims the lowest-numbered shard that is neither done
@@ -324,8 +321,8 @@ func (c *Coordinator) Claim() (*Lease, error) {
 }
 
 // tryShard claims one shard if it is open: never claimed, or its newest
-// generation's heartbeat (falling back to the claim timestamp when the
-// claimer died before writing a lease) is older than the TTL.
+// generation's heartbeat (or claim time, before the first heartbeat) is
+// older than the TTL.
 func (c *Coordinator) tryShard(shard int) (*Lease, error) {
 	ins, err := c.inspect(shard)
 	if err != nil {
@@ -349,25 +346,18 @@ func (c *Coordinator) tryShard(shard int) (*Lease, error) {
 	if err != nil {
 		return nil, fmt.Errorf("coord: claim shard %d: %w", shard, err)
 	}
-	l := &Lease{c: c, Shard: shard, Gen: gen}
-	if err := l.writeLease(); err != nil {
-		return nil, err
-	}
-	return l, nil
+	return &Lease{c: c, Shard: shard, Gen: gen, claimedNS: claim.ClaimedNS}, nil
 }
 
 // inspection is one shard's on-disk state, read without locks: the
-// newest claimed generation, the freshest evidence of life for it, and
-// the done/lease records if present.
+// newest claimed generation, its claim record and freshest evidence of
+// life, and the done record if present.
 type inspection struct {
 	topGen   int
 	topClaim *claimFile
-	lease    *leaseFile
 	done     *doneFile
-	// lastBeat is the newest generation's proof of life: its lease
-	// heartbeat, or its claim timestamp while no lease has been written
-	// (the claimer may have died in between — the claim time starts the
-	// same TTL clock).
+	// lastBeat is the newest generation's proof of life: its latest
+	// heartbeat, or its claim time before the first one.
 	lastBeat time.Time
 }
 
@@ -396,13 +386,7 @@ func (c *Coordinator) inspect(shard int) (*inspection, error) {
 		// which is the safe direction (re-claim, idempotent re-run).
 		ins.topClaim, _ = getJSON[claimFile](c.b, claimKey(shard, ins.topGen))
 		if ins.topClaim != nil {
-			ins.lastBeat = time.Unix(0, ins.topClaim.ClaimedNS)
-		}
-	}
-	if l, err := getJSON[leaseFile](c.b, leaseKey(shard)); err == nil && l.Gen == ins.topGen {
-		ins.lease = l
-		if hb := time.Unix(0, l.HeartbeatNS); hb.After(ins.lastBeat) {
-			ins.lastBeat = hb
+			ins.lastBeat = time.Unix(0, max(ins.topClaim.ClaimedNS, ins.topClaim.HeartbeatNS))
 		}
 	}
 	ins.lastBeat = c.clampFuture(ins.lastBeat, c.now())
@@ -428,28 +412,12 @@ func (c *Coordinator) clampFuture(t, now time.Time) time.Time {
 	return t
 }
 
-// writeLease publishes (or refreshes) the lease file for this holder's
-// generation.
-func (l *Lease) writeLease() error {
-	now := l.c.now().UnixNano()
-	lf := leaseFile{
-		Shard: l.Shard, Gen: l.Gen, Owner: l.c.owner,
-		HeartbeatNS: now, StartedNS: now,
-	}
-	if prev, err := getJSON[leaseFile](l.c.b, leaseKey(l.Shard)); err == nil && prev.Gen == l.Gen {
-		lf.StartedNS = prev.StartedNS
-	}
-	if err := putJSON(l.c.b, leaseKey(l.Shard), &lf); err != nil {
-		return fmt.Errorf("coord: lease shard %d: %w", l.Shard, err)
-	}
-	return nil
-}
-
-// Heartbeat refreshes the lease so other workers keep treating the shard
-// as live. It returns ErrLeaseLost once a newer generation has been
-// claimed — the holder stalled past the TTL and the shard now belongs to
-// someone else; finishing the work remains safe, but Done will be
-// credited to whichever generation completes first.
+// Heartbeat rewrites this generation's claim with a fresh heartbeat
+// time, so other workers keep treating the shard as live. It returns
+// ErrLeaseLost once a newer generation has been claimed — the holder
+// stalled past the TTL and the shard now belongs to someone else;
+// finishing the work remains safe, but Done will be credited to
+// whichever generation completes first.
 func (l *Lease) Heartbeat() error {
 	ins, err := l.c.inspect(l.Shard)
 	if err != nil {
@@ -458,7 +426,11 @@ func (l *Lease) Heartbeat() error {
 	if ins.topGen > l.Gen {
 		return ErrLeaseLost
 	}
-	return l.writeLease()
+	claim := claimFile{Owner: l.c.owner, ClaimedNS: l.claimedNS, HeartbeatNS: l.c.now().UnixNano()}
+	if err := putJSON(l.c.b, claimKey(l.Shard, l.Gen), &claim); err != nil {
+		return fmt.Errorf("coord: heartbeat shard %d: %w", l.Shard, err)
+	}
+	return nil
 }
 
 // Done marks the shard complete. Idempotent: the first completion record
@@ -466,12 +438,10 @@ func (l *Lease) Heartbeat() error {
 // take-over) are no-ops — by then the store holds the shard's entries
 // either way.
 func (l *Lease) Done() error {
+	now := l.c.now().UnixNano()
 	d := doneFile{
 		Shard: l.Shard, Owner: l.c.owner, Attempts: l.Gen,
-		FinishedNS: l.c.now().UnixNano(),
-	}
-	if lf, err := getJSON[leaseFile](l.c.b, leaseKey(l.Shard)); err == nil && lf.Gen == l.Gen {
-		d.ElapsedNS = d.FinishedNS - lf.StartedNS
+		FinishedNS: now, ElapsedNS: now - l.claimedNS,
 	}
 	key := doneKey(l.Shard)
 	err := createJSON(l.c.b, key, &d)
@@ -600,9 +570,7 @@ func (c *Coordinator) Status() (Status, error) {
 			} else {
 				row.State = StatePending
 			}
-			if ins.lease != nil {
-				row.Owner = ins.lease.Owner
-			} else if ins.topClaim != nil {
+			if ins.topClaim != nil {
 				row.Owner = ins.topClaim.Owner
 			}
 		default:

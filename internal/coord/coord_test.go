@@ -207,9 +207,9 @@ func TestHeartbeatKeepsLeaseAlive(t *testing.T) {
 	}
 }
 
-// TestDeadBeforeLeaseWrite covers the crash window between winning the
-// claim marker and writing the lease file: the claim timestamp starts
-// the same TTL clock, so the shard is not stuck forever.
+// TestDeadBeforeLeaseWrite covers a claimer that dies before its first
+// heartbeat: the claim time starts the TTL clock, so the shard is
+// re-claimable one TTL after it, not stuck forever.
 func TestDeadBeforeLeaseWrite(t *testing.T) {
 	dir := t.TempDir()
 	clk := newFakeClock()

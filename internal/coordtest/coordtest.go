@@ -4,15 +4,17 @@
 // shared suite of the lease-protocol properties the multi-host sweeps
 // depend on — adopt-or-initialise pool constants, exactly-one-owner
 // claims per (shard, generation), TTL re-lease with attempt counting,
-// the drain verdicts, and the future-clock clamp. A new backend is
-// correct when it passes Conformance; the suite drives every worker
-// off an injected fake clock, so it exercises the exact production
-// expiry arithmetic on all backends.
+// a stale holder's late heartbeat never shortening a newer generation's
+// live lease, the drain verdicts, and the future-clock clamp. A new
+// backend is correct when it passes Conformance; the suite drives every
+// worker off an injected fake clock, so it exercises the exact
+// production expiry arithmetic on all backends.
 package coordtest
 
 import (
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -43,6 +45,24 @@ type reclocked struct {
 }
 
 func (r reclocked) Now() time.Time { return r.clk() }
+
+// parkingPut wraps a worker's handle so that, once armed, its next Put
+// blocks until release is closed: a heartbeat stalled between checking
+// its generation and writing.
+type parkingPut struct {
+	coord.Backend
+	armed   atomic.Bool
+	parked  chan struct{}
+	release chan struct{}
+}
+
+func (p *parkingPut) Put(key string, data []byte) error {
+	if p.armed.CompareAndSwap(true, false) {
+		close(p.parked)
+		<-p.release
+	}
+	return p.Backend.Put(key, data)
+}
 
 // Backends returns every registered coordinator backend: fs, mem, the
 // fault-injection decorator and http.
@@ -289,6 +309,54 @@ func Conformance(t *testing.T, b Backend) {
 		}
 		if st.MaxAttempts() != 2 || !st.AllDone() {
 			t.Errorf("status attempts=%d allDone=%v, want 2/true", st.MaxAttempts(), st.AllDone())
+		}
+	})
+
+	t.Run("StaleHeartbeatKeepsLiveLease", func(t *testing.T) {
+		clk := NewClock()
+		newHandle := b.New(t)
+		parking := &parkingPut{Backend: newHandle(clk.Now), parked: make(chan struct{}), release: make(chan struct{})}
+		release := sync.OnceFunc(func() { close(parking.release) })
+		defer release()
+		stale := open(t, parking, 1, "stale")
+		second := open(t, newHandle(clk.Now), 0, "second")
+		third := open(t, newHandle(clk.Now), 0, "third")
+
+		lease, err := stale.Claim()
+		if err != nil || lease == nil || lease.Gen != 1 {
+			t.Fatal(lease, err)
+		}
+		// The stale holder's heartbeat passes its generation check and
+		// parks before writing.
+		parking.armed.Store(true)
+		hbErr := make(chan error, 1)
+		go func() { hbErr <- lease.Heartbeat() }()
+		select {
+		case <-parking.parked:
+		case <-time.After(10 * time.Second):
+			t.Fatal("the stale heartbeat never wrote")
+		}
+		// Meanwhile its lease expires, a second worker takes the shard
+		// over and heartbeats.
+		clk.Advance(ttl + time.Second)
+		lease2, err := second.Claim()
+		if err != nil || lease2 == nil || lease2.Gen != 2 {
+			t.Fatalf("take-over = %v, %v, want generation 2", lease2, err)
+		}
+		clk.Advance(ttl / 2)
+		if err := lease2.Heartbeat(); err != nil {
+			t.Fatal(err)
+		}
+		// The stale write lands late. Past the generation-2 claim's TTL,
+		// only the second worker's heartbeat keeps the shard live, and
+		// the late write must not have cost it that.
+		release()
+		if err := <-hbErr; err != nil {
+			t.Errorf("stale heartbeat = %v", err)
+		}
+		clk.Advance(ttl/2 + time.Second)
+		if stolen, err := third.Claim(); err != nil || stolen != nil {
+			t.Fatalf("live generation-2 lease stolen: %+v, %v", stolen, err)
 		}
 	})
 

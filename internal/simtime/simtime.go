@@ -116,20 +116,3 @@ func Min(a, b Time) Time {
 	}
 	return b
 }
-
-// ParseMs parses a decimal millisecond string such as "2.5" or "4" into a
-// Time. It accepts an optional trailing "ms".
-func ParseMs(s string) (Time, error) {
-	s = strings.TrimSpace(strings.TrimSuffix(strings.TrimSpace(s), "ms"))
-	if s == "" {
-		return 0, fmt.Errorf("simtime: empty duration")
-	}
-	f, err := strconv.ParseFloat(s, 64)
-	if err != nil {
-		return 0, fmt.Errorf("simtime: parse %q: %v", s, err)
-	}
-	if math.IsNaN(f) || math.IsInf(f, 0) || f > maxMs || f < -maxMs {
-		return 0, fmt.Errorf("simtime: duration %q out of range", s)
-	}
-	return FromMs(f), nil
-}

@@ -91,46 +91,6 @@ func TestMinMax(t *testing.T) {
 	}
 }
 
-func TestParseMs(t *testing.T) {
-	tests := []struct {
-		in      string
-		want    Time
-		wantErr bool
-	}{
-		{"4", FromMs(4), false},
-		{"2.5", FromMs(2.5), false},
-		{"2.5 ms", FromMs(2.5), false},
-		{"4ms", FromMs(4), false},
-		{" 10 ", FromMs(10), false},
-		{"", 0, true},
-		{"ms", 0, true},
-		{"abc", 0, true},
-	}
-	for _, tt := range tests {
-		got, err := ParseMs(tt.in)
-		if (err != nil) != tt.wantErr {
-			t.Errorf("ParseMs(%q) error = %v, wantErr %v", tt.in, err, tt.wantErr)
-			continue
-		}
-		if err == nil && got != tt.want {
-			t.Errorf("ParseMs(%q) = %v, want %v", tt.in, got, tt.want)
-		}
-	}
-}
-
-func TestRoundTripProperty(t *testing.T) {
-	// For any non-negative microsecond count below 2^40, String followed by
-	// ParseMs recovers the value exactly.
-	f := func(us uint32) bool {
-		tm := Time(us)
-		parsed, err := ParseMs(tm.String())
-		return err == nil && parsed == tm
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestAddSubInverseProperty(t *testing.T) {
 	f := func(a, b int32) bool {
 		ta, tb := Time(a), Time(b)
@@ -138,14 +98,6 @@ func TestAddSubInverseProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestParseMsRejectsNonFinite(t *testing.T) {
-	for _, s := range []string{"NaN", "Inf", "-Inf", "1e300", "-1e300"} {
-		if _, err := ParseMs(s); err == nil {
-			t.Errorf("ParseMs(%q) accepted a non-representable value", s)
-		}
 	}
 }
 
